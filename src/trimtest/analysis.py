@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, BootstrapResult, bootstrap_pipeline
+from .bootstrap import BootstrapPlan, BootstrapResult, bootstrap_cov, bootstrap_pipeline
 from .csvio import (
     LoadReport,
     atomic_write_text,
@@ -195,33 +195,10 @@ class AnalysisConfig:
         return cls.from_dict(raw)
 
     def override(self, seed=None, iterations=None, output_dir=None) -> "AnalysisConfig":
-        plan = self.plan
-        if seed is not None or iterations is not None:
-            plan = BootstrapPlan(
-                iterations=iterations if iterations is not None else plan.iterations,
-                seed=seed if seed is not None else plan.seed,
-                resample_unit=plan.resample_unit,
-                engine=plan.engine,
-                multiplier_distribution=plan.multiplier_distribution,
-            )
-        return AnalysisConfig(
-            input_path=self.input_path,
-            cluster_column=self.cluster_column,
-            mode=self.mode,
-            model=self.model,
-            statistics=self.statistics,
-            comparisons=self.comparisons,
-            report_coefficients=self.report_coefficients,
-            derived_effect=self.derived_effect,
-            derived_lags=self.derived_lags,
-            derived_horizon=self.derived_horizon,
-            plan=plan,
-            test=self.test,
-            output_dir=output_dir if output_dir is not None else self.output_dir,
-            plot_pairs=self.plot_pairs,
-            lags=self.lags,
-            include_analytic_cov=self.include_analytic_cov,
-            config_echo=self.config_echo,
+        plan_changes = {"seed": seed, "iterations": iterations}
+        plan = replace(self.plan, **{k: v for k, v in plan_changes.items() if v is not None})
+        return replace(
+            self, plan=plan, output_dir=self.output_dir if output_dir is None else output_dir
         )
 
 
@@ -343,6 +320,29 @@ def point_estimates(
     return out
 
 
+def _robustness_tests(
+    b1: np.ndarray, b2: np.ndarray, cov: np.ndarray, diff_cov: np.ndarray, spec: TestSpec
+) -> tuple[tuple, object]:
+    """Per-coefficient tests, then the joint test over all d statistics.
+
+    cov is the stacked 2d x 2d bootstrap covariance (its baseline block
+    feeds the heuristic p-value); diff_cov is the d x d difference block.
+    """
+    d = len(b1)
+    coef_tests = tuple(
+        robustness_test(
+            b1[j : j + 1],
+            b2[j : j + 1],
+            np.array([[float(diff_cov[j, j])]]),
+            spec,
+            baseline_cov=np.array([[float(cov[j, j])]]),
+        )
+        for j in range(d)
+    )
+    joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+    return coef_tests, joint
+
+
 def run_analysis(
     config: AnalysisConfig, n_threads: int = 1, data: PanelDataset | None = None
 ) -> ReportBundle:
@@ -360,20 +360,7 @@ def run_analysis(
         diff_cov = difference_covariance(boot.cov, d)
         flags = {}
         with _stage(f"test:{comparison.name}"):
-            coef_tests = []
-            for j in range(d):
-                var_d = float(diff_cov[j, j])
-                report = robustness_test(
-                    b1[j : j + 1],
-                    b2[j : j + 1],
-                    np.array([[var_d]]),
-                    config.test,
-                    baseline_cov=np.array([[boot.cov[j, j]]]),
-                )
-                coef_tests.append(report)
-            joint = robustness_test(
-                b1, b2, diff_cov, config.test, baseline_cov=boot.cov[:d, :d]
-            )
+            coef_tests, joint = _robustness_tests(b1, b2, boot.cov, diff_cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
             with _stage(f"analytic:{comparison.name}"):
@@ -390,7 +377,7 @@ def run_analysis(
                 adjusted=b2,
                 bootstrap=boot,
                 diff_cov=diff_cov,
-                coefficient_tests=tuple(coef_tests),
+                coefficient_tests=coef_tests,
                 joint_test=joint,
                 flags=flags,
                 analytic=analytic,
@@ -589,9 +576,9 @@ def regenerate_report(directory: str) -> dict:
     """Recompute p-values from stored draws and the stored test settings.
 
     Reads results.json and each draws CSV under the directory, recomputes
-    the difference covariance and all tests from the draws, rewrites
-    report.txt content, and returns {comparison: {label: p_value_formal}}
-    for comparison with the stored values.
+    the difference covariance and all tests from the draws, and returns
+    {comparison: {label: p_value_formal, ..., "joint": p}} for comparison
+    with the stored values.  No file is written.
     """
     import os
 
@@ -613,24 +600,14 @@ def regenerate_report(directory: str) -> dict:
         out: dict = {}
         for name, entry in stored["comparisons"].items():
             draws = read_draws_csv(os.path.join(directory, f"draws_{name}.csv"))
-            d = len(entry["labels"])
-            from .bootstrap import bootstrap_cov
-
             cov = bootstrap_cov(draws)
-            diff_cov = difference_covariance(cov, d)
+            diff_cov = difference_covariance(cov, len(entry["labels"]))
             b1 = np.asarray(entry["baseline"], dtype=float)
             b2 = np.asarray(entry["adjusted"], dtype=float)
-            pvals = {}
-            for j, label in enumerate(entry["labels"]):
-                rep = robustness_test(
-                    b1[j : j + 1],
-                    b2[j : j + 1],
-                    np.array([[float(diff_cov[j, j])]]),
-                    spec,
-                    baseline_cov=np.array([[float(cov[j, j])]]),
-                )
-                pvals[label] = rep.p_value_formal
-            joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+            coef_tests, joint = _robustness_tests(b1, b2, cov, diff_cov, spec)
+            pvals = {
+                label: t.p_value_formal for label, t in zip(entry["labels"], coef_tests)
+            }
             pvals["joint"] = joint.p_value_formal
             out[name] = pvals
         return out

@@ -1,21 +1,26 @@
 """Nonparametric bootstrap for joint distributions of estimator vectors.
 
-Each draw resamples whole clusters (or rows) and re-runs the supplied
-estimator from scratch on the resample, so every data-dependent quantity
-(trim thresholds, residual scales, regression coefficients) is recomputed
-inside the draw.  Draw b uses a generator derived from the master seed and
-the draw index alone, so results are bit-identical no matter how many
-threads execute the draws or in which order they finish.
+Every draw is a random weight on each observation of the original dataset:
+the bootstrap statistic is the same estimator integrated against a randomly
+reweighted empirical measure, so no resampled dataset is ever built.  Draw b
+uses a generator derived from the master seed and the draw index alone, so
+results are bit-identical no matter how many threads execute the draws or in
+which order they finish.
 
-Engines:
-  - "multinomial": counts ~ Multinomial(U; 1/U, ..., 1/U) over the U
-    resample units, materialized by repeating units.
-  - "multiplier" with distribution "poisson": unit counts ~ Poisson(1)
-    (centered multipliers N - 1), also materialized.
-  - "multiplier" with distribution "normal": the original data is kept and
-    the estimator receives per-row multiplier weights 1 + xi with xi
-    standard normal per unit.  Signed weights make this a variance
-    diagnostic, not a resampling scheme.
+Unit weights (one per cluster or per row, by resample unit):
+  - "multinomial": counts ~ Multinomial(U; 1/U, ..., 1/U) over the U units.
+  - "multiplier" with distribution "poisson": counts ~ Poisson(1).
+  - "multiplier" with distribution "normal": 1 + xi with xi standard
+    normal.  Signed weights make this a variance diagnostic, not a
+    resampling scheme.
+Cluster weights are copied to every row of their cluster.  Count weights
+are rescaled to sum to the row count n, so an estimator's fixed 1/n equals
+the 1/n_b of the resample the counts describe.
+
+Estimator contract: estimator_fn(data, row_weights) always receives the full
+dataset, must honour row_weights in every data-dependent quantity
+(thresholds, scales, fits), and returns a fixed-length float vector.  A row
+with weight 0 is absent from the draw.
 """
 
 from __future__ import annotations
@@ -102,30 +107,21 @@ def multiplier_weights(n: int, distribution: str, rng: np.random.Generator) -> n
 
 def _one_draw(data: PanelDataset, plan: BootstrapPlan, estimator_fn, b: int):
     rng = draw_rng(plan.seed, b)
-    n_units = data.n_clusters if plan.resample_unit == "cluster" else data.n_rows
+    by_cluster = plan.resample_unit == "cluster"
+    n_units = data.n_clusters if by_cluster else data.n_rows
     if plan.engine == "multinomial":
-        counts = multinomial_counts(n_units, rng)
-        idx = np.repeat(np.arange(n_units), counts)
-        resample = (
-            data.take_clusters(idx) if plan.resample_unit == "cluster" else data.take_rows(idx)
-        )
-        return estimator_fn(resample, np.ones(resample.n_rows))
-    xi = multiplier_weights(n_units, plan.multiplier_distribution, rng)
-    if plan.multiplier_distribution == "poisson":
-        counts = (xi + 1.0).astype(np.intp)
-        idx = np.repeat(np.arange(n_units), counts)
-        if len(idx) == 0:
-            raise ValueError("empty multiplier resample")
-        resample = (
-            data.take_clusters(idx) if plan.resample_unit == "cluster" else data.take_rows(idx)
-        )
-        return estimator_fn(resample, np.ones(resample.n_rows))
-    rho_units = 1.0 + xi
-    if plan.resample_unit == "cluster":
-        row_rho = rho_units[data.row_cluster_index]
+        rho = multinomial_counts(n_units, rng).astype(float)
     else:
-        row_rho = rho_units
-    return estimator_fn(data, row_rho)
+        rho = 1.0 + multiplier_weights(n_units, plan.multiplier_distribution, rng)
+    if by_cluster:
+        rho = rho[data.row_cluster_index]
+    if plan.engine == "multinomial" or plan.multiplier_distribution == "poisson":
+        total = rho.sum()
+        if total == 0:
+            raise ValueError("empty multiplier resample")
+        if total != data.n_rows:
+            rho *= data.n_rows / total
+    return estimator_fn(data, rho)
 
 
 def bootstrap_pipeline(
@@ -137,10 +133,13 @@ def bootstrap_pipeline(
 ) -> BootstrapResult:
     """Run the full bootstrap: point estimate, draws, covariance.
 
-    estimator_fn(dataset, row_weights) must return a fixed-length float
-    vector.  Draws that raise a numerical or value error are recorded as
-    missing; more than 1% missing aborts with an error.  Aggregation is by
-    draw index, so thread count does not affect any output value.
+    estimator_fn(dataset, row_weights) is always called on `data` itself,
+    with all-ones weights for the point estimate and the draw's row weights
+    for each draw (count weights sum to n_rows); it must honour row_weights
+    and return a fixed-length float vector.  Draws that raise a numerical
+    or value error are recorded as missing; more than 1% missing aborts
+    with an error.  Aggregation is by draw index, so thread count does not
+    affect any output value.
     """
     point = np.atleast_1d(np.asarray(estimator_fn(data, np.ones(data.n_rows)), dtype=float))
     d = len(point)
@@ -172,12 +171,8 @@ def bootstrap_pipeline(
         raise NumericalError(
             f"{len(failed)} of {B} bootstrap draws failed (limit is 1%)"
         )
-    ok = draws[~np.isnan(draws).any(axis=1)]
-    if len(ok) >= 2:
-        cov = np.cov(ok, rowvar=False, ddof=1).reshape(d, d)
-        cov = 0.5 * (cov + cov.T)
-    else:
-        cov = np.zeros((d, d))
+    n_ok = int(np.sum(~np.isnan(draws).any(axis=1)))
+    cov = bootstrap_cov(draws) if n_ok >= 2 else np.zeros((d, d))
     return BootstrapResult(
         draws=draws,
         point=point,

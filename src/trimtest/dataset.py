@@ -21,12 +21,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _factorize_first_appearance(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
+def factorize_first_appearance(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Labels in first-appearance order and the per-row cluster ordinal.
 
     Integer labels go through a vectorized path; anything else (file labels
-    are strings) falls back to a dictionary scan.  Bootstrap resamples hit
-    this on every draw, so the integer path matters.
+    are strings) falls back to a dictionary scan.
     """
     if ids.dtype.kind in "iu":
         uniq, first, inv = np.unique(ids, return_index=True, return_inverse=True)
@@ -70,7 +69,7 @@ class PanelDataset:
         for name, v in cols.items():
             if v.ndim != 1 or len(v) != n:
                 raise ValueError(f"column {name!r} is not a 1-d array of length {n}")
-        labels, row_ci = _factorize_first_appearance(ids)
+        labels, row_ci = factorize_first_appearance(ids)
         sizes = np.bincount(row_ci, minlength=len(labels)).astype(np.intp)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "cluster_ids", _readonly(ids))

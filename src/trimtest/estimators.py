@@ -1,10 +1,10 @@
 """Estimator callables for the bootstrap pipeline.
 
 Each builder returns a function f(dataset, row_weights) -> vector that
-recomputes everything data-dependent from scratch: weight-scheme thresholds
-come from the dataset it is handed (the resample), residual scales come from
-a fresh baseline fit on that resample, and derived dynamic parameters are
-recomputed from the fresh coefficients.
+recomputes everything data-dependent from scratch under the row weights:
+weight-scheme thresholds come from the reweighted sample, residual scales
+come from a fresh reweighted baseline fit, and derived dynamic parameters
+are recomputed from the fresh coefficients.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def regression_comparison_estimator(comparison: RegressionComparison):
 
     Baseline fit first (with its scheme's weights), residual context built
     from that fit, then the adjusted fit with the adjusted scheme's weights.
-    All on the dataset passed in, so a bootstrap draw recomputes thresholds
-    and scales on the resample.
+    All under the row weights passed in, so a bootstrap draw recomputes
+    thresholds and scales on its reweighted sample.
     """
 
     def estimate(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ counts once regardless of how many rows it has.  A "pooled" normalization
 (every row weighted 1/total_rows) is available behind a flag.  Fixed-effect
 factors are expanded into indicator columns with one baseline category
 dropped per factor; fitted values do not depend on which category is the
-baseline.
+baseline.  Rows with a zero bootstrap multiplier are absent from the fit,
+and a category left without rows gets no column.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PanelDataset
+from .dataset import PanelDataset, factorize_first_appearance
 from .errors import RankDeficiencyError
 
 RANK_RTOL = 1e-10
@@ -75,29 +76,17 @@ class RegressionFit:
         return float(self.coefficients[idx])
 
 
-def _dummy_columns(values: np.ndarray, factor: str, drop_label=None):
+def _dummy_columns(labels: tuple, codes: np.ndarray, factor: str, present: np.ndarray):
     """Indicator columns for a factor, dropping one baseline category.
 
-    Categories are ordered by first appearance; the first is the baseline
-    unless drop_label names another one.
+    Only categories with a present row get a column (a bootstrap draw that
+    leaves a category out must not leave an all-zero column behind).
+    Categories are ordered by first appearance; the first present one is
+    the baseline.
     """
-    labels: list = []
-    seen: dict = {}
-    codes = np.empty(len(values), dtype=np.intp)
-    for r, v in enumerate(values):
-        key = v.item() if hasattr(v, "item") else v
-        if key not in seen:
-            seen[key] = len(labels)
-            labels.append(key)
-        codes[r] = seen[key]
-    baseline = 0 if drop_label is None else labels.index(drop_label)
-    cols = []
-    names = []
-    for c, lab in enumerate(labels):
-        if c == baseline:
-            continue
-        cols.append((codes == c).astype(float))
-        names.append(f"{factor}={lab}")
+    kept = np.unique(codes[present])[1:]
+    cols = [(codes == c).astype(float) for c in kept]
+    names = [f"{factor}={labels[c]}" for c in kept]
     return cols, names
 
 
@@ -106,9 +95,13 @@ def build_design(
     regressors: tuple[str, ...],
     fixed_effects: tuple[str, ...] = (),
     intercept: bool = True,
-    fe_baselines: dict | None = None,
+    present: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Assemble the design matrix: intercept, regressors, then FE dummies."""
+    """Assemble the design matrix: intercept, regressors, then FE dummies.
+
+    present marks the rows a fit can see (default all); fixed-effect
+    categories without a present row get no indicator column.
+    """
     cols: list[np.ndarray] = []
     names: list[str] = []
     n = data.n_rows
@@ -118,20 +111,26 @@ def build_design(
     for r in regressors:
         cols.append(data.column(r))
         names.append(r)
+    if present is None:
+        present = np.ones(n, dtype=bool)
     for f in fixed_effects:
         if f in data.columns:
-            vals = data.column(f)
+            labels, codes = factorize_first_appearance(data.column(f))
+        elif f == "cluster":
+            labels, codes = data.cluster_labels, data.row_cluster_index
         else:
-            vals = np.asarray(data.cluster_ids)
-            if f != "cluster":
-                raise KeyError(f"no column named {f!r} for fixed effect")
-        drop = None if fe_baselines is None else fe_baselines.get(f)
-        dcols, dnames = _dummy_columns(np.asarray(vals), f, drop)
+            raise KeyError(f"no column named {f!r} for fixed effect")
+        dcols, dnames = _dummy_columns(labels, codes, f, present)
         cols.extend(dcols)
         names.extend(dnames)
     if not cols:
         raise ValueError("empty design")
     return np.column_stack(cols), tuple(names)
+
+
+def _present_rows(row_multipliers: np.ndarray | None) -> np.ndarray | None:
+    """Rows a bootstrap draw keeps: nonzero multiplier (None means all)."""
+    return None if row_multipliers is None else np.asarray(row_multipliers) != 0
 
 
 def _row_scale(
@@ -196,7 +195,6 @@ def weighted_ols(
     data: PanelDataset,
     weights: np.ndarray | None = None,
     row_multipliers: np.ndarray | None = None,
-    fe_baselines: dict | None = None,
 ) -> RegressionFit:
     """Weighted least squares under the cluster-equal normalization.
 
@@ -207,7 +205,11 @@ def weighted_ols(
     n = data.n_rows
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     design, names = build_design(
-        data, model.regressors, model.fixed_effects, model.intercept, fe_baselines
+        data,
+        model.regressors,
+        model.fixed_effects,
+        model.intercept,
+        _present_rows(row_multipliers),
     )
     scale = _row_scale(data, w, row_multipliers, model.normalization)
     y = data.column(model.outcome)
@@ -222,7 +224,6 @@ def weighted_2sls(
     data: PanelDataset,
     weights: np.ndarray | None = None,
     row_multipliers: np.ndarray | None = None,
-    fe_baselines: dict | None = None,
 ) -> RegressionFit:
     """Two-stage least squares with the same weights in both stages.
 
@@ -233,19 +234,16 @@ def weighted_2sls(
     scales are returned for residual-trimming rules.
     """
     if not model.is_instrumented:
-        return weighted_ols(model, data, weights, row_multipliers, fe_baselines)
+        return weighted_ols(model, data, weights, row_multipliers)
     n = data.n_rows
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    present = _present_rows(row_multipliers)
     design, names = build_design(
-        data, model.regressors, model.fixed_effects, model.intercept, fe_baselines
+        data, model.regressors, model.fixed_effects, model.intercept, present
     )
     exog = tuple(r for r in model.regressors if r not in model.endogenous)
     z_design, _ = build_design(
-        data,
-        model.instruments + exog,
-        model.fixed_effects,
-        model.intercept,
-        fe_baselines,
+        data, model.instruments + exog, model.fixed_effects, model.intercept, present
     )
     scale = _row_scale(data, w, row_multipliers, model.normalization)
     y = data.column(model.outcome)

@@ -176,7 +176,8 @@ def weights_winsorize(
 
     The weighted mean of v under these weights equals the mean of the
     Winsorized values.  v_i = 0 with a clamp that moves the value has no
-    ratio representation and raises.
+    ratio representation and raises, unless the row has row weight 0 and
+    so is absent from the sample.
     """
     v = np.asarray(values, dtype=float)
     n = len(v)
@@ -189,8 +190,9 @@ def weights_winsorize(
     if hi is not None:
         clamped = np.minimum(clamped, hi)
     zero = v == 0.0
-    if np.any(zero & (clamped != 0.0)):
-        i = int(np.nonzero(zero & (clamped != 0.0))[0][0])
+    undefined = zero & (clamped != 0.0) & (rw != 0.0)
+    if np.any(undefined):
+        i = int(np.nonzero(undefined)[0][0])
         raise ValueError(f"winsorize ratio undefined at zero observation (row {i})")
     out = np.ones(n)
     nz = ~zero

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trimtest import PanelDataset
 from trimtest.bootstrap import (
     BootstrapPlan,
+    _one_draw,
     bootstrap_cov,
     bootstrap_pipeline,
     draw_rng,
@@ -16,6 +19,14 @@ from trimtest.bootstrap import (
 )
 from trimtest.empirical import weighted_quantile_threshold
 from trimtest.errors import NumericalError
+from trimtest.estimators import (
+    RegressionComparison,
+    lstat_pair_estimator,
+    regression_comparison_estimator,
+)
+from trimtest.lstat import LStatSpec
+from trimtest.regress import RegressionModel, weighted_ols
+from trimtest.weights import WeightScheme
 
 from conftest import make_panel
 
@@ -25,11 +36,24 @@ def weighted_mean_estimator(data, row_weights):
     return np.array([np.sum(v * row_weights) / np.sum(row_weights)])
 
 
+trimmed_mean_estimator = lstat_pair_estimator(
+    [LStatSpec("v")], [LStatSpec("v", scheme=WeightScheme.quantile_trim("v", 0.1, 0.9))]
+)
+
+
 @pytest.fixture
 def clustered():
     rng = np.random.default_rng(123)
     ids = np.repeat(np.arange(12), 4)
     return PanelDataset({"v": rng.normal(size=48)}, ids)
+
+
+@pytest.fixture
+def unequal():
+    rng = np.random.default_rng(321)
+    sizes = np.array([1, 3, 5, 2, 4, 6, 2, 3, 5, 1, 4, 2])
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    return PanelDataset({"v": rng.standard_t(3, size=len(ids))}, ids)
 
 
 class TestDrawRng:
@@ -118,23 +142,16 @@ class TestPipeline:
         np.testing.assert_array_equal(serial.draws, threaded.draws)
         np.testing.assert_array_equal(serial.cov, threaded.cov)
 
-    def test_multinomial_draw_matches_manual_materialization(self, clustered):
+    def test_multinomial_draw_matches_manual_materialization(self, unequal):
+        # Count weights on the original rows give the statistic of the
+        # materialized cluster resample, unequal cluster sizes included.
         plan = BootstrapPlan(iterations=8, seed=21)
-        seen = []
-
-        def spy(data, row_weights):
-            seen.append((data, row_weights))
-            return np.array([0.0])
-
-        bootstrap_pipeline(clustered, plan, spy)
+        boot = bootstrap_pipeline(unequal, plan, trimmed_mean_estimator)
         for b in range(8):
-            data_b, rho_b = seen[b + 1]  # entry 0 is the point evaluation
-            counts = multinomial_counts(clustered.n_clusters, draw_rng(21, b))
-            ordinals = np.repeat(np.arange(clustered.n_clusters), counts)
-            expected = clustered.take_clusters(ordinals)
-            np.testing.assert_array_equal(data_b.column("v"), expected.column("v"))
-            np.testing.assert_array_equal(rho_b, np.ones(expected.n_rows))
-
+            counts = multinomial_counts(unequal.n_clusters, draw_rng(21, b))
+            resample = unequal.take_clusters(np.repeat(np.arange(unequal.n_clusters), counts))
+            expected = trimmed_mean_estimator(resample, np.ones(resample.n_rows))
+            np.testing.assert_allclose(boot.draws[b], expected, rtol=1e-12)
     def test_row_resampling_counts_equal_materialized_statistics(self):
         # A count-weighted statistic on the original rows must equal the
         # plain statistic on the materialized resample.
@@ -181,21 +198,64 @@ class TestPipeline:
             for rows in clustered.cluster_rows:
                 assert len(np.unique(rho_b[rows])) == 1
 
-    def test_poisson_multiplier_materializes_counts(self, clustered):
+    def test_poisson_multiplier_materializes_counts(self, unequal):
         plan = BootstrapPlan(
             iterations=6, seed=41, engine="multiplier", multiplier_distribution="poisson"
         )
         seen = []
 
         def spy(data, row_weights):
-            seen.append(data)
+            seen.append(np.array(row_weights))
+            return trimmed_mean_estimator(data, row_weights)
+
+        boot = bootstrap_pipeline(unequal, plan, spy)
+        for b in range(6):
+            counts = multiplier_weights(unequal.n_clusters, "poisson", draw_rng(41, b)) + 1.0
+            resample = unequal.take_clusters(
+                np.repeat(np.arange(unequal.n_clusters), counts.astype(np.intp))
+            )
+            expected = trimmed_mean_estimator(resample, np.ones(resample.n_rows))
+            np.testing.assert_allclose(boot.draws[b], expected, rtol=1e-12)
+            # Count weights are rescaled to sum to the row count.
+            assert seen[b + 1].sum() == pytest.approx(unequal.n_rows, rel=1e-12)
+    @pytest.mark.parametrize(
+        "engine,distribution",
+        [("multinomial", "normal"), ("multiplier", "poisson"), ("multiplier", "normal")],
+    )
+    @pytest.mark.parametrize("unit", ["cluster", "row"])
+    def test_estimator_always_gets_original_dataset(self, unequal, engine, distribution, unit):
+        plan = BootstrapPlan(
+            iterations=5,
+            seed=17,
+            resample_unit=unit,
+            engine=engine,
+            multiplier_distribution=distribution,
+        )
+        seen = []
+
+        def spy(data, row_weights):
+            seen.append((data, np.array(row_weights)))
             return np.array([0.0])
 
-        bootstrap_pipeline(clustered, plan, spy)
-        for b in range(6):
-            counts = multiplier_weights(clustered.n_clusters, "poisson", draw_rng(41, b)) + 1.0
-            expected_rows = int(np.sum(counts * 4))  # balanced clusters of 4
-            assert seen[b + 1].n_rows == expected_rows
+        bootstrap_pipeline(unequal, plan, spy)
+        assert len(seen) == 6
+        for data, rho in seen:
+            assert data is unequal
+            assert rho.shape == (unequal.n_rows,)
+            if unit == "cluster":
+                for rows in unequal.cluster_rows:
+                    assert len(np.unique(rho[rows])) == 1
+
+    def test_all_zero_poisson_draw_is_empty(self):
+        data = PanelDataset({"v": np.array([1.0, 2.0])}, np.array([0, 0]))
+        plan = BootstrapPlan(
+            iterations=1, seed=9, engine="multiplier", multiplier_distribution="poisson"
+        )
+        b = next(
+            b for b in range(100) if multiplier_weights(1, "poisson", draw_rng(9, b))[0] == -1.0
+        )
+        with pytest.raises(ValueError, match="empty multiplier resample"):
+            _one_draw(data, plan, weighted_mean_estimator, b)
 
     def test_failed_draws_become_nan_rows(self, clustered):
         calls = {"n": 0}
@@ -215,13 +275,12 @@ class TestPipeline:
 
     def test_too_many_failures_abort(self, clustered):
         def broken(data, row_weights):
-            if data is not clustered:
-                raise ValueError("always fails on resamples")
+            if not np.all(row_weights == 1.0):
+                raise ValueError("always fails on draws")
             return np.array([0.0])
 
         with pytest.raises(NumericalError, match="limit is 1%"):
             bootstrap_pipeline(clustered, BootstrapPlan(iterations=50, seed=2), broken)
-
     def test_single_draw_zero_covariance(self, clustered):
         boot = bootstrap_pipeline(clustered, BootstrapPlan(iterations=1, seed=3), weighted_mean_estimator)
         assert boot.draws.shape == (1, 1)
@@ -229,11 +288,10 @@ class TestPipeline:
 
     def test_wrong_length_estimator_rejected(self, clustered):
         def ragged(data, row_weights):
-            return np.zeros(2) if data is clustered else np.zeros(3)
+            return np.zeros(2) if np.all(row_weights == 1.0) else np.zeros(3)
 
         with pytest.raises(ValueError, match="expected 2"):
             bootstrap_pipeline(clustered, BootstrapPlan(iterations=2, seed=4), ragged)
-
     def test_labels_carried(self, clustered):
         boot = bootstrap_pipeline(
             clustered, BootstrapPlan(iterations=2, seed=5), weighted_mean_estimator, labels=("m",)
@@ -272,6 +330,144 @@ class TestBootstrapCov:
         boot = bootstrap_pipeline(data, plan, weighted_mean_estimator)
         sample_var = np.var(data.column("v"), ddof=0)
         assert n * boot.cov[0, 0] == pytest.approx(sample_var, rel=0.12)
+
+
+class TestWeightsStayWithTheirRows:
+    """Draws weight the original rows, so per-row inputs keep their rows."""
+
+    def test_custom_weights_follow_their_rows_under_row_draws(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        v = rng.normal(size=n)
+        w = rng.uniform(0.0, 2.0, size=n)
+        data = PanelDataset({"v": v}, np.arange(n))
+        est = lstat_pair_estimator(
+            [LStatSpec("v")], [LStatSpec("v", scheme=WeightScheme.custom(w))]
+        )
+        boot = bootstrap_pipeline(data, BootstrapPlan(10, seed=3, resample_unit="row"), est)
+        for b in range(10):
+            counts = multinomial_counts(n, draw_rng(3, b))
+            assert boot.draws[b, 1] == pytest.approx(np.sum(v * w * counts) / n, rel=1e-12)
+
+    def test_custom_weights_under_unequal_cluster_draws(self, unequal):
+        v = unequal.column("v")
+        w = np.linspace(0.5, 1.5, unequal.n_rows)
+        est = lstat_pair_estimator(
+            [LStatSpec("v")], [LStatSpec("v", scheme=WeightScheme.custom(w))]
+        )
+        boot = bootstrap_pipeline(unequal, BootstrapPlan(50, seed=8), est)
+        assert boot.n_failed == 0
+        for b in range(50):
+            counts = multinomial_counts(unequal.n_clusters, draw_rng(8, b))
+            rho = counts[unequal.row_cluster_index]
+            expected = np.sum(v * w * rho) / rho.sum()
+            assert boot.draws[b, 1] == pytest.approx(expected, rel=1e-12)
+
+    def test_row_draws_keep_cluster_equal_regression_weights(self):
+        rng = np.random.default_rng(12)
+        sizes = rng.integers(1, 8, size=30)
+        ids = np.repeat(np.arange(30), sizes)
+        x = rng.normal(size=len(ids))
+        y = 1.0 + 2.0 * x + rng.normal(size=30)[ids] + rng.normal(size=len(ids))
+        data = PanelDataset({"y": y, "x": x}, ids)
+        model = RegressionModel("y", ("x",))
+        est = regression_comparison_estimator(RegressionComparison(model))
+        boot = bootstrap_pipeline(data, BootstrapPlan(5, seed=12, resample_unit="row"), est)
+        for b in range(5):
+            counts = multinomial_counts(data.n_rows, draw_rng(12, b)).astype(float)
+            expected = weighted_ols(model, data, row_multipliers=counts).coef("x")
+            assert boot.draws[b, 0] == pytest.approx(expected, rel=1e-12)
+
+
+_SCHEMES = ("quantile_trim", "winsorize", "residual_trim", "custom")
+_PAIRS = [
+    (estimator, scheme)
+    for estimator in ("lstat", "ols", "ols_fe")
+    for scheme in _SCHEMES
+    if not (estimator == "lstat" and scheme == "residual_trim")
+]
+
+
+def _property_estimator(estimator: str, scheme: str, custom: np.ndarray, fe: str):
+    column = "v" if estimator == "lstat" else "y"
+    adjusted = {
+        "quantile_trim": lambda: WeightScheme.quantile_trim(column, 0.1, 0.9),
+        "winsorize": lambda: WeightScheme.winsorize(column, 0.1, 0.9),
+        "residual_trim": lambda: WeightScheme.residual_trim(1.5),
+        "custom": lambda: WeightScheme.custom(custom),
+    }[scheme]()
+    if estimator == "lstat":
+        est = lstat_pair_estimator([LStatSpec("v")], [LStatSpec("v", scheme=adjusted)])
+    else:
+        effects = (fe,) if estimator == "ols_fe" else ()
+        model = RegressionModel("y", ("x",), fixed_effects=effects)
+        est = regression_comparison_estimator(RegressionComparison(model, adjusted_scheme=adjusted))
+
+    def safe(data, row_weights):
+        # A draw that cannot be fitted (say, trimming empties a cluster)
+        # reads NaN on both routes instead of aborting the comparison.
+        try:
+            return est(data, row_weights)
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError):
+            return np.full(2, np.nan)
+
+    return safe
+
+
+@pytest.mark.parametrize("engine", ["multinomial", "poisson"])
+@pytest.mark.parametrize("unit", ["cluster", "row"])
+@pytest.mark.parametrize("estimator,scheme", _PAIRS)
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=8, max_size=14), seed=st.integers(0, 2**16))
+def test_count_weighted_draws_equal_materialized_resamples(
+    engine, unit, estimator, scheme, sizes, seed
+):
+    if estimator != "lstat":
+        # Three or more rows per cluster keep fixed-effect fits away from
+        # saturation: a saturated fit leaves residuals at rounding level,
+        # and residual trimming would then cut at rounding noise.  Row draws
+        # keep each row's cluster-equal weight, which a materialized row
+        # resample (every row its own cluster) reproduces only when clusters
+        # have equal sizes.
+        sizes = [s + 2 for s in sizes] if unit == "cluster" else [sizes[0] + 2] * len(sizes)
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(ids)
+    x = rng.normal(size=n)
+    y = 1.0 + 2.0 * x + rng.normal(size=len(sizes))[ids] + rng.standard_t(3, size=n)
+    cols = {"y": y, "x": x, "v": rng.standard_t(3, size=n), "g": ids.astype(float)}
+    cols["row"] = np.arange(n, dtype=float)
+    data = PanelDataset(cols, ids)
+    custom = rng.uniform(0.0, 2.0, size=n)
+    # take_rows makes every row its own cluster, so row draws absorb the
+    # original clusters through the column g instead.
+    fe = "cluster" if unit == "cluster" else "g"
+    n_units = data.n_clusters if unit == "cluster" else n
+    if engine == "multinomial":
+        plan = BootstrapPlan(iterations=4, seed=seed, resample_unit=unit)
+        counts = [multinomial_counts(n_units, draw_rng(seed, b)) for b in range(4)]
+    else:
+        plan = BootstrapPlan(
+            iterations=4,
+            seed=seed,
+            resample_unit=unit,
+            engine="multiplier",
+            multiplier_distribution="poisson",
+        )
+        counts = [multiplier_weights(n_units, "poisson", draw_rng(seed, b)) + 1 for b in range(4)]
+    # An all-zero Poisson draw fails by design (see test_all_zero_poisson_draw_is_empty).
+    assume(all(c.sum() > 0 for c in counts))
+    boot = bootstrap_pipeline(data, plan, _property_estimator(estimator, scheme, custom, fe))
+    for b, c in enumerate(counts):
+        units = np.repeat(np.arange(n_units), c.astype(np.intp))
+        resample = data.take_clusters(units) if unit == "cluster" else data.take_rows(units)
+        rows = resample.column("row").astype(np.intp)
+        ref_est = _property_estimator(estimator, scheme, custom[rows], fe)
+        expected = ref_est(resample, np.ones(resample.n_rows))
+        scale = float(np.nanmax(np.abs(expected), initial=1.0))
+        np.testing.assert_allclose(
+            boot.draws[b], expected, rtol=1e-12, atol=1e-12 * scale, equal_nan=True
+        )
 
 
 def test_cluster_bootstrap_tracks_cluster_dependence():

@@ -111,6 +111,8 @@ class TestWeightedOls:
         assert pooled.coef("intercept") == pytest.approx(2.5)
 
     def test_fe_baseline_choice_does_not_move_slope(self, rng):
+        # The baseline is the first category in row order; reordering the
+        # rows so that another category comes first changes the baseline.
         n = 90
         g = rng.integers(0, 3, size=n).astype(float)
         x = rng.normal(size=n)
@@ -118,12 +120,36 @@ class TestWeightedOls:
         data = PanelDataset({"y": y, "x": x, "g": g}, np.arange(n))
         model = RegressionModel("y", ("x",), fixed_effects=("g",))
         fit_a = weighted_ols(model, data)
-        first_label = g[0]
-        other = next(v for v in g if v != first_label)
-        fit_b = weighted_ols(model, data, fe_baselines={"g": other})
+        order = np.argsort(g != g[-1], kind="stable")  # rows of g[-1] first
+        reordered = data.take_rows(order)
+        fit_b = weighted_ols(model, reordered)
+        assert f"g={g[0]}" not in fit_a.coefficient_names
+        assert f"g={g[-1]}" not in fit_b.coefficient_names
         assert fit_a.coef("x") == pytest.approx(fit_b.coef("x"), abs=1e-10)
-        resid_gap = np.max(np.abs(fit_a.residuals - fit_b.residuals))
+        resid_gap = np.max(np.abs(fit_a.residuals[order] - fit_b.residuals))
         assert resid_gap < 1e-10
+        # With the first category's rows given zero multipliers, the first
+        # present category becomes the baseline and the fit equals the fit
+        # on the remaining rows.
+        rho = (g != g[0]).astype(float)
+        fit_c = weighted_ols(model, data, row_multipliers=rho)
+        fit_s = weighted_ols(model, data.subset_rows(rho > 0))
+        assert fit_c.coefficient_names == fit_s.coefficient_names
+        np.testing.assert_allclose(fit_c.coefficients, fit_s.coefficients, atol=1e-10)
+
+    def test_category_emptied_by_weights_stays_rank_deficient(self):
+        # Zero outlier weights (unlike zero multipliers) leave the category's
+        # indicator column in the design, with no row to identify it.
+        data = make_panel(6, 4, seed=3)
+        model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
+        w = np.ones(data.n_rows)
+        w[data.cluster_rows[2]] = 0.0
+        with pytest.raises(RankDeficiencyError):
+            weighted_ols(model, data, weights=w)
+        rho = np.ones(data.n_rows)
+        rho[data.cluster_rows[2]] = 0.0
+        fit = weighted_ols(model, data, row_multipliers=rho)
+        assert "cluster=2" not in fit.coefficient_names
 
     def test_rank_deficiency_reports_rank_and_stage(self, rng):
         x = rng.normal(size=30)
