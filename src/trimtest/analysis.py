@@ -185,14 +185,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "AnalysisConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot open config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_config(path))
 
     def override(self, seed=None, iterations=None, output_dir=None) -> "AnalysisConfig":
         plan_changes = {"seed": seed, "iterations": iterations}
@@ -200,6 +193,17 @@ class AnalysisConfig:
         return replace(
             self, plan=plan, output_dir=self.output_dir if output_dir is None else output_dir
         )
+
+
+def read_json_config(path: str) -> dict:
+    """Parsed JSON config; an unreadable or malformed file is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _parse_comparisons(raw: dict) -> tuple[Comparison, ...]:
@@ -467,6 +471,8 @@ def _test_dict(t) -> dict:
         "h": t.h,
         "alpha": t.alpha,
         "method": t.method,
+        "path": t.path,
+        "mc_std_error": t.mc_std_error,
         "seed": t.seed,
     }
 
@@ -575,10 +581,22 @@ def write_outputs(bundle: ReportBundle, directory: str | None = None) -> dict[st
 def regenerate_report(directory: str) -> dict:
     """Recompute p-values from stored draws and the stored test settings.
 
+    Returns {comparison: {label: p_value_formal, ..., "joint": p}} for
+    comparison with the stored values; `_regenerated_tests` has the full
+    test records.  No file is written.
+    """
+    return {
+        name: {label: t["p_value_formal"] for label, t in tests.items()}
+        for name, tests in _regenerated_tests(directory).items()
+    }
+
+
+def _regenerated_tests(directory: str) -> dict:
+    """{comparison: {label: test record, ..., "joint": test record}}.
+
     Reads results.json and each draws CSV under the directory, recomputes
     the difference covariance and all tests from the draws, and returns
-    {comparison: {label: p_value_formal, ..., "joint": p}} for comparison
-    with the stored values.  No file is written.
+    each test in its results.json form.
     """
     import os
 
@@ -605,9 +623,7 @@ def regenerate_report(directory: str) -> dict:
             b1 = np.asarray(entry["baseline"], dtype=float)
             b2 = np.asarray(entry["adjusted"], dtype=float)
             coef_tests, joint = _robustness_tests(b1, b2, cov, diff_cov, spec)
-            pvals = {
-                label: t.p_value_formal for label, t in zip(entry["labels"], coef_tests)
-            }
-            pvals["joint"] = joint.p_value_formal
-            out[name] = pvals
+            tests = {label: _test_dict(t) for label, t in zip(entry["labels"], coef_tests)}
+            tests["joint"] = _test_dict(joint)
+            out[name] = tests
         return out

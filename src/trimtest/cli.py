@@ -14,12 +14,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .analysis import (
     AnalysisConfig,
     point_estimates,
+    read_json_config,
     regenerate_report,
     run_analysis,
     write_outputs,
@@ -111,8 +113,7 @@ def _cmd_test(args) -> int:
 def _cmd_mc(args) -> int:
     from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json_config(args.config)
     mc_raw = raw.get("mc")
     if not mc_raw:
         raise DataError("config has no mc section")
@@ -120,6 +121,9 @@ def _cmd_mc(args) -> int:
     kind = dgp_raw.pop("kind", None)
     if kind is None:
         raise DataError("mc.dgp needs a kind")
+    unknown = sorted(set(dgp_raw) - {f.name for f in fields(DGPSpec)})
+    if unknown:
+        raise DataError(f"unknown mc.dgp key(s): {', '.join(unknown)}")
     dgp = DGPSpec(kind=kind, **dgp_raw)
     seed = args.seed if args.seed is not None else int(mc_raw.get("seed", 0))
     reps = int(mc_raw.get("reps", 100))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +102,16 @@ def load_csv(
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename; partial files never land."""
+    """Write text to path via a temp file and rename; partial files never land.
+
+    The temp file is created with mode 0666 so the kernel applies the
+    umask, as open() would (mkstemp's 0600 would leave every output
+    private); O_EXCL keeps an existing file from being reused.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -3,11 +3,15 @@
 The statistic for one spec is the weighted sample mean (1/n) sum_i
 m(X_i) w_i, equivalently the Stieltjes integral of m composed with the
 empirical quantile function against the cumulative weight function.  The
-analytic covariance estimator evaluates the asymptotic covariance form by
-Riemann-Stieltjes double sums over the observed order statistics.  It is a
-diagnostic: with all-ones weights every centered bracket vanishes and it
-returns an exact zero matrix even though the statistic itself has positive
-variance, so bootstrap covariances are the default inference path.
+analytic covariance estimator is the sample analogue of the asymptotic
+covariance form, a Riemann-Stieltjes double sum over the observed order
+statistics.  The empirical CDFs and weight functions enter it only through
+step functions, so it factorizes through suffix sums of the transform
+increments evaluated at each observation's rank: O(n log n) time and O(n)
+memory, never an n x n grid.  It is a diagnostic: with all-ones weights
+every centered bracket vanishes and it returns an exact zero matrix even
+though the statistic itself has positive variance, so bootstrap covariances
+are the default inference path.
 """
 
 from __future__ import annotations
@@ -180,16 +184,28 @@ def lstat_eval_via_integral(spec: LStatSpec, data: PanelDataset) -> float:
     return float(np.sum(levels * np.diff(k_vals)))
 
 
-def _grid_quantities(x: np.ndarray, w: np.ndarray):
-    """Sorted values, ECDF at the sorted values, conditional mean weights."""
+def _suffix_factors(spec: LStatSpec, x: np.ndarray, w: np.ndarray):
+    """Per-observation suffix sums S, SK at each rank, and the scalars A, B.
+
+    On the sorted values xs, F[a] = #{X <= xs[a]}/n and K[a] is the mean
+    weight over {X <= xs[a]} (ties handled by counting through the last
+    equal value).  With dm the forward increments of m over the sorted
+    cells, S[p] and SK[p] sum dm[a] and dm[a] K[a] over a >= p (zero at the
+    last rank), A = sum dm F and B = sum dm K F.  Observation i enters
+    through its rank p(i), the first sorted position of its value, so
+    {X_i <= xs[a]} is {p(i) <= a} under ties.
+    """
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    n = len(xs)
-    cnt = np.searchsorted(xs, xs, side="right")  # #{X <= xs[a]} handles ties
-    f_hat = cnt / n
-    cw = np.cumsum(w[order])
-    k_hat = cw[cnt - 1] / cnt
-    return order, xs, f_hat, k_hat
+    cnt = np.searchsorted(xs, xs, side="right")
+    f_hat = cnt / len(xs)
+    k_hat = np.cumsum(w[order])[cnt - 1] / cnt
+    dm = np.diff(spec.transform(xs))
+    dmk = dm * k_hat[:-1]
+    s = np.append(np.cumsum(dm[::-1])[::-1], 0.0)
+    sk = np.append(np.cumsum(dmk[::-1])[::-1], 0.0)
+    rank = np.searchsorted(xs, x, side="left")
+    return s[rank], sk[rank], float(dm @ f_hat[:-1]), float(dmk @ f_hat[:-1])
 
 
 def analytic_cov(specs: list[LStatSpec], data: PanelDataset, weights: list[np.ndarray] | None = None) -> np.ndarray:
@@ -203,8 +219,19 @@ def analytic_cov(specs: list[LStatSpec], data: PanelDataset, weights: list[np.nd
 
     with forward increments of the transformations, where F are empirical
     CDFs, K are conditional mean weights given {X <= x}, and Kjk conditions
-    on the joint event (0 when the conditioning set is empty).  The result
-    is symmetrized.  Diagnostic only: exactly zero under all-ones weights.
+    on the joint event (0 when the conditioning set is empty).
+
+    Fjk and Kjk Fjk are averages over observations of products of the
+    indicators {X_ij <= x}{X_ik <= y} (the latter weighted by w_ij w_ik), so
+    the double sum factorizes through the suffix sums of `_suffix_factors`
+    at each observation's rank:
+
+        sigma_jk = (1/n) sum_i [Sj Sk - SKj Sk - Sj SKk + w_ij w_ik Sj Sk]
+                   - (Aj Ak - Bj Ak - Aj Bk) - Bj Bk.
+
+    That costs O(n log n) time (the sorts) and O(n) memory per spec, with
+    no n x n grid.  Diagnostic only: under all-ones weights K = 1 exactly,
+    SK = S and B = A bit for bit, and every entry is an exact zero.
     """
     n = data.n_rows
     d = len(specs)
@@ -213,46 +240,26 @@ def analytic_cov(specs: list[LStatSpec], data: PanelDataset, weights: list[np.nd
     sigma = np.zeros((d, d))
     if n < 2:
         return sigma
-    cols = [data.column(s.column) for s in specs]
-    pre = [_grid_quantities(c, np.asarray(wt, dtype=float)) for c, wt in zip(cols, weights)]
-    for j in range(d):
-        _, xs_j, f_j, k_j = pre[j]
-        dm_j = np.diff(specs[j].transform(xs_j))  # forward increments, length n-1
-        for k in range(j, d):
-            _, xs_k, f_k, k_k = pre[k]
-            dm_k = np.diff(specs[k].transform(xs_k))
-            # joint counts and joint weight sums on the (sorted j) x (sorted k) grid
-            pos_j = np.searchsorted(xs_j, cols[j], side="left")
-            pos_k = np.searchsorted(xs_k, cols[k], side="left")
-            cnt2 = np.zeros((n, n))
-            wsum2 = np.zeros((n, n))
-            ww = np.asarray(weights[j], dtype=float) * np.asarray(weights[k], dtype=float)
-            np.add.at(cnt2, (pos_j, pos_k), 1.0)
-            np.add.at(wsum2, (pos_j, pos_k), ww)
-            cnt2 = cnt2.cumsum(axis=0).cumsum(axis=1)
-            wsum2 = wsum2.cumsum(axis=0).cumsum(axis=1)
-            f_jk = cnt2 / n
-            with np.errstate(invalid="ignore", divide="ignore"):
-                k_jk = np.where(cnt2 > 0, wsum2 / np.maximum(cnt2, 1.0), 0.0)
-            f_jk = f_jk[:-1, :-1]
-            k_jk = k_jk[:-1, :-1]
-            fj = f_j[:-1, None]
-            fk = f_k[None, :-1]
-            kj = k_j[:-1, None]
-            kk = k_k[None, :-1]
-            integrand = (1.0 - kj - kk) * (f_jk - fj * fk) + (
-                k_jk * f_jk - kj * kk * fj * fk
-            )
-            if not np.all(np.isfinite(integrand)):
-                a, b = np.argwhere(~np.isfinite(integrand))[0]
-                raise NumericalError(
-                    f"non-finite covariance integrand at grid cell ({a}, {b}), "
-                    f"x={xs_j[a]}, y={xs_k[b]}"
-                )
-            val = float(dm_j @ integrand @ dm_k)
-            sigma[j, k] = val
-            sigma[k, j] = val
-    sigma = 0.5 * (sigma + sigma.T)
+    weights = [np.asarray(wt, dtype=float) for wt in weights]
+    # Overflow is reported as a NumericalError below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = [
+            _suffix_factors(spec, data.column(spec.column), wt) for spec, wt in zip(specs, weights)
+        ]
+        for j in range(d):
+            s_j, sk_j, a_j, b_j = factors[j]
+            for k in range(j, d):
+                s_k, sk_k, a_k, b_k = factors[k]
+                per_obs = s_j * s_k - sk_j * s_k - s_j * sk_k + weights[j] * weights[k] * s_j * s_k
+                val = float(np.mean(per_obs)) - (a_j * a_k - b_j * a_k - a_j * b_k) - b_j * b_k
+                if not np.isfinite(val):
+                    bad = np.flatnonzero(~np.isfinite(per_obs))
+                    where = f"at observation {bad[0]}" if bad.size else "in its separable terms"
+                    raise NumericalError(
+                        f"non-finite analytic covariance for specs {specs[j].label()!r} and "
+                        f"{specs[k].label()!r} {where}"
+                    )
+                sigma[j, k] = sigma[k, j] = val
     return sigma
 
 

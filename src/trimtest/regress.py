@@ -178,7 +178,7 @@ def sigma_hat(
         denom = float(rho.sum())
         if denom <= 0:
             raise ValueError("non-positive total multiplier mass")
-        return float(np.sqrt(np.sum(rho * eps**2) / denom))
+        return _root_mean_square(float(np.sum(rho * eps**2) / denom))
     ci = data.row_cluster_index
     m = data.n_clusters
     sizes = data.cluster_sizes
@@ -187,7 +187,17 @@ def sigma_hat(
     denom = float(np.sum(np.bincount(ci, weights=rho, minlength=m) / sizes))
     if denom <= 0:
         raise ValueError("non-positive total multiplier mass")
-    return float(np.sqrt(per_cluster.sum() / denom))
+    return _root_mean_square(float(per_cluster.sum() / denom))
+
+
+def _root_mean_square(mean_square: float) -> float:
+    """sqrt of a weighted mean square; signed multipliers can make it negative."""
+    if mean_square < 0:
+        raise ValueError(
+            f"residual scale: weighted mean square is negative ({mean_square!r}); "
+            "signed multiplier weights outweigh the positive ones"
+        )
+    return float(np.sqrt(mean_square))
 
 
 def weighted_ols(

@@ -10,6 +10,14 @@ quantile (exact); the scalar case is likewise exact via the normal CDF.
 Otherwise the supremum is evaluated on a deterministic grid of boundary
 directions with common Monte Carlo draws, and the formal p-value inverts the
 same construction on the same draws.
+
+On that Monte Carlo path one test draws once: `_mc_test` generates the
+normal draws and their direction-free squared norms a single time, then
+streams over the direction grid MC_CHUNK directions at a time, forming each
+direction's squared norms as one contiguous row, counting the tail at every
+requested statistic and selecting the row's upper quantile.  Memory is
+MC_CHUNK rows of draws, not one column per direction, and the critical value
+and the formal p-value of a test come from one pass over the same draws.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 from .errors import NumericalError
 
 N_DIRECTIONS = 256
+MC_CHUNK = 16  # directions per block of the streamed Monte Carlo path
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,10 @@ class TestReport:
     alpha: float
     method: str
     seed: int
+    path: str  # "scalar_exact" | "chi2" | "ncx2" | "mc" | "zero_cov"
     baseline: np.ndarray | None = None
     adjusted: np.ndarray | None = None
+    mc_std_error: float | None = None  # binomial SE of p_value_formal on the mc path
 
 
 def floor_spd(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -162,13 +173,56 @@ def _scalar_tail(c: float, h: float, sigma2: float, a: float) -> float:
     return float(stats.norm.sf((root - hs) / sd) + stats.norm.cdf((-root - hs) / sd))
 
 
-def _mc_squared_norms(
-    h: float, sigma: np.ndarray, norm: np.ndarray, mc_draws: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-direction squared norms ||h v + xi||_A^2 on common draws.
+def _test_path(h: float, sigma: np.ndarray, a: np.ndarray, method: str, what: str):
+    """Route that computes the test: (path, r).
 
-    Returns (quad, base) where quad has one column per boundary direction
-    and base is the h-independent part (used alone when h = 0).
+    path is "scalar_exact" (normal-CDF identity), "chi2" or "ncx2" (norm
+    matrix = r * covariance), or "mc" (direction grid on common draws).
+    what names the quantity in the error raised when method is "exact" and
+    no exact route exists.
+    """
+    if method not in {"auto", "exact", "mc"}:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "mc":
+        if len(sigma) == 1:
+            return "scalar_exact", None
+        r = _proportionality(a, sigma)
+        if r is not None:
+            return ("chi2" if h == 0.0 else "ncx2"), r
+        if method == "exact":
+            raise ValueError(f"no exact {what} path for this norm/covariance pair; use mc")
+    return "mc", None
+
+
+def _empirical_upper_quantile(values: np.ndarray, alpha: float):
+    """Order statistic floor(B(1-alpha)) + 1 (1-based), clipped to B, of each row."""
+    b = values.shape[-1]
+    k = min(int(np.floor(b * (1.0 - alpha))) + 1, b)
+    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+
+
+def _mc_test(
+    h: float,
+    sigma: np.ndarray,
+    norm: np.ndarray,
+    mc_draws: int,
+    seed: int,
+    alpha: float | None = None,
+    statistics_sq: tuple[float, ...] = (),
+) -> tuple[float | None, list[float]]:
+    """Monte Carlo critical value and tail fractions on one set of common draws.
+
+    xi ~ N(0, sigma) is drawn once.  For a direction v of unit A-norm the
+    squared norm ||h v + xi||_A^2 is h^2 + 2h xi'A^{-1}v + base with base =
+    xi'A^{-1}xi (base alone when h = 0).  The direction grid is walked
+    MC_CHUNK directions at a time, one row of draws per direction, so memory
+    stays at MC_CHUNK x mc_draws whatever the grid size.
+
+    Returns (c, tails): c is the max over directions of the per-direction
+    empirical upper alpha-quantile (None when alpha is None), and tails[i]
+    the max over directions of the fraction of draws whose squared norm is
+    >= statistics_sq[i].  Both read the same draws, so s^2 = statistics_sq[i]
+    exceeds c exactly when tails[i] < alpha.
     """
     dim = len(sigma)
     # Domain tag 2 keeps this stream disjoint from data simulation (bare
@@ -180,21 +234,33 @@ def _mc_squared_norms(
     factor = cho_factor(norm)
     base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
     if h == 0.0:
-        return base[:, None], base
-    dirs = unit_directions(dim)
-    l_norm = cholesky(norm, lower=True)
-    v = dirs @ l_norm.T  # rows have unit A-norm
-    a_inv_v = cho_solve(factor, v.T)  # dim x n_dirs
-    cross = xi @ a_inv_v  # mc_draws x n_dirs
-    quad = h * h + 2.0 * h * cross + base[:, None]
-    return quad, base
+        blocks = [base[None, :]]
+    else:
+        v = unit_directions(dim) @ cholesky(norm, lower=True).T  # rows have unit A-norm
+        a_inv_v = cho_solve(factor, v.T)  # dim x n_dirs
+        blocks = (
+            _squared_norm_rows(h, a_inv_v[:, lo : lo + MC_CHUNK], xi, base)
+            for lo in range(0, a_inv_v.shape[1], MC_CHUNK)
+        )
+    crit = None
+    counts = [0] * len(statistics_sq)
+    for quad in blocks:
+        # Count before selecting: the selection below reorders quad's rows.
+        for i, s2 in enumerate(statistics_sq):
+            counts[i] = max(counts[i], int(np.count_nonzero(quad >= s2, axis=1).max()))
+        if alpha is not None:
+            q = float(_empirical_upper_quantile(quad, alpha).max())
+            crit = q if crit is None else max(crit, q)
+    return crit, [c / mc_draws for c in counts]
 
 
-def _empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
-    """Order statistic floor(B(1-alpha)) + 1 (1-based), clipped to B."""
-    b = len(values)
-    k = min(int(np.floor(b * (1.0 - alpha))) + 1, b)
-    return float(np.partition(values, k - 1)[k - 1])
+def _squared_norm_rows(h: float, a_inv_v: np.ndarray, xi: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """h^2 + 2h xi'A^{-1}v + base for each column v of a_inv_v, one row per direction."""
+    quad = a_inv_v.T @ xi.T
+    quad *= 2.0 * h
+    quad += h * h
+    quad += base
+    return quad
 
 
 def critical_value(
@@ -217,35 +283,22 @@ def critical_value(
     of per-direction empirical upper quantiles on common draws.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    dim = sigma.shape[0]
     if h < 0:
         raise ValueError("tolerance h must be >= 0")
     a = _norm_matrix_of(norm_matrix, sigma)
-    if method not in {"auto", "exact", "mc"}:
-        raise ValueError(f"unknown method {method!r}")
-    if method != "mc":
-        if dim == 1:
-            s2 = float(sigma[0, 0])
-            av = float(a[0, 0])
-            hi = (h * np.sqrt(av) + 10.0 * np.sqrt(s2)) ** 2 / av
-            return float(
-                optimize.brentq(
-                    lambda c: _scalar_tail(c, h, s2, av) - alpha, 0.0, hi, xtol=1e-12
-                )
-            )
-        r = _proportionality(a, sigma)
-        if r is not None:
-            if h == 0.0:
-                return float(stats.chi2.ppf(1.0 - alpha, df=dim) / r)
-            return float(stats.ncx2.ppf(1.0 - alpha, df=dim, nc=r * h * h) / r)
-        if method == "exact":
-            raise ValueError(
-                "no exact critical value path for this norm/covariance pair; use mc"
-            )
-    quad, base = _mc_squared_norms(h, sigma, a, mc_draws, seed)
-    if h == 0.0:
-        return _empirical_upper_quantile(base, alpha)
-    return float(max(_empirical_upper_quantile(quad[:, j], alpha) for j in range(quad.shape[1])))
+    path, r = _test_path(h, sigma, a, method, "critical value")
+    if path == "scalar_exact":
+        s2 = float(sigma[0, 0])
+        av = float(a[0, 0])
+        hi = (h * np.sqrt(av) + 10.0 * np.sqrt(s2)) ** 2 / av
+        return float(
+            optimize.brentq(lambda c: _scalar_tail(c, h, s2, av) - alpha, 0.0, hi, xtol=1e-12)
+        )
+    if path == "chi2":
+        return float(stats.chi2.ppf(1.0 - alpha, df=len(sigma)) / r)
+    if path == "ncx2":
+        return float(stats.ncx2.ppf(1.0 - alpha, df=len(sigma), nc=r * h * h) / r)
+    return _mc_test(h, sigma, a, mc_draws, seed, alpha=alpha)[0]
 
 
 def formal_p_value(
@@ -264,24 +317,15 @@ def formal_p_value(
     reject at level alpha if and only if the p-value is below alpha.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    dim = sigma.shape[0]
     a = _norm_matrix_of(norm_matrix, sigma)
-    if method != "mc":
-        if dim == 1:
-            return _scalar_tail(statistic_sq, h, float(sigma[0, 0]), float(a[0, 0]))
-        r = _proportionality(a, sigma)
-        if r is not None:
-            if h == 0.0:
-                return float(stats.chi2.sf(r * statistic_sq, df=dim))
-            return float(stats.ncx2.sf(r * statistic_sq, df=dim, nc=r * h * h))
-        if method == "exact":
-            raise ValueError(
-                "no exact p-value path for this norm/covariance pair; use mc"
-            )
-    quad, base = _mc_squared_norms(h, sigma, a, mc_draws, seed)
-    if h == 0.0:
-        return float(np.mean(base >= statistic_sq))
-    return float(max(np.mean(quad[:, j] >= statistic_sq) for j in range(quad.shape[1])))
+    path, r = _test_path(h, sigma, a, method, "p-value")
+    if path == "scalar_exact":
+        return _scalar_tail(statistic_sq, h, float(sigma[0, 0]), float(a[0, 0]))
+    if path == "chi2":
+        return float(stats.chi2.sf(r * statistic_sq, df=len(sigma)))
+    if path == "ncx2":
+        return float(stats.ncx2.sf(r * statistic_sq, df=len(sigma), nc=r * h * h))
+    return _mc_test(h, sigma, a, mc_draws, seed, statistics_sq=(statistic_sq,))[1][0]
 
 
 def robustness_test(
@@ -316,16 +360,22 @@ def robustness_test(
                 "difference covariance is exactly zero but the estimates differ; "
                 "the bootstrap draws are inconsistent with the point estimates"
             )
-        stat, crit, p_formal = 0.0, spec.h * spec.h, 1.0
+        stat, crit, p_formal, path = 0.0, spec.h * spec.h, 1.0, "zero_cov"
     else:
         a = _norm_matrix_of(spec.norm_matrix, sigma)
         stat = mahalanobis(diff, a)
-        crit = critical_value(
-            spec.h, sigma, spec.alpha, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
-        )
-        p_formal = formal_p_value(
-            stat * stat, spec.h, sigma, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
-        )
+        path, _ = _test_path(spec.h, sigma, a, spec.method, "critical value")
+        if path == "mc":
+            crit, (p_formal,) = _mc_test(
+                spec.h, sigma, a, spec.mc_draws, spec.seed, spec.alpha, (stat * stat,)
+            )
+        else:
+            crit = critical_value(
+                spec.h, sigma, spec.alpha, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
+            )
+            p_formal = formal_p_value(
+                stat * stat, spec.h, sigma, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
+            )
     p_heur = None
     if baseline_cov is not None:
         marg = floor_spd(np.atleast_2d(np.asarray(baseline_cov, dtype=float)), 0.0)
@@ -355,4 +405,8 @@ def robustness_test(
         seed=spec.seed,
         baseline=b1,
         adjusted=b2,
+        path=path,
+        mc_std_error=float(np.sqrt(p_formal * (1.0 - p_formal) / spec.mc_draws))
+        if path == "mc"
+        else None,
     )

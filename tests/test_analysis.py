@@ -117,6 +117,19 @@ class TestAtomicOutput:
         leftovers = [f for f in os.listdir(tmp_path / "out") if f.endswith(".part")]
         assert leftovers == []
 
+    def test_output_mode_follows_umask(self, tmp_path):
+        p = str(tmp_path / "out" / "file.txt")
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(p, "x\n")
+            atomic_write_text(p, "y\n")  # replacing keeps the same rule
+            assert os.stat(p).st_mode & 0o777 == 0o644
+            os.umask(0o077)
+            atomic_write_text(p, "z\n")
+            assert os.stat(p).st_mode & 0o777 == 0o600
+        finally:
+            os.umask(old)
+
     def test_format_float_round_trips(self):
         for x in (0.1, -3.0, 1e-17, 12345.6789, float(np.pi)):
             assert float(format_float(x)) == x

@@ -11,8 +11,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from trimtest.analysis import _regenerated_tests
 from trimtest.cli import main
 
 from conftest import make_panel
@@ -135,6 +137,33 @@ class TestReport:
             assert regenerated["main"][label] == t["p_value_formal"]
 
 
+    def test_report_regenerates_test_paths(self, workdir, capsys):
+        # Two statistics under the identity norm with h > 0: the joint test
+        # takes the Monte Carlo path, the per-statistic tests the scalar one.
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y"}]}
+        raw["weights"]["adjusted"] = {
+            "kind": "quantile_trim", "columns": ["x", "y"], "lower_q": 0.05, "upper_q": 0.95,
+        }
+        raw["test"] = {"alpha": 0.05, "seed": 9, "norm": "identity", "h": 0.01, "mc_draws": 2000}
+        p = tmp_path / "mc_path.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "out" / "results.json", encoding="utf-8") as fh:
+            stored = json.load(fh)["comparisons"]["main"]
+        joint = stored["joint_test"]
+        assert joint["path"] == "mc"
+        p_formal = joint["p_value_formal"]
+        assert joint["mc_std_error"] == np.sqrt(p_formal * (1.0 - p_formal) / 2000)
+        for t in stored["tests"].values():
+            assert t["path"] == "scalar_exact"
+            assert t["mc_std_error"] is None
+        regenerated = _regenerated_tests(str(tmp_path / "out"))["main"]
+        assert regenerated == {**stored["tests"], "joint": joint}
+
+
 class TestPlotData:
     def test_grid_from_draws(self, workdir, capsys):
         tmp_path, config = workdir
@@ -213,6 +242,21 @@ class TestExitCodes:
         code = main(["test", "--config", str(p)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_mc_missing_config_is_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert main(["mc", "--config", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot open config")
+        assert missing in err
+
+    def test_mc_unknown_dgp_key_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "mc.json"
+        dgp = {"kind": "linear_regression", "n": 50, "slop": 2.0}
+        p.write_text(json.dumps({"mc": {"dgp": dgp, "reps": 1}}), encoding="utf-8")
+        assert main(["mc", "--config", str(p), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: unknown mc.dgp key(s): slop")
 
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir

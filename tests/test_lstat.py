@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimtest import PanelDataset
+from trimtest.errors import NumericalError
 from trimtest.lstat import (
     JointEstimate,
     LStatSpec,
@@ -192,6 +197,14 @@ class TestAnalyticCov:
         sigma = analytic_cov([LStatSpec("a")], data)
         np.testing.assert_array_equal(sigma, np.zeros((1, 1)))
 
+    def test_non_finite_names_specs_and_observation(self):
+        # Finite transform values whose increment overflows.
+        huge = Transform.from_table([0.0, 1.0], [-1.5e308, 1.5e308], [0.0, 0.0])
+        data = single_cluster({"a": [0.5, 0.0, 1.0, 0.25]})
+        specs = [LStatSpec("a", huge, WeightScheme.custom([1.0, 0.5, 2.0, 1.0]), name="wide")]
+        with pytest.raises(NumericalError, match=r"specs 'wide' and 'wide' at observation \d"):
+            analytic_cov(specs, data)
+
     def test_symmetric_output(self, rng):
         data = single_cluster({"a": rng.normal(size=15), "b": rng.normal(size=15)})
         specs = [
@@ -200,6 +213,73 @@ class TestAnalyticCov:
         ]
         sigma = analytic_cov(specs, data)
         np.testing.assert_array_equal(sigma, sigma.T)
+
+
+_TRANSFORMS = (
+    Transform.identity(),
+    Transform.power(2.0),
+    Transform.power(3.0),
+    Transform.from_table([-10.0, 0.0, 10.0], [-3.0, 1.0, 2.0], [0.4, 0.1, 0.1]),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+    decimals=st.sampled_from([0, 1, 8]),
+    transforms=st.lists(st.integers(0, len(_TRANSFORMS) - 1), min_size=3, max_size=3),
+    schemes=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+def test_analytic_cov_matches_brute_force(n, seed, decimals, transforms, schemes):
+    """Suffix-sum covariance vs the quadruple loop: ties, transforms, weights.
+
+    Specs 0 and 1 share column a, so cross entries of one column are
+    covered.  The tolerance is relative to the size of the summands the
+    double sum cancels, TV(m_j) TV(m_k) (1 + max|w_j|)(1 + max|w_k|), which
+    bounds every partial sum of either route.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.normal(size=n), decimals)  # decimals 0 or 1 force ties
+    b = np.round(rng.uniform(0.5, 2.0, size=n), decimals)
+    data = single_cluster({"a": a, "b": b})
+    custom = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 2.0, size=n))
+    options = (
+        WeightScheme.custom(custom),
+        WeightScheme.quantile_trim("a", 0.1, 0.9),
+        WeightScheme.winsorize("b", 0.1, 0.9),
+        WeightScheme.all_ones(),
+    )
+    specs = [
+        LStatSpec(col, _TRANSFORMS[t], options[w])
+        for col, t, w in zip(("a", "a", "b"), transforms, schemes)
+    ]
+    weights = [compute_weights(sp.scheme, data) for sp in specs]
+    fast = analytic_cov(specs, data, weights)
+    slow = brute_force_analytic_cov(specs, data, weights)
+    tv = np.array([np.abs(np.diff(sp.transform(np.sort(data.column(sp.column))))).sum() for sp in specs])
+    wmax = np.array([1.0 + np.abs(w).max() for w in weights])
+    scale = np.outer(tv * wmax, tv * wmax)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+    if all(k == 3 for k in schemes):
+        np.testing.assert_array_equal(fast, 0.0)
+
+
+def test_analytic_cov_memory_is_linear():
+    n = 20_000
+    x = np.random.default_rng(3).standard_t(3.0, size=n)
+    data = single_cluster({"x": x})
+    specs = [LStatSpec("x"), LStatSpec("x", scheme=WeightScheme.quantile_trim("x", 0.02, 0.98))]
+    weights = [compute_weights(sp.scheme, data) for sp in specs]
+    tracemalloc.start()
+    try:
+        sigma = analytic_cov(specs, data, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(sigma))
+    # An n x n float grid alone would be 3.2 GB.
+    assert peak < 20 * 2**20
 
 
 class TestJointEstimate:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,18 @@ class TestSigmaHat:
         data = PanelDataset({"y": np.zeros(3)}, np.zeros(3))
         with pytest.raises(ValueError, match="does not match"):
             sigma_hat(np.zeros(2), data)
+
+    @pytest.mark.parametrize("normalization", ["equal", "pooled"])
+    def test_negative_mean_square_raises_at_the_scale(self, normalization):
+        # Signed normal multipliers: positive total mass, but the large
+        # residual carries the negative weight.  No NaN, no RuntimeWarning.
+        eps = np.array([0.1, 3.0])
+        data = PanelDataset({"y": np.zeros(2)}, np.array([0, 1]))
+        rho = np.array([2.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weighted mean square is negative"):
+                sigma_hat(eps, data, row_multipliers=rho, normalization=normalization)
 
 
 class TestWeighted2sls:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from trimtest.errors import NumericalError
 from trimtest.robustness import (
@@ -16,7 +17,7 @@ from trimtest.robustness import (
     robustness_test,
     unit_directions,
 )
-from trimtest.robustness import _empirical_upper_quantile
+from trimtest.robustness import MC_CHUNK, _empirical_upper_quantile
 
 
 class TestSpecValidation:
@@ -184,6 +185,94 @@ class TestCriticalValueMonteCarlo:
         exact = 2.0 * stats.chi2.ppf(0.95, df=1)
         se = 2.0 * np.sqrt(0.05 * 0.95 / 50_000) / stats.chi2.pdf(exact / 2.0, df=1)
         assert abs(c - exact) < 4 * se
+
+
+def _unchunked_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
+    """The Monte Carlo path as one draws x directions matrix, column by column.
+
+    Transcribes the implementation before the draws were shared and
+    streamed: every direction's squared norms sit in one column of quad.
+    """
+
+    def upper_quantile(values):
+        k = min(int(np.floor(len(values) * (1.0 - alpha))) + 1, len(values))
+        return float(np.partition(values, k - 1)[k - 1])
+
+    dim = len(sigma)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    root = vecs * np.sqrt(np.maximum(vals, 0.0))
+    xi = rng.standard_normal((mc_draws, dim)) @ root.T
+    factor = cho_factor(norm)
+    base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
+    if h == 0.0:
+        return upper_quantile(base), float(np.mean(base >= statistic_sq))
+    v = unit_directions(dim) @ cholesky(norm, lower=True).T
+    quad = h * h + 2.0 * h * (xi @ cho_solve(factor, v.T)) + base[:, None]
+    crit = max(upper_quantile(quad[:, j]) for j in range(quad.shape[1]))
+    p = max(np.mean(quad[:, j] >= statistic_sq) for j in range(quad.shape[1]))
+    return crit, float(p)
+
+
+class TestStreamedMonteCarlo:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("h", [0.0, 0.35])
+    def test_bit_identical_to_unchunked(self, dim, h):
+        # 256 + 2 dim directions is not a multiple of the chunk size, so the
+        # last chunk is partial.  Under the identity norm the trailing
+        # coordinate-axis directions have exact cross products, whatever
+        # kernel the matrix product uses for the last columns.
+        assert (256 + 2 * dim) % MC_CHUNK != 0
+        rng = np.random.default_rng(40 + dim)
+        m = rng.normal(size=(dim, dim))
+        sigma = m @ m.T + 0.2 * np.eye(dim)
+        alpha, draws, seed = 0.05, 20_000, 13
+        crit_ref, _ = _unchunked_mc(h, sigma, np.eye(dim), draws, seed, alpha, 0.0)
+        kwargs = dict(mc_draws=draws, seed=seed, norm_matrix="identity", method="mc")
+        assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
+        for s2 in (0.5 * crit_ref, crit_ref, 1.5 * crit_ref):
+            _, p_ref = _unchunked_mc(h, sigma, np.eye(dim), draws, seed, alpha, s2)
+            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+        # robustness_test floors both covariances first, then draws once for
+        # the difference covariance and once for the marginal one.
+        diff = 0.9 * np.sqrt(crit_ref / dim) * np.ones(dim)
+        stat_sq = float(diff @ diff)
+        spec = TestSpec(h=h, alpha=alpha, norm_matrix="identity", mc_draws=draws, seed=seed)
+        report = robustness_test(diff, np.zeros(dim), sigma, spec, baseline_cov=2.0 * sigma)
+        ref = _unchunked_mc(h, floor_spd(sigma), np.eye(dim), draws, seed, alpha, stat_sq)
+        heur = _unchunked_mc(h, floor_spd(2.0 * sigma), np.eye(dim), draws, seed, alpha, stat_sq)
+        assert (report.critical_value, report.p_value_formal) == ref
+        assert report.p_value_heuristic == heur[1]
+
+    def test_trailing_axis_directions_are_searched(self):
+        # Variance on one axis only: the worst directions are +-e1, which the
+        # grid holds only among the coordinate axes of the final, partial
+        # chunk (264 directions in chunks of MC_CHUNK).
+        sigma = np.diag([1.0, 1e-4, 1e-4, 1e-4])
+        crit_ref, _ = _unchunked_mc(0.5, sigma, np.eye(4), 20_000, 3, 0.05, 0.0)
+        c = critical_value(0.5, sigma, 0.05, 20_000, 3, "identity", "mc")
+        assert c == crit_ref
+
+    def test_reject_iff_p_below_alpha_on_mc_path(self):
+        rng = np.random.default_rng(8)
+        spec = TestSpec(h=0.2, alpha=0.1, norm_matrix="identity", mc_draws=5_000, seed=4)
+        for _ in range(12):
+            m = rng.normal(size=(3, 3))
+            cov = m @ m.T + 0.1 * np.eye(3)
+            report = robustness_test(rng.normal(size=3), rng.normal(size=3), cov, spec)
+            assert report.path == "mc"
+            assert report.reject == (report.p_value_formal < spec.alpha)
+            p = report.p_value_formal
+            assert report.mc_std_error == np.sqrt(p * (1.0 - p) / spec.mc_draws)
+
+    def test_exact_paths_are_recorded(self):
+        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+        one = robustness_test(np.array([1.0]), np.array([0.5]), np.array([[0.25]]))
+        chi2 = robustness_test(np.ones(2), np.zeros(2), sigma)
+        ncx2 = robustness_test(np.ones(2), np.zeros(2), sigma, TestSpec(h=0.1))
+        zero = robustness_test(np.ones(2), np.ones(2), np.zeros((2, 2)))
+        assert [r.path for r in (one, chi2, ncx2, zero)] == ["scalar_exact", "chi2", "ncx2", "zero_cov"]
+        assert all(r.mc_std_error is None for r in (one, chi2, ncx2, zero))
 
 
 class TestFormalPValue:
