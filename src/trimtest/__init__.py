@@ -24,34 +24,20 @@ from .bootstrap import (
     multiplier_weights,
 )
 from .dataset import PanelDataset, add_within_cluster_lags
-from .empirical import (
-    PiecewiseLinear,
-    SortedSample,
-    StepFunction,
-    deterministic_jitter,
-    ecdf,
-    empirical_quantile,
-    generalized_inverse,
-    interpolated_ecdf,
-    weighted_quantile_threshold,
-)
 from .errors import DataError, NumericalError, RankDeficiencyError, TrimtestError
 from .estimators import (
     RegressionComparison,
     difference_covariance,
     lstat_pair_estimator,
     regression_comparison_estimator,
-    split_pair_draws,
 )
 from .lstat import (
-    JointEstimate,
     LStatSpec,
     Transform,
     analytic_cov,
     analytic_cov_is_degenerate,
     lstat_eval,
     lstat_eval_via_integral,
-    quantile_domain_cov_kernel,
     quantile_process_cov_kernel,
 )
 from .mc_oracle import CoverageReport, DGPSpec, mc_covariance, simulate, size_study
@@ -78,8 +64,7 @@ from .weights import (
     WeightFunction,
     WeightScheme,
     compute_weights,
-    conditional_mean_weight,
-    conditional_mean_weight_joint,
+    weighted_quantile_threshold,
     weights_quantile_trim,
     weights_residual_trim,
     weights_winsorize,

@@ -12,6 +12,7 @@ in the message.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -331,14 +332,22 @@ def _robustness_tests(
 
     cov is the stacked 2d x 2d bootstrap covariance (its baseline block
     feeds the heuristic p-value); diff_cov is the d x d difference block.
+    An explicit d x d norm matrix A tests statistic j alone in the norm
+    [[A[j, j]]].
     """
     d = len(b1)
+    coef_specs = [spec] * d
+    if not isinstance(spec.norm_matrix, str):
+        a = np.atleast_2d(np.asarray(spec.norm_matrix, dtype=float))
+        if a.shape != (d, d):
+            raise DataError(f"test.norm must be a {d} x {d} matrix, got shape {a.shape}")
+        coef_specs = [replace(spec, norm_matrix=[[float(a[j, j])]]) for j in range(d)]
     coef_tests = tuple(
         robustness_test(
             b1[j : j + 1],
             b2[j : j + 1],
             np.array([[float(diff_cov[j, j])]]),
-            spec,
+            coef_specs[j],
             baseline_cov=np.array([[float(cov[j, j])]]),
         )
         for j in range(d)
@@ -527,7 +536,7 @@ def _results_dict(
             "alpha": config.test.alpha,
             "norm": config.test.norm_matrix
             if isinstance(config.test.norm_matrix, str)
-            else "matrix",
+            else np.asarray(config.test.norm_matrix, dtype=float).tolist(),
             "mc_draws": config.test.mc_draws,
             "seed": config.test.seed,
             "method": config.test.method,
@@ -549,11 +558,12 @@ def _plot_pair_columns(res: ComparisonResult, pair) -> tuple[int, int, str]:
     return i, j, f"col{i}_col{j}"
 
 
-def write_outputs(bundle: ReportBundle, directory: str | None = None) -> dict[str, str]:
-    """Write results.json, report.txt, draws, and plot grids; returns paths."""
-    import os
+def write_outputs(bundle: ReportBundle) -> dict[str, str]:
+    """Write results.json, report.txt, draws, and plot grids; returns paths.
 
-    directory = directory or bundle.config.output_dir
+    Every file goes into the config's output directory.
+    """
+    directory = bundle.config.output_dir
     paths = {}
     results_json = json.dumps(bundle.results_dict, sort_keys=True, indent=2)
     paths["results"] = os.path.join(directory, "results.json")
@@ -564,13 +574,13 @@ def write_outputs(bundle: ReportBundle, directory: str | None = None) -> dict[st
         p = os.path.join(directory, f"draws_{res.name}.csv")
         atomic_write_text(p, draws_csv_text(res.bootstrap.draws))
         paths[f"draws_{res.name}"] = p
+        point = np.concatenate([res.baseline, res.adjusted])
         for pair in bundle.config.plot_pairs:
             i, j, tag = _plot_pair_columns(res, pair)
             grid = emit_plot_grid(
                 res.bootstrap.draws[:, i],
                 res.bootstrap.draws[:, j],
-                point=(float(np.concatenate([res.baseline, res.adjusted])[i]),
-                       float(np.concatenate([res.baseline, res.adjusted])[j])),
+                point=(float(point[i]), float(point[j])),
             )
             gp = os.path.join(directory, f"plotgrid_{res.name}_{tag}.csv")
             atomic_write_text(gp, grid_csv_text(grid.x, grid.y, grid.density))
@@ -598,8 +608,6 @@ def _regenerated_tests(directory: str) -> dict:
     the difference covariance and all tests from the draws, and returns
     each test in its results.json form.
     """
-    import os
-
     with _stage("report"):
         try:
             with open(os.path.join(directory, "results.json"), "r", encoding="utf-8") as fh:

@@ -41,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="path to the JSON analysis config")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--config", required=True, help="path to the JSON analysis config")
     p.add_argument("--seed", type=int, default=None, help="override the bootstrap seed")
     p.add_argument(
         "--iterations", type=int, default=None, help="override the bootstrap iteration count"

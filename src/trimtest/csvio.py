@@ -1,11 +1,10 @@
 """CSV ingestion and atomic, deterministic file output.
 
 Input files are UTF-8 with a header row.  All columns except the cluster
-column must parse as floats; empty cells in required columns cause the row
-to be dropped with a warning count, while non-numeric garbage is an error
-naming the row and column.  Output files are written to a temporary file in
-the target directory and renamed into place, so readers never observe a
-partial file.
+column must parse as floats; an empty cell in any of them drops the row
+with a warning count, while non-numeric garbage is an error naming the row
+and column.  Output files are written to a temporary file in the target
+directory and renamed into place, so readers never observe a partial file.
 """
 
 from __future__ import annotations
@@ -30,17 +29,12 @@ class LoadReport:
     dropped_by_column: dict
 
 
-def load_csv(
-    path: str,
-    cluster_column: str | None = None,
-    required_columns: tuple[str, ...] | None = None,
-) -> tuple[PanelDataset, LoadReport]:
+def load_csv(path: str, cluster_column: str | None = None) -> tuple[PanelDataset, LoadReport]:
     """Read a CSV into a PanelDataset.
 
     cluster_column (kept as labels, not parsed) groups rows into clusters in
-    file order; without it every row is its own cluster.  required_columns
-    limits which columns must be numeric and non-missing (default: all
-    non-cluster columns).  Rows missing a required value are dropped and
+    file order; without it every row is its own cluster.  Every other column
+    is numeric and required: rows with an empty cell are dropped and
     counted; unparseable non-empty cells raise DataError with the location.
     """
     try:
@@ -59,10 +53,6 @@ def load_csv(
         if cluster_column is not None and cluster_column not in header:
             raise DataError(f"{path}: cluster column {cluster_column!r} not in header")
         numeric_names = [h for h in header if h != cluster_column]
-        required = set(required_columns) if required_columns is not None else set(numeric_names)
-        missing_req = required - set(numeric_names)
-        if missing_req:
-            raise DataError(f"{path}: required columns {sorted(missing_req)} not in header")
         col_idx = {h: i for i, h in enumerate(header)}
         rows: list[list[float]] = []
         clusters: list = []
@@ -76,9 +66,7 @@ def load_csv(
             for name in numeric_names:
                 cell = rec[col_idx[name]].strip()
                 if cell == "":
-                    if name in required:
-                        drop_cols.append(name)
-                    vals.append(np.nan)
+                    drop_cols.append(name)
                     continue
                 try:
                     vals.append(float(cell))

@@ -118,10 +118,6 @@ class PanelDataset:
             raise KeyError(f"no column named {name!r}")
         return self.columns[name]
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
     def take_rows(self, indices: np.ndarray) -> "PanelDataset":
         """New dataset from row indices; each taken row becomes its own cluster."""
         indices = np.asarray(indices, dtype=np.intp)
@@ -159,15 +155,13 @@ class PanelDataset:
         return PanelDataset(cols, self.cluster_ids)
 
 
-def add_within_cluster_lags(
-    data: PanelDataset, column: str, lags: int, drop_incomplete: bool = True
-) -> PanelDataset:
+def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> PanelDataset:
     """Append lagged copies of a column, shifting within each cluster.
 
     Lag k of row t inside a cluster is the value at row t-k of the same
-    cluster; the first k rows of each cluster have no lag-k value.  With
-    drop_incomplete=True the rows missing any requested lag are removed.
-    New columns are named `{column}_lag{k}`.
+    cluster; the first k rows of each cluster have no lag-k value, so the
+    rows missing any requested lag are removed.  New columns are named
+    `{column}_lag{k}`.
     """
     if lags < 1:
         raise ValueError("lags must be >= 1")
@@ -182,7 +176,4 @@ def add_within_cluster_lags(
                 out[rows[k:]] = base[rows[:-k]]
         lag_cols[f"{column}_lag{k}"] = out
         valid &= np.isfinite(out)
-    result = data.with_columns(lag_cols)
-    if drop_incomplete:
-        result = result.subset_rows(valid)
-    return result
+    return data.with_columns(lag_cols).subset_rows(valid)

@@ -100,14 +100,6 @@ def regression_comparison_estimator(comparison: RegressionComparison):
     return estimate
 
 
-def split_pair_draws(draws: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a [baseline..., adjusted...] draw matrix into the two halves."""
-    draws = np.asarray(draws)
-    if draws.shape[1] != 2 * dim:
-        raise ValueError(f"draw matrix has {draws.shape[1]} columns, expected {2 * dim}")
-    return draws[:, :dim], draws[:, dim:]
-
-
 def difference_covariance(cov: np.ndarray, dim: int) -> np.ndarray:
     """Covariance of (baseline - adjusted) from the stacked 2d x 2d matrix."""
     cov = np.asarray(cov)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import PanelDataset
 from .errors import NumericalError
-from .weights import ResidualContext, WeightFunction, WeightScheme, compute_weights
+from .weights import WeightFunction, WeightScheme, compute_weights
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,6 @@ class Transform:
             return self.exponent * np.power(x, self.exponent - 1.0)
         return np.interp(x, self.table_x, self.table_dy)
 
-    def to_dict(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "power":
-            return {"kind": "power", "exponent": self.exponent}
-        return {
-            "kind": "table",
-            "x": list(self.table_x),
-            "y": list(self.table_y),
-            "dy": list(self.table_dy),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Transform":
         kind = d.get("kind", "identity")
@@ -117,40 +105,9 @@ class LStatSpec:
         return self.name or f"{self.column}:{self.scheme.kind}"
 
 
-@dataclass(frozen=True)
-class JointEstimate:
-    """Point estimates with a covariance matrix and its provenance.
-
-    flags carries diagnostics, e.g. degenerate_analytic_all_ones when the
-    analytic estimator returned its known exact zero under unit weights.
-    """
-
-    values: np.ndarray
-    cov: np.ndarray
-    cov_source: str
-    n: int
-    labels: tuple[str, ...] = ()
-    flags: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.cov, dtype=float)
-        d = len(v)
-        if c.shape != (d, d):
-            raise ValueError(f"covariance shape {c.shape} does not match {d} values")
-        if not np.allclose(c, c.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(c)
-        if eig.min() < -1e-8 * max(1.0, abs(eig).max()):
-            raise ValueError(f"covariance has negative eigenvalue {eig.min()}")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cov", c)
-
-
 def lstat_eval(
     spec: LStatSpec,
     data: PanelDataset,
-    residual_context: ResidualContext | None = None,
     row_weights: np.ndarray | None = None,
 ) -> float:
     """Weighted mean (1/n) sum_i m(X_i) w_i rho_i over the rows.
@@ -160,7 +117,7 @@ def lstat_eval(
     row_weights so thresholds shift with the resample.
     """
     x = data.column(spec.column)
-    w = compute_weights(spec.scheme, data, residual_context, row_weights)
+    w = compute_weights(spec.scheme, data, row_weights=row_weights)
     m = spec.transform(x)
     rho = np.ones(len(x)) if row_weights is None else np.asarray(row_weights, dtype=float)
     return float(np.mean(m * w * rho))
@@ -272,36 +229,6 @@ def analytic_cov_is_degenerate(weights: list[np.ndarray]) -> bool:
     bootstrap.
     """
     return all(np.all(np.asarray(w) == 1.0) for w in weights)
-
-
-def quantile_domain_cov_kernel(
-    s: float,
-    t: float,
-    dmq_j,
-    dmq_k,
-    f_q,
-    k_j,
-    k_k,
-    k_jk,
-) -> float:
-    """Covariance kernel in the quantile domain for known smooth inputs.
-
-    dmq_j(s) must return m_j'(Q_j(s)) * Q_j'(s) (same for k).  f_q(s, t) is
-    the copula-style joint CDF at the quantile pair, k_j / k_k are the
-    conditional mean-weight curves, k_jk the joint one.  Cross-check tool
-    for simulated designs with known quantile derivatives; nothing here is
-    estimated from data.
-    """
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise ValueError("kernel arguments must lie in (0, 1)")
-    centered = f_q(s, t) - s * t
-    bracket = (
-        centered
-        + (k_jk(s, t) * f_q(s, t) - s * t * k_j(s) * k_k(t))
-        - k_j(s) * centered
-        - k_k(t) * centered
-    )
-    return float(dmq_j(s) * dmq_k(t) * bracket)
 
 
 def quantile_process_cov_kernel(s: float, t: float, dmq) -> float:

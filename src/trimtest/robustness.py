@@ -102,7 +102,7 @@ def mahalanobis(diff: np.ndarray, norm_matrix: np.ndarray) -> float:
     return float(np.sqrt(d @ cho_solve(factor, d)))
 
 
-def unit_directions(dim: int, count: int = N_DIRECTIONS) -> np.ndarray:
+def unit_directions(dim: int) -> np.ndarray:
     """Deterministic, antipodally symmetric directions on the unit sphere.
 
     Scalar: the two signs.  Planar: equally spaced angles.  Higher
@@ -114,9 +114,9 @@ def unit_directions(dim: int, count: int = N_DIRECTIONS) -> np.ndarray:
         return np.array([[1.0], [-1.0]])
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
     if dim == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
+        ang = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
         return np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), axes])
-    half = count // 2
+    half = N_DIRECTIONS // 2
     primes = []
     cand = 2
     while len(primes) < dim:

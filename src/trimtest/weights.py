@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PanelDataset
-from .empirical import weighted_quantile_threshold
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,6 @@ class WeightScheme:
     def custom(cls, values) -> "WeightScheme":
         return cls("custom", values=tuple(float(v) for v in values))
 
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind in {"quantile_trim", "winsorize"}:
-            d["columns"] = list(self.columns)
-            d["lower_q"] = self.lower_q
-            d["upper_q"] = self.upper_q
-        elif self.kind == "residual_trim":
-            d["multiplier"] = self.multiplier
-        elif self.kind == "custom":
-            d["values"] = list(self.values)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "WeightScheme":
         kind = d.get("kind")
@@ -118,6 +105,36 @@ class ResidualContext:
     scale: float
     first_stage_residuals: np.ndarray | None = None
     first_stage_scales: np.ndarray | None = None
+
+
+def weighted_quantile_threshold(values, weights, q: float) -> float | None:
+    """First value where the cumulative weight mass reaches a q fraction.
+
+    With unit weights this is the ceil(q*n)-th order statistic; with integer
+    repetition counts it is the corresponding multiset order statistic, which
+    is what resampled-data thresholds need.  Weights may be signed (the
+    first crossing of the running mass is returned), which supports
+    multiplier-perturbed diagnostics.  Returns None when q*total <= 0, i.e.
+    no constraint.  A tiny relative snap guards ceil against float error in
+    q * total.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if v.shape != w.shape or v.ndim != 1 or len(v) == 0:
+        raise ValueError("values and weights must be equal-length non-empty 1-d arrays")
+    total = float(w.sum())
+    if total <= 0:
+        raise ValueError("total weight must be positive")
+    target = q * total
+    snap = 1e-9 * max(1.0, abs(total))
+    if target <= snap:
+        return None
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order])
+    hit = np.nonzero(cum >= target - snap)[0]
+    if len(hit) == 0:
+        raise ValueError(f"level unattainable: cumulative weight never reaches {target}")
+    return float(v[order[hit[0]]])
 
 
 def weights_quantile_trim(
@@ -255,16 +272,6 @@ class WeightFunction:
     def n(self) -> int:
         return len(self.ordered_weights)
 
-    @classmethod
-    def from_sample(cls, values, weights) -> "WeightFunction":
-        """Align weights with the ascending sort of values (stable on ties)."""
-        v = np.asarray(values, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if v.shape != w.shape:
-            raise ValueError("values and weights must have the same shape")
-        order = np.argsort(v, kind="stable")
-        return cls(w[order])
-
     def __call__(self, u):
         """Evaluate the cumulative weight function at u in [0, 1]."""
         u_arr = np.asarray(u, dtype=float)
@@ -277,54 +284,3 @@ class WeightFunction:
         frac = np.clip(t - cell, 0.0, 1.0)
         out = (cum[cell] + frac * self.ordered_weights[cell]) / n
         return float(out) if np.isscalar(u) else out
-
-    def increments(self) -> np.ndarray:
-        """Increment over each cell ((i-1)/n, i/n], equal to w_(i)/n."""
-        return self.ordered_weights / self.n
-
-
-def conditional_mean_weight(
-    values: np.ndarray, weights: np.ndarray, x
-) -> float | np.ndarray:
-    """Average weight among observations with value <= x; 0 if none.
-
-    This is the sample version of the conditional mean-weight curve in the
-    data domain: sum_i w_i 1{v_i <= x} / #{v_i <= x}.
-    """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    cw = np.cumsum(w[order])
-    cnt = np.searchsorted(vs, np.asarray(x, dtype=float), side="right")
-    cnt_arr = np.atleast_1d(cnt)
-    out = np.zeros(cnt_arr.shape, dtype=float)
-    nz = cnt_arr > 0
-    out[nz] = cw[cnt_arr[nz] - 1] / cnt_arr[nz]
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
-
-
-def conditional_mean_weight_joint(
-    values_a: np.ndarray,
-    values_b: np.ndarray,
-    weights_a: np.ndarray,
-    weights_b: np.ndarray,
-    x,
-    y,
-) -> float | np.ndarray:
-    """Average of w_a * w_b among rows with v_a <= x and v_b <= y; 0 if none."""
-    va = np.asarray(values_a, dtype=float)
-    vb = np.asarray(values_b, dtype=float)
-    ww = np.asarray(weights_a, dtype=float) * np.asarray(weights_b, dtype=float)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if x_arr.shape != y_arr.shape:
-        raise ValueError("x and y must have matching shapes")
-    out = np.zeros(x_arr.shape, dtype=float)
-    for k in range(x_arr.size):
-        mask = (va <= x_arr.flat[k]) & (vb <= y_arr.flat[k])
-        cnt = int(mask.sum())
-        out.flat[k] = float(ww[mask].sum()) / cnt if cnt else 0.0
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out.flat[0])
-    return out.reshape(np.shape(x))

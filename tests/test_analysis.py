@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from trimtest import DataError, NumericalError
+from trimtest import DataError, NumericalError, PanelDataset
 from trimtest.analysis import (
     AnalysisConfig,
     point_estimates,
@@ -61,12 +61,6 @@ class TestLoadCsv:
         assert report.dropped_by_column == {"y": 2, "x": 2}
         np.testing.assert_array_equal(data.column("y"), [1.0, 5.0])
 
-    def test_optional_columns_keep_nan(self, tmp_path):
-        path = write_csv(tmp_path, "y,x\n1,\n2,3\n")
-        data, report = load_csv(path, required_columns=("y",))
-        assert report.n_dropped == 0
-        assert np.isnan(data.column("x")[0])
-
     def test_garbage_cell_is_an_error_with_location(self, tmp_path):
         path = write_csv(tmp_path, "y,x\n1,2\n3,oops\n")
         with pytest.raises(DataError, match=r"line 3, column 'x'.*'oops'"):
@@ -96,11 +90,6 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "y,x\n1,2\n")
         with pytest.raises(DataError, match="cluster column 'firm'"):
             load_csv(path, cluster_column="firm")
-
-    def test_missing_required_column(self, tmp_path):
-        path = write_csv(tmp_path, "y,x\n1,2\n")
-        with pytest.raises(DataError, match=r"required columns \['z'\]"):
-            load_csv(path, required_columns=("z",))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
@@ -482,6 +471,49 @@ class TestOutputsAndReport:
         bundle = run_analysis(AnalysisConfig.from_dict(raw), data=data)
         with pytest.raises(DataError, match="not a reported statistic"):
             write_outputs(bundle)
+
+    def test_explicit_norm_matrix_runs_and_regenerates(self, tmp_path):
+        rng = np.random.default_rng(8)
+        data = PanelDataset(
+            {"a": rng.standard_t(3, size=120), "b": rng.normal(size=120)}, np.arange(120)
+        )
+        norm = [[2.0, 0.5], [0.5, 1.0]]
+        raw = regression_config()
+        raw["model"] = {"type": "lstat", "statistics": [{"column": "a"}, {"column": "b"}]}
+        raw["weights"] = {
+            "baseline": {"kind": "all_ones"},
+            "adjusted": {"kind": "quantile_trim", "columns": ["a", "b"], "lower_q": 0.05, "upper_q": 0.95},
+        }
+        raw["test"] = {"alpha": 0.05, "seed": 5, "norm": norm, "mc_draws": 2000}
+        raw["output"] = {"directory": str(tmp_path / "out")}
+        bundle = run_analysis(AnalysisConfig.from_dict(raw), data=data)
+        res = bundle.results[0]
+        diff = res.baseline - res.adjusted
+        # Statistic j alone is tested in the norm [[A[j, j]]].
+        for j, t in enumerate(res.coefficient_tests):
+            assert t.path == "scalar_exact"
+            assert t.statistic == pytest.approx(abs(diff[j]) / np.sqrt(norm[j][j]), rel=1e-12)
+            assert 0.0 <= t.p_value_formal <= 1.0
+            assert 0.0 <= t.p_value_heuristic <= 1.0
+        assert res.joint_test.path == "mc"
+        expected = np.sqrt(diff @ np.linalg.solve(np.array(norm), diff))
+        assert res.joint_test.statistic == pytest.approx(expected, rel=1e-12)
+        write_outputs(bundle)
+        with open(tmp_path / "out" / "results.json", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        assert stored["test"]["norm"] == norm
+        regenerated = regenerate_report(str(tmp_path / "out"))
+        main = stored["comparisons"]["main"]
+        for label, t in main["tests"].items():
+            assert regenerated["main"][label] == t["p_value_formal"]
+        assert regenerated["main"]["joint"] == main["joint_test"]["p_value_formal"]
+
+    def test_norm_matrix_shape_must_match_statistics(self):
+        data = make_panel(15, 3, seed=12)
+        raw = regression_config()
+        raw["test"] = {"norm": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(DataError, match=r"\[test:main\] test.norm must be a 1 x 1 matrix"):
+            run_analysis(AnalysisConfig.from_dict(raw), data=data)
 
     def test_regenerate_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="results.json"):

@@ -17,7 +17,6 @@ from trimtest.bootstrap import (
     multinomial_counts,
     multiplier_weights,
 )
-from trimtest.empirical import weighted_quantile_threshold
 from trimtest.errors import NumericalError
 from trimtest.estimators import (
     RegressionComparison,
@@ -26,7 +25,7 @@ from trimtest.estimators import (
 )
 from trimtest.lstat import LStatSpec
 from trimtest.regress import RegressionModel, weighted_ols
-from trimtest.weights import WeightScheme
+from trimtest.weights import WeightScheme, weighted_quantile_threshold
 
 from conftest import make_panel
 

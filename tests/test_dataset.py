@@ -33,7 +33,7 @@ class TestPanelDataset:
     def test_column_lookup(self, tiny):
         with pytest.raises(KeyError, match="no column named"):
             tiny.column("missing")
-        assert tiny.column_names == ("v",)
+        assert tuple(tiny.columns) == ("v",)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -63,7 +63,7 @@ class TestPanelDataset:
 
     def test_with_columns(self, tiny):
         out = tiny.with_columns({"w": np.arange(5.0)})
-        assert set(out.column_names) == {"v", "w"}
+        assert set(out.columns) == {"v", "w"}
         assert out.n_clusters == tiny.n_clusters
 
 
@@ -88,13 +88,6 @@ class TestWithinClusterLags:
         np.testing.assert_array_equal(out.column("y"), [3.0])
         np.testing.assert_array_equal(out.column("y_lag1"), [2.0])
         np.testing.assert_array_equal(out.column("y_lag2"), [1.0])
-
-    def test_keep_incomplete_rows(self):
-        data = PanelDataset({"y": np.array([1.0, 2.0])}, np.array([0, 0]))
-        out = add_within_cluster_lags(data, "y", 1, drop_incomplete=False)
-        assert out.n_rows == 2
-        assert np.isnan(out.column("y_lag1")[0])
-        assert out.column("y_lag1")[1] == 1.0
 
     def test_lag_never_crosses_cluster_boundary(self):
         data = PanelDataset(

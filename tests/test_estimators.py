@@ -11,7 +11,6 @@ from trimtest.estimators import (
     difference_covariance,
     lstat_pair_estimator,
     regression_comparison_estimator,
-    split_pair_draws,
 )
 from trimtest.lstat import LStatSpec
 from trimtest.regress import RegressionModel, weighted_ols
@@ -116,14 +115,6 @@ class TestRegressionComparisonEstimator:
 
 
 class TestDrawHelpers:
-    def test_split_pair_draws(self, rng):
-        draws = rng.normal(size=(10, 6))
-        a, b = split_pair_draws(draws, 3)
-        np.testing.assert_array_equal(a, draws[:, :3])
-        np.testing.assert_array_equal(b, draws[:, 3:])
-        with pytest.raises(ValueError, match="expected 4"):
-            split_pair_draws(draws, 2)
-
     def test_difference_covariance_formula(self, rng):
         m = rng.normal(size=(4, 4))
         cov = m @ m.T

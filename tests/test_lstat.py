@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from trimtest import PanelDataset
 from trimtest.errors import NumericalError
 from trimtest.lstat import (
-    JointEstimate,
     LStatSpec,
     Transform,
     analytic_cov,
     analytic_cov_is_degenerate,
     lstat_eval,
     lstat_eval_via_integral,
-    quantile_domain_cov_kernel,
     quantile_process_cov_kernel,
 )
 from trimtest.weights import WeightScheme, compute_weights
@@ -105,15 +103,19 @@ class TestTransform:
             Transform.from_table([0.0, 0.0], [1.0, 2.0], [0.0, 0.0])
 
     @pytest.mark.parametrize(
-        "t",
+        "raw, t",
         [
-            Transform.identity(),
-            Transform.power(3.0),
-            Transform.from_table([0.0, 1.0], [0.0, 2.0], [2.0, 2.0]),
+            ({"kind": "identity"}, Transform.identity()),
+            ({"kind": "power", "exponent": 3.0}, Transform.power(3.0)),
+            (
+                {"kind": "table", "x": [0.0, 1.0], "y": [0.0, 2.0], "dy": [2.0, 2.0]},
+                Transform.from_table([0.0, 1.0], [0.0, 2.0], [2.0, 2.0]),
+            ),
         ],
+        ids=["identity", "power", "table"],
     )
-    def test_dict_roundtrip(self, t):
-        assert Transform.from_dict(t.to_dict()) == t
+    def test_from_dict(self, raw, t):
+        assert Transform.from_dict(raw) == t
 
 
 class TestLStatEval:
@@ -282,24 +284,6 @@ def test_analytic_cov_memory_is_linear():
     assert peak < 20 * 2**20
 
 
-class TestJointEstimate:
-    def test_validates_shape_and_symmetry(self):
-        with pytest.raises(ValueError, match="shape"):
-            JointEstimate(np.zeros(2), np.zeros((3, 3)), "bootstrap", n=10)
-        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            JointEstimate(np.zeros(2), asym, "bootstrap", n=10)
-
-    def test_rejects_indefinite_covariance(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            JointEstimate(np.zeros(2), bad, "bootstrap", n=10)
-
-    def test_accepts_psd(self):
-        est = JointEstimate(np.array([1.0]), np.array([[0.0]]), "analytic", n=5)
-        assert est.cov_source == "analytic"
-
-
 class TestQuantileDomainKernels:
     def test_process_kernel_point_values(self):
         one = lambda s: 1.0
@@ -309,35 +293,3 @@ class TestQuantileDomainKernels:
     def test_process_kernel_rejects_boundary(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             quantile_process_cov_kernel(0.0, 0.5, lambda s: 1.0)
-
-    def test_adjusted_kernel_vanishes_under_unit_weights(self, rng):
-        # With unit conditional mean weights the adjusted bracket cancels.
-        one = lambda *args: 1.0
-        f_q = lambda s, t: min(s, t)  # comonotone columns
-        for _ in range(20):
-            s, t = rng.uniform(0.01, 0.99, size=2)
-            val = quantile_domain_cov_kernel(s, t, one, one, f_q, one, one, one)
-            assert val == pytest.approx(0.0, abs=1e-15)
-
-    def test_adjusted_kernel_independent_columns_product_weights(self, rng):
-        # Independence plus multiplicative conditional weights: both brackets zero.
-        k_j = lambda s: 0.5 + 0.1 * s
-        k_k = lambda t: 0.8 - 0.2 * t
-        k_jk = lambda s, t: k_j(s) * k_k(t)
-        f_q = lambda s, t: s * t
-        dm = lambda s: 2.0
-        for _ in range(20):
-            s, t = rng.uniform(0.01, 0.99, size=2)
-            val = quantile_domain_cov_kernel(s, t, dm, dm, f_q, k_j, k_k, k_jk)
-            assert val == pytest.approx(0.0, abs=1e-15)
-
-    def test_adjusted_kernel_reduces_to_process_kernel(self, rng):
-        # Zero weights kill every K term, leaving the plain quantile kernel.
-        zero = lambda *args: 0.0
-        f_q = lambda s, t: min(s, t)
-        dm = lambda s: 1.0 + s
-        for _ in range(20):
-            s, t = rng.uniform(0.01, 0.99, size=2)
-            got = quantile_domain_cov_kernel(s, t, dm, dm, f_q, zero, zero, zero)
-            want = quantile_process_cov_kernel(s, t, dm)
-            assert got == pytest.approx(want, abs=1e-15)

@@ -1,4 +1,4 @@
-"""Tests for weight schemes and the cumulative weight function."""
+"""Tests for weight schemes, weighted quantile thresholds and the cumulative weight function."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from trimtest.weights import (
     WeightFunction,
     WeightScheme,
     compute_weights,
-    conditional_mean_weight,
-    conditional_mean_weight_joint,
+    weighted_quantile_threshold,
     weights_quantile_trim,
     weights_residual_trim,
     weights_winsorize,
@@ -24,6 +23,12 @@ def single_cluster(columns: dict) -> PanelDataset:
     return PanelDataset(
         {k: np.asarray(v, dtype=float) for k, v in columns.items()}, np.zeros(n, dtype=int)
     )
+
+
+def order_statistic(values, q: float) -> float:
+    """The ceil(q*n)-th order statistic, located on the level grid i/n."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return float(v[np.searchsorted(np.arange(1, len(v) + 1) / len(v), q, side="left")])
 
 
 class TestWeightScheme:
@@ -50,17 +55,24 @@ class TestWeightScheme:
             WeightScheme("custom")
 
     @pytest.mark.parametrize(
-        "scheme",
+        "raw, scheme",
         [
-            WeightScheme.all_ones(),
-            WeightScheme.quantile_trim(["a", "b"], 0.05, 0.95),
-            WeightScheme.residual_trim(2.5),
-            WeightScheme.winsorize("x", 0.01, 0.99),
-            WeightScheme.custom([0.5, 1.0, 1.5]),
+            ({"kind": "all_ones"}, WeightScheme.all_ones()),
+            (
+                {"kind": "quantile_trim", "columns": ["a", "b"], "lower_q": 0.05, "upper_q": 0.95},
+                WeightScheme.quantile_trim(["a", "b"], 0.05, 0.95),
+            ),
+            ({"kind": "residual_trim", "multiplier": 2.5}, WeightScheme.residual_trim(2.5)),
+            (
+                {"kind": "winsorize", "columns": ["x"], "lower_q": 0.01, "upper_q": 0.99},
+                WeightScheme.winsorize("x", 0.01, 0.99),
+            ),
+            ({"kind": "custom", "values": [0.5, 1.0, 1.5]}, WeightScheme.custom([0.5, 1.0, 1.5])),
         ],
+        ids=["all_ones", "quantile_trim", "residual_trim", "winsorize", "custom"],
     )
-    def test_dict_roundtrip(self, scheme):
-        assert WeightScheme.from_dict(scheme.to_dict()) == scheme
+    def test_from_dict(self, raw, scheme):
+        assert WeightScheme.from_dict(raw) == scheme
 
 
 class TestQuantileTrim:
@@ -207,8 +219,9 @@ class TestWeightFunction:
     def test_increments_sum_to_total(self):
         w = np.array([1.0, 0.5, 0.0, 2.0])
         kfun = WeightFunction(w)
-        np.testing.assert_allclose(kfun.increments(), w / 4)
-        assert np.sum(kfun.increments()) == pytest.approx(kfun(1.0))
+        increments = np.diff(kfun(np.arange(5) / 4))
+        np.testing.assert_allclose(increments, w / 4)
+        assert np.sum(increments) == pytest.approx(kfun(1.0))
 
     def test_lipschitz_in_max_weight(self, rng):
         w = rng.uniform(0.0, 5.0, size=11)
@@ -217,13 +230,6 @@ class TestWeightFunction:
         vals = kfun(grid)
         slopes = np.abs(np.diff(vals)) / np.diff(grid)
         assert np.all(slopes <= np.max(w) + 1e-9)
-
-    def test_from_sample_aligns_with_sorted_values(self):
-        values = np.array([2.0, 1.0, 2.0])
-        weights = np.array([10.0, 20.0, 30.0])
-        kfun = WeightFunction.from_sample(values, weights)
-        # Stable sort keeps the first 2.0 (weight 10) ahead of the second.
-        np.testing.assert_array_equal(kfun.ordered_weights, [20.0, 10.0, 30.0])
 
     def test_domain_checks(self):
         kfun = WeightFunction([1.0])
@@ -235,40 +241,45 @@ class TestWeightFunction:
             WeightFunction([])
 
 
-class TestConditionalMeanWeight:
-    def test_small_example(self):
+class TestWeightedQuantileThreshold:
+    def test_unit_weights_match_order_statistics(self):
+        values = np.array([9.0, 2.0, 7.0, 4.0, 1.0])
+        ones = np.ones(5)
+        for q in (0.2, 0.21, 0.4, 0.5, 0.8, 1.0):
+            expected = order_statistic(values, q)
+            assert weighted_quantile_threshold(values, ones, q) == expected
+
+    def test_integer_counts_match_materialized_sample(self, rng):
+        values = rng.normal(size=12)
+        counts = rng.integers(0, 5, size=12).astype(float)
+        counts[0] = max(counts[0], 1.0)
+        materialized = np.repeat(values, counts.astype(int))
+        for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+            expected = order_statistic(materialized, q)
+            assert weighted_quantile_threshold(values, counts, q) == expected
+
+    def test_zero_target_returns_none(self):
+        assert weighted_quantile_threshold([1.0, 2.0], [1.0, 1.0], 0.0) is None
+
+    def test_signed_weights_first_crossing(self):
         values = np.array([1.0, 2.0, 3.0])
-        weights = np.array([1.0, 0.0, 1.0])
-        assert conditional_mean_weight(values, weights, 0.5) == 0.0
-        assert conditional_mean_weight(values, weights, 2.0) == 0.5
-        assert conditional_mean_weight(values, weights, 3.0) == pytest.approx(2.0 / 3.0)
+        weights = np.array([1.0, -1.0, 2.0])
+        # Running mass 1, 0, 2 against total 2.
+        assert weighted_quantile_threshold(values, weights, 0.5) == 1.0
+        assert weighted_quantile_threshold(values, weights, 0.75) == 3.0
 
-    def test_matches_brute_force(self, rng):
-        values = rng.normal(size=40)
-        weights = rng.uniform(size=40)
-        xs = rng.normal(size=9)
-        fast = conditional_mean_weight(values, weights, xs)
-        for k, x in enumerate(xs):
-            mask = values <= x
-            expected = weights[mask].sum() / mask.sum() if mask.any() else 0.0
-            assert fast[k] == pytest.approx(expected)
+    def test_total_weight_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            weighted_quantile_threshold([1.0, 2.0], [1.0, -1.0], 0.5)
 
-    def test_joint_matches_brute_force(self, rng):
-        va = rng.normal(size=30)
-        vb = rng.normal(size=30)
-        wa = rng.uniform(size=30)
-        wb = rng.uniform(size=30)
-        x = 0.3
-        y = -0.1
-        got = conditional_mean_weight_joint(va, vb, wa, wb, x, y)
-        mask = (va <= x) & (vb <= y)
-        expected = (wa * wb)[mask].sum() / mask.sum() if mask.any() else 0.0
-        assert got == pytest.approx(expected)
+    def test_unattainable_level(self):
+        with pytest.raises(ValueError, match="unattainable"):
+            weighted_quantile_threshold([1.0, 2.0], [1.0, 1.0], 1.5)
 
-    def test_joint_empty_region_and_shape_mismatch(self):
-        va = np.array([1.0, 2.0])
-        vb = np.array([1.0, 2.0])
-        w = np.array([1.0, 1.0])
-        assert conditional_mean_weight_joint(va, vb, w, w, -5.0, -5.0) == 0.0
-        with pytest.raises(ValueError, match="matching shapes"):
-            conditional_mean_weight_joint(va, vb, w, w, [1.0, 2.0], [1.0])
+    def test_snap_absorbs_accumulated_rounding(self):
+        # 10 weights of 0.1 sum to 0.9999999999999999; without the snap the
+        # threshold at q=0.2 could land one order statistic too high.
+        values = np.arange(10.0)
+        weights = np.full(10, 0.1)
+        assert weighted_quantile_threshold(values, weights, 0.2) == 1.0
+        assert weighted_quantile_threshold(values, weights, 0.3) == 2.0
