@@ -95,6 +95,32 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot open"):
             load_csv(str(tmp_path / "nope.csv"))
 
+    def test_header_names_and_cells_are_stripped(self, tmp_path):
+        path = write_csv(tmp_path, " y , x ,firm\n 1.5 ,2, a \n3, 4 ,b\n")
+        data, _ = load_csv(path, cluster_column="firm")
+        assert tuple(data.columns) == ("y", "x")
+        np.testing.assert_array_equal(data.column("y"), [1.5, 3.0])
+        assert list(data.cluster_ids) == ["a", "b"]
+
+    def test_cluster_labels_are_not_parsed(self, tmp_path):
+        # Numeric-looking labels stay text; "01" and "1" are distinct clusters.
+        path = write_csv(tmp_path, "y,firm\n1,01\n2,1\n3,01\n")
+        data, _ = load_csv(path, cluster_column="firm")
+        assert data.cluster_labels == ("01", "1")
+        np.testing.assert_array_equal(data.cluster_sizes, [2, 1])
+
+    def test_every_row_dropped_is_an_error(self, tmp_path):
+        path = write_csv(tmp_path, "y,x\n,1\n2,\n")
+        with pytest.raises(DataError, match="no usable data rows"):
+            load_csv(path)
+
+    def test_empty_cluster_label_keeps_the_row(self, tmp_path):
+        # Only numeric columns are required; the label column is not.
+        path = write_csv(tmp_path, "y,firm\n1,a\n2,\n")
+        data, report = load_csv(path, cluster_column="firm")
+        assert report.n_dropped == 0
+        assert data.cluster_labels == ("a", "")
+
 
 class TestAtomicOutput:
     def test_write_and_overwrite(self, tmp_path):
@@ -118,6 +144,24 @@ class TestAtomicOutput:
             assert os.stat(p).st_mode & 0o777 == 0o600
         finally:
             os.umask(old)
+
+    def test_creates_missing_directories(self, tmp_path):
+        p = tmp_path / "a" / "b" / "c.txt"
+        atomic_write_text(str(p), "deep\n")
+        assert p.read_text(encoding="utf-8") == "deep\n"
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "inside").write_text("x", encoding="utf-8")
+        with pytest.raises(OSError):
+            atomic_write_text(str(target), "text\n")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_writes_lf_line_endings(self, tmp_path):
+        p = tmp_path / "f.txt"
+        atomic_write_text(str(p), "a\nb\n")
+        assert p.read_bytes() == b"a\nb\n"
 
     def test_format_float_round_trips(self):
         for x in (0.1, -3.0, 1e-17, 12345.6789, float(np.pi)):
@@ -200,6 +244,32 @@ class TestPlotGrid:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal-length"):
             emit_plot_grid(np.zeros(5), np.zeros(6))
+
+    def test_silverman_falls_back_to_sd_when_iqr_is_zero(self):
+        v = np.concatenate([np.zeros(40), [5.0, -5.0]])
+        expected = 0.9 * np.std(v, ddof=1) * len(v) ** (-0.2)
+        assert silverman_bandwidth(v) == pytest.approx(expected, rel=1e-12)
+
+    def test_grid_extends_three_bandwidths_past_the_draws(self, rng):
+        x, y = rng.normal(size=200), rng.exponential(size=200)
+        g = emit_plot_grid(x, y)
+        assert g.bandwidth_x == silverman_bandwidth(x)
+        assert g.bandwidth_y == silverman_bandwidth(y)
+        assert g.x[0] == pytest.approx(x.min() - 3.0 * g.bandwidth_x)
+        assert g.x[-1] == pytest.approx(x.max() + 3.0 * g.bandwidth_x)
+        assert g.y[0] == pytest.approx(y.min() - 3.0 * g.bandwidth_y)
+        assert g.y[-1] == pytest.approx(y.max() + 3.0 * g.bandwidth_y)
+        assert len(g.x) == len(g.y) == GRID_POINTS
+        assert np.all(g.density >= 0.0)
+
+    def test_density_matches_direct_kernel_sum(self, rng):
+        x, y = rng.normal(size=30), rng.normal(size=30)
+        g = emit_plot_grid(x, y)
+        i, j = 37, 64
+        ux = (g.x[i] - x) / g.bandwidth_x
+        uy = (g.y[j] - y) / g.bandwidth_y
+        direct = np.mean(np.exp(-0.5 * (ux**2 + uy**2))) / (2.0 * np.pi * g.bandwidth_x * g.bandwidth_y)
+        assert g.density[i, j] == pytest.approx(direct, rel=1e-12)
 
 
 def regression_config(**overrides) -> dict:

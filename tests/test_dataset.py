@@ -66,6 +66,31 @@ class TestPanelDataset:
         assert set(out.columns) == {"v", "w"}
         assert out.n_clusters == tiny.n_clusters
 
+    def test_with_columns_replaces_a_column_of_the_same_name(self, tiny):
+        out = tiny.with_columns({"v": np.zeros(5)})
+        assert tuple(out.columns) == ("v",)
+        np.testing.assert_array_equal(out.column("v"), np.zeros(5))
+        np.testing.assert_array_equal(tiny.column("v"), [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_integer_and_string_labels_factorize_alike(self):
+        ints = PanelDataset({"v": np.arange(6.0)}, np.array([7, 3, 7, 9, 3, 7]))
+        strs = PanelDataset({"v": np.arange(6.0)}, np.array(["7", "3", "7", "9", "3", "7"]))
+        assert ints.cluster_labels == (7, 3, 9)
+        assert strs.cluster_labels == ("7", "3", "9")
+        np.testing.assert_array_equal(ints.row_cluster_index, strs.row_cluster_index)
+        np.testing.assert_array_equal(ints.cluster_sizes, [3, 2, 1])
+
+    def test_cluster_rows_partition_the_rows_in_order(self, tiny):
+        assert [list(rows) for rows in tiny.cluster_rows] == [[0, 1, 3], [2, 4]]
+        with pytest.raises(ValueError):
+            tiny.cluster_rows[0][0] = 4
+
+    def test_take_clusters_of_nothing_is_empty(self, tiny):
+        out = tiny.take_clusters(np.array([], dtype=int))
+        assert out.n_rows == 0
+        assert out.n_clusters == 0
+        assert out.cluster_rows == ()
+
 
 class TestWithinClusterLags:
     def test_single_lag_values(self):
@@ -101,3 +126,29 @@ class TestWithinClusterLags:
         data = PanelDataset({"y": np.array([1.0])}, np.array([0]))
         with pytest.raises(ValueError, match=">= 1"):
             add_within_cluster_lags(data, "y", 0)
+
+    def test_incomplete_rows_are_always_dropped(self):
+        ids = np.array([0, 0, 0, 0, 1, 2, 2, 2])
+        data = PanelDataset({"y": np.arange(8.0)}, ids)
+        out = add_within_cluster_lags(data, "y", 2)
+        # Two rows per cluster have no lag-2 value; cluster 1 loses its only row.
+        assert out.n_rows == 3
+        for k in (1, 2):
+            assert np.all(np.isfinite(out.column(f"y_lag{k}")))
+        np.testing.assert_array_equal(out.column("y"), [2.0, 3.0, 7.0])
+        np.testing.assert_array_equal(out.column("y_lag2"), [0.0, 1.0, 5.0])
+
+    def test_surviving_rows_keep_their_clusters(self):
+        data = PanelDataset(
+            {"y": np.arange(6.0), "x": np.arange(6.0) * 10.0},
+            np.array(["b", "a", "b", "a", "b", "a"]),
+        )
+        out = add_within_cluster_lags(data, "y", 1)
+        assert list(out.cluster_ids) == ["b", "a", "b", "a"]
+        np.testing.assert_array_equal(out.column("x"), [20.0, 30.0, 40.0, 50.0])
+        np.testing.assert_array_equal(out.column("y_lag1"), [0.0, 1.0, 2.0, 3.0])
+
+    def test_unknown_column(self):
+        data = PanelDataset({"y": np.array([1.0, 2.0])}, np.array([0, 0]))
+        with pytest.raises(KeyError, match="no column named 'z'"):
+            add_within_cluster_lags(data, "z", 1)

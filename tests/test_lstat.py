@@ -117,6 +117,33 @@ class TestTransform:
     def test_from_dict(self, raw, t):
         assert Transform.from_dict(raw) == t
 
+    def test_from_dict_defaults_to_identity(self):
+        assert Transform.from_dict({}) == Transform.identity()
+
+    def test_from_dict_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown transform kind 'log'"):
+            Transform.from_dict({"kind": "log"})
+
+    def test_identity_returns_a_copy(self):
+        x = np.array([1.0, 2.0])
+        out = Transform.identity()(x)
+        out[0] = 99.0
+        assert x[0] == 1.0
+
+    def test_table_derivative_interpolates_dy(self):
+        t = Transform.from_table([0.0, 1.0, 3.0], [0.0, 1.0, 2.0], [2.0, 4.0, 0.0])
+        np.testing.assert_allclose(t.deriv([0.25, 1.0, 2.0]), [2.5, 4.0, 2.0])
+
+
+class TestLStatSpec:
+    def test_label_defaults_to_column_and_scheme(self):
+        spec = LStatSpec("x", scheme=WeightScheme.quantile_trim("x", 0.1, 0.9))
+        assert spec.label() == "x:quantile_trim"
+        assert LStatSpec("x").label() == "x:all_ones"
+
+    def test_name_overrides_label(self):
+        assert LStatSpec("x", name="trimmed mean").label() == "trimmed mean"
+
 
 class TestLStatEval:
     def test_weighted_mean(self):
@@ -153,6 +180,19 @@ class TestLStatEval:
         data = single_cluster({"v": [2.0, 2.0, 1.0, 2.0, 5.0]})
         spec = LStatSpec("v", scheme=WeightScheme.custom([0.3, 1.2, 0.0, 2.0, 1.0]))
         assert lstat_eval(spec, data) == pytest.approx(lstat_eval_via_integral(spec, data), abs=1e-14)
+
+
+    def test_all_ones_is_mean_of_transform(self, rng):
+        v = rng.uniform(0.5, 2.0, size=30)
+        data = single_cluster({"v": v})
+        spec = LStatSpec("v", Transform.power(2.0))
+        assert lstat_eval(spec, data) == pytest.approx(np.mean(v**2), rel=1e-14)
+
+    def test_undefined_transform_is_an_error(self):
+        data = single_cluster({"v": [4.0, -1.0, 9.0]})
+        spec = LStatSpec("v", Transform.power(0.5))
+        with pytest.raises(ValueError, match="undefined at observation index 1"):
+            lstat_eval(spec, data)
 
 
 class TestAnalyticCov:
@@ -206,6 +246,26 @@ class TestAnalyticCov:
         specs = [LStatSpec("a", huge, WeightScheme.custom([1.0, 0.5, 2.0, 1.0]), name="wide")]
         with pytest.raises(NumericalError, match=r"specs 'wide' and 'wide' at observation \d"):
             analytic_cov(specs, data)
+
+    def test_weights_default_to_the_specs_schemes(self, rng):
+        data = single_cluster({"a": rng.normal(size=20), "b": rng.normal(size=20)})
+        specs = [
+            LStatSpec("a", scheme=WeightScheme.quantile_trim("a", 0.1, 0.9)),
+            LStatSpec("b", Transform.power(3.0), WeightScheme.winsorize("b", 0.05, 0.95)),
+        ]
+        weights = [compute_weights(s.scheme, data) for s in specs]
+        np.testing.assert_array_equal(analytic_cov(specs, data), analytic_cov(specs, data, weights))
+
+    def test_invariant_under_row_permutation(self, rng):
+        a = np.round(rng.normal(size=30), 1)
+        b = rng.normal(size=30)
+        w = rng.uniform(0.0, 2.0, size=30)
+        perm = rng.permutation(30)
+        specs = [LStatSpec("a", scheme=WeightScheme.custom(w)), LStatSpec("b")]
+        moved = [LStatSpec("a", scheme=WeightScheme.custom(w[perm])), LStatSpec("b")]
+        sigma = analytic_cov(specs, single_cluster({"a": a, "b": b}))
+        sigma_perm = analytic_cov(moved, single_cluster({"a": a[perm], "b": b[perm]}))
+        np.testing.assert_allclose(sigma_perm, sigma, rtol=1e-12, atol=1e-14)
 
     def test_symmetric_output(self, rng):
         data = single_cluster({"a": rng.normal(size=15), "b": rng.normal(size=15)})
@@ -289,6 +349,19 @@ class TestQuantileDomainKernels:
         one = lambda s: 1.0
         assert quantile_process_cov_kernel(0.3, 0.7, one) == pytest.approx(0.3 - 0.21)
         assert quantile_process_cov_kernel(0.5, 0.5, one) == pytest.approx(0.25)
+
+    def test_process_kernel_is_symmetric(self):
+        dmq = lambda s: 1.0 + s**2
+        for s_, t in ((0.1, 0.8), (0.45, 0.5), (0.9, 0.2)):
+            assert quantile_process_cov_kernel(s_, t, dmq) == quantile_process_cov_kernel(t, s_, dmq)
+
+    def test_uniform_identity_kernel_integrates_to_variance(self):
+        # Midpoint rule over the unit square: Var(U) = 1/12 for U uniform.
+        m = 200
+        grid = (np.arange(m) + 0.5) / m
+        one = lambda s: 1.0
+        total = sum(quantile_process_cov_kernel(s_, t, one) for s_ in grid for t in grid) / m**2
+        assert total == pytest.approx(1.0 / 12.0, abs=1e-5)
 
     def test_process_kernel_rejects_boundary(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):

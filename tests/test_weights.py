@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimtest import PanelDataset
 from trimtest.weights import (
@@ -74,6 +76,26 @@ class TestWeightScheme:
     def test_from_dict(self, raw, scheme):
         assert WeightScheme.from_dict(raw) == scheme
 
+    def test_from_dict_defaults(self):
+        assert WeightScheme.from_dict({"kind": "quantile_trim", "columns": ["a"]}) == (
+            WeightScheme.quantile_trim("a", 0.0, 1.0)
+        )
+        assert WeightScheme.from_dict({"kind": "residual_trim"}) == WeightScheme.residual_trim(1.96)
+        # A bare column name is accepted for the one-column winsorize scheme.
+        assert WeightScheme.from_dict({"kind": "winsorize", "columns": "x", "upper_q": 0.9}) == (
+            WeightScheme.winsorize("x", 0.0, 0.9)
+        )
+
+    def test_from_dict_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown weight scheme kind 'trim'"):
+            WeightScheme.from_dict({"kind": "trim"})
+        with pytest.raises(ValueError, match="unknown weight scheme kind None"):
+            WeightScheme.from_dict({})
+
+    def test_single_column_name_becomes_tuple(self):
+        assert WeightScheme.quantile_trim("x", 0.1, 0.9).columns == ("x",)
+        assert WeightScheme.quantile_trim(["x", "y"], 0.1, 0.9).columns == ("x", "y")
+
 
 class TestQuantileTrim:
     def test_five_point_band(self):
@@ -93,6 +115,14 @@ class TestQuantileTrim:
         only_a = weights_quantile_trim([a], 0.2, 0.8)
         only_b = weights_quantile_trim([b], 0.2, 0.8)
         np.testing.assert_array_equal(joint, only_a * only_b)
+
+    def test_full_band_keeps_every_row(self, rng):
+        v = rng.normal(size=30)
+        np.testing.assert_array_equal(weights_quantile_trim([v], 0.0, 1.0), np.ones(30))
+
+    def test_requires_a_column(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            weights_quantile_trim([], 0.1, 0.9)
 
     def test_invariant_under_increasing_transform(self, rng):
         v = rng.normal(size=50)
@@ -143,6 +173,23 @@ class TestResidualTrim:
         with pytest.raises(ValueError, match="first-stage scales"):
             weights_residual_trim(ctx, 1.96)
 
+    def test_first_stage_columns_may_come_transposed(self):
+        rows = ResidualContext(
+            residuals=np.zeros(3),
+            scale=1.0,
+            first_stage_residuals=np.array([[0.1, 3.0], [5.0, 0.1], [0.1, 0.1]]),
+            first_stage_scales=np.array([1.0, 2.0]),
+        )
+        cols = ResidualContext(
+            residuals=np.zeros(3),
+            scale=1.0,
+            first_stage_residuals=rows.first_stage_residuals.T,
+            first_stage_scales=np.array([1.0, 2.0]),
+        )
+        # Column 2 has scale 2, so 3.0 stays inside 1.96 * 2.
+        np.testing.assert_array_equal(weights_residual_trim(rows, 1.96), [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(weights_residual_trim(cols, 1.96), [1.0, 0.0, 1.0])
+
 
 class TestWinsorize:
     def test_three_point_ratio(self):
@@ -170,6 +217,16 @@ class TestWinsorize:
         out = weights_winsorize(v, 0.0, 0.75)
         assert out[0] == 1.0
 
+    def test_zero_observation_absent_from_resample_is_fine(self):
+        # Row weight 0: the zero is not in the resample, so its ratio is moot.
+        v = np.array([0.0, 5.0, 6.0, 7.0])
+        out = weights_winsorize(v, 0.5, 1.0, row_weights=np.array([0.0, 1.0, 1.0, 1.0]))
+        np.testing.assert_allclose(out, [1.0, 6.0 / 5.0, 1.0, 1.0])
+
+    def test_full_band_gives_unit_weights(self, rng):
+        v = rng.lognormal(size=25)
+        np.testing.assert_array_equal(weights_winsorize(v, 0.0, 1.0), np.ones(25))
+
 
 class TestComputeWeights:
     def test_all_ones(self, panel):
@@ -193,6 +250,27 @@ class TestComputeWeights:
         data = single_cluster({"v": [1.0, 2.0, 3.0]})
         out = compute_weights(WeightScheme.custom([0.5, 0.0, 2.0]), data)
         np.testing.assert_array_equal(out, [0.5, 0.0, 2.0])
+
+    def test_winsorize_uses_named_column(self):
+        data = single_cluster({"v": [1.0, 2.0, 100.0], "u": [100.0, 2.0, 1.0]})
+        out = compute_weights(WeightScheme.winsorize("v", 0.0, 2.0 / 3.0), data)
+        np.testing.assert_allclose(out, [1.0, 1.0, 0.02])
+
+    def test_residual_trim_with_context(self):
+        data = single_cluster({"v": [1.0, 2.0, 3.0]})
+        ctx = ResidualContext(residuals=np.array([0.5, -3.0, 1.0]), scale=1.0)
+        out = compute_weights(WeightScheme.residual_trim(2.0), data, ctx)
+        np.testing.assert_array_equal(out, [1.0, 0.0, 1.0])
+
+    def test_row_weights_reach_the_thresholds(self):
+        data = single_cluster({"v": [1.0, 2.0, 3.0, 4.0]})
+        scheme = WeightScheme.quantile_trim("v", 0.0, 0.5)
+        rho = np.array([0.0, 0.0, 1.0, 1.0])
+        # Without row 1 and 2 the median of the resample is 3.
+        np.testing.assert_array_equal(compute_weights(scheme, data), [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            compute_weights(scheme, data, row_weights=rho), [1.0, 1.0, 1.0, 0.0]
+        )
 
 
 class TestWeightFunction:
@@ -240,6 +318,42 @@ class TestWeightFunction:
         with pytest.raises(ValueError, match="at least one"):
             WeightFunction([])
 
+    def test_rejects_negative_argument_and_matrix_weights(self):
+        kfun = WeightFunction([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            kfun(np.array([0.5, -1e-12]))
+        with pytest.raises(ValueError, match="at least one"):
+            WeightFunction(np.ones((2, 2)))
+
+    def test_vectorized_matches_pointwise(self, rng):
+        kfun = WeightFunction(rng.uniform(-1.0, 2.0, size=9))
+        grid = rng.uniform(0.0, 1.0, size=50)
+        np.testing.assert_array_equal(kfun(grid), [kfun(float(u)) for u in grid])
+
+    def test_scalar_argument_gives_float(self):
+        out = WeightFunction([1.0, 3.0])(0.5)
+        assert isinstance(out, float)
+        assert out == pytest.approx(0.5)
+
+    def test_ordered_weights_are_read_only(self):
+        w = np.array([1.0, 2.0])
+        kfun = WeightFunction(w)
+        with pytest.raises(ValueError):
+            kfun.ordered_weights[0] = 5.0
+
+    def test_linear_inside_each_cell(self):
+        w = np.array([2.0, 4.0, 6.0, 8.0])
+        kfun = WeightFunction(w)
+        for i in range(4):
+            mid = (i + 0.5) / 4
+            assert kfun(mid) == pytest.approx((np.sum(w[:i]) + 0.5 * w[i]) / 4)
+
+    def test_negative_weight_makes_it_decrease(self):
+        kfun = WeightFunction([1.0, -2.0, 1.0])
+        vals = kfun(np.arange(4) / 3)
+        np.testing.assert_allclose(np.diff(vals), [1.0 / 3.0, -2.0 / 3.0, 1.0 / 3.0])
+        assert kfun(1.0) == pytest.approx(0.0)
+
 
 class TestWeightedQuantileThreshold:
     def test_unit_weights_match_order_statistics(self):
@@ -283,3 +397,75 @@ class TestWeightedQuantileThreshold:
         weights = np.full(10, 0.1)
         assert weighted_quantile_threshold(values, weights, 0.2) == 1.0
         assert weighted_quantile_threshold(values, weights, 0.3) == 2.0
+
+    def test_three_point_sample(self):
+        # ceil(0.34 * 3) = 2, so the second order statistic.
+        values = np.array([30.0, 10.0, 20.0])
+        ones = np.ones(3)
+        assert weighted_quantile_threshold(values, ones, 0.34) == 20.0
+        # (1/3) * 3 lands on 1 up to rounding, which the snap absorbs.
+        assert weighted_quantile_threshold(values, ones, 1.0 / 3.0) == 10.0
+        assert weighted_quantile_threshold(values, ones, 1.0) == 30.0
+
+    def test_piecewise_constant_on_level_cells(self):
+        # Constant on ((i-1)/n, i/n], jumping only at the grid points.
+        values = np.array([4.0, 8.0, 15.0, 16.0, 23.0])
+        ones = np.ones(5)
+        for i in range(1, 6):
+            lo, hi = (i - 1) / 5, i / 5
+            assert weighted_quantile_threshold(values, ones, hi) == values[i - 1]
+            assert weighted_quantile_threshold(values, ones, lo + 1e-6) == values[i - 1]
+
+    def test_ties_take_the_first_crossing(self):
+        values = np.array([1.0, 2.0, 2.0, 5.0])
+        ones = np.ones(4)
+        assert weighted_quantile_threshold(values, ones, 0.6) == 2.0
+        assert weighted_quantile_threshold(values, ones, 0.75) == 2.0
+        assert weighted_quantile_threshold(values, ones, 0.75 + 1e-6) == 5.0
+        assert weighted_quantile_threshold(values, ones, 1.0) == 5.0
+
+    def test_negative_level_returns_none(self):
+        assert weighted_quantile_threshold([1.0, 2.0], [1.0, 1.0], -0.25) is None
+
+    def test_rejects_malformed_inputs(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            weighted_quantile_threshold([1.0, 2.0], [1.0], 0.5)
+        with pytest.raises(ValueError, match="non-empty"):
+            weighted_quantile_threshold([], [], 0.5)
+        with pytest.raises(ValueError, match="1-d"):
+            weighted_quantile_threshold(np.ones((2, 2)), np.ones((2, 2)), 0.5)
+
+    def test_input_order_does_not_matter(self, rng):
+        values = rng.normal(size=20)
+        weights = rng.uniform(0.0, 3.0, size=20)
+        perm = rng.permutation(20)
+        for q in (0.05, 0.3, 0.5, 0.77, 1.0):
+            assert weighted_quantile_threshold(values, weights, q) == (
+                weighted_quantile_threshold(values[perm], weights[perm], q)
+            )
+
+    def test_zero_weight_rows_are_never_chosen(self, rng):
+        values = rng.normal(size=16)
+        weights = rng.integers(0, 3, size=16).astype(float)
+        weights[0] = 1.0
+        present = weights > 0
+        for q in (0.1, 0.4, 0.6, 0.95):
+            assert weighted_quantile_threshold(values, weights, q) == (
+                weighted_quantile_threshold(values[present], weights[present], q)
+            )
+
+    @given(
+        data=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+        ),
+        cell=st.floats(0.0, 1.0, exclude_max=True),
+        frac=st.floats(1e-6, 1.0),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_unit_weights_give_the_order_statistic_of_each_level_cell(self, data, cell, frac):
+        # Every level in ((k-1)/n, k/n] maps to the k-th order statistic.
+        n = len(data)
+        k = int(cell * n) + 1
+        q = (k - 1 + frac) / n
+        expected = np.sort(np.asarray(data))[k - 1]
+        assert weighted_quantile_threshold(data, np.ones(n), q) == expected
