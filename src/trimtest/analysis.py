@@ -86,7 +86,6 @@ class AnalysisConfig:
     plot_pairs: tuple = ()
     lags: tuple = ()
     include_analytic_cov: bool = False
-    config_echo: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -181,7 +180,6 @@ class AnalysisConfig:
                 plot_pairs=tuple(tuple(p) if isinstance(p, list) else p for p in out_raw.get("plot_pairs", ())),
                 lags=lags,
                 include_analytic_cov=bool(out_raw.get("analytic_cov", False)),
-                config_echo=raw,
             )
 
     @classmethod
@@ -366,9 +364,7 @@ def run_analysis(
         estimator, labels, lstat_specs = _build_estimator(config, comparison)
         d = len(labels)
         with _stage(f"bootstrap:{comparison.name}"):
-            boot = bootstrap_pipeline(
-                data, config.plan, estimator, n_threads=n_threads, labels=labels
-            )
+            boot = bootstrap_pipeline(data, config.plan, estimator, n_threads=n_threads)
         b1, b2 = boot.point[:d], boot.point[d:]
         diff_cov = difference_covariance(boot.cov, d)
         flags = {}

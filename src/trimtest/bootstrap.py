@@ -72,7 +72,6 @@ class BootstrapResult:
     iterations: int
     n_failed: int
     failed_indices: tuple[int, ...] = ()
-    labels: tuple[str, ...] = ()
 
 
 def draw_rng(master_seed: int, draw_index: int) -> np.random.Generator:
@@ -129,7 +128,6 @@ def bootstrap_pipeline(
     plan: BootstrapPlan,
     estimator_fn,
     n_threads: int = 1,
-    labels: tuple[str, ...] = (),
 ) -> BootstrapResult:
     """Run the full bootstrap: point estimate, draws, covariance.
 
@@ -181,7 +179,6 @@ def bootstrap_pipeline(
         iterations=B,
         n_failed=len(failed),
         failed_indices=tuple(failed),
-        labels=labels,
     )
 
 

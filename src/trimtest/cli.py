@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: estimate (point estimates only), bootstrap (adds draws and
-covariances), test (full analysis with robustness tests), mc (simulation
+Subcommands: estimate (point estimates only), test (full analysis with
+robustness tests; bootstrap is another name for it), mc (simulation
 studies), report (regenerate the report from stored draws), plot-data
 (density grid from a stored draws file).
 
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("estimate", "compute point estimates only"),
-        ("bootstrap", "run the bootstrap and write draws and covariances"),
+        ("bootstrap", "same as test"),
         ("test", "full analysis: bootstrap plus robustness tests"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -90,14 +90,6 @@ def _cmd_estimate(args) -> int:
     path = os.path.join(config.output_dir, "estimates.json")
     atomic_write_text(path, text)
     sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bootstrap(args) -> int:
-    config = _load_config(args)
-    bundle = run_analysis(config, n_threads=args.threads)
-    paths = write_outputs(bundle)
-    sys.stdout.write("wrote " + " ".join(sorted(paths.values())) + "\n")
     return 0
 
 
@@ -185,7 +177,7 @@ def _cmd_plot_data(args) -> int:
 
 _COMMANDS = {
     "estimate": _cmd_estimate,
-    "bootstrap": _cmd_bootstrap,
+    "bootstrap": _cmd_test,
     "test": _cmd_test,
     "mc": _cmd_mc,
     "report": _cmd_report,

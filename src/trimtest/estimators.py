@@ -84,17 +84,16 @@ def regression_comparison_estimator(comparison: RegressionComparison):
     """
 
     def estimate(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
-        rho = None if row_weights is None or np.all(row_weights == 1.0) else row_weights
-        w_base = compute_weights(comparison.baseline_scheme, data, row_weights=rho)
-        base_fit = fit_model(comparison.model, data, w_base, rho)
+        w_base = compute_weights(comparison.baseline_scheme, data, row_weights=row_weights)
+        base_fit = fit_model(comparison.model, data, w_base, row_weights)
         ctx = ResidualContext(
             residuals=base_fit.residuals,
             scale=base_fit.sigma,
             first_stage_residuals=base_fit.first_stage_residuals,
             first_stage_scales=base_fit.first_stage_sigmas,
         )
-        w_adj = compute_weights(comparison.adjusted_scheme, data, ctx, rho)
-        adj_fit = fit_model(comparison.model, data, w_adj, rho)
+        w_adj = compute_weights(comparison.adjusted_scheme, data, ctx, row_weights)
+        adj_fit = fit_model(comparison.model, data, w_adj, row_weights)
         return np.array(_side_vector(comparison, base_fit) + _side_vector(comparison, adj_fit))
 
     return estimate

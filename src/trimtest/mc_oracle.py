@@ -215,6 +215,8 @@ def size_study(dgp: DGPSpec, analysis_fn, reps: int, seed: int, alpha: float, h:
     The per-rep seed feeds the inner bootstrap so replications are
     independent and the whole study is reproducible.
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     rejections = 0
     for r in range(reps):
         rep_seed = _child_seed(seed, r)

@@ -6,10 +6,13 @@ norm of the estimate difference, and the critical value is the smallest c
 such that sup over unit-norm directions v of Pr(||h v + xi||^2 > c) is at
 most alpha, with xi normal with the difference covariance.  When the norm
 matrix is proportional to the covariance this is a noncentral chi-square
-quantile (exact); the scalar case is likewise exact via the normal CDF.
-Otherwise the supremum is evaluated on a deterministic grid of boundary
-directions with common Monte Carlo draws, and the formal p-value inverts the
-same construction on the same draws.
+quantile (exact).  With one statistic every positive norm is proportional
+to the variance, so a scalar test is always the df = 1 chi-square (h = 0)
+or noncentral chi-square (h > 0) case.  Otherwise, or when the
+noncentrality is too large for scipy to evaluate, the supremum is evaluated
+on a deterministic grid of boundary directions with common Monte Carlo
+draws, and the formal p-value inverts the same construction on the same
+draws.
 
 On that Monte Carlo path one test draws once: `_mc_test` generates the
 normal draws and their direction-free squared norms a single time, then
@@ -25,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .errors import NumericalError
 
 N_DIRECTIONS = 256
 MC_CHUNK = 16  # directions per block of the streamed Monte Carlo path
+# scipy's noncentral chi-square fails from about 1e10.5 (NaN quantiles, wrong
+# tails); tests with a larger noncentrality r h^2 take the Monte Carlo path.
+_NCX2_MAX_NC = 1e9
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,7 @@ class TestReport:
     alpha: float
     method: str
     seed: int
-    path: str  # "scalar_exact" | "chi2" | "ncx2" | "mc" | "zero_cov"
-    baseline: np.ndarray | None = None
-    adjusted: np.ndarray | None = None
+    path: str  # "chi2" | "ncx2" | "mc" | "zero_cov"
     mc_std_error: float | None = None  # binomial SE of p_value_formal on the mc path
 
 
@@ -163,35 +167,35 @@ def _proportionality(a: np.ndarray, sigma: np.ndarray) -> float | None:
     return None
 
 
-def _scalar_tail(c: float, h: float, sigma2: float, a: float) -> float:
-    """Pr((h*sqrt(a) + xi)^2 > c*a) with xi normal(0, sigma2)."""
-    if c <= 0:
-        return 1.0
-    sd = np.sqrt(sigma2)
-    root = np.sqrt(c * a)
-    hs = h * np.sqrt(a)
-    return float(stats.norm.sf((root - hs) / sd) + stats.norm.cdf((-root - hs) / sd))
+def _route(
+    h: float, sigma: np.ndarray, a: np.ndarray, method: str, mc_draws: int, seed: int,
+    alpha: float | None = None, statistics_sq: tuple[float, ...] = (),
+) -> tuple[str, float | None, list[float]]:
+    """The one route of a test: (path, critical value, tail probabilities).
 
-
-def _test_path(h: float, sigma: np.ndarray, a: np.ndarray, method: str, what: str):
-    """Route that computes the test: (path, r).
-
-    path is "scalar_exact" (normal-CDF identity), "chi2" or "ncx2" (norm
-    matrix = r * covariance), or "mc" (direction grid on common draws).
-    what names the quantity in the error raised when method is "exact" and
-    no exact route exists.
+    path is "chi2" or "ncx2" when the norm matrix is r * covariance (always
+    so for one statistic) and the noncentrality r h^2 is at most
+    _NCX2_MAX_NC, else "mc" (direction grid on common draws).  The
+    critical value is None when alpha is None; tails[i] is
+    sup_v Pr(||h v + xi||^2 >= statistics_sq[i]).
     """
+    if h < 0:
+        raise ValueError("tolerance h must be >= 0")
     if method not in {"auto", "exact", "mc"}:
         raise ValueError(f"unknown method {method!r}")
     if method != "mc":
-        if len(sigma) == 1:
-            return "scalar_exact", None
         r = _proportionality(a, sigma)
-        if r is not None:
-            return ("chi2" if h == 0.0 else "ncx2"), r
+        if r is not None and r * h * h <= _NCX2_MAX_NC:
+            if h == 0.0:
+                path, dist = "chi2", stats.chi2(df=len(sigma))
+            else:
+                path, dist = "ncx2", stats.ncx2(df=len(sigma), nc=r * h * h)
+            crit = None if alpha is None else float(dist.ppf(1.0 - alpha) / r)
+            return path, crit, [float(dist.sf(r * s2)) for s2 in statistics_sq]
         if method == "exact":
-            raise ValueError(f"no exact {what} path for this norm/covariance pair; use mc")
-    return "mc", None
+            raise ValueError("no exact critical value path for this norm/covariance pair and h; use mc")
+    crit, tails = _mc_test(h, sigma, a, mc_draws, seed, alpha, statistics_sq)
+    return "mc", crit, tails
 
 
 def _empirical_upper_quantile(values: np.ndarray, alpha: float):
@@ -276,29 +280,16 @@ def critical_value(
 
     xi is normal with covariance sigma; norms are in the chosen norm matrix.
     The supremum over the unit ball is attained on the boundary, and by
-    symmetry of xi the boundary tail probability only grows with h, so the
-    scalar case reduces to the root of a normal-CDF identity and the
-    norm = covariance case to a noncentral chi-square quantile (both exact).
-    The Monte Carlo path takes the max over a deterministic direction grid
-    of per-direction empirical upper quantiles on common draws.
+    symmetry of xi the boundary tail probability only grows with h, so when
+    the norm matrix is r * sigma (every positive norm of a scalar test) c is
+    the chi-square (h = 0) or noncentral chi-square quantile over r, with
+    df = dim and noncentrality r h^2 (exact, up to _NCX2_MAX_NC).  The
+    Monte Carlo path takes the max over a deterministic direction grid of
+    per-direction empirical upper quantiles on common draws.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if h < 0:
-        raise ValueError("tolerance h must be >= 0")
     a = _norm_matrix_of(norm_matrix, sigma)
-    path, r = _test_path(h, sigma, a, method, "critical value")
-    if path == "scalar_exact":
-        s2 = float(sigma[0, 0])
-        av = float(a[0, 0])
-        hi = (h * np.sqrt(av) + 10.0 * np.sqrt(s2)) ** 2 / av
-        return float(
-            optimize.brentq(lambda c: _scalar_tail(c, h, s2, av) - alpha, 0.0, hi, xtol=1e-12)
-        )
-    if path == "chi2":
-        return float(stats.chi2.ppf(1.0 - alpha, df=len(sigma)) / r)
-    if path == "ncx2":
-        return float(stats.ncx2.ppf(1.0 - alpha, df=len(sigma), nc=r * h * h) / r)
-    return _mc_test(h, sigma, a, mc_draws, seed, alpha=alpha)[0]
+    return _route(h, sigma, a, method, mc_draws, seed, alpha=alpha)[1]
 
 
 def formal_p_value(
@@ -318,14 +309,7 @@ def formal_p_value(
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     a = _norm_matrix_of(norm_matrix, sigma)
-    path, r = _test_path(h, sigma, a, method, "p-value")
-    if path == "scalar_exact":
-        return _scalar_tail(statistic_sq, h, float(sigma[0, 0]), float(a[0, 0]))
-    if path == "chi2":
-        return float(stats.chi2.sf(r * statistic_sq, df=len(sigma)))
-    if path == "ncx2":
-        return float(stats.ncx2.sf(r * statistic_sq, df=len(sigma), nc=r * h * h))
-    return _mc_test(h, sigma, a, mc_draws, seed, statistics_sq=(statistic_sq,))[1][0]
+    return _route(h, sigma, a, method, mc_draws, seed, statistics_sq=(statistic_sq,))[2][0]
 
 
 def robustness_test(
@@ -364,34 +348,18 @@ def robustness_test(
     else:
         a = _norm_matrix_of(spec.norm_matrix, sigma)
         stat = mahalanobis(diff, a)
-        path, _ = _test_path(spec.h, sigma, a, spec.method, "critical value")
-        if path == "mc":
-            crit, (p_formal,) = _mc_test(
-                spec.h, sigma, a, spec.mc_draws, spec.seed, spec.alpha, (stat * stat,)
-            )
-        else:
-            crit = critical_value(
-                spec.h, sigma, spec.alpha, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
-            )
-            p_formal = formal_p_value(
-                stat * stat, spec.h, sigma, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
-            )
+        path, crit, (p_formal,) = _route(
+            spec.h, sigma, a, spec.method, spec.mc_draws, spec.seed, spec.alpha, (stat * stat,)
+        )
     p_heur = None
     if baseline_cov is not None:
         marg = floor_spd(np.atleast_2d(np.asarray(baseline_cov, dtype=float)), 0.0)
         if float(np.abs(marg).max()) == 0.0:
             p_heur = 1.0 if float(np.abs(diff).max()) == 0.0 else 0.0
         else:
-            a_heur = _norm_matrix_of(spec.norm_matrix, marg)
-            stat_heur = mahalanobis(diff, a_heur)
+            stat_heur = mahalanobis(diff, _norm_matrix_of(spec.norm_matrix, marg))
             p_heur = formal_p_value(
-                stat_heur * stat_heur,
-                spec.h,
-                marg,
-                spec.mc_draws,
-                spec.seed,
-                spec.norm_matrix,
-                spec.method,
+                stat_heur * stat_heur, spec.h, marg, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
             )
     return TestReport(
         statistic=stat,
@@ -403,8 +371,6 @@ def robustness_test(
         alpha=spec.alpha,
         method=spec.method,
         seed=spec.seed,
-        baseline=b1,
-        adjusted=b2,
         path=path,
         mc_std_error=float(np.sqrt(p_formal * (1.0 - p_formal) / spec.mc_draws))
         if path == "mc"

@@ -561,7 +561,7 @@ class TestOutputsAndReport:
         diff = res.baseline - res.adjusted
         # Statistic j alone is tested in the norm [[A[j, j]]].
         for j, t in enumerate(res.coefficient_tests):
-            assert t.path == "scalar_exact"
+            assert t.path == "chi2"
             assert t.statistic == pytest.approx(abs(diff[j]) / np.sqrt(norm[j][j]), rel=1e-12)
             assert 0.0 <= t.p_value_formal <= 1.0
             assert 0.0 <= t.p_value_heuristic <= 1.0

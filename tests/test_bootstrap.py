@@ -291,11 +291,6 @@ class TestPipeline:
 
         with pytest.raises(ValueError, match="expected 2"):
             bootstrap_pipeline(clustered, BootstrapPlan(iterations=2, seed=4), ragged)
-    def test_labels_carried(self, clustered):
-        boot = bootstrap_pipeline(
-            clustered, BootstrapPlan(iterations=2, seed=5), weighted_mean_estimator, labels=("m",)
-        )
-        assert boot.labels == ("m",)
 
 
 class TestBootstrapCov:

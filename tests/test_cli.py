@@ -72,12 +72,15 @@ class TestBootstrapAndTest:
         for name in ("results.json", "report.txt", "draws_main.csv"):
             assert os.path.exists(tmp_path / "out" / name)
 
-    def test_bootstrap_subcommand_skips_table(self, workdir, capsys):
+    def test_bootstrap_is_another_name_for_test(self, workdir, capsys):
         tmp_path, config = workdir
-        assert main(["bootstrap", "--config", config]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("wrote ")
-        assert os.path.exists(tmp_path / "out" / "results.json")
+        runs = []
+        for sub in ("test", "bootstrap"):
+            assert main([sub, "--config", config, "--output", str(tmp_path / sub)]) == 0
+            table = capsys.readouterr().out.split("wrote ")[0]
+            runs.append((table, (tmp_path / sub / "results.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert "comparison: main" in runs[0][0]
 
     def test_outputs_identical_across_threads_and_runs(self, workdir, capsys):
         tmp_path, config = workdir
@@ -139,7 +142,8 @@ class TestReport:
 
     def test_report_regenerates_test_paths(self, workdir, capsys):
         # Two statistics under the identity norm with h > 0: the joint test
-        # takes the Monte Carlo path, the per-statistic tests the scalar one.
+        # takes the Monte Carlo path, the per-statistic tests the df = 1
+        # noncentral chi-square one.
         tmp_path, config = workdir
         raw = json.loads(open(config, encoding="utf-8").read())
         raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y"}]}
@@ -158,7 +162,7 @@ class TestReport:
         p_formal = joint["p_value_formal"]
         assert joint["mc_std_error"] == np.sqrt(p_formal * (1.0 - p_formal) / 2000)
         for t in stored["tests"].values():
-            assert t["path"] == "scalar_exact"
+            assert t["path"] == "ncx2"
             assert t["mc_std_error"] is None
         regenerated = _regenerated_tests(str(tmp_path / "out"))["main"]
         assert regenerated == {**stored["tests"], "joint": joint}
@@ -257,6 +261,16 @@ class TestExitCodes:
         assert main(["mc", "--config", str(p), "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: unknown mc.dgp key(s): slop")
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_mc_nonpositive_reps_is_exit_2(self, tmp_path, capsys, reps):
+        p = tmp_path / "mc.json"
+        dgp = {"kind": "linear_regression", "n": 50}
+        p.write_text(json.dumps({"mc": {"dgp": dgp, "reps": reps}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: reps must be >= 1\n"
+        assert not out.exists()
 
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir

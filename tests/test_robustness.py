@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from trimtest.errors import NumericalError
@@ -110,12 +112,11 @@ class TestCriticalValueExact:
         assert c3 == pytest.approx(stats.chi2.ppf(0.99, df=3), rel=1e-10)
 
     def test_scalar_root_find_agrees_with_noncentral_chi2(self):
-        # Two independent exact routes: normal-CDF root-finding versus the
-        # noncentral chi-square quantile.
+        # Two independent exact routes: the package's df = 1 noncentral
+        # chi-square quantile versus root-finding on the normal CDF.
         for h in (0.5, 1.0, 2.0):
             c = critical_value(h, np.array([[1.0]]), alpha=0.05)
-            ref = stats.ncx2.ppf(0.95, df=1, nc=h * h)
-            assert c == pytest.approx(ref, rel=1e-9)
+            assert c == pytest.approx(_normal_cdf_critical_value(h, 1.0, 1.0, 0.05), rel=1e-9)
 
     def test_proportional_norm_noncentral_quantile(self):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -142,6 +143,71 @@ class TestCriticalValueExact:
     def test_rejects_negative_h(self):
         with pytest.raises(ValueError, match=">= 0"):
             critical_value(-1.0, np.array([[1.0]]))
+
+
+def _normal_tail(c, h, sigma2, a):
+    """Pr((h sqrt(a) + xi)^2 > c a) with xi ~ N(0, sigma2): the scalar test's
+    tail in the norm [[a]], written with the normal CDF alone."""
+    if c <= 0:
+        return 1.0
+    sd, root, hs = np.sqrt(sigma2), np.sqrt(c * a), h * np.sqrt(a)
+    return float(stats.norm.sf((root - hs) / sd) + stats.norm.cdf((-root - hs) / sd))
+
+
+def _normal_cdf_critical_value(h, sigma2, a, alpha):
+    """Root of _normal_tail(c) = alpha, found without any chi-square code."""
+    hi = (h * np.sqrt(a) + 10.0 * np.sqrt(sigma2)) ** 2 / a
+    return optimize.brentq(
+        lambda c: _normal_tail(c, h, sigma2, a) - alpha, 0.0, hi, xtol=1e-300, rtol=1e-15
+    )
+
+
+SCALAR_GRID = list(
+    itertools.product((0.0, 0.3, 2.0), (1e-4, 1.0, 40.0), (0.5, 1.0, 3.0), (0.01, 0.05, 0.2))
+)
+
+
+class TestScalarRoute:
+    """One statistic: every positive norm [[a]] is a / sigma2 times the
+    variance, so the test is the df = 1 chi-square (h = 0) or noncentral
+    chi-square (h > 0) case, checked against the normal-CDF tail."""
+
+    @pytest.mark.parametrize("h,sigma2,a,alpha", SCALAR_GRID)
+    def test_matches_normal_cdf_reference(self, h, sigma2, a, alpha):
+        sigma = np.array([[sigma2]])
+        c = critical_value(h, sigma, alpha, norm_matrix=[[a]])
+        assert c == pytest.approx(_normal_cdf_critical_value(h, sigma2, a, alpha), rel=1e-10)
+        for s2 in (0.5 * c, c, 2.0 * c):
+            p = formal_p_value(s2, h, sigma, norm_matrix=[[a]])
+            assert p == pytest.approx(_normal_tail(s2, h, sigma2, a), rel=1e-10)
+        spec = TestSpec(h=h, alpha=alpha, norm_matrix=[[a]])
+        for s2 in (0.5 * c, 2.0 * c):
+            report = robustness_test(np.array([np.sqrt(s2 * a)]), np.zeros(1), sigma, spec)
+            assert report.path == ("chi2" if h == 0.0 else "ncx2")
+            assert report.reject == (report.p_value_formal < alpha)
+            assert report.reject == (s2 > c)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_huge_noncentrality_takes_mc_path(self, dim):
+        # h = 1 with standard errors of 1e-6 is noncentrality 1e12, where
+        # scipy's noncentral chi-square returns NaN or wrong tails.
+        sigma = 1e-12 * np.eye(dim)
+        spec = TestSpec(h=1.0, norm_matrix="identity", mc_draws=20_000, seed=2)
+        diff = np.zeros(dim)
+        diff[0] = 1.0 + 2.5e-6
+        report = robustness_test(diff, np.zeros(dim), sigma, spec)
+        assert report.path == "mc"
+        assert np.isfinite(report.critical_value) and report.reject
+        assert report.reject == (report.p_value_formal < spec.alpha)
+        if dim == 1:
+            ref = _normal_cdf_critical_value(1.0, 1e-12, 1.0, 0.05)
+            assert report.critical_value == pytest.approx(ref, rel=1e-7)
+        with pytest.raises(ValueError, match="no exact critical value path"):
+            critical_value(1.0, sigma, norm_matrix="identity", method="exact")
+
+    def test_p_value_rejects_negative_h(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            formal_p_value(1.0, -1.0, np.array([[1.0]]))
 
 
 class TestCriticalValueMonteCarlo:
@@ -271,7 +337,7 @@ class TestStreamedMonteCarlo:
         chi2 = robustness_test(np.ones(2), np.zeros(2), sigma)
         ncx2 = robustness_test(np.ones(2), np.zeros(2), sigma, TestSpec(h=0.1))
         zero = robustness_test(np.ones(2), np.ones(2), np.zeros((2, 2)))
-        assert [r.path for r in (one, chi2, ncx2, zero)] == ["scalar_exact", "chi2", "ncx2", "zero_cov"]
+        assert [r.path for r in (one, chi2, ncx2, zero)] == ["chi2", "chi2", "ncx2", "zero_cov"]
         assert all(r.mc_std_error is None for r in (one, chi2, ncx2, zero))
 
 
@@ -417,5 +483,3 @@ class TestRobustnessTest:
         assert report.h == 0.2
         assert report.alpha == 0.07
         assert report.seed == 5
-        np.testing.assert_array_equal(report.baseline, [1.0])
-        np.testing.assert_array_equal(report.adjusted, [0.9])
