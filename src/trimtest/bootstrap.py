@@ -20,7 +20,9 @@ the 1/n_b of the resample the counts describe.
 Estimator contract: estimator_fn(data, row_weights) always receives the full
 dataset, must honour row_weights in every data-dependent quantity
 (thresholds, scales, fits), and returns a fixed-length float vector.  A row
-with weight 0 is absent from the draw.
+with weight 0 is absent from the draw.  Because every call sees the same
+dataset object, work that depends on the data alone is memoized on it (the
+sort order of a column, the cluster row blocks) and shared by all draws.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def bootstrap_pipeline(
     with all-ones weights for the point estimate and the draw's row weights
     for each draw (count weights sum to n_rows); it must honour row_weights
     and return a fixed-length float vector.  Draws that raise a numerical
-    or value error are recorded as missing; more than 1% missing aborts
-    with an error.  Aggregation is by draw index, so thread count does not
-    affect any output value.
+    or value error are recorded as missing (NaN rows); more than
+    max(1, 1% of B) of them abort with an error, so B >= 100 keeps the
+    plain 1% rule and a shorter run survives one failed draw.  Aggregation
+    is by draw index, so thread count does not affect any output value.
     """
     point = np.atleast_1d(np.asarray(estimator_fn(data, np.ones(data.n_rows)), dtype=float))
     d = len(point)
@@ -165,9 +168,9 @@ def bootstrap_pipeline(
             )
         else:
             draws[b] = val
-    if len(failed) > 0.01 * B:
+    if len(failed) > max(1.0, 0.01 * B):
         raise NumericalError(
-            f"{len(failed)} of {B} bootstrap draws failed (limit is 1%)"
+            f"{len(failed)} of {B} bootstrap draws failed (limit is 1% of draws, at least one)"
         )
     n_ok = int(np.sum(~np.isnan(draws).any(axis=1)))
     cov = bootstrap_cov(draws) if n_ok >= 2 else np.zeros((d, d))

@@ -102,6 +102,16 @@ def _cmd_test(args) -> int:
     return 0
 
 
+def _mc_int(mc_raw: dict, key: str, default: int) -> int:
+    """An integer mc setting (count or seed); fractions, bools and strings are refused."""
+    v = mc_raw.get(key, default)
+    if isinstance(v, bool) or not (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    ):
+        raise DataError(f"mc.{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _cmd_mc(args) -> int:
     from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
 
@@ -117,15 +127,15 @@ def _cmd_mc(args) -> int:
     if unknown:
         raise DataError(f"unknown mc.dgp key(s): {', '.join(unknown)}")
     dgp = DGPSpec(kind=kind, **dgp_raw)
-    seed = args.seed if args.seed is not None else int(mc_raw.get("seed", 0))
-    reps = int(mc_raw.get("reps", 100))
+    seed = args.seed if args.seed is not None else _mc_int(mc_raw, "seed", 0)
+    reps = _mc_int(mc_raw, "reps", 100)
     alpha = float(mc_raw.get("alpha", 0.05))
     h = float(mc_raw.get("h", 0.0))
     analysis = residual_trim_size_analysis(
         multiplier=float(mc_raw.get("multiplier", 1.96)),
         inner_iterations=args.iterations
         if args.iterations is not None
-        else int(mc_raw.get("inner_iterations", 299)),
+        else _mc_int(mc_raw, "inner_iterations", 299),
         alpha=alpha,
         h=h,
         coefficient=mc_raw.get("coefficient", "x"),

@@ -61,6 +61,9 @@ class PanelDataset:
     cluster_labels: tuple = field(init=False, repr=False)
     row_cluster_index: np.ndarray = field(init=False, repr=False)
     _sizes: np.ndarray = field(init=False, repr=False)
+    # Column name -> sort order.  Created with the dataset, not lazily, so
+    # threads running draws on one dataset always share a single memo.
+    _sort_orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         ids = np.asarray(self.cluster_ids)
@@ -117,6 +120,22 @@ class PanelDataset:
         if name not in self.columns:
             raise KeyError(f"no column named {name!r}")
         return self.columns[name]
+
+    def sort_order(self, name: str) -> np.ndarray:
+        """Read-only stable ascending argsort of a column, computed once.
+
+        Columns never change and every derived dataset starts with an empty
+        memo, so the order cannot go stale.  Reweighting the rows (as every
+        bootstrap draw does) leaves it valid, which is what lets threshold
+        and suffix-sum computations share one sort across draws.
+        """
+        order = self._sort_orders.get(name)
+        if order is None:
+            # setdefault keeps the first order stored if threads race here.
+            order = self._sort_orders.setdefault(
+                name, _readonly(np.argsort(self.column(name), kind="stable"))
+            )
+        return order
 
     def take_rows(self, indices: np.ndarray) -> "PanelDataset":
         """New dataset from row indices; each taken row becomes its own cluster."""

@@ -133,7 +133,7 @@ def lstat_eval_via_integral(spec: LStatSpec, data: PanelDataset) -> float:
     """
     x = data.column(spec.column)
     w = compute_weights(spec.scheme, data)
-    order = np.argsort(x, kind="stable")
+    order = data.sort_order(spec.column)
     levels = spec.transform(x[order])
     wf = WeightFunction(np.asarray(w)[order])
     grid = np.arange(wf.n + 1) / wf.n
@@ -141,8 +141,11 @@ def lstat_eval_via_integral(spec: LStatSpec, data: PanelDataset) -> float:
     return float(np.sum(levels * np.diff(k_vals)))
 
 
-def _suffix_factors(spec: LStatSpec, x: np.ndarray, w: np.ndarray):
+def _suffix_factors(spec: LStatSpec, x: np.ndarray, w: np.ndarray, order: np.ndarray):
     """Per-observation suffix sums S, SK at each rank, and the scalars A, B.
+
+    order is the stable ascending argsort of x, taken from the dataset's
+    memo (`PanelDataset.sort_order`) so the column is not sorted again.
 
     On the sorted values xs, F[a] = #{X <= xs[a]}/n and K[a] is the mean
     weight over {X <= xs[a]} (ties handled by counting through the last
@@ -152,7 +155,6 @@ def _suffix_factors(spec: LStatSpec, x: np.ndarray, w: np.ndarray):
     through its rank p(i), the first sorted position of its value, so
     {X_i <= xs[a]} is {p(i) <= a} under ties.
     """
-    order = np.argsort(x, kind="stable")
     xs = x[order]
     cnt = np.searchsorted(xs, xs, side="right")
     f_hat = cnt / len(xs)
@@ -186,7 +188,8 @@ def analytic_cov(specs: list[LStatSpec], data: PanelDataset, weights: list[np.nd
         sigma_jk = (1/n) sum_i [Sj Sk - SKj Sk - Sj SKk + w_ij w_ik Sj Sk]
                    - (Aj Ak - Bj Ak - Aj Bk) - Bj Bk.
 
-    That costs O(n log n) time (the sorts) and O(n) memory per spec, with
+    That costs O(n log n) time (the sorts, shared with the thresholds through
+    the dataset's memo) and O(n) memory per spec, with
     no n x n grid.  Diagnostic only: under all-ones weights K = 1 exactly,
     SK = S and B = A bit for bit, and every entry is an exact zero.
     """
@@ -201,7 +204,8 @@ def analytic_cov(specs: list[LStatSpec], data: PanelDataset, weights: list[np.nd
     # Overflow is reported as a NumericalError below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         factors = [
-            _suffix_factors(spec, data.column(spec.column), wt) for spec, wt in zip(specs, weights)
+            _suffix_factors(spec, data.column(spec.column), wt, data.sort_order(spec.column))
+            for spec, wt in zip(specs, weights)
         ]
         for j in range(d):
             s_j, sk_j, a_j, b_j = factors[j]

@@ -6,6 +6,12 @@ makes the weights random.  The cumulative weight function pairs the sorted
 weights with the quantile grid: it is piecewise linear with slope w_(i) on
 ((i-1)/n, i/n], so integrating a function of the empirical quantile against
 it reproduces the weighted sample mean exactly.
+
+Order-statistic thresholds are first crossings of the cumulative row weight
+along a column's ascending sort order.  Reweighting the rows never changes
+that order, so `compute_weights` takes it from the dataset's memo
+(`PanelDataset.sort_order`) and a bootstrap draw pays for a cumulative sum,
+not a sort.
 """
 
 from __future__ import annotations
@@ -107,7 +113,9 @@ class ResidualContext:
     first_stage_scales: np.ndarray | None = None
 
 
-def weighted_quantile_threshold(values, weights, q: float) -> float | None:
+def weighted_quantile_threshold(
+    values, weights, q: float, order: np.ndarray | None = None
+) -> float | None:
     """First value where the cumulative weight mass reaches a q fraction.
 
     With unit weights this is the ceil(q*n)-th order statistic; with integer
@@ -117,6 +125,10 @@ def weighted_quantile_threshold(values, weights, q: float) -> float | None:
     multiplier-perturbed diagnostics.  Returns None when q*total <= 0, i.e.
     no constraint.  A tiny relative snap guards ceil against float error in
     q * total.
+
+    order, when given, must be the stable ascending argsort of values (for
+    a dataset column, `PanelDataset.sort_order`); it saves the sort and
+    gives the same threshold.  Without it the values are sorted here.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -129,7 +141,10 @@ def weighted_quantile_threshold(values, weights, q: float) -> float | None:
     snap = 1e-9 * max(1.0, abs(total))
     if target <= snap:
         return None
-    order = np.argsort(v, kind="stable")
+    if order is None:
+        order = np.argsort(v, kind="stable")
+    elif len(order) != len(v):
+        raise ValueError("order must have one entry per value")
     cum = np.cumsum(w[order])
     hit = np.nonzero(cum >= target - snap)[0]
     if len(hit) == 0:
@@ -138,7 +153,11 @@ def weighted_quantile_threshold(values, weights, q: float) -> float | None:
 
 
 def weights_quantile_trim(
-    columns: list[np.ndarray], lower_q: float, upper_q: float, row_weights: np.ndarray | None = None
+    columns: list[np.ndarray],
+    lower_q: float,
+    upper_q: float,
+    row_weights: np.ndarray | None = None,
+    orders: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """0/1 weights keeping rows inside every column's quantile band.
 
@@ -146,17 +165,19 @@ def weights_quantile_trim(
     (weighted order statistics when repetition weights are given, so
     count-weighted data reproduces the materialized multiset thresholds).
     lower_q = 0 means no lower bound.  Invariant under strictly increasing
-    transformations of the columns.
+    transformations of the columns.  orders, when given, holds each
+    column's stable ascending argsort (see `weighted_quantile_threshold`).
     """
     if not columns:
         raise ValueError("quantile_trim requires at least one column")
     n = len(columns[0])
     rw = np.ones(n) if row_weights is None else np.asarray(row_weights, dtype=float)
     keep = np.ones(n, dtype=bool)
-    for v in columns:
+    for j, v in enumerate(columns):
         v = np.asarray(v, dtype=float)
-        lo = weighted_quantile_threshold(v, rw, lower_q)
-        hi = weighted_quantile_threshold(v, rw, upper_q)
+        order = None if orders is None else orders[j]
+        lo = weighted_quantile_threshold(v, rw, lower_q, order)
+        hi = weighted_quantile_threshold(v, rw, upper_q, order)
         if lo is not None:
             keep &= v >= lo
         if hi is not None:
@@ -187,20 +208,25 @@ def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.nda
 
 
 def weights_winsorize(
-    values: np.ndarray, lower_q: float, upper_q: float, row_weights: np.ndarray | None = None
+    values: np.ndarray,
+    lower_q: float,
+    upper_q: float,
+    row_weights: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ratio weights w_i = clamp(v_i, L, U) / v_i with quantile bounds.
 
     The weighted mean of v under these weights equals the mean of the
     Winsorized values.  v_i = 0 with a clamp that moves the value has no
     ratio representation and raises, unless the row has row weight 0 and
-    so is absent from the sample.
+    so is absent from the sample.  order, when given, is the stable
+    ascending argsort of values (see `weighted_quantile_threshold`).
     """
     v = np.asarray(values, dtype=float)
     n = len(v)
     rw = np.ones(n) if row_weights is None else np.asarray(row_weights, dtype=float)
-    lo = weighted_quantile_threshold(v, rw, lower_q)
-    hi = weighted_quantile_threshold(v, rw, upper_q)
+    lo = weighted_quantile_threshold(v, rw, lower_q, order)
+    hi = weighted_quantile_threshold(v, rw, upper_q, order)
     clamped = v.copy()
     if lo is not None:
         clamped = np.maximum(clamped, lo)
@@ -223,20 +249,25 @@ def compute_weights(
     residual_context: ResidualContext | None = None,
     row_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate a weight scheme on a dataset, one weight per row."""
+    """Evaluate a weight scheme on a dataset, one weight per row.
+
+    Order-statistic schemes reuse the dataset's memoized column sort orders.
+    """
     n = data.n_rows
     if scheme.kind == "all_ones":
         return np.ones(n)
     if scheme.kind == "quantile_trim":
         cols = [data.column(c) for c in scheme.columns]
-        return weights_quantile_trim(cols, scheme.lower_q, scheme.upper_q, row_weights)
+        orders = [data.sort_order(c) for c in scheme.columns]
+        return weights_quantile_trim(cols, scheme.lower_q, scheme.upper_q, row_weights, orders)
     if scheme.kind == "residual_trim":
         if residual_context is None:
             raise ValueError("residual_trim requires a ResidualContext")
         return weights_residual_trim(residual_context, scheme.multiplier)
     if scheme.kind == "winsorize":
+        col = scheme.columns[0]
         return weights_winsorize(
-            data.column(scheme.columns[0]), scheme.lower_q, scheme.upper_q, row_weights
+            data.column(col), scheme.lower_q, scheme.upper_q, row_weights, data.sort_order(col)
         )
     if scheme.kind == "custom":
         vals = np.asarray(scheme.values, dtype=float)

@@ -280,6 +280,34 @@ class TestPipeline:
 
         with pytest.raises(NumericalError, match="limit is 1%"):
             bootstrap_pipeline(clustered, BootstrapPlan(iterations=50, seed=2), broken)
+
+    @staticmethod
+    def _failing_on(draws: set[int]):
+        calls = {"n": 0}
+
+        def flaky(data, row_weights):
+            calls["n"] += 1
+            if calls["n"] - 2 in draws:  # call 1 is the point estimate
+                raise ValueError("synthetic failure")
+            return weighted_mean_estimator(data, row_weights)
+
+        return flaky
+
+    @pytest.mark.parametrize("iterations", [40, 100, 150])
+    def test_one_failed_draw_is_tolerated(self, clustered, iterations):
+        plan = BootstrapPlan(iterations=iterations, seed=5)
+        boot = bootstrap_pipeline(clustered, plan, self._failing_on({7}), n_threads=1)
+        assert boot.n_failed == 1
+        assert boot.failed_indices == (7,)
+        assert np.isnan(boot.draws[7]).all()
+        assert np.isfinite(np.delete(boot.draws, 7, axis=0)).all()
+        assert np.isfinite(boot.cov).all()
+
+    @pytest.mark.parametrize("iterations", [40, 100, 150])
+    def test_two_failed_draws_abort_below_200(self, clustered, iterations):
+        plan = BootstrapPlan(iterations=iterations, seed=5)
+        with pytest.raises(NumericalError, match=f"2 of {iterations} .*limit is 1%"):
+            bootstrap_pipeline(clustered, plan, self._failing_on({3, 9}), n_threads=1)
     def test_single_draw_zero_covariance(self, clustered):
         boot = bootstrap_pipeline(clustered, BootstrapPlan(iterations=1, seed=3), weighted_mean_estimator)
         assert boot.draws.shape == (1, 1)
@@ -291,6 +319,39 @@ class TestPipeline:
 
         with pytest.raises(ValueError, match="expected 2"):
             bootstrap_pipeline(clustered, BootstrapPlan(iterations=2, seed=4), ragged)
+
+
+class TestSortsAreSharedAcrossDraws:
+    """Reweighting never changes a column's order, so draws must not re-sort."""
+
+    @staticmethod
+    def _argsort_calls(monkeypatch, iterations: int) -> int:
+        rng = np.random.default_rng(8)
+        data = PanelDataset({"v": np.round(rng.standard_t(3, size=200), 1)}, np.arange(200))
+        specs = [LStatSpec("v"), LStatSpec("v")]
+        adjusted = [
+            LStatSpec("v", scheme=WeightScheme.quantile_trim("v", 0.05, 0.95)),
+            LStatSpec("v", scheme=WeightScheme.winsorize("v", 0.05, 0.95)),
+        ]
+        calls = {"n": 0}
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        plan = BootstrapPlan(iterations=iterations, seed=4, resample_unit="row")
+        boot = bootstrap_pipeline(data, plan, lstat_pair_estimator(specs, adjusted))
+        monkeypatch.setattr(np, "argsort", argsort)
+        assert boot.n_failed == 0
+        return calls["n"]
+
+    def test_argsort_count_does_not_grow_with_draws(self, monkeypatch):
+        few = self._argsort_calls(monkeypatch, 5)
+        many = self._argsort_calls(monkeypatch, 50)
+        assert many == few
+        assert few <= 1  # one column, sorted at most once per dataset
 
 
 class TestBootstrapCov:

@@ -106,6 +106,45 @@ class TestBootstrapAndTest:
         capsys.readouterr()
         assert contents[0] == contents[1] == contents[2]
 
+    def test_lstat_outputs_identical_across_threads(self, tmp_path, capsys):
+        # Both order-statistic schemes in two comparisons share each column's
+        # sort order across draws and threads; the files must not notice.
+        rng = np.random.default_rng(5)
+        x = np.round(rng.standard_t(3, size=300), 2)
+        x[x == 0.0] = 0.5
+        z = np.round(rng.normal(size=300), 1)
+        lines = ["x,z"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, z)]
+        (tmp_path / "sample.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = {
+            "input": str(tmp_path / "sample.csv"),
+            "model": {"type": "lstat", "statistics": [{"column": "x"}, {"column": "z"}]},
+            "comparisons": [
+                {"name": "trim", "weights": {
+                    "baseline": {"kind": "all_ones"},
+                    "adjusted": {"kind": "quantile_trim", "columns": ["x", "z"],
+                                 "lower_q": 0.05, "upper_q": 0.95},
+                }},
+                {"name": "winsor", "weights": {
+                    "baseline": {"kind": "all_ones"},
+                    "adjusted": {"kind": "winsorize", "columns": ["x"],
+                                 "lower_q": 0.05, "upper_q": 0.95},
+                }},
+            ],
+            "bootstrap": {"iterations": 200, "seed": 3, "resample_unit": "row"},
+            "test": {"alpha": 0.05, "h": 0.0, "norm": "diff_cov", "seed": 4},
+            "output": {"plot_pairs": ["x"], "analytic_cov": True},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        contents = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            argv = ["test", "--config", str(tmp_path / "config.json"), "--threads", threads]
+            assert main(argv + ["--output", str(out)]) == 0
+            contents.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        capsys.readouterr()
+        assert {"draws_trim.csv", "draws_winsor.csv", "results.json"} <= set(contents[0])
+        assert contents[0] == contents[1]
+
     def test_seed_override_changes_draws(self, workdir, capsys):
         tmp_path, config = workdir
         main(["bootstrap", "--config", config, "--output", str(tmp_path / "s9")])
@@ -271,6 +310,29 @@ class TestExitCodes:
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
         assert capsys.readouterr().err == "data error: reps must be >= 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["reps", "inner_iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_mc_non_integer_count_is_exit_2(self, tmp_path, capsys, key, value):
+        p = tmp_path / "mc.json"
+        mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}
+        mc[key] = value
+        p.write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: mc.{key} must be an integer")
+        assert not out.exists()
+
+    def test_mc_integral_float_count_runs(self, tmp_path, capsys):
+        p = tmp_path / "mc.json"
+        mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2.0, "inner_iterations": 20}
+        p.write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(p), "--output", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "mc_results.json").read_text(encoding="utf-8"))
+        assert doc["reps"] == 2
 
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,53 @@ class TestPanelDataset:
         with pytest.raises(KeyError, match="no column named"):
             tiny.column("missing")
         assert tuple(tiny.columns) == ("v",)
+
+    def test_sort_order_is_stable_argsort_under_ties(self):
+        v = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
+        data = PanelDataset({"v": v}, np.arange(6))
+        order = data.sort_order("v")
+        np.testing.assert_array_equal(order, [1, 4, 3, 0, 2, 5])
+        np.testing.assert_array_equal(order, np.argsort(v, kind="stable"))
+
+    def test_sort_order_is_read_only_and_memoized(self, tiny):
+        order = tiny.sort_order("v")
+        with pytest.raises(ValueError):
+            order[0] = 4
+        assert tiny.sort_order("v") is order
+        with pytest.raises(KeyError, match="no column named"):
+            tiny.sort_order("missing")
+
+    def test_derived_datasets_sort_afresh(self, tiny):
+        order = tiny.sort_order("v")
+        flipped = tiny.with_columns({"v": -tiny.column("v")})
+        np.testing.assert_array_equal(flipped.sort_order("v"), [4, 3, 2, 1, 0])
+        kept = tiny.subset_rows(np.array([True, False, True, True, False]))
+        np.testing.assert_array_equal(kept.sort_order("v"), [0, 1, 2])
+        assert flipped.sort_order("v") is not order
+        assert kept.sort_order("v") is not order
+        np.testing.assert_array_equal(tiny.sort_order("v"), [0, 1, 2, 3, 4])
+
+    def test_threads_share_one_sort_order_per_column(self):
+        # Draws on worker threads hit a fresh memo together; every thread
+        # must come away with the same stored array for each column.
+        rng = np.random.default_rng(3)
+        names = [f"c{j}" for j in range(6)]
+        data = PanelDataset({c: rng.normal(size=500) for c in names}, np.arange(500))
+        barrier = threading.Barrier(8)
+
+        def grab(_):
+            barrier.wait(timeout=10)
+            return [data.sort_order(c) for c in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(grab, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        for j, c in enumerate(names):
+            assert all(orders[j] is data.sort_order(c) for orders in seen)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

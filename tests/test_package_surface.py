@@ -2,9 +2,12 @@
 
 A function or class that only tests call is dead weight in the library.
 The scan parses src/trimtest/*.py and counts a name as used when another
-top-level statement of the package refers to it as a name, an attribute or
-an import.  Re-exports in __init__.py do not count, and neither do
-references inside the name's own definition.
+top-level statement of the package reads it as a bare name, reads it as an
+attribute of an imported module, or imports it with `from ... import`.  An
+attribute read on any other object does not count: `report.critical_value`
+is a field, not a call of the function `critical_value`.  Re-exports in
+__init__.py do not count, and neither do references inside the name's own
+definition.
 """
 
 from __future__ import annotations
@@ -16,15 +19,35 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trimtest"
 
 # Independent reference routes that the acceptance criteria check the
 # pipeline against; nothing in the package calls them.
-KEEP = {"lstat_eval_via_integral", "quantile_process_cov_kernel", "mc_covariance"}
+KEEP = {
+    "lstat_eval_via_integral",
+    "quantile_process_cov_kernel",
+    "mc_covariance",
+    "critical_value",  # acceptance criterion 6 calls it
+}
 
 
-def _referenced(node: ast.AST) -> set[str]:
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names a file binds to modules with `import m` or `import m as a`."""
+    return {
+        a.asname or a.name.split(".")[0]
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Import)
+        for a in sub.names
+    }
+
+
+def _referenced(node: ast.AST, modules: set[str]) -> set[str]:
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in modules
+        ):
             names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
@@ -37,12 +60,13 @@ def _scan():
     references: list[tuple[tuple[str, int], set[str]]] = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = _module_aliases(tree)
         for i, stmt in enumerate(tree.body):
             site = (path.name, i)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((stmt.name, site))
             if path.name != "__init__.py":
-                references.append((site, _referenced(stmt)))
+                references.append((site, _referenced(stmt, modules)))
     return definitions, references
 
 

@@ -444,6 +444,19 @@ class TestWeightedQuantileThreshold:
                 weighted_quantile_threshold(values[perm], weights[perm], q)
             )
 
+    def test_precomputed_order_gives_the_same_threshold(self, rng):
+        values = np.round(rng.normal(size=40), 1)  # ties
+        order = np.argsort(values, kind="stable")
+        for _ in range(5):
+            weights = rng.integers(0, 3, size=40).astype(float)
+            weights[0] = 1.0
+            for q in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+                assert weighted_quantile_threshold(values, weights, q, order) == (
+                    weighted_quantile_threshold(values, weights, q)
+                )
+        with pytest.raises(ValueError, match="one entry per value"):
+            weighted_quantile_threshold(values, np.ones(40), 0.5, order[:-1])
+
     def test_zero_weight_rows_are_never_chosen(self, rng):
         values = rng.normal(size=16)
         weights = rng.integers(0, 3, size=16).astype(float)
