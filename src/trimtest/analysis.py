@@ -57,6 +57,52 @@ def _stage(name: str):
         raise
 
 
+# The keys README documents for each config section; any other key is refused.
+_ROOT_KEYS = frozenset(
+    "input cluster_column model weights comparisons lags bootstrap test output mc".split()
+)
+_MODEL_KEYS = frozenset(
+    "type outcome regressors fixed_effects intercept normalization report_coefficients"
+    " endogenous instruments derived statistics".split()
+)
+_DERIVED_KEYS = frozenset({"effect", "lags", "horizon"})
+_BOOTSTRAP_KEYS = frozenset(
+    {"iterations", "seed", "resample_unit", "engine", "multiplier_distribution"}
+)
+_TEST_KEYS = frozenset({"alpha", "h", "norm", "mc_draws", "seed", "method"})
+_OUTPUT_KEYS = frozenset({"directory", "plot_pairs", "analytic_cov"})
+_MC_KEYS = frozenset("dgp reps seed alpha h multiplier inner_iterations coefficient".split())
+
+
+def _known_keys(section, allowed: frozenset, name: str) -> dict:
+    """The section, once it is an object holding only allowed keys."""
+    if not isinstance(section, dict):
+        raise DataError(f"{name} must be an object")
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise DataError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return section
+
+
+def config_int(value, name: str) -> int:
+    """An integer setting (count or seed); fractions, bools and strings are refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def mc_section(raw: dict) -> dict:
+    """The mc section of a config, with the keys of every section it reads checked."""
+    with _stage("config"):
+        _known_keys(raw, _ROOT_KEYS, "config root")
+        _known_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
+        if not raw.get("mc"):
+            raise DataError("config has no mc section")
+        return _known_keys(raw["mc"], _MC_KEYS, "mc")
+
+
 @dataclass(frozen=True)
 class Comparison:
     """One baseline/adjusted estimator pair to run and test."""
@@ -90,12 +136,11 @@ class AnalysisConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
         with _stage("config"):
-            if not isinstance(raw, dict):
-                raise DataError("config root must be an object")
+            _known_keys(raw, _ROOT_KEYS, "config root")
             for key in ("input", "model"):
                 if key not in raw:
                     raise DataError(f"config is missing required key {key!r}")
-            model_raw = raw["model"]
+            model_raw = _known_keys(raw["model"], _MODEL_KEYS, "model")
             mtype = model_raw.get("type", "ols")
             if mtype not in {"ols", "iv", "lstat"}:
                 raise DataError(f"unknown model type {mtype!r}")
@@ -139,29 +184,32 @@ class AnalysisConfig:
                 )
                 derived = model_raw.get("derived")
                 if derived:
+                    _known_keys(derived, _DERIVED_KEYS, "model.derived")
                     derived_effect = derived["effect"]
                     derived_lags = tuple(derived["lags"])
-                    derived_horizon = int(derived.get("horizon", 25))
-            boot_raw = raw.get("bootstrap", {})
+                    horizon = derived.get("horizon", 25)
+                    derived_horizon = config_int(horizon, "model.derived.horizon")
+            boot_raw = _known_keys(raw.get("bootstrap", {}), _BOOTSTRAP_KEYS, "bootstrap")
             plan = BootstrapPlan(
-                iterations=int(boot_raw.get("iterations", 10_000)),
-                seed=int(boot_raw.get("seed", 0)),
+                iterations=config_int(boot_raw.get("iterations", 10_000), "bootstrap.iterations"),
+                seed=config_int(boot_raw.get("seed", 0), "bootstrap.seed"),
                 resample_unit=boot_raw.get("resample_unit", "cluster"),
                 engine=boot_raw.get("engine", "multinomial"),
                 multiplier_distribution=boot_raw.get("multiplier_distribution", "normal"),
             )
-            test_raw = raw.get("test", {})
+            test_raw = _known_keys(raw.get("test", {}), _TEST_KEYS, "test")
             test = TestSpec(
                 h=float(test_raw.get("h", 0.0)),
                 alpha=float(test_raw.get("alpha", 0.05)),
                 norm_matrix=test_raw.get("norm", "diff_cov"),
-                mc_draws=int(test_raw.get("mc_draws", 100_000)),
-                seed=int(test_raw.get("seed", 0)),
+                mc_draws=config_int(test_raw.get("mc_draws", 100_000), "test.mc_draws"),
+                seed=config_int(test_raw.get("seed", 0), "test.seed"),
                 method=test_raw.get("method", "auto"),
             )
-            out_raw = raw.get("output", {})
+            out_raw = _known_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
             lags = tuple(
-                (entry["column"], int(entry["count"])) for entry in raw.get("lags", ())
+                (entry["column"], config_int(entry["count"], "lags.count"))
+                for entry in raw.get("lags", ())
             )
             return cls(
                 input_path=raw["input"],

@@ -20,6 +20,8 @@ import numpy as np
 
 from .analysis import (
     AnalysisConfig,
+    config_int,
+    mc_section,
     point_estimates,
     read_json_config,
     regenerate_report,
@@ -41,13 +43,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, draws: bool = True):
+    """--config and --output; commands that draw also get --seed, --iterations, --threads."""
     p.add_argument("--config", required=True, help="path to the JSON analysis config")
-    p.add_argument("--seed", type=int, default=None, help="override the bootstrap seed")
-    p.add_argument(
-        "--iterations", type=int, default=None, help="override the bootstrap iteration count"
-    )
-    p.add_argument("--threads", type=int, default=1, help="worker threads for bootstrap draws")
+    if draws:
+        p.add_argument("--seed", type=int, default=None, help="override the bootstrap seed")
+        p.add_argument(
+            "--iterations", type=int, default=None, help="override the bootstrap iteration count"
+        )
+        p.add_argument(
+            "--threads", type=int, default=1, help="worker threads for bootstrap draws"
+        )
     p.add_argument("--output", default=None, help="override the output directory")
 
 
@@ -55,16 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trimtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    _add_common(sub.add_parser("estimate", help="compute point estimates only"), draws=False)
     for name, help_text in (
-        ("estimate", "compute point estimates only"),
         ("bootstrap", "same as test"),
         ("test", "full analysis: bootstrap plus robustness tests"),
+        ("mc", "Monte Carlo studies driven by the config's mc section"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-
-    p = sub.add_parser("mc", help="Monte Carlo studies driven by the config's mc section")
-    _add_common(p)
+        _add_common(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("report", help="regenerate the report from stored draws")
     p.add_argument("--output", required=True, help="directory holding results.json and draws")
@@ -76,15 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> AnalysisConfig:
-    config = AnalysisConfig.from_json_file(args.config)
-    return config.override(
-        seed=args.seed, iterations=args.iterations, output_dir=args.output
-    )
-
-
 def _cmd_estimate(args) -> int:
-    config = _load_config(args)
+    config = AnalysisConfig.from_json_file(args.config).override(output_dir=args.output)
     doc = point_estimates(config)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     path = os.path.join(config.output_dir, "estimates.json")
@@ -94,7 +90,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    config = _load_config(args)
+    config = AnalysisConfig.from_json_file(args.config).override(
+        seed=args.seed, iterations=args.iterations, output_dir=args.output
+    )
     bundle = run_analysis(config, n_threads=args.threads)
     paths = write_outputs(bundle)
     sys.stdout.write(bundle.table_text)
@@ -102,23 +100,11 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _mc_int(mc_raw: dict, key: str, default: int) -> int:
-    """An integer mc setting (count or seed); fractions, bools and strings are refused."""
-    v = mc_raw.get(key, default)
-    if isinstance(v, bool) or not (
-        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    ):
-        raise DataError(f"mc.{key} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _cmd_mc(args) -> int:
     from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
 
     raw = read_json_config(args.config)
-    mc_raw = raw.get("mc")
-    if not mc_raw:
-        raise DataError("config has no mc section")
+    mc_raw = mc_section(raw)
     dgp_raw = dict(mc_raw.get("dgp", {}))
     kind = dgp_raw.pop("kind", None)
     if kind is None:
@@ -127,15 +113,15 @@ def _cmd_mc(args) -> int:
     if unknown:
         raise DataError(f"unknown mc.dgp key(s): {', '.join(unknown)}")
     dgp = DGPSpec(kind=kind, **dgp_raw)
-    seed = args.seed if args.seed is not None else _mc_int(mc_raw, "seed", 0)
-    reps = _mc_int(mc_raw, "reps", 100)
+    seed = args.seed if args.seed is not None else config_int(mc_raw.get("seed", 0), "mc.seed")
+    reps = config_int(mc_raw.get("reps", 100), "mc.reps")
     alpha = float(mc_raw.get("alpha", 0.05))
     h = float(mc_raw.get("h", 0.0))
     analysis = residual_trim_size_analysis(
         multiplier=float(mc_raw.get("multiplier", 1.96)),
         inner_iterations=args.iterations
         if args.iterations is not None
-        else _mc_int(mc_raw, "inner_iterations", 299),
+        else config_int(mc_raw.get("inner_iterations", 299), "mc.inner_iterations"),
         alpha=alpha,
         h=h,
         coefficient=mc_raw.get("coefficient", "x"),

@@ -334,6 +334,117 @@ class TestExitCodes:
         doc = json.loads((out / "mc_results.json").read_text(encoding="utf-8"))
         assert doc["reps"] == 2
 
+    # The six integer config settings, at the values the lagged config uses.
+    _INTEGERS = {
+        "bootstrap.iterations": 40,
+        "bootstrap.seed": 9,
+        "test.mc_draws": 2000,
+        "test.seed": 9,
+        "model.derived.horizon": 3,
+        "lags.count": 1,
+    }
+
+    @classmethod
+    def _lagged_config(cls, config: str, **overrides) -> dict:
+        """The workdir config with lags and derived summaries, so every integer setting appears."""
+        v = {**cls._INTEGERS, **overrides}
+        with open(config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["lags"] = [{"column": "y", "count": v["lags.count"]}]
+        raw["model"]["regressors"] = ["x", "y_lag1"]
+        raw["model"]["report_coefficients"] = ["x"]
+        raw["model"]["derived"] = {
+            "effect": "x",
+            "lags": ["y_lag1"],
+            "horizon": v["model.derived.horizon"],
+        }
+        raw["bootstrap"] = {"iterations": v["bootstrap.iterations"], "seed": v["bootstrap.seed"]}
+        raw["test"] = {
+            "seed": v["test.seed"],
+            "mc_draws": v["test.mc_draws"],
+            "norm": "identity",
+            "h": 0.01,
+        }
+        return raw
+
+    @pytest.mark.parametrize("name", list(_INTEGERS))
+    @pytest.mark.parametrize("value", [20.7, True, "20"])
+    def test_non_integer_config_setting_is_exit_2(self, workdir, capsys, name, value):
+        tmp_path, config = workdir
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self._lagged_config(config, **{name: value})), encoding="utf-8")
+        out = tmp_path / "bad-out"
+        assert main(["test", "--config", str(p), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: [config] {name} must be an integer, got {value!r}")
+        assert not out.exists()
+
+    def test_integral_float_config_settings_run(self, workdir, capsys):
+        tmp_path, config = workdir
+        floats = {name: float(v) for name, v in self._INTEGERS.items()}
+        blobs = []
+        for tag, raw in (
+            ("ints", self._lagged_config(config)),
+            ("floats", self._lagged_config(config, **floats)),
+        ):
+            p = tmp_path / f"{tag}.json"
+            p.write_text(json.dumps(raw), encoding="utf-8")
+            assert main(["test", "--config", str(p), "--output", str(tmp_path / tag)]) == 0
+            blobs.append((tmp_path / tag / "results.json").read_bytes())
+        capsys.readouterr()
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["bootstrap"]["iterations"] == 40
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [
+            ((), "ouptut"),
+            (("model",), "regresors"),
+            (("model", "derived"), "horizn"),
+            (("bootstrap",), "iteration"),
+            (("test",), "alfa"),
+            (("output",), "dir"),
+        ],
+        ids=lambda v: ".".join(v) or "root" if isinstance(v, tuple) else v,
+    )
+    def test_unknown_config_key_is_exit_2(self, workdir, capsys, path, key):
+        tmp_path, config = workdir
+        raw = self._lagged_config(config)
+        section = raw
+        for part in path:
+            section = section[part]
+        section[key] = 1
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["estimate", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
+        name = ".".join(path) or "config root"
+        assert capsys.readouterr().err == f"data error: [config] unknown key(s) in {name}: {key}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", [(), ("mc",), ("output",)], ids=["root", "mc", "output"])
+    def test_mc_unknown_config_key_is_exit_2(self, tmp_path, capsys, path):
+        doc = {"mc": {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2}, "output": {}}
+        section = doc
+        for part in path:
+            section = section[part]
+        section["inner_iteration"] = 20
+        p = tmp_path / "mc.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
+        name = ".".join(path) or "config root"
+        err = capsys.readouterr().err
+        assert err == f"data error: [config] unknown key(s) in {name}: inner_iteration\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--iterations", "--threads"])
+    def test_estimate_takes_no_draw_flags(self, workdir, capsys, flag):
+        _, config = workdir
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--config", config, flag, "2"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir
         raw = json.loads(open(config, encoding="utf-8").read())

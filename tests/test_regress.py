@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimtest import PanelDataset
 from trimtest.errors import RankDeficiencyError
@@ -21,6 +23,21 @@ from trimtest.regress import (
 )
 
 from conftest import make_panel
+
+
+def _per_cluster_sigma(eps, data, rho, normalization):
+    """Mean square as sigma_hat computed it per cluster before sharing _row_scale.
+
+    Returns (mass, mean square); sigma is the root when both are valid.
+    """
+    rho = np.ones(data.n_rows) if rho is None else rho
+    if normalization == "pooled":
+        mass = float(rho.sum())
+        return mass, float(np.sum(rho * eps**2) / mass) if mass > 0 else 0.0
+    ci, m, sizes = data.row_cluster_index, data.n_clusters, data.cluster_sizes
+    per_cluster = np.bincount(ci, weights=rho * eps**2, minlength=m) / sizes
+    mass = float(np.sum(np.bincount(ci, weights=rho, minlength=m) / sizes))
+    return mass, float(per_cluster.sum() / mass) if mass > 0 else 0.0
 
 
 def iid_dataset(rng, n=200, slope=1.5, intercept=0.4):
@@ -205,6 +222,43 @@ class TestSigmaHat:
             sigma_hat(np.zeros(2), data)
 
     @pytest.mark.parametrize("normalization", ["equal", "pooled"])
+    @pytest.mark.parametrize("multipliers", ["none", "multinomial", "poisson", "signed"])
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=30), seed=st.integers(0, 2**16))
+    def test_matches_the_per_cluster_formula(self, normalization, multipliers, sizes, seed):
+        # One row-scale formula replaced a per-cluster sum; only the order
+        # of summation differs, so sigma moves by rounding alone.
+        rng = np.random.default_rng(seed)
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(ids)
+        data = PanelDataset({"y": np.zeros(n)}, ids)
+        eps = rng.standard_t(3, size=n) * 10.0 ** rng.integers(-3, 4)
+        rho = None
+        if multipliers == "multinomial":  # cluster resample counts
+            rho = rng.multinomial(len(sizes), np.full(len(sizes), 1.0 / len(sizes)))[ids] * 1.0
+        elif multipliers == "poisson":
+            rho = rng.poisson(1.0, n) * 1.0
+        elif multipliers == "signed":
+            rho = 1.0 + rng.standard_normal(n)
+        mass, mean_square = _per_cluster_sigma(eps, data, rho, normalization)
+        if mass <= 0 or mean_square < 0:
+            with pytest.raises(ValueError, match="non-positive total|mean square is negative"):
+                sigma_hat(eps, data, row_multipliers=rho, normalization=normalization)
+            return
+        expected = np.sqrt(mean_square)
+        got = sigma_hat(eps, data, row_multipliers=rho, normalization=normalization)
+        # Rounding grows with cancellation in the two weighted sums; kappa is
+        # their condition number, 1 unless signed multipliers cancel.
+        s = np.ones(n) if rho is None else rho
+        if normalization == "equal":
+            s = s / data.row_cluster_sizes
+        kappa = max(
+            np.sum(np.abs(s) * eps**2) / abs(np.sum(s * eps**2)),
+            np.sum(np.abs(s)) / abs(np.sum(s)),
+        )
+        assert abs(got - expected) <= 1e-15 * kappa * expected
+
+    @pytest.mark.parametrize("normalization", ["equal", "pooled"])
     def test_negative_mean_square_raises_at_the_scale(self, normalization):
         # Signed normal multipliers: positive total mass, but the large
         # residual carries the negative weight.  No NaN, no RuntimeWarning.
@@ -278,6 +332,19 @@ class TestWeighted2sls:
         iv_model = RegressionModel("y", ("x",), endogenous=("x",), instruments=("z",))
         assert fit_model(ols_model, iv_data).first_stage_residuals is None
         assert fit_model(iv_model, iv_data).first_stage_residuals is not None
+        # One routine under three names: every name fits 2SLS on the IV model.
+        for model in (ols_model, iv_model):
+            ref = fit_model(model, iv_data)
+            for fit in (weighted_ols(model, iv_data), weighted_2sls(model, iv_data)):
+                assert fit.coefficient_names == ref.coefficient_names
+                np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
+                np.testing.assert_array_equal(fit.residuals, ref.residuals)
+                assert fit.sigma == ref.sigma
+                if model.is_instrumented:
+                    np.testing.assert_array_equal(
+                        fit.first_stage_residuals, ref.first_stage_residuals
+                    )
+                    np.testing.assert_array_equal(fit.first_stage_sigmas, ref.first_stage_sigmas)
 
     def test_uninstrumented_model_falls_back_to_ols(self, iv_data):
         model = RegressionModel("y", ("x",))
