@@ -72,6 +72,23 @@ _BOOTSTRAP_KEYS = frozenset(
 _TEST_KEYS = frozenset({"alpha", "h", "norm", "mc_draws", "seed", "method"})
 _OUTPUT_KEYS = frozenset({"directory", "plot_pairs", "analytic_cov"})
 _MC_KEYS = frozenset("dgp reps seed alpha h multiplier inner_iterations coefficient".split())
+_STATISTIC_KEYS = frozenset({"column", "transform", "name"})
+_LAG_KEYS = frozenset({"column", "count"})
+# Keys, and which of them are real numbers, per weight-scheme and transform kind.
+_BOUNDS = frozenset({"lower_q", "upper_q"})
+_SCHEME_KEYS = {
+    "all_ones": frozenset(),
+    "quantile_trim": frozenset({"columns"}) | _BOUNDS,
+    "winsorize": frozenset({"columns"}) | _BOUNDS,
+    "residual_trim": frozenset({"multiplier"}),
+    "custom": frozenset({"values"}),
+}
+_TRANSFORM_KEYS = {
+    "identity": frozenset(),
+    "power": frozenset({"exponent"}),
+    "table": frozenset({"x", "y", "dy"}),
+}
+_REAL_KEYS = _BOUNDS | {"multiplier", "exponent"}
 
 
 def _known_keys(section, allowed: frozenset, name: str) -> dict:
@@ -93,6 +110,26 @@ def config_int(value, name: str) -> int:
     return int(value)
 
 
+def config_float(value, name: str) -> float:
+    """A real-valued setting; integers are accepted, bools and strings refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _kind_section(raw, keys_by_kind: dict, name: str, default_kind: str | None = None) -> dict:
+    """A scheme or transform object checked against its kind's keys, reals as floats.
+
+    An unknown kind passes through for the kind's own constructor to refuse.
+    """
+    if not isinstance(raw, dict):
+        raise DataError(f"{name} must be an object")
+    kind = raw.get("kind", default_kind)
+    if isinstance(kind, str) and kind in keys_by_kind:
+        _known_keys(raw, keys_by_kind[kind] | {"kind"}, name)
+    return {k: config_float(v, f"{name}.{k}") if k in _REAL_KEYS else v for k, v in raw.items()}
+
+
 def mc_section(raw: dict) -> dict:
     """The mc section of a config, with the keys of every section it reads checked."""
     with _stage("config"):
@@ -101,6 +138,18 @@ def mc_section(raw: dict) -> dict:
         if not raw.get("mc"):
             raise DataError("config has no mc section")
         return _known_keys(raw["mc"], _MC_KEYS, "mc")
+
+
+def _statistic(raw, name: str) -> LStatSpec:
+    entry = _known_keys(raw, _STATISTIC_KEYS, name)
+    transform = _kind_section(
+        entry.get("transform", {}), _TRANSFORM_KEYS, f"{name}.transform", "identity"
+    )
+    return LStatSpec(
+        column=entry["column"],
+        transform=Transform.from_dict(transform),
+        name=entry.get("name", entry["column"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -156,12 +205,7 @@ class AnalysisConfig:
                 if not stats_raw:
                     raise DataError("lstat model requires a statistics list")
                 statistics = tuple(
-                    LStatSpec(
-                        column=s["column"],
-                        transform=Transform.from_dict(s.get("transform", {"kind": "identity"})),
-                        name=s.get("name", s["column"]),
-                    )
-                    for s in stats_raw
+                    _statistic(e, f"model.statistics[{i}]") for i, e in enumerate(stats_raw)
                 )
             else:
                 endog = tuple(model_raw.get("endogenous", ()))
@@ -189,6 +233,18 @@ class AnalysisConfig:
                     derived_lags = tuple(derived["lags"])
                     horizon = derived.get("horizon", 25)
                     derived_horizon = config_int(horizon, "model.derived.horizon")
+                # Under fixed effects no name depends on the data.
+                for key, names in (
+                    ("model.report_coefficients", report_coefficients),
+                    ("model.derived.effect", (derived_effect,) if derived_effect else ()),
+                    ("model.derived.lags", derived_lags),
+                ):
+                    unknown = [c for c in names if c not in model.named_coefficients]
+                    if unknown:
+                        raise DataError(
+                            f"{key} names {', '.join(map(repr, unknown))}, not a model "
+                            f"coefficient ({', '.join(model.named_coefficients)})"
+                        )
             boot_raw = _known_keys(raw.get("bootstrap", {}), _BOOTSTRAP_KEYS, "bootstrap")
             plan = BootstrapPlan(
                 iterations=config_int(boot_raw.get("iterations", 10_000), "bootstrap.iterations"),
@@ -199,18 +255,18 @@ class AnalysisConfig:
             )
             test_raw = _known_keys(raw.get("test", {}), _TEST_KEYS, "test")
             test = TestSpec(
-                h=float(test_raw.get("h", 0.0)),
-                alpha=float(test_raw.get("alpha", 0.05)),
+                h=config_float(test_raw.get("h", 0.0), "test.h"),
+                alpha=config_float(test_raw.get("alpha", 0.05), "test.alpha"),
                 norm_matrix=test_raw.get("norm", "diff_cov"),
                 mc_draws=config_int(test_raw.get("mc_draws", 100_000), "test.mc_draws"),
                 seed=config_int(test_raw.get("seed", 0), "test.seed"),
                 method=test_raw.get("method", "auto"),
             )
             out_raw = _known_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
-            lags = tuple(
-                (entry["column"], config_int(entry["count"], "lags.count"))
-                for entry in raw.get("lags", ())
-            )
+            lag_entries = [
+                _known_keys(e, _LAG_KEYS, f"lags[{i}]") for i, e in enumerate(raw.get("lags", ()))
+            ]
+            lags = tuple((e["column"], config_int(e["count"], "lags.count")) for e in lag_entries)
             return cls(
                 input_path=raw["input"],
                 cluster_column=raw.get("cluster_column"),
@@ -255,13 +311,15 @@ def read_json_config(path: str) -> dict:
 
 def _parse_comparisons(raw: dict) -> tuple[Comparison, ...]:
     entries = raw.get("comparisons")
+    where = "comparisons[{}]"
     if entries is None:
         weights = raw.get("weights")
         if weights is None:
             raise DataError("config needs a weights object or a comparisons list")
         entries = [{"name": "main", "weights": weights}]
+        where = "weights"
     out = []
-    for e in entries:
+    for i, e in enumerate(entries):
         w = e.get("weights", e)
         extra = set(w) - {"baseline", "adjusted", "name"}
         if "baseline" not in w or "adjusted" not in w:
@@ -273,8 +331,12 @@ def _parse_comparisons(raw: dict) -> tuple[Comparison, ...]:
         out.append(
             Comparison(
                 name=e.get("name", "main"),
-                baseline_scheme=WeightScheme.from_dict(w["baseline"]),
-                adjusted_scheme=WeightScheme.from_dict(w["adjusted"]),
+                baseline_scheme=WeightScheme.from_dict(
+                    _kind_section(w["baseline"], _SCHEME_KEYS, f"{where.format(i)}.baseline")
+                ),
+                adjusted_scheme=WeightScheme.from_dict(
+                    _kind_section(w["adjusted"], _SCHEME_KEYS, f"{where.format(i)}.adjusted")
+                ),
             )
         )
     names = [c.name for c in out]

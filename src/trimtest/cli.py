@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (
     AnalysisConfig,
+    config_float,
     config_int,
     mc_section,
     point_estimates,
@@ -115,10 +116,10 @@ def _cmd_mc(args) -> int:
     dgp = DGPSpec(kind=kind, **dgp_raw)
     seed = args.seed if args.seed is not None else config_int(mc_raw.get("seed", 0), "mc.seed")
     reps = config_int(mc_raw.get("reps", 100), "mc.reps")
-    alpha = float(mc_raw.get("alpha", 0.05))
-    h = float(mc_raw.get("h", 0.0))
+    alpha = config_float(mc_raw.get("alpha", 0.05), "mc.alpha")
+    h = config_float(mc_raw.get("h", 0.0), "mc.h")
     analysis = residual_trim_size_analysis(
-        multiplier=float(mc_raw.get("multiplier", 1.96)),
+        multiplier=config_float(mc_raw.get("multiplier", 1.96), "mc.multiplier"),
         inner_iterations=args.iterations
         if args.iterations is not None
         else config_int(mc_raw.get("inner_iterations", 299), "mc.inner_iterations"),

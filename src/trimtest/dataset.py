@@ -64,6 +64,8 @@ class PanelDataset:
     # Column name -> sort order.  Created with the dataset, not lazily, so
     # threads running draws on one dataset always share a single memo.
     _sort_orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Factor name -> (labels, codes), shared the same way.
+    _factor_codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         ids = np.asarray(self.cluster_ids)
@@ -136,6 +138,25 @@ class PanelDataset:
                 name, _readonly(np.argsort(self.column(name), kind="stable"))
             )
         return order
+
+    def factor_codes(self, name: str) -> tuple[tuple, np.ndarray]:
+        """Categories of a fixed-effect factor, computed once: (labels, codes).
+
+        A column is factorized in order of first appearance; the name
+        "cluster", when no column has it, is the cluster structure itself.
+        Codes are read-only row ordinals into labels.
+        """
+        factor = self._factor_codes.get(name)
+        if factor is None:
+            if name in self.columns:
+                labels, codes = factorize_first_appearance(self.columns[name])
+                factor = (labels, _readonly(codes))
+            elif name == "cluster":
+                factor = (self.cluster_labels, self.row_cluster_index)
+            else:
+                raise KeyError(f"no column named {name!r} for fixed effect")
+            factor = self._factor_codes.setdefault(name, factor)
+        return factor
 
     def take_rows(self, indices: np.ndarray) -> "PanelDataset":
         """New dataset from row indices; each taken row becomes its own cluster."""

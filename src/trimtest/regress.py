@@ -6,10 +6,20 @@ weights rows by _row_scale, the one place that knows the normalization.
 Under the default cluster-equal normalization cluster i with T_i rows
 contributes (1/n) * (1/T_i) * sum over its rows, so each cluster counts
 once regardless of how many rows it has; "pooled" weights every row
-1/total_rows.  Fixed-effect factors are expanded into indicator columns
-with one baseline category dropped per factor; fitted values do not depend
-on which category is the baseline.  Rows with a zero bootstrap multiplier
-are absent from the fit, and a category left without rows gets no column.
+1/total_rows.  Rows with a zero bootstrap multiplier are absent from the
+fit.
+
+Fixed effects are absorbed, not estimated.  The factor with the most
+categories (cluster ids under "cluster") is swept out by demeaning the
+outcome, the regressors and the instruments within its categories at the
+fit's own row scale, which by Frisch-Waugh-Lovell gives the slopes and
+residuals of the fit on a full set of indicator columns.  The intercept
+goes with it, so `intercept` is ignored under fixed effects and the
+coefficients are the regressors, then one indicator per category of any
+further factor, less its first category with a present row.  A category
+without a present row drops out; one whose present rows carry zero total
+weight leaves its effect unidentified and raises RankDeficiencyError, as
+does a regressor with no variation within the absorbed categories.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PanelDataset, factorize_first_appearance
+from .dataset import PanelDataset
 from .errors import RankDeficiencyError
 
 RANK_RTOL = 1e-10
@@ -44,6 +54,8 @@ class RegressionModel:
         if not self.regressors:
             if not self.intercept:
                 raise ValueError("model needs regressors or an intercept")
+            if self.fixed_effects:
+                raise ValueError("a model with fixed effects needs regressors")
         unknown = set(self.endogenous) - set(self.regressors)
         if unknown:
             raise ValueError(f"endogenous columns {sorted(unknown)} are not regressors")
@@ -57,6 +69,12 @@ class RegressionModel:
     @property
     def is_instrumented(self) -> bool:
         return bool(self.endogenous)
+
+    @property
+    def named_coefficients(self) -> tuple[str, ...]:
+        """Coefficients every fit has, whatever the data: fixed effects absorb the intercept."""
+        lead = ("intercept",) if self.intercept and not self.fixed_effects else ()
+        return lead + self.regressors
 
 
 @dataclass(frozen=True)
@@ -78,18 +96,9 @@ class RegressionFit:
         return float(self.coefficients[idx])
 
 
-def _dummy_columns(labels: tuple, codes: np.ndarray, factor: str, present: np.ndarray):
-    """Indicator columns for a factor, dropping one baseline category.
-
-    Only categories with a present row get a column (a bootstrap draw that
-    leaves a category out must not leave an all-zero column behind).
-    Categories are ordered by first appearance; the first present one is
-    the baseline.
-    """
-    kept = np.unique(codes[present])[1:]
-    cols = [(codes == c).astype(float) for c in kept]
-    names = [f"{factor}={labels[c]}" for c in kept]
-    return cols, names
+def _absorbed_factor(data: PanelDataset, fixed_effects: tuple[str, ...]) -> str:
+    """The fixed effect with the most categories (the first listed on a tie)."""
+    return max(fixed_effects, key=lambda f: len(data.factor_codes(f)[0]))
 
 
 def build_design(
@@ -101,30 +110,29 @@ def build_design(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Assemble the design matrix: intercept, regressors, then FE dummies.
 
-    present marks the rows a fit can see (default all); fixed-effect
-    categories without a present row get no indicator column.
+    Under fixed effects, fit_model absorbs the factor with the most
+    categories by demeaning, so neither it nor the intercept gets a column.
+    Every other factor gets one indicator column per category with a row
+    in present (the rows a fit can see, default all), less the first such
+    category.
     """
     cols: list[np.ndarray] = []
     names: list[str] = []
-    n = data.n_rows
-    if intercept:
-        cols.append(np.ones(n))
+    if intercept and not fixed_effects:
+        cols.append(np.ones(data.n_rows))
         names.append("intercept")
     for r in regressors:
         cols.append(data.column(r))
         names.append(r)
-    if present is None:
-        present = np.ones(n, dtype=bool)
-    for f in fixed_effects:
-        if f in data.columns:
-            labels, codes = factorize_first_appearance(data.column(f))
-        elif f == "cluster":
-            labels, codes = data.cluster_labels, data.row_cluster_index
-        else:
-            raise KeyError(f"no column named {f!r} for fixed effect")
-        dcols, dnames = _dummy_columns(labels, codes, f, present)
-        cols.extend(dcols)
-        names.extend(dnames)
+    if fixed_effects:
+        absorbed = _absorbed_factor(data, fixed_effects)
+        for f in fixed_effects:
+            if f == absorbed:
+                continue
+            labels, codes = data.factor_codes(f)
+            kept = np.unique(codes if present is None else codes[present])[1:]
+            cols.extend((codes == c).astype(float) for c in kept)
+            names.extend(f"{f}={labels[c]}" for c in kept)
     if not cols:
         raise ValueError("empty design")
     return np.column_stack(cols), tuple(names)
@@ -141,16 +149,58 @@ def _row_scale(
     return w / data.n_rows
 
 
-def _solve_normal_equations(design: np.ndarray, scale: np.ndarray, target: np.ndarray, stage: str):
-    """Solve (X' S X) b = X' S t with a rank check at relative tolerance 1e-10."""
+def _solve_normal_equations(
+    design: np.ndarray, scale: np.ndarray, target: np.ndarray, stage: str, norm: float = 0.0
+):
+    """Solve (X' S X) b = X' S t with a rank check at relative tolerance 1e-10.
+
+    The tolerance is relative to the largest singular value of X' S X, or
+    to norm when that is larger (a demeaned design passes the largest
+    weighted square norm of its columns before demeaning).
+    """
     gram = design.T @ (design * scale[:, None])
     rhs = design.T @ (scale[:, None] * np.atleast_2d(target.T).T)
     sv = np.linalg.svd(gram, compute_uv=False)
-    tol = sv[0] * RANK_RTOL if len(sv) else 0.0
+    tol = max(sv[0], norm) * RANK_RTOL if len(sv) else 0.0
     rank = int(np.sum(sv > tol))
     if rank < gram.shape[0]:
         raise RankDeficiencyError(rank, gram.shape[0], stage=stage)
     return np.linalg.solve(gram, rhs)
+
+
+def _largest_norm(design: np.ndarray, scale: np.ndarray) -> float:
+    """Largest weighted square norm sum_r |s_r| x_rj^2 over the columns."""
+    return float(np.max(np.abs(scale) @ (design * design)))
+
+
+def _within(
+    codes: np.ndarray, m: int, scale: np.ndarray, present: np.ndarray | None, ncols: int
+):
+    """Deviation from the scale-weighted category mean, one bincount per column.
+
+    A category without a present row has zero mass and drops out: its rows
+    are demeaned by 0.  A category whose present rows carry zero total
+    scale (say, all trimmed by zero outlier weights) leaves its effect
+    unidentified and raises RankDeficiencyError.  codes are row ordinals
+    into m categories; ncols, the number of columns besides the
+    categories, only sizes the error.
+    """
+    mass = np.bincount(codes, weights=scale, minlength=m)
+    seen = np.ones(m, dtype=bool)
+    if present is not None:
+        seen = np.bincount(codes[present], minlength=m) > 0
+    empty = seen & (np.abs(mass) <= RANK_RTOL * np.abs(mass).max())
+    if empty.any():
+        n_seen = int(seen.sum())
+        raise RankDeficiencyError(n_seen - int(empty.sum()) + ncols, n_seen + ncols)
+    inverse_mass = np.divide(1.0, mass, out=np.zeros(m), where=seen)
+
+    def demean(a: np.ndarray) -> np.ndarray:
+        if a.ndim == 2:
+            return np.column_stack([demean(col) for col in a.T])
+        return a - (np.bincount(codes, weights=scale * a, minlength=m) * inverse_mass)[codes]
+
+    return demean
 
 
 def sigma_hat(
@@ -200,10 +250,13 @@ def fit_model(
     OLS solves on the design itself.  With instruments the solve uses the
     design's projection on the instrument matrix, which is the design with
     the endogenous columns replaced by the instruments (exogenous regressors
-    and fixed effects instrument themselves).  Residuals are computed for
-    every row from the actual regressors; an instrumented fit also returns
-    the first-stage residuals (one column per endogenous regressor) and
-    their scales for residual-trimming rules.
+    and fixed effects instrument themselves).  Under fixed effects the
+    outcome, the design and the instruments are first demeaned within the
+    absorbed factor's categories at the fit's row scale (Frisch-Waugh-
+    Lovell), and residuals are those of the demeaned outcome.  Residuals
+    are computed for every row from the actual regressors; an instrumented
+    fit also returns the first-stage residuals (one column per endogenous
+    regressor) and their scales for residual-trimming rules.
     """
     w = np.ones(data.n_rows) if weights is None else np.asarray(weights, dtype=float)
     present = None if row_multipliers is None else np.asarray(row_multipliers) != 0
@@ -212,16 +265,27 @@ def fit_model(
     )
     scale = _row_scale(data, w, row_multipliers, model.normalization)
     y = data.column(model.outcome)
-    fitted_design, stage = design, "design"
+    z_design = None
     if model.is_instrumented:
         exog = tuple(r for r in model.regressors if r not in model.endogenous)
         z_design, _ = build_design(
             data, model.instruments + exog, model.fixed_effects, model.intercept, present
         )
+    design_norm = z_norm = 0.0
+    if model.fixed_effects:
+        labels, codes = data.factor_codes(_absorbed_factor(data, model.fixed_effects))
+        demean = _within(codes, len(labels), scale, present, design.shape[1])
+        design_norm = _largest_norm(design, scale)
+        y, design = demean(y), demean(design)
+        if z_design is not None:
+            z_norm = _largest_norm(z_design, scale)
+            z_design = demean(z_design)
+    fitted_design, stage = design, "design"
+    if z_design is not None:
         # first stage: project the full design on the instrument set
-        pi = _solve_normal_equations(z_design, scale, design, stage="first-stage")
+        pi = _solve_normal_equations(z_design, scale, design, "first-stage", z_norm)
         fitted_design, stage = z_design @ pi, "second-stage"
-    beta = _solve_normal_equations(fitted_design, scale, y, stage=stage).ravel()
+    beta = _solve_normal_equations(fitted_design, scale, y, stage, design_norm).ravel()
     resid = y - design @ beta
     sig = sigma_hat(resid, data, row_multipliers, model.normalization)
     if not model.is_instrumented:

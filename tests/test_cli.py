@@ -437,6 +437,159 @@ class TestExitCodes:
         assert err == f"data error: [config] unknown key(s) in {name}: inner_iteration\n"
         assert not out.exists()
 
+    def _exit_2(self, tmp_path, capsys, raw, command="estimate") -> str:
+        """Run a config that must exit 2 before writing anything; return stderr."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "bad-out"
+        assert main([command, "--config", str(p), "--output", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("report_coefficients",), ["intercept"]),
+            (("derived", "effect"), "intercept"),
+            (("derived", "lags"), ["cluster=c1"]),
+        ],
+        ids=["report_coefficients", "derived.effect", "derived.lags"],
+    )
+    def test_fixed_effect_coefficient_names_are_checked(self, workdir, capsys, path, value):
+        # Under fixed effects the intercept is absorbed and no name depends
+        # on the data; only regressors can be reported.
+        tmp_path, config = workdir
+        raw = self._lagged_config(config)
+        raw["model"]["fixed_effects"] = ["cluster"]
+        section = raw["model"]
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+        err = self._exit_2(tmp_path, capsys, raw)
+        named = repr(value if isinstance(value, str) else value[0])
+        assert err == (
+            f"data error: [config] model.{'.'.join(path)} names {named}, "
+            "not a model coefficient (x, y_lag1)\n"
+        )
+
+    def test_intercept_is_reportable_without_fixed_effects(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = self._lagged_config(config)
+        raw["model"]["report_coefficients"] = ["intercept", "x"]
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["estimate", "--config", str(p), "--output", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["main"]["labels"][:2] == ["intercept", "x"]
+
+    @pytest.mark.parametrize(
+        "scheme,typo",
+        [
+            ({"kind": "residual_trim", "multipler": 1.5}, "multipler"),
+            ({"kind": "quantile_trim", "columns": ["x"], "lowerq": 0.1}, "lowerq"),
+            ({"kind": "winsorize", "columns": ["x"], "upper_quantile": 0.9}, "upper_quantile"),
+        ],
+    )
+    def test_unknown_weight_scheme_key_is_exit_2(self, workdir, capsys, scheme, typo):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["weights"]["adjusted"] = scheme
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == f"data error: [config] unknown key(s) in weights.adjusted: {typo}\n"
+        raw["comparisons"] = [{"name": "a", "weights": raw.pop("weights")}]
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == f"data error: [config] unknown key(s) in comparisons[0].adjusted: {typo}\n"
+
+    @pytest.mark.parametrize(
+        "where,typo",
+        [("statistic", "colum"), ("transform", "exponant"), ("lags", "cnt")],
+    )
+    def test_unknown_entry_key_is_exit_2(self, workdir, capsys, where, typo):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        stat = {"column": "x", "transform": {"kind": "power", "exponent": 2}}
+        raw["model"] = {"type": "lstat", "statistics": [stat]}
+        raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
+        raw["lags"] = [{"column": "y", "count": 1}]
+        name = {
+            "statistic": "model.statistics[0]",
+            "transform": "model.statistics[0].transform",
+            "lags": "lags[0]",
+        }[where]
+        target = {"statistic": stat, "transform": stat["transform"], "lags": raw["lags"][0]}[where]
+        target[typo] = 1
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == f"data error: [config] unknown key(s) in {name}: {typo}\n"
+
+    # Every real-valued setting of `test` and the weight schemes, with an
+    # integer value it accepts (None: no integer is a valid alpha).
+    _REALS = {
+        "test.h": 0,
+        "test.alpha": None,
+        "weights.adjusted.multiplier": 2,
+        "weights.baseline.lower_q": 0,
+        "weights.baseline.upper_q": 1,
+        "model.statistics[0].transform.exponent": 1,
+    }
+
+    @staticmethod
+    def _real_config(config: str, name: str, value) -> dict:
+        """The workdir config with the real-valued setting `name` set to value."""
+        with open(config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if name.startswith("model."):
+            transform = {"kind": "power", "exponent": value}
+            statistic = {"column": "x", "transform": transform}
+            raw["model"] = {"type": "lstat", "statistics": [statistic]}
+            raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
+            return raw
+        if name.startswith("weights.baseline."):
+            raw["weights"]["baseline"] = {"kind": "quantile_trim", "columns": ["y"]}
+        section, _, key = name.rpartition(".")
+        target = raw
+        for part in section.split("."):
+            target = target[part]
+        target[key] = value
+        return raw
+
+    @pytest.mark.parametrize("name", list(_REALS))
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_non_numeric_real_setting_is_exit_2(self, workdir, capsys, name, value):
+        tmp_path, config = workdir
+        err = self._exit_2(tmp_path, capsys, self._real_config(config, name, value))
+        assert err == f"data error: [config] {name} must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("name", [k for k, v in _REALS.items() if v is not None])
+    def test_integer_real_setting_runs(self, workdir, capsys, name):
+        tmp_path, config = workdir
+        value = self._REALS[name]
+        for tag, v in (("int", value), ("float", float(value))):
+            p = tmp_path / f"{tag}.json"
+            p.write_text(json.dumps(self._real_config(config, name, v)), encoding="utf-8")
+            assert main(["estimate", "--config", str(p), "--output", str(tmp_path / tag)]) == 0
+        capsys.readouterr()
+        blobs = [(tmp_path / tag / "estimates.json").read_bytes() for tag in ("int", "float")]
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("key", ["alpha", "h", "multiplier"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_mc_non_numeric_real_setting_is_exit_2(self, tmp_path, capsys, key, value):
+        mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}
+        mc[key] = value
+        err = self._exit_2(tmp_path, capsys, {"mc": mc}, "mc")
+        assert err == f"data error: mc.{key} must be a number, got {value!r}\n"
+
+    def test_mc_integer_real_settings_run(self, tmp_path, capsys):
+        docs = []
+        for tag, h, multiplier in (("int", 0, 2), ("float", 0.0, 2.0)):
+            mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}
+            mc.update(h=h, multiplier=multiplier)
+            p = tmp_path / f"{tag}.json"
+            p.write_text(json.dumps({"mc": mc}), encoding="utf-8")
+            assert main(["mc", "--config", str(p), "--output", str(tmp_path / tag)]) == 0
+            docs.append((tmp_path / tag / "mc_results.json").read_bytes())
+        capsys.readouterr()
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("flag", ["--seed", "--iterations", "--threads"])
     def test_estimate_takes_no_draw_flags(self, workdir, capsys, flag):
         _, config = workdir

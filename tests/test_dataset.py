@@ -54,6 +54,21 @@ class TestPanelDataset:
         with pytest.raises(KeyError, match="no column named"):
             tiny.sort_order("missing")
 
+    def test_factor_codes_are_read_only_and_memoized(self, tiny):
+        g = tiny.with_columns({"g": np.array([7.0, 3.0, 7.0, 3.0, 9.0])})
+        labels, codes = g.factor_codes("g")
+        assert labels == (7.0, 3.0, 9.0)
+        np.testing.assert_array_equal(codes, [0, 1, 0, 1, 2])
+        with pytest.raises(ValueError):
+            codes[0] = 1
+        assert g.factor_codes("g")[1] is codes
+        # "cluster" is the cluster structure unless a column has that name.
+        assert g.factor_codes("cluster") == (g.cluster_labels, g.row_cluster_index)
+        named = g.with_columns({"cluster": np.array([1.0, 1.0, 1.0, 2.0, 2.0])})
+        assert named.factor_codes("cluster")[0] == (1.0, 2.0)
+        with pytest.raises(KeyError, match="no column named 'missing' for fixed effect"):
+            g.factor_codes("missing")
+
     def test_derived_datasets_sort_afresh(self, tiny):
         order = tiny.sort_order("v")
         flipped = tiny.with_columns({"v": -tiny.column("v")})

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
@@ -71,18 +72,42 @@ class TestModelValidation:
 class TestBuildDesign:
     def test_order_is_intercept_regressors_dummies(self):
         data = PanelDataset(
-            {"y": np.zeros(4), "x": np.arange(4.0), "g": np.array([0.0, 1.0, 1.0, 2.0])},
-            np.zeros(4),
+            {
+                "y": np.zeros(6),
+                "x": np.arange(6.0),
+                "g": np.array([0.0, 1.0, 1.0, 2.0, 2.0, 0.0]),
+                "h": np.array([5.0, 5.0, 7.0, 7.0, 5.0, 7.0]),
+            },
+            np.zeros(6),
         )
-        design, names = build_design(data, ("x",), fixed_effects=("g",))
-        assert names == ("intercept", "x", "g=1.0", "g=2.0")
-        np.testing.assert_array_equal(design[:, 0], np.ones(4))
-        np.testing.assert_array_equal(design[:, 2], [0.0, 1.0, 1.0, 0.0])
+        design, names = build_design(data, ("x",))
+        assert names == ("intercept", "x")
+        np.testing.assert_array_equal(design[:, 0], np.ones(6))
+        # g has the most categories and is absorbed, taking the intercept
+        # with it; h keeps its indicators less the first category.
+        design, names = build_design(data, ("x",), fixed_effects=("h", "g"))
+        assert names == ("x", "h=7.0")
+        np.testing.assert_array_equal(design[:, 1], [0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+
+    def test_absorbed_factor_and_intercept_get_no_columns(self):
+        data = make_panel(4, 3, seed=1)
+        for intercept in (True, False):
+            design, names = build_design(
+                data, ("x",), fixed_effects=("cluster",), intercept=intercept
+            )
+            assert names == ("x",)
+            np.testing.assert_array_equal(design[:, 0], data.column("x"))
 
     def test_cluster_pseudo_factor(self):
-        data = PanelDataset({"y": np.zeros(4)}, np.array(["u", "u", "v", "v"]))
-        design, names = build_design(data, (), fixed_effects=("cluster",))
-        assert names == ("intercept", "cluster=v")
+        data = PanelDataset(
+            {"y": np.zeros(4), "x": np.arange(4.0), "g": np.array([0.0, 1.0, 2.0, 2.0])},
+            np.array(["u", "u", "v", "v"]),
+        )
+        labels, codes = data.factor_codes("cluster")
+        assert labels == ("u", "v")
+        assert codes is data.row_cluster_index
+        design, names = build_design(data, ("x",), fixed_effects=("cluster", "g"))
+        assert names == ("x", "cluster=v")
         np.testing.assert_array_equal(design[:, 1], [0.0, 0.0, 1.0, 1.0])
 
     def test_unknown_fixed_effect(self):
@@ -130,45 +155,54 @@ class TestWeightedOls:
         assert pooled.coef("intercept") == pytest.approx(2.5)
 
     def test_fe_baseline_choice_does_not_move_slope(self, rng):
-        # The baseline is the first category in row order; reordering the
-        # rows so that another category comes first changes the baseline.
+        # g is absorbed; h keeps indicators whose baseline is the first h
+        # category in row order.  Reordering the rows so that another h
+        # category comes first changes the baseline.
         n = 90
-        g = rng.integers(0, 3, size=n).astype(float)
+        g = rng.integers(0, 5, size=n).astype(float)
+        h = rng.integers(0, 3, size=n).astype(float)
         x = rng.normal(size=n)
-        y = 2.0 * x + g + rng.normal(size=n)
-        data = PanelDataset({"y": y, "x": x, "g": g}, np.arange(n))
-        model = RegressionModel("y", ("x",), fixed_effects=("g",))
+        y = 2.0 * x + g - h + rng.normal(size=n)
+        data = PanelDataset({"y": y, "x": x, "g": g, "h": h}, np.arange(n))
+        model = RegressionModel("y", ("x",), fixed_effects=("g", "h"))
         fit_a = weighted_ols(model, data)
-        order = np.argsort(g != g[-1], kind="stable")  # rows of g[-1] first
+        order = np.argsort(h != h[-1], kind="stable")  # rows of h[-1] first
         reordered = data.take_rows(order)
         fit_b = weighted_ols(model, reordered)
-        assert f"g={g[0]}" not in fit_a.coefficient_names
-        assert f"g={g[-1]}" not in fit_b.coefficient_names
+        assert f"h={h[0]}" not in fit_a.coefficient_names
+        assert f"h={h[-1]}" not in fit_b.coefficient_names
         assert fit_a.coef("x") == pytest.approx(fit_b.coef("x"), abs=1e-10)
         resid_gap = np.max(np.abs(fit_a.residuals[order] - fit_b.residuals))
         assert resid_gap < 1e-10
-        # With the first category's rows given zero multipliers, the first
+        # With the first h category's rows given zero multipliers, the first
         # present category becomes the baseline and the fit equals the fit
         # on the remaining rows.
-        rho = (g != g[0]).astype(float)
+        rho = (h != h[0]).astype(float)
         fit_c = weighted_ols(model, data, row_multipliers=rho)
         fit_s = weighted_ols(model, data.subset_rows(rho > 0))
         assert fit_c.coefficient_names == fit_s.coefficient_names
         np.testing.assert_allclose(fit_c.coefficients, fit_s.coefficients, atol=1e-10)
 
     def test_category_emptied_by_weights_stays_rank_deficient(self):
-        # Zero outlier weights (unlike zero multipliers) leave the category's
-        # indicator column in the design, with no row to identify it.
+        # Zero outlier weights on every row of a cluster, unlike zero
+        # multipliers, leave its effect in the model with no row to
+        # identify it.
         data = make_panel(6, 4, seed=3)
         model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
         w = np.ones(data.n_rows)
         w[data.cluster_rows[2]] = 0.0
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="rank 6 < 7 columns"):
             weighted_ols(model, data, weights=w)
         rho = np.ones(data.n_rows)
         rho[data.cluster_rows[2]] = 0.0
         fit = weighted_ols(model, data, row_multipliers=rho)
-        assert "cluster=2" not in fit.coefficient_names
+        assert fit.coefficient_names == ("x",)
+        # The absent cluster drops out: its rows are demeaned by 0.
+        rows = data.cluster_rows[2]
+        expected = data.column("y")[rows] - fit.coef("x") * data.column("x")[rows]
+        np.testing.assert_allclose(fit.residuals[rows], expected, atol=1e-12)
+        fit_s = weighted_ols(model, data.subset_rows(rho > 0))
+        assert fit.coef("x") == pytest.approx(fit_s.coef("x"), rel=1e-12)
 
     def test_rank_deficiency_reports_rank_and_stage(self, rng):
         x = rng.normal(size=30)
@@ -365,6 +399,184 @@ class TestClusterDependence:
         doubled = data.take_clusters(np.array([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]))
         refit = weighted_ols(RegressionModel("y", ("x",)), doubled)
         assert refit.coef("x") != pytest.approx(base.coef("x"), abs=1e-12)
+
+
+def _dense_dummy_fit(model, data, rho):
+    """The fit on explicit indicator columns, as fit_model computed it before absorption.
+
+    Design: intercept, regressors, then per factor one indicator for each
+    category with a present row, less the first.  Returns (coefficients
+    by name, residuals, first-stage residuals or None).
+    """
+    n = data.n_rows
+    rho = np.ones(n) if rho is None else rho
+    present = rho != 0
+
+    def dense(columns):
+        cols, names = [np.ones(n)], ["intercept"]
+        cols += [data.column(c) for c in columns]
+        names += list(columns)
+        for f in model.fixed_effects:
+            codes = data.row_cluster_index if f == "cluster" else data.column(f)
+            for c in np.unique(codes[present])[1:]:
+                cols.append((codes == c).astype(float))
+                names.append(f"{f}={c}")
+        return np.column_stack(cols), names
+
+    s = rho / n
+    if model.normalization == "equal":
+        s = rho / (data.row_cluster_sizes * data.n_clusters)
+
+    def solve(a, target):
+        gram = a.T @ (a * s[:, None])
+        if np.linalg.cond(gram) > 1e7:
+            raise np.linalg.LinAlgError("not identified or ill-conditioned")
+        return np.linalg.solve(gram, a.T @ (target.reshape(n, -1) * s[:, None]))
+
+    x, names = dense(model.regressors)
+    y = data.column(model.outcome)
+    fitted = x
+    if model.is_instrumented:
+        exog = tuple(r for r in model.regressors if r not in model.endogenous)
+        z, _ = dense(model.instruments + exog)
+        fitted = z @ solve(z, x)
+    beta = solve(fitted, y)[:, 0]
+    first_stage = None
+    if model.is_instrumented:
+        idx = [names.index(e) for e in model.endogenous]
+        first_stage = x[:, idx] - fitted[:, idx]
+    return dict(zip(names, beta)), y - x @ beta, first_stage
+
+
+class TestFixedEffects:
+    def test_intercept_flag_is_ignored(self):
+        # With indicators the intercept flag used to pin the first
+        # category's effect at zero; absorption fits one model either way.
+        data = make_panel(6, 4, seed=3)
+        slopes = [
+            weighted_ols(
+                RegressionModel("y", ("x",), fixed_effects=("cluster",), intercept=flag), data
+            ).coef("x")
+            for flag in (True, False)
+        ]
+        every = (data.row_cluster_index[:, None] == np.arange(data.n_clusters)).astype(float)
+        design = np.column_stack([data.column("x"), every])
+        s = 1.0 / (data.row_cluster_sizes * data.n_clusters)
+        ref = np.linalg.solve(design.T @ (design * s[:, None]), design.T @ (s * data.column("y")))
+        assert slopes[0] == slopes[1]
+        assert slopes[0] == pytest.approx(ref[0], rel=1e-12)
+
+    def test_model_needs_regressors(self):
+        with pytest.raises(ValueError, match="fixed effects needs regressors"):
+            RegressionModel("y", (), fixed_effects=("cluster",))
+
+    def test_named_coefficients(self):
+        assert RegressionModel("y", ("x",)).named_coefficients == ("intercept", "x")
+        assert RegressionModel("y", ("x",), intercept=False).named_coefficients == ("x",)
+        fe = RegressionModel("y", ("x", "w"), fixed_effects=("cluster",))
+        assert fe.named_coefficients == ("x", "w")
+
+    def test_absorbs_the_factor_with_most_categories(self):
+        data = make_panel(8, 3, seed=5)
+        h = np.tile([0.0, 1.0, 2.0], 8)
+        data = data.with_columns({"h": h, "y": data.column("y") + h})
+        for effects in (("h", "cluster"), ("cluster", "h")):
+            fit = weighted_ols(RegressionModel("y", ("x",), fixed_effects=effects), data)
+            assert fit.coefficient_names == ("x", "h=1.0", "h=2.0")
+
+    @pytest.mark.parametrize("constant", [lambda c: c * 1.0, lambda c: 0.1 * (c % 3) + 0.2])
+    def test_regressor_constant_within_categories_is_rank_deficient(self, constant):
+        # Demeaning leaves such a column at zero or at rounding level; the
+        # tolerance is set by its norm before demeaning, so even a fit with
+        # no other column cannot pass it as full rank.
+        data = make_panel(7, 3, seed=2)
+        between = constant(data.row_cluster_index)
+        data = data.with_columns({"b": between})
+        rho = np.random.default_rng(4).uniform(0.5, 1.5, size=data.n_rows)
+        for regressors, rank in ((("b",), 0), (("x", "b"), 1)):
+            model = RegressionModel("y", regressors, fixed_effects=("cluster",))
+            with pytest.raises(RankDeficiencyError) as exc_info:
+                weighted_ols(model, data, row_multipliers=rho)
+            assert (exc_info.value.rank, exc_info.value.ncols) == (rank, len(regressors))
+
+    def test_cluster_emptied_by_zero_weights_raises_under_multipliers(self):
+        # Present rows (rho != 0) whose outlier weights are all zero.
+        data = make_panel(5, 4, seed=8)
+        model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
+        rho = np.ones(data.n_rows)
+        rho[data.cluster_rows[0]] = 0.0  # absent: drops out
+        w = np.ones(data.n_rows)
+        w[data.cluster_rows[3]] = 0.0  # present, zero mass: unidentified
+        weighted_ols(model, data, row_multipliers=rho)
+        with pytest.raises(RankDeficiencyError, match="rank 4 < 5 columns"):
+            weighted_ols(model, data, weights=w, row_multipliers=rho)
+
+    @pytest.mark.parametrize("normalization", ["equal", "pooled"])
+    @pytest.mark.parametrize("multipliers", ["none", "multinomial", "poisson", "signed"])
+    @pytest.mark.parametrize("kind", ["ols", "iv"])
+    @pytest.mark.parametrize("factors", [("cluster",), ("cluster", "t")])
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(sizes=st.lists(st.integers(2, 6), min_size=3, max_size=15), seed=st.integers(0, 2**16))
+    def test_matches_dense_dummy_fit(
+        self, normalization, multipliers, kind, factors, sizes, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(ids)
+        effect = rng.normal(size=len(sizes))[ids]
+        t = rng.integers(0, 3, size=n).astype(float)
+        z = rng.normal(size=n)
+        w = rng.normal(size=n)
+        x = z + 0.5 * effect + 0.3 * rng.normal(size=n)
+        y = 2.0 * x - w + effect + t + rng.standard_t(3, size=n)
+        data = PanelDataset({"y": y, "x": x, "w": w, "z": z, "t": t}, ids)
+        iv = {"endogenous": ("x",), "instruments": ("z",)} if kind == "iv" else {}
+        model = RegressionModel(
+            "y", ("x", "w"), fixed_effects=factors, normalization=normalization, **iv
+        )
+        rho = None
+        if multipliers == "multinomial":  # cluster resample counts
+            rho = rng.multinomial(len(sizes), np.full(len(sizes), 1.0 / len(sizes)))[ids] * 1.0
+        elif multipliers == "poisson":
+            rho = rng.poisson(1.0, n) * 1.0
+        elif multipliers == "signed":
+            rho = 1.0 + 0.3 * rng.standard_normal(n)
+        # Only identified, well-conditioned draws: the two routes round
+        # differently, by up to the condition number times machine epsilon.
+        try:
+            ref_coef, ref_resid, ref_first = _dense_dummy_fit(model, data, rho)
+        except np.linalg.LinAlgError:
+            assume(False)
+        present = np.ones(n, dtype=bool) if rho is None else rho != 0
+        fit = weighted_ols(model, data, row_multipliers=rho)
+        for name in model.regressors:
+            assert fit.coef(name) == pytest.approx(ref_coef[name], rel=1e-10)
+        scale = np.max(np.abs(y))
+        np.testing.assert_allclose(
+            fit.residuals[present], ref_resid[present], rtol=0, atol=1e-10 * scale
+        )
+        if kind == "iv":
+            np.testing.assert_allclose(
+                fit.first_stage_residuals[present],
+                ref_first[present],
+                rtol=0,
+                atol=1e-10 * np.max(np.abs(x)),
+            )
+
+    def test_memory_is_linear_in_clusters(self):
+        # 5000 clusters x 2 rows; a dense indicator design would be 400 MB.
+        data = make_panel(5000, 2, seed=9)
+        model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
+        rho = np.random.default_rng(1).poisson(1.0, data.n_rows) * 1.0
+        weighted_ols(model, data, row_multipliers=rho)  # warm the factor memo
+        tracemalloc.start()
+        try:
+            fit = weighted_ols(model, data, row_multipliers=rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(fit.residuals))
+        assert peak < 20 * 2**20
 
 
 class TestDerivedParams:
