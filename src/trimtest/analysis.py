@@ -117,6 +117,13 @@ def config_float(value, name: str) -> float:
     return float(value)
 
 
+def config_names(value, name: str) -> tuple[str, ...]:
+    """A list of column or coefficient names; a bare string and non-string entries are refused."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{name} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def _kind_section(raw, keys_by_kind: dict, name: str, default_kind: str | None = None) -> dict:
     """A scheme or transform object checked against its kind's keys, reals as floats.
 
@@ -208,29 +215,32 @@ class AnalysisConfig:
                     _statistic(e, f"model.statistics[{i}]") for i, e in enumerate(stats_raw)
                 )
             else:
-                endog = tuple(model_raw.get("endogenous", ()))
-                instr = tuple(model_raw.get("instruments", ()))
+                endog = config_names(model_raw.get("endogenous", []), "model.endogenous")
+                instr = config_names(model_raw.get("instruments", []), "model.instruments")
                 if mtype == "iv" and not endog:
                     raise DataError("iv model requires endogenous and instruments lists")
                 if mtype == "ols":
                     endog, instr = (), ()
                 model = RegressionModel(
                     outcome=model_raw["outcome"],
-                    regressors=tuple(model_raw.get("regressors", ())),
+                    regressors=config_names(model_raw.get("regressors", []), "model.regressors"),
                     endogenous=endog,
                     instruments=instr,
-                    fixed_effects=tuple(model_raw.get("fixed_effects", ())),
+                    fixed_effects=config_names(
+                        model_raw.get("fixed_effects", []), "model.fixed_effects"
+                    ),
                     intercept=bool(model_raw.get("intercept", True)),
                     normalization=model_raw.get("normalization", "equal"),
                 )
-                report_coefficients = tuple(
-                    model_raw.get("report_coefficients", model.regressors)
+                report_coefficients = config_names(
+                    model_raw.get("report_coefficients", list(model.regressors)),
+                    "model.report_coefficients",
                 )
                 derived = model_raw.get("derived")
                 if derived:
                     _known_keys(derived, _DERIVED_KEYS, "model.derived")
                     derived_effect = derived["effect"]
-                    derived_lags = tuple(derived["lags"])
+                    derived_lags = config_names(derived["lags"], "model.derived.lags")
                     horizon = derived.get("horizon", 25)
                     derived_horizon = config_int(horizon, "model.derived.horizon")
                 # Under fixed effects no name depends on the data.
@@ -318,9 +328,16 @@ def _parse_comparisons(raw: dict) -> tuple[Comparison, ...]:
             raise DataError("config needs a weights object or a comparisons list")
         entries = [{"name": "main", "weights": weights}]
         where = "weights"
+    elif not isinstance(entries, list):
+        raise DataError(f"comparisons must be a list of objects, got {entries!r}")
     out = []
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise DataError(f"comparisons[{i}] must be an object, got {e!r}")
         w = e.get("weights", e)
+        if not isinstance(w, dict):
+            name = "weights" if where == "weights" else f"comparisons[{i}].weights"
+            raise DataError(f"{name} must be an object, got {w!r}")
         extra = set(w) - {"baseline", "adjusted", "name"}
         if "baseline" not in w or "adjusted" not in w:
             raise DataError(

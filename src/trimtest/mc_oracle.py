@@ -178,8 +178,8 @@ def mc_covariance(
     """Ground-truth covariance of sqrt(n) * (statistic - MC mean) across reps.
 
     Returns (covariance, mean vector).  estimator_fn(dataset, row_weights)
-    is the same callable the bootstrap uses.  Failed replications beyond 1%
-    abort.
+    is the same callable the bootstrap uses.  More than max(1, 1% of reps)
+    failed replications abort, the failure limit of bootstrap_pipeline.
     """
     stats_list = []
     failed = 0
@@ -195,8 +195,12 @@ def mc_covariance(
             stats_list.append(v)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError):
             failed += 1
-    if failed > 0.01 * reps:
-        raise NumericalError(f"{failed} of {reps} Monte Carlo replications failed")
+    if failed > max(1.0, 0.01 * reps):
+        raise NumericalError(
+            f"{failed} of {reps} Monte Carlo replications failed (limit is 1% of reps, at least one)"
+        )
+    if len(stats_list) < 2:
+        raise NumericalError(f"only {len(stats_list)} of {reps} Monte Carlo replications succeeded")
     stats = np.vstack(stats_list)
     mean = stats.mean(axis=0)
     centered = np.sqrt(n_units) * (stats - mean)

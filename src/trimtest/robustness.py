@@ -15,12 +15,23 @@ draws, and the formal p-value inverts the same construction on the same
 draws.
 
 On that Monte Carlo path one test draws once: `_mc_test` generates the
-normal draws and their direction-free squared norms a single time, then
-streams over the direction grid MC_CHUNK directions at a time, forming each
-direction's squared norms as one contiguous row, counting the tail at every
-requested statistic and selecting the row's upper quantile.  Memory is
-MC_CHUNK rows of draws, not one column per direction, and the critical value
-and the formal p-value of a test come from one pass over the same draws.
+normal draws and their direction-free squared norms base = xi'A^{-1}xi a
+single time.  Before the grid is walked each draw is screened with the
+annulus bound: every direction v has unit A-norm, so Cauchy-Schwarz in the
+A^{-1} inner product gives |xi'A^{-1}v| <= sqrt(base), and every direction's
+squared norm of the draw lies in [(sqrt(base) - h)^2, (sqrt(base) + h)^2].
+A draw whose interval lies wholly above or below a statistic, or wholly
+beyond the bracket of the order statistic the critical value selects,
+contributes the same to every direction and is counted without being
+walked.  The remaining draws stream over the direction grid MC_CHUNK
+directions at a time, each direction's squared norms one contiguous row.
+The interval is widened by a rounding slack derived from the norm matrix's
+condition number (`_annulus_slack`), and the screened draws keep their
+places in the matrix product's row groups, so every value read is the same
+floating-point number as on the full grid: the result is exact, not an
+approximation.  Memory is MC_CHUNK rows of the screened draws, and the
+critical value and the formal p-value of a test come from one pass over the
+same draws.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .errors import NumericalError
 
 N_DIRECTIONS = 256
 MC_CHUNK = 16  # directions per block of the streamed Monte Carlo path
+_SCREEN_ALIGN = 64  # row-group size the screened draws keep (see _screened_grid)
 # scipy's noncentral chi-square fails from about 1e10.5 (NaN quantiles, wrong
 # tails); tests with a larger noncentrality r h^2 take the Monte Carlo path.
 _NCX2_MAX_NC = 1e9
@@ -169,15 +181,15 @@ def _proportionality(a: np.ndarray, sigma: np.ndarray) -> float | None:
 
 def _route(
     h: float, sigma: np.ndarray, a: np.ndarray, method: str, mc_draws: int, seed: int,
-    alpha: float | None = None, statistics_sq: tuple[float, ...] = (),
-) -> tuple[str, float | None, list[float]]:
-    """The one route of a test: (path, critical value, tail probabilities).
+    alpha: float | None = None, statistic_sq: float | None = None,
+) -> tuple[str, float | None, float | None]:
+    """The one route of a test: (path, critical value, tail probability).
 
     path is "chi2" or "ncx2" when the norm matrix is r * covariance (always
     so for one statistic) and the noncentrality r h^2 is at most
     _NCX2_MAX_NC, else "mc" (direction grid on common draws).  The
-    critical value is None when alpha is None; tails[i] is
-    sup_v Pr(||h v + xi||^2 >= statistics_sq[i]).
+    critical value is None when alpha is None, and the tail
+    sup_v Pr(||h v + xi||^2 >= statistic_sq) is None when statistic_sq is.
     """
     if h < 0:
         raise ValueError("tolerance h must be >= 0")
@@ -191,17 +203,22 @@ def _route(
             else:
                 path, dist = "ncx2", stats.ncx2(df=len(sigma), nc=r * h * h)
             crit = None if alpha is None else float(dist.ppf(1.0 - alpha) / r)
-            return path, crit, [float(dist.sf(r * s2)) for s2 in statistics_sq]
+            tail = None if statistic_sq is None else float(dist.sf(r * statistic_sq))
+            return path, crit, tail
         if method == "exact":
             raise ValueError("no exact critical value path for this norm/covariance pair and h; use mc")
-    crit, tails = _mc_test(h, sigma, a, mc_draws, seed, alpha, statistics_sq)
-    return "mc", crit, tails
+    crit, tail = _mc_test(h, sigma, a, mc_draws, seed, alpha, statistic_sq)
+    return "mc", crit, tail
+
+
+def _upper_rank(b: int, alpha: float) -> int:
+    """The 1-based rank floor(B(1-alpha)) + 1, clipped to B, of the upper alpha-quantile."""
+    return min(int(np.floor(b * (1.0 - alpha))) + 1, b)
 
 
 def _empirical_upper_quantile(values: np.ndarray, alpha: float):
     """Order statistic floor(B(1-alpha)) + 1 (1-based), clipped to B, of each row."""
-    b = values.shape[-1]
-    k = min(int(np.floor(b * (1.0 - alpha))) + 1, b)
+    k = _upper_rank(values.shape[-1], alpha)
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
@@ -212,21 +229,41 @@ def _mc_test(
     mc_draws: int,
     seed: int,
     alpha: float | None = None,
-    statistics_sq: tuple[float, ...] = (),
-) -> tuple[float | None, list[float]]:
-    """Monte Carlo critical value and tail fractions on one set of common draws.
+    statistic_sq: float | None = None,
+) -> tuple[float | None, float | None]:
+    """Monte Carlo critical value and tail fraction on one set of common draws.
 
     xi ~ N(0, sigma) is drawn once.  For a direction v of unit A-norm the
     squared norm ||h v + xi||_A^2 is h^2 + 2h xi'A^{-1}v + base with base =
-    xi'A^{-1}xi (base alone when h = 0).  The direction grid is walked
-    MC_CHUNK directions at a time, one row of draws per direction, so memory
-    stays at MC_CHUNK x mc_draws whatever the grid size.
+    xi'A^{-1}xi (base alone when h = 0).
 
-    Returns (c, tails): c is the max over directions of the per-direction
-    empirical upper alpha-quantile (None when alpha is None), and tails[i]
-    the max over directions of the fraction of draws whose squared norm is
-    >= statistics_sq[i].  Both read the same draws, so s^2 = statistics_sq[i]
-    exceeds c exactly when tails[i] < alpha.
+    Returns (c, tail): c is the max over directions of the per-direction
+    empirical upper alpha-quantile, the k-th smallest value with k =
+    _upper_rank (None when alpha is None), and tail the max over directions
+    of the fraction of draws whose squared norm is >= statistic_sq (None when
+    statistic_sq is None).  Both read the same draws, so s^2 exceeds c
+    exactly when its tail is below alpha.
+
+    For h > 0 the draws are screened before the direction grid is walked.
+    Cauchy-Schwarz in the A^{-1} inner product gives |xi'A^{-1}v| <= sqrt(base)
+    for every direction, so each direction's value of a draw lies in the
+    annulus interval [lo, hi] = [(sqrt(base) - h)^2, (sqrt(base) + h)^2],
+    widened by the rounding slack of _annulus_slack.
+    - Statistic: a draw with lo >= s^2 counts for every direction and one
+      with hi < s^2 for none; only the draws whose interval straddles s^2
+      can tell directions apart.
+    - Critical value: the k-th order statistics Lk of lo and Hk of hi bracket
+      every direction's k-th value.  The n_below draws with hi < Lk lie below
+      it in every direction and those with lo > Hk above it, so each
+      direction's quantile is the (k - n_below)-th smallest of the draws in
+      between.
+    Only the kept draws go through _squared_norm_rows, MC_CHUNK directions at
+    a time, with the same operations as the full product (_screened_grid),
+    so every value the counts and the selection read is the same
+    floating-point number as without the screen and the result is exact,
+    not an approximation.  When h is large against the covariance every
+    interval straddles, every draw is walked and the cost is that of the
+    full grid.
     """
     dim = len(sigma)
     # Domain tag 2 keeps this stream disjoint from data simulation (bare
@@ -238,24 +275,142 @@ def _mc_test(
     factor = cho_factor(norm)
     base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
     if h == 0.0:
-        blocks = [base[None, :]]
+        crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
+        count = None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
     else:
         v = unit_directions(dim) @ cholesky(norm, lower=True).T  # rows have unit A-norm
         a_inv_v = cho_solve(factor, v.T)  # dim x n_dirs
-        blocks = (
-            _squared_norm_rows(h, a_inv_v[:, lo : lo + MC_CHUNK], xi, base)
-            for lo in range(0, a_inv_v.shape[1], MC_CHUNK)
-        )
-    crit = None
-    counts = [0] * len(statistics_sq)
-    for quad in blocks:
-        # Count before selecting: the selection below reorders quad's rows.
-        for i, s2 in enumerate(statistics_sq):
-            counts[i] = max(counts[i], int(np.count_nonzero(quad >= s2, axis=1).max()))
-        if alpha is not None:
-            q = float(_empirical_upper_quantile(quad, alpha).max())
+        crit, count = _screened_grid(h, a_inv_v, xi, base, _annulus_slack(norm), alpha, statistic_sq)
+    return crit, None if count is None else count / mc_draws
+
+
+def _screened_grid(
+    h: float,
+    a_inv_v: np.ndarray,
+    xi: np.ndarray,
+    base: np.ndarray,
+    slack: float | None,
+    alpha: float | None,
+    statistic_sq: float | None,
+) -> tuple[float | None, int | None]:
+    """(critical value, tail count) of the direction grid on the screened draws.
+
+    The bounds repeat _squared_norm_rows's operations in its order with the
+    cross term xi'A^{-1}v replaced by -D and +D, D = (1 + slack) sqrt(base).
+    Each of those floating-point steps is monotone, so a computed cross term
+    of magnitude at most D (_annulus_slack) gives lo <= computed value <= hi
+    in every direction.  slack None walks every draw.
+
+    The walked columns are laid out [padding, statistic band, critical-value
+    band, tail]; the statistic and critical-value bands overlap in the middle
+    so that each is one contiguous slice.  The tail is the last
+    len(base) % _SCREEN_ALIGN draws in their order, walked for both
+    purposes, and the padding repeats draw 0 until the columns before the
+    tail fill whole groups of _SCREEN_ALIGN (at least one group when a tail
+    follows, as one column would be a matrix-vector product).  Every kept
+    draw then takes the same place in the product's row groups as in the
+    full product: a whole group, or the same offset of the final partial
+    group.  BLAS kernels compute whole groups and the final partial group
+    with different instruction sequences, so without this the last bits of
+    a value could depend on which draws were kept; with it they cannot for
+    any kernel whose unroll divides _SCREEN_ALIGN.
+    """
+    b = len(base)
+    k = None if alpha is None else _upper_rank(b, alpha)
+    # Walk everything: rows, sure count, statistic slice, tail start,
+    # critical-value start, critical-value rank.
+    rows, sure, s0, s1, t0, c0, rank = None, 0, 0, b, b, 0, k
+    if slack is not None:
+        body = b - b % _SCREEN_ALIGN
+        cross = np.sqrt(np.maximum(base, 0.0))
+        cross *= 1.0 + slack
+        cross *= 2.0 * h
+        lo = h * h - cross
+        lo += base
+        hi = cross + h * h
+        hi += base
+        lo_body, hi_body = lo[:body], hi[:body]
+        in_stat = np.zeros(body, dtype=bool)
+        if statistic_sq is not None:
+            sure = int(np.count_nonzero(lo_body >= statistic_sq))
+            in_stat = (lo_body < statistic_sq) & (hi_body >= statistic_sq)
+        in_crit = np.zeros(body, dtype=bool)
+        if k is not None:
+            lk = np.partition(lo, k - 1)[k - 1]
+            hk = np.partition(hi, k - 1)[k - 1]
+            rank = k - int(np.count_nonzero(hi_body < lk))
+            in_crit = (hi_body >= lk) & (lo_body <= hk)
+        groups = [
+            np.flatnonzero(in_stat & ~in_crit),
+            np.flatnonzero(in_stat & in_crit),
+            np.flatnonzero(in_crit & ~in_stat),
+        ]
+        kept = sum(map(len, groups))
+        pad = -kept % _SCREEN_ALIGN if kept else _SCREEN_ALIGN * (body < b)
+        if pad + kept + b - body < b:
+            rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
+            s0 = pad
+            c0 = s1 = pad + len(groups[0])
+            s1 += len(groups[1])
+            t0 = pad + kept
+            xi, base = xi[rows], base[rows]
+        else:
+            sure, rank = 0, k
+    crit, count = None, None if statistic_sq is None else sure
+    if len(base) == 0:
+        return crit, count
+    for lo_dir in range(0, a_inv_v.shape[1], MC_CHUNK):
+        quad = _squared_norm_rows(h, a_inv_v[:, lo_dir : lo_dir + MC_CHUNK], xi, base)
+        if statistic_sq is not None:
+            per_dir = np.count_nonzero(quad[:, s0:s1] >= statistic_sq, axis=1)
+            per_dir += np.count_nonzero(quad[:, t0:] >= statistic_sq, axis=1)
+            count = max(count, sure + int(per_dir.max()))
+        if k is not None:
+            q = float(np.partition(quad[:, c0:], rank - 1, axis=-1)[:, rank - 1].max())
             crit = q if crit is None else max(crit, q)
-    return crit, [c / mc_draws for c in counts]
+    return crit, count
+
+
+def _annulus_slack(norm: np.ndarray) -> float | None:
+    """Relative slack with |computed xi'A^{-1}v| <= (1 + slack) sqrt(computed base).
+
+    Exact arithmetic gives the bound with slack 0.  The computed quantities
+    differ from the exact ones by rounding, each error a multiple of the unit
+    roundoff u times a power of the dimension n and of kappa, a bound on the
+    condition number of A computed here.  To first order in u kappa
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3, 8, 10):
+    - the direction u (unit up to (n+2)u), v = L u with the lower Cholesky
+      factor L of A (factorization error gamma_{n+1}|L||L'|, product error
+      gamma_n|L||u|): ||v||_{A^{-1}} <= 1 + ((n^2 + n)/2 + n^1.5 + n + 2) u kappa;
+    - a_inv_v = cho_solve(v) solves (A + E) w = v with |E| <=
+      gamma_{3n+1}|R'||R| and || |R'||R| ||_2 <= n ||A||_2, so ||w||_A <=
+      ||v||_{A^{-1}} (1 + (3n + 1) n u kappa);
+    - base solves with the same factor and sums n products:
+      sqrt(exact base) <= sqrt(base) (1 + ((3n + 2) n / 2) u kappa);
+    - the cross product sums n terms: error <= gamma_n ||w|| ||xi|| <=
+      n u kappa ||w||_A sqrt(exact base);
+    - forming D rounds three times (3u).
+    The sum, (5n^2 + n^1.5 + 4.5n + 5) u kappa, is below half of the slack
+    32 n^2 u kappa for every n >= 1; the other half covers the higher-order
+    terms, negligible while the slack stays below 1e-3.  cho_factor reads
+    the upper triangle of A and cholesky the lower one, so an asymmetric A
+    adds ||A - A'||_F / lambda_min.  The eigenvalues of the symmetric part
+    are taken to carry an error of at most 8 n^2 u ||A||_2 plus the
+    asymmetry, and lambda_min and kappa are bounded accordingly.
+
+    Returns None (walk every draw) when A is too ill-conditioned for the
+    slack to stay below 1e-3.
+    """
+    n = len(norm)
+    u = np.finfo(float).eps / 2.0
+    asym = float(np.linalg.norm(norm - norm.T))
+    eig = np.linalg.eigvalsh(0.5 * (norm + norm.T))
+    err = 8.0 * n * n * u * float(np.abs(eig).max()) + asym
+    lam_min, lam_max = float(eig.min()) - err, float(eig.max()) + err
+    if not lam_min > 0.0:
+        return None
+    slack = 32.0 * n * n * u * (lam_max / lam_min) + asym / lam_min
+    return slack if slack < 1e-3 else None
 
 
 def _squared_norm_rows(h: float, a_inv_v: np.ndarray, xi: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -309,7 +464,7 @@ def formal_p_value(
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     a = _norm_matrix_of(norm_matrix, sigma)
-    return _route(h, sigma, a, method, mc_draws, seed, statistics_sq=(statistic_sq,))[2][0]
+    return _route(h, sigma, a, method, mc_draws, seed, statistic_sq=statistic_sq)[2]
 
 
 def robustness_test(
@@ -348,8 +503,8 @@ def robustness_test(
     else:
         a = _norm_matrix_of(spec.norm_matrix, sigma)
         stat = mahalanobis(diff, a)
-        path, crit, (p_formal,) = _route(
-            spec.h, sigma, a, spec.method, spec.mc_draws, spec.seed, spec.alpha, (stat * stat,)
+        path, crit, p_formal = _route(
+            spec.h, sigma, a, spec.method, spec.mc_draws, spec.seed, spec.alpha, stat * stat
         )
     p_heur = None
     if baseline_cov is not None:

@@ -520,6 +520,61 @@ class TestExitCodes:
         err = self._exit_2(tmp_path, capsys, raw)
         assert err == f"data error: [config] unknown key(s) in {name}: {typo}\n"
 
+    @staticmethod
+    def _lstat_config(config: str) -> dict:
+        """The workdir config as an L-statistic comparison of column x."""
+        with open(config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}]}
+        raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
+        return raw
+
+    @pytest.mark.parametrize("value", [[5], "abc", {"a": 1}], ids=["entry", "string", "object"])
+    def test_malformed_comparisons_is_exit_2(self, workdir, capsys, value):
+        tmp_path, config = workdir
+        raw = self._lstat_config(config)
+        del raw["weights"]
+        raw["comparisons"] = value
+        err = self._exit_2(tmp_path, capsys, raw)
+        if isinstance(value, list):
+            assert err == "data error: [config] comparisons[0] must be an object, got 5\n"
+        else:
+            assert err == f"data error: [config] comparisons must be a list of objects, got {value!r}\n"
+
+    def test_comparison_weights_not_an_object_is_exit_2(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = self._lstat_config(config)
+        raw["comparisons"] = [{"name": "a", "weights": raw.pop("weights")}, {"weights": 5}]
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == "data error: [config] comparisons[1].weights must be an object, got 5\n"
+        raw["weights"] = 5
+        del raw["comparisons"]
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == "data error: [config] weights must be an object, got 5\n"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "model.regressors",
+            "model.endogenous",
+            "model.instruments",
+            "model.fixed_effects",
+            "model.report_coefficients",
+            "model.derived.lags",
+        ],
+    )
+    @pytest.mark.parametrize("value", [5, "x", ["x", 2], None], ids=["int", "string", "mixed", "null"])
+    def test_name_list_setting_not_a_list_of_strings_is_exit_2(self, workdir, capsys, name, value):
+        tmp_path, config = workdir
+        raw = self._lagged_config(config)
+        section = raw
+        *path, key = name.split(".")
+        for part in path:
+            section = section[part]
+        section[key] = value
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == f"data error: [config] {name} must be a list of names, got {value!r}\n"
+
     # Every real-valued setting of `test` and the weight schemes, with an
     # integer value it accepts (None: no integer is a valid alpha).
     _REALS = {

@@ -164,6 +164,50 @@ class TestMcCovariance:
         with pytest.raises(NumericalError, match="failed"):
             mc_covariance(DGPSpec.univariate("normal", 20), flaky, reps=30, seed=1)
 
+    def test_one_failed_replication_is_tolerated_below_100_reps(self):
+        # The limit is max(1, 1% of reps): one failure out of 30 is dropped,
+        # and the covariance is that of the 29 replications that succeeded.
+        dgp = DGPSpec.univariate("normal", 20)
+        seen = []
+
+        def fails_once(data, row_weights):
+            seen.append(None)
+            if len(seen) == 4:
+                raise ValueError("broken replication")
+            return _mean_estimator(data, row_weights)
+
+        cov, mean = mc_covariance(dgp, fails_once, reps=30, seed=1)
+        kept = [
+            _mean_estimator(simulate(dgp, _child_seed(1, r)), np.ones(20))
+            for r in range(30)
+            if r != 3
+        ]
+        stats = np.vstack(kept)
+        centered = np.sqrt(20) * (stats - stats.mean(axis=0))
+        np.testing.assert_allclose(cov, centered.T @ centered / 28, rtol=1e-12)
+        np.testing.assert_allclose(mean, stats.mean(axis=0), rtol=1e-12)
+
+        def fails_twice(data, row_weights):
+            seen.append(None)
+            if len(seen) in (40, 41):
+                raise ValueError("broken replication")
+            return _mean_estimator(data, row_weights)
+
+        with pytest.raises(NumericalError, match="2 of 30 Monte Carlo replications failed"):
+            mc_covariance(dgp, fails_twice, reps=30, seed=1)
+
+    def test_fewer_than_two_successes_abort(self):
+        calls = []
+
+        def fails_first(data, row_weights):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("broken replication")
+            return _mean_estimator(data, row_weights)
+
+        with pytest.raises(NumericalError, match="only 1 of 2"):
+            mc_covariance(DGPSpec.univariate("normal", 20), fails_first, reps=2, seed=1)
+
 
 class TestSizeStudy:
     def test_counts_rejections_exactly(self):

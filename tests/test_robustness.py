@@ -6,9 +6,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
+from trimtest import robustness
 from trimtest.errors import NumericalError
 from trimtest.robustness import (
     TestSpec,
@@ -280,6 +283,42 @@ def _unchunked_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
     return crit, float(p)
 
 
+def _streamed_quad(h, sigma, norm, mc_draws, seed):
+    """Every direction's squared norms, one row per direction, computed as the
+    package computes them without the annulus screen: every draw through every
+    MC_CHUNK block of directions.  Also returns base.
+    """
+    dim = len(sigma)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    root = vecs * np.sqrt(np.maximum(vals, 0.0))
+    xi = rng.standard_normal((mc_draws, dim)) @ root.T
+    factor = cho_factor(norm)
+    base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
+    a_inv_v = cho_solve(factor, (unit_directions(dim) @ cholesky(norm, lower=True).T).T)
+    blocks = []
+    for lo in range(0, a_inv_v.shape[1], MC_CHUNK):
+        quad = a_inv_v[:, lo : lo + MC_CHUNK].T @ xi.T
+        quad *= 2.0 * h
+        quad += h * h
+        quad += base
+        blocks.append(quad)
+    return np.vstack(blocks), base
+
+
+def _streamed_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
+    """(critical value, tail) of the grid in _streamed_quad.
+
+    Under an explicit norm this, not _unchunked_mc, reproduces the package
+    bit for bit: the product of the final, partial block of directions
+    rounds differently from the same columns of _unchunked_mc's single
+    product (the identity norm's axis directions have exact cross products).
+    """
+    quad, _ = _streamed_quad(h, sigma, norm, mc_draws, seed)
+    crit = float(_empirical_upper_quantile(quad, alpha).max())
+    return crit, int(np.count_nonzero(quad >= statistic_sq, axis=1).max()) / mc_draws
+
+
 class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("h", [0.0, 0.35])
@@ -339,6 +378,137 @@ class TestStreamedMonteCarlo:
         zero = robustness_test(np.ones(2), np.ones(2), np.zeros((2, 2)))
         assert [r.path for r in (one, chi2, ncx2, zero)] == ["chi2", "chi2", "ncx2", "zero_cov"]
         assert all(r.mc_std_error is None for r in (one, chi2, ncx2, zero))
+
+
+def _spd_with_condition(rng, dim, log10_cond):
+    """A random SPD matrix with eigenvalues spread evenly (in logs) over 10^log10_cond."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return (q * np.logspace(0.0, log10_cond, dim)) @ q.T
+
+
+# The difference covariance of the panel_fe benchmark workload (OLS with
+# cluster fixed effects; x, long-run effect, effect after 3 periods and
+# persistence) at one seed, rounded.  It is tested with h = 0.02 under the
+# identity norm.
+PANEL_FE_DIFF_COV = np.array(
+    [
+        [1.17e-3, 1.82e-3, 1.80e-3, 1.39e-4],
+        [1.82e-3, 4.65e-3, 4.01e-3, 9.26e-4],
+        [1.80e-3, 4.01e-3, 3.61e-3, 7.32e-4],
+        [1.39e-4, 9.26e-4, 7.32e-4, 3.59e-4],
+    ]
+)
+
+
+class TestAnnulusScreen:
+    """The Monte Carlo path walks the direction grid only over the draws whose
+    annulus interval leaves the answer open, and must still reproduce the
+    unscreened grid bit for bit."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(
+        dim=st.integers(2, 6),
+        log10_h=st.floats(-3.0, 1.0),
+        log10_cond=st.one_of(st.none(), st.floats(0.0, 8.0)),
+        alpha=st.sampled_from([0.05, 0.3, 1e-9]),
+        draws=st.sampled_from([1000, 1024, 1061, 2003]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_unscreened(self, dim, log10_h, log10_cond, alpha, draws, seed):
+        # log10_cond None is the identity norm, where the reference is
+        # _unchunked_mc; under explicit norms it is _streamed_mc.  h runs from
+        # 1e-3 to 10 times the covariance scale, so some draws have
+        # sqrt(base) < h; alpha = 1e-9 selects the B-th order statistic; the
+        # draw counts are and are not multiples of the screen's row groups.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(dim, dim))
+        sigma = m @ m.T + 0.05 * np.eye(dim)
+        h = 10.0**log10_h * float(np.sqrt(np.abs(sigma).max()))
+        if log10_cond is None:
+            norm, norm_matrix, reference = np.eye(dim), "identity", _unchunked_mc
+        else:
+            norm = norm_matrix = _spd_with_condition(rng, dim, log10_cond)
+            reference = _streamed_mc
+        kwargs = dict(mc_draws=draws, seed=seed, norm_matrix=norm_matrix, method="mc")
+        crit_ref, _ = reference(h, sigma, norm, draws, seed, alpha, 0.0)
+        assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
+        # Order statistics of the computed squared norms are exact ties for
+        # some draw and direction: the largest of all (alpha = 1e-9) and a
+        # median.
+        ties = [reference(h, sigma, norm, draws, seed, a, 0.0)[0] for a in (1e-9, 0.5)]
+        for s2 in (crit_ref, *ties, 0.0):
+            _, p_ref = reference(h, sigma, norm, draws, seed, alpha, s2)
+            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+        diff = rng.normal(size=dim)
+        diff *= np.sqrt(crit_ref * rng.uniform(0.5, 1.5)) / mahalanobis(diff, norm)
+        spec = TestSpec(h=h, alpha=alpha, norm_matrix=norm_matrix, mc_draws=draws, seed=seed, method="mc")
+        report = robustness_test(diff, np.zeros(dim), sigma, spec, baseline_cov=2.0 * sigma)
+        stat_sq = report.statistic * report.statistic
+        formal = reference(h, floor_spd(sigma), norm, draws, seed, alpha, stat_sq)
+        heuristic = reference(h, floor_spd(2.0 * sigma), norm, draws, seed, alpha, stat_sq)
+        assert (report.critical_value, report.p_value_formal) == formal
+        assert report.p_value_heuristic == heuristic[1]
+
+    @pytest.mark.parametrize("dim,log10_cond", [(2, 0.0), (2, 4.0), (3, 4.0), (4, 4.0), (3, 8.0)])
+    def test_draws_on_a_grid_direction_reach_the_bounds(self, dim, log10_cond):
+        # Every draw lies on the line of the first axis direction in the
+        # norm's whitened coordinates, so the +e1 and -e1 directions reach
+        # the annulus bounds of exact arithmetic.  The statistics are draws'
+        # largest values over the grid that reach the upper bound as rounded
+        # without slack: only the slack of _annulus_slack keeps such a draw
+        # inside the screen's computed interval.
+        rng = np.random.default_rng(5)
+        norm = _spd_with_condition(rng, dim, log10_cond)
+        line = cholesky(norm, lower=True)[:, 0]
+        sigma = np.outer(line, line)
+        h, draws, seed = 0.3, 4000, 8
+        kwargs = dict(mc_draws=draws, seed=seed, norm_matrix=norm, method="mc")
+        quad, base = _streamed_quad(h, sigma, norm, draws, seed)
+        top = quad.max(axis=0)
+        bound = np.sqrt(base) * (2.0 * h)
+        bound += h * h
+        bound += base
+        reached = np.concatenate([top[top > bound], top[top == bound][:20]])
+        assert len(reached) > 0
+        for s2 in reached:
+            p_ref = np.count_nonzero(quad >= s2, axis=1).max() / draws
+            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+        for alpha in (0.05, 0.5, 1e-9):
+            crit_ref = float(_empirical_upper_quantile(quad, alpha).max())
+            assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
+
+    @staticmethod
+    def _walked_draws(monkeypatch, run) -> list[int]:
+        """The number of draws each _squared_norm_rows call receives during run()."""
+        seen = []
+        inner = robustness._squared_norm_rows
+
+        def counting(h, a_inv_v, xi, base):
+            seen.append(len(xi))
+            return inner(h, a_inv_v, xi, base)
+
+        monkeypatch.setattr(robustness, "_squared_norm_rows", counting)
+        run()
+        monkeypatch.undo()
+        return seen
+
+    def test_panel_fe_covariance_walks_few_draws(self, monkeypatch):
+        sigma, draws = floor_spd(PANEL_FE_DIFF_COV), 100_000
+        kwargs = dict(mc_draws=draws, seed=3, norm_matrix="identity")
+        crit = critical_value(0.02, sigma, **kwargs)
+        walked = self._walked_draws(monkeypatch, lambda: critical_value(0.02, sigma, **kwargs))
+        assert len(walked) == len(unit_directions(4)) // MC_CHUNK + 1
+        assert 0 < max(walked) < 0.2 * draws
+        # A statistic far in the tail, as the workload's, straddles almost no
+        # interval.
+        walked = self._walked_draws(
+            monkeypatch, lambda: formal_p_value(4.0 * crit, 0.02, sigma, **kwargs)
+        )
+        assert max(walked) < 0.01 * draws
+        # h far beyond the covariance scale: every interval straddles the
+        # quantile and every draw is walked.
+        walked = self._walked_draws(monkeypatch, lambda: critical_value(10.0, sigma, **kwargs))
+        assert set(walked) == {draws}
 
 
 class TestFormalPValue:
