@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,19 +28,15 @@ from .csvio import (
     read_draws_csv,
 )
 from .dataset import PanelDataset, add_within_cluster_lags
-from .errors import DataError, TrimtestError
+from .errors import DataError, NumericalError, TrimtestError
 from .estimators import (
     RegressionComparison,
     difference_covariance,
     lstat_pair_estimator,
     regression_comparison_estimator,
 )
-from .lstat import (
-    LStatSpec,
-    Transform,
-    analytic_cov,
-    analytic_cov_is_degenerate,
-)
+from .lstat import LStatSpec, Transform, analytic_cov, analytic_cov_is_degenerate
+from .mc_oracle import DGPSpec
 from .plotgrid import emit_plot_grid
 from .regress import RegressionModel
 from .robustness import TestSpec, robustness_test
@@ -57,115 +53,299 @@ def _stage(name: str):
         raise
 
 
-# The keys README documents for each config section; any other key is refused.
-_ROOT_KEYS = frozenset(
-    "input cluster_column model weights comparisons lags bootstrap test output mc".split()
-)
-_MODEL_KEYS = frozenset(
-    "type outcome regressors fixed_effects intercept normalization report_coefficients"
-    " endogenous instruments derived statistics".split()
-)
-_DERIVED_KEYS = frozenset({"effect", "lags", "horizon"})
-_BOOTSTRAP_KEYS = frozenset(
-    {"iterations", "seed", "resample_unit", "engine", "multiplier_distribution"}
-)
-_TEST_KEYS = frozenset({"alpha", "h", "norm", "mc_draws", "seed", "method"})
-_OUTPUT_KEYS = frozenset({"directory", "plot_pairs", "analytic_cov"})
-_MC_KEYS = frozenset("dgp reps seed alpha h multiplier inner_iterations coefficient".split())
-_STATISTIC_KEYS = frozenset({"column", "transform", "name"})
-_LAG_KEYS = frozenset({"column", "count"})
-# Keys, and which of them are real numbers, per weight-scheme and transform kind.
-_BOUNDS = frozenset({"lower_q", "upper_q"})
-_SCHEME_KEYS = {
-    "all_ones": frozenset(),
-    "quantile_trim": frozenset({"columns"}) | _BOUNDS,
-    "winsorize": frozenset({"columns"}) | _BOUNDS,
-    "residual_trim": frozenset({"multiplier"}),
-    "custom": frozenset({"values"}),
-}
-_TRANSFORM_KEYS = {
-    "identity": frozenset(),
-    "power": frozenset({"exponent"}),
-    "table": frozenset({"x", "y", "dy"}),
-}
-_REAL_KEYS = _BOUNDS | {"multiplier", "exponent"}
+# The config schema.  A reader takes (value, dotted path), refuses a value of
+# the wrong type with a DataError naming the path, and returns what the
+# setting's field gets.  A key the config leaves out is not passed on, so its
+# default is the one of the dataclass field or function parameter it fills.
 
 
-def _known_keys(section, allowed: frozenset, name: str) -> dict:
-    """The section, once it is an object holding only allowed keys."""
-    if not isinstance(section, dict):
-        raise DataError(f"{name} must be an object")
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise DataError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return section
-
-
-def config_int(value, name: str) -> int:
-    """An integer setting (count or seed); fractions, bools and strings are refused."""
+def _int(value, path: str) -> int:
+    """A count or seed; an integral float such as 2.0 is accepted, bools and strings refused."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise DataError(f"{name} must be an integer, got {value!r}")
+        raise DataError(f"{path} must be an integer, got {value!r}")
     return int(value)
 
 
-def config_float(value, name: str) -> float:
-    """A real-valued setting; integers are accepted, bools and strings refused."""
+def _real(value, path: str) -> float:
+    """A real number; integers are accepted, bools and strings refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{name} must be a number, got {value!r}")
+        raise DataError(f"{path} must be a number, got {value!r}")
     return float(value)
 
 
-def config_names(value, name: str) -> tuple[str, ...]:
-    """A list of column or coefficient names; a bare string and non-string entries are refused."""
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise DataError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _str_or_null(value, path: str) -> str | None:
+    return None if value is None else _str(value, path)
+
+
+def _names(value, path: str) -> tuple[str, ...]:
+    """A list of column or coefficient names; a bare string is refused."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DataError(f"{name} must be a list of names, got {value!r}")
+        raise DataError(f"{path} must be a list of names, got {value!r}")
     return tuple(value)
 
 
-def _kind_section(raw, keys_by_kind: dict, name: str, default_kind: str | None = None) -> dict:
-    """A scheme or transform object checked against its kind's keys, reals as floats.
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        raise DataError(f"{path} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
-    An unknown kind passes through for the kind's own constructor to refuse.
+
+def _norm(value, path: str):
+    """"diff_cov", "identity", or a square matrix as a tuple of rows."""
+    if value in ("diff_cov", "identity"):
+        return value
+    rows = isinstance(value, list) and tuple(
+        _numbers(row, f"{path}[{i}]") for i, row in enumerate(value)
+    )
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DataError(f'{path} must be "diff_cov", "identity" or a square matrix, got {value!r}')
+    return rows
+
+
+def _plot_pairs(value, path: str) -> tuple:
+    """Statistic labels, or [i, j] pairs of draw columns."""
+    if not isinstance(value, list):
+        raise DataError(f"{path} must be a list, got {value!r}")
+    out = []
+    for i, pair in enumerate(value):
+        if isinstance(pair, list) and len(pair) == 2:
+            pair = tuple(_int(v, f"{path}[{i}]") for v in pair)
+        elif not isinstance(pair, str):
+            raise DataError(f"{path}[{i}] must be a label or an [i, j] pair, got {pair!r}")
+        out.append(pair)
+    return tuple(out)
+
+
+def _lag_count(value, path: str) -> int:
+    return _int(value, "lags.count")  # named without the entry's index, as it always was
+
+
+_READERS = {"int": _int, "float": _real, "bool": _bool, "str": _str, "tuple[str, ...]": _names}
+
+
+def _fields(cls) -> dict:
+    """One key per field of a dataclass, read by the reader its (postponed) annotation names."""
+    return {f.name: _READERS[f.type] for f in fields(cls)}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"{path or 'config'} must be an object, got {value!r}")
+    return value
+
+
+def _missing(path: str, key: str) -> DataError:
+    return DataError(f"config is missing required key {_join(path, key)!r}")
+
+
+_UNKNOWN = "unknown key(s) in {path}: {keys}"
+
+
+class _Section:
+    """An object's keys, each mapped to a reader (or to (reader, field) when named otherwise).
+
+    Reading refuses unknown keys and missing required ones, reads every
+    key present and passes the values by field name to `build`; a
+    ValueError from `build` is reported with the section's path.
     """
-    if not isinstance(raw, dict):
-        raise DataError(f"{name} must be an object")
-    kind = raw.get("kind", default_kind)
-    if isinstance(kind, str) and kind in keys_by_kind:
-        _known_keys(raw, keys_by_kind[kind] | {"kind"}, name)
-    return {k: config_float(v, f"{name}.{k}") if k in _REAL_KEYS else v for k, v in raw.items()}
+
+    def __init__(self, keys: dict, required=(), build=dict, unknown=_UNKNOWN, missing=None):
+        self.keys = {k: r if isinstance(r, tuple) else (r, k) for k, r in keys.items()}
+        self.required, self.build, self.unknown, self.missing = required, build, unknown, missing
+
+    def check(self, raw, path: str) -> dict:
+        """The object itself, once its keys are checked."""
+        unknown = sorted(set(_object(raw, path)) - set(self.keys))
+        if unknown:
+            keys = ", ".join(unknown)
+            raise DataError(self.unknown.format(path=path or "config root", keys=keys))
+        for key in self.required:
+            if key not in raw:
+                raise DataError(self.missing) if self.missing else _missing(path, key)
+        return raw
+
+    def __call__(self, raw, path: str):
+        raw = self.check(raw, path)
+        values = {
+            name: read(raw[key], _join(path, key))
+            for key, (read, name) in self.keys.items()
+            if key in raw
+        }
+        try:
+            return self.build(**values)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
-def mc_section(raw: dict) -> dict:
-    """The mc section of a config, with the keys of every section it reads checked."""
-    with _stage("config"):
-        _known_keys(raw, _ROOT_KEYS, "config root")
-        _known_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
-        if not raw.get("mc"):
-            raise DataError("config has no mc section")
-        return _known_keys(raw["mc"], _MC_KEYS, "mc")
+class _Kinds:
+    """An object whose keys depend on its kind, the value of `key`: {kind: (keys, required)}."""
+
+    def __init__(self, key: str, kinds: dict, build=dict, default=None):
+        self.key, self.default = key, default
+        self.sections = {
+            kind: _Section({key: _str, **keys}, required, build)
+            for kind, (keys, required) in kinds.items()
+        }
+
+    def __call__(self, raw, path: str):
+        kind = _object(raw, path).get(self.key, self.default)
+        if kind is None:
+            raise _missing(path, self.key)
+        if not isinstance(kind, str) or kind not in self.sections:
+            raise DataError(f"unknown {path} {self.key} {kind!r}")
+        return self.sections[kind]({**raw, self.key: kind}, path)
 
 
-def _statistic(raw, name: str) -> LStatSpec:
-    entry = _known_keys(raw, _STATISTIC_KEYS, name)
-    transform = _kind_section(
-        entry.get("transform", {}), _TRANSFORM_KEYS, f"{name}.transform", "identity"
-    )
-    return LStatSpec(
-        column=entry["column"],
-        transform=Transform.from_dict(transform),
-        name=entry.get("name", entry["column"]),
-    )
+class _Entries:
+    """A list of objects, entry i read by `item` at path[i]."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __call__(self, raw, path: str) -> tuple:
+        if not isinstance(raw, list):
+            raise DataError(f"{path} must be a list of objects, got {raw!r}")
+        return tuple(self.item(entry, f"{path}[{i}]") for i, entry in enumerate(raw))
 
 
 @dataclass(frozen=True)
 class Comparison:
     """One baseline/adjusted estimator pair to run and test."""
 
-    name: str
     baseline_scheme: WeightScheme
     adjusted_scheme: WeightScheme
+    name: str = "main"
+
+
+def _statistic(column: str, name: str | None = None, **transform) -> LStatSpec:
+    """A statistics entry; its name defaults to its column."""
+    return LStatSpec(column, name=column if name is None else name, **transform)
+
+
+_BOUNDS = {"columns": _names, "lower_q": _real, "upper_q": _real}
+_SCHEME = _Kinds(
+    "kind",
+    {
+        "all_ones": ({}, ()),
+        "quantile_trim": (_BOUNDS, ("columns",)),
+        "winsorize": (_BOUNDS, ("columns",)),
+        "residual_trim": ({"multiplier": _real}, ()),
+        "custom": ({"values": _numbers}, ("values",)),
+    },
+    WeightScheme,
+)
+# The pair keeps the messages it has always given.
+_PAIR = _Section(
+    {
+        "name": _str, "baseline": (_SCHEME, "baseline_scheme"),
+        "adjusted": (_SCHEME, "adjusted_scheme"),
+    },
+    ("baseline", "adjusted"),
+    Comparison,
+    unknown="unexpected keys in {path}: {keys}",
+    missing="each comparison needs exactly a baseline and an adjusted weight scheme",
+)
+
+
+def _comparison(raw, path: str) -> Comparison:
+    """A comparisons entry: a named pair, its schemes under `weights` or beside `name`."""
+    if isinstance(raw, dict) and "weights" in raw:
+        weights = _object(raw["weights"], f"{path}.weights")
+        raw = {**weights, **{k: v for k, v in raw.items() if k != "weights"}}
+    return _PAIR(raw, path)
+
+
+_TRANSFORM = _Kinds(
+    "kind",
+    {
+        "identity": ({}, ()),
+        "power": ({"exponent": _real}, ("exponent",)),
+        "table": ({"x": (_numbers, "table_x"), "y": (_numbers, "table_y")}, ("x", "y")),
+    },
+    Transform,
+    default=Transform.kind,  # the dataclass field's default
+)
+_STATISTIC = _Section(
+    {"column": _str, "transform": _TRANSFORM, "name": _str}, ("column",), _statistic
+)
+_DERIVED = _Section(
+    {
+        "effect": (_str, "derived_effect"), "lags": (_names, "derived_lags"),
+        "horizon": (_int, "derived_horizon"),
+    },
+    ("effect", "lags"),
+)
+_REGRESSION = (
+    {**_fields(RegressionModel), "report_coefficients": _names, "derived": _DERIVED},
+    ("outcome",),
+)
+_LSTAT = ({"statistics": _Entries(_STATISTIC)}, ("statistics",))
+_MODEL = _Kinds("type", {"ols": _REGRESSION, "iv": _REGRESSION, "lstat": _LSTAT}, default="ols")
+_TEST = _Section(
+    {
+        "h": _real, "alpha": _real, "norm": (_norm, "norm_matrix"), "mc_draws": _int,
+        "seed": _int, "method": _str,
+    },
+    build=TestSpec,
+)
+_OUTPUT = _Section(
+    {
+        "directory": (_str, "output_dir"), "plot_pairs": _plot_pairs,
+        "analytic_cov": (_bool, "include_analytic_cov"),
+    }
+)
+# Keyword arguments of `add_within_cluster_lags`.
+_LAG = _Section({"column": _str, "count": (_lag_count, "lags")}, ("column", "count"))
+# mc.dgp keeps the unknown-key message it has always given.
+_DGP = _Section(_fields(DGPSpec), ("kind",), DGPSpec, unknown="unknown {path} key(s): {keys}")
+# Keyword arguments of `mc_oracle.residual_trim_size_analysis` and `size_study`.
+_MC = _Section(
+    {
+        "dgp": _DGP, "reps": _int, "seed": _int, "alpha": _real, "h": _real,
+        "multiplier": _real, "inner_iterations": _int, "coefficient": _str,
+    },
+    ("dgp",),
+)
+_ROOT = _Section(
+    {
+        "input": (_str, "input_path"), "cluster_column": _str_or_null, "model": _MODEL,
+        "weights": _PAIR, "comparisons": _Entries(_comparison), "lags": _Entries(_LAG),
+        "bootstrap": (_Section(_fields(BootstrapPlan), build=BootstrapPlan), "plan"),
+        "test": _TEST, "output": _OUTPUT, "mc": _MC,
+    },
+    ("input", "model"),
+)
+# `trimtest mc` needs neither input nor model, and reads the mc section itself.
+_MC_ROOT = _Section({**_ROOT.keys, "mc": (_MC.check, "mc")}, ("mc",))
+
+
+def mc_settings(raw: dict) -> tuple[dict, str]:
+    """The mc section's settings by parameter name, and the configured output directory."""
+    with _stage("config"):
+        root = _MC_ROOT(raw, "")
+    # Outside the config stage: mc settings are reported without its prefix.
+    study = _MC(root["mc"], "mc")
+    return study, root.get("output", {}).get("output_dir", AnalysisConfig.output_dir)
 
 
 @dataclass(frozen=True)
@@ -173,127 +353,63 @@ class AnalysisConfig:
     """Validated analysis description; build from a dict with from_dict."""
 
     input_path: str
-    cluster_column: str | None
     mode: str  # "regression" | "lstat"
-    model: RegressionModel | None
-    statistics: tuple[LStatSpec, ...]
     comparisons: tuple[Comparison, ...]
-    report_coefficients: tuple[str, ...]
-    derived_effect: str
-    derived_lags: tuple[str, ...]
-    derived_horizon: int
-    plan: BootstrapPlan
-    test: TestSpec
-    output_dir: str
+    cluster_column: str | None = None
+    model: RegressionModel | None = None
+    statistics: tuple[LStatSpec, ...] = ()
+    report_coefficients: tuple[str, ...] = ()
+    derived: dict = field(default_factory=dict)  # RegressionComparison's derived_* fields
+    plan: BootstrapPlan = field(default_factory=BootstrapPlan)
+    test: TestSpec = field(default_factory=TestSpec)
+    output_dir: str = "trimtest-output"
     plot_pairs: tuple = ()
-    lags: tuple = ()
+    lags: tuple = ()  # add_within_cluster_lags keyword arguments
     include_analytic_cov: bool = False
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
         with _stage("config"):
-            _known_keys(raw, _ROOT_KEYS, "config root")
-            for key in ("input", "model"):
-                if key not in raw:
-                    raise DataError(f"config is missing required key {key!r}")
-            model_raw = _known_keys(raw["model"], _MODEL_KEYS, "model")
-            mtype = model_raw.get("type", "ols")
-            if mtype not in {"ols", "iv", "lstat"}:
-                raise DataError(f"unknown model type {mtype!r}")
-            comparisons = _parse_comparisons(raw)
-            statistics: tuple[LStatSpec, ...] = ()
-            model = None
-            report_coefficients: tuple[str, ...] = ()
-            derived_effect = ""
-            derived_lags: tuple[str, ...] = ()
-            derived_horizon = 25
+            c = _ROOT(raw, "")
+            model = c.pop("model")
+            c.pop("mc", None)
+            c.update(c.pop("output", {}))
+            pair = c.pop("weights", None)
+            if "comparisons" not in c:
+                if pair is None:
+                    raise DataError("config needs a weights object or a comparisons list")
+                c["comparisons"] = (pair,)
+            names = [comparison.name for comparison in c["comparisons"]]
+            if len(set(names)) != len(names):
+                raise DataError("comparison names must be unique")
+            mtype = model.pop("type")
             if mtype == "lstat":
-                stats_raw = model_raw.get("statistics")
-                if not stats_raw:
+                if not model["statistics"]:
                     raise DataError("lstat model requires a statistics list")
-                statistics = tuple(
-                    _statistic(e, f"model.statistics[{i}]") for i, e in enumerate(stats_raw)
+                return cls(mode="lstat", **model, **c)
+            if (mtype == "iv") != bool(model.get("endogenous")):
+                raise DataError(
+                    'an "iv" model requires endogenous and instruments lists; "ols" takes neither'
                 )
-            else:
-                endog = config_names(model_raw.get("endogenous", []), "model.endogenous")
-                instr = config_names(model_raw.get("instruments", []), "model.instruments")
-                if mtype == "iv" and not endog:
-                    raise DataError("iv model requires endogenous and instruments lists")
-                if mtype == "ols":
-                    endog, instr = (), ()
-                model = RegressionModel(
-                    outcome=model_raw["outcome"],
-                    regressors=config_names(model_raw.get("regressors", []), "model.regressors"),
-                    endogenous=endog,
-                    instruments=instr,
-                    fixed_effects=config_names(
-                        model_raw.get("fixed_effects", []), "model.fixed_effects"
-                    ),
-                    intercept=bool(model_raw.get("intercept", True)),
-                    normalization=model_raw.get("normalization", "equal"),
-                )
-                report_coefficients = config_names(
-                    model_raw.get("report_coefficients", list(model.regressors)),
-                    "model.report_coefficients",
-                )
-                derived = model_raw.get("derived")
-                if derived:
-                    _known_keys(derived, _DERIVED_KEYS, "model.derived")
-                    derived_effect = derived["effect"]
-                    derived_lags = config_names(derived["lags"], "model.derived.lags")
-                    horizon = derived.get("horizon", 25)
-                    derived_horizon = config_int(horizon, "model.derived.horizon")
-                # Under fixed effects no name depends on the data.
-                for key, names in (
-                    ("model.report_coefficients", report_coefficients),
-                    ("model.derived.effect", (derived_effect,) if derived_effect else ()),
-                    ("model.derived.lags", derived_lags),
-                ):
-                    unknown = [c for c in names if c not in model.named_coefficients]
-                    if unknown:
-                        raise DataError(
-                            f"{key} names {', '.join(map(repr, unknown))}, not a model "
-                            f"coefficient ({', '.join(model.named_coefficients)})"
-                        )
-            boot_raw = _known_keys(raw.get("bootstrap", {}), _BOOTSTRAP_KEYS, "bootstrap")
-            plan = BootstrapPlan(
-                iterations=config_int(boot_raw.get("iterations", 10_000), "bootstrap.iterations"),
-                seed=config_int(boot_raw.get("seed", 0), "bootstrap.seed"),
-                resample_unit=boot_raw.get("resample_unit", "cluster"),
-                engine=boot_raw.get("engine", "multinomial"),
-                multiplier_distribution=boot_raw.get("multiplier_distribution", "normal"),
-            )
-            test_raw = _known_keys(raw.get("test", {}), _TEST_KEYS, "test")
-            test = TestSpec(
-                h=config_float(test_raw.get("h", 0.0), "test.h"),
-                alpha=config_float(test_raw.get("alpha", 0.05), "test.alpha"),
-                norm_matrix=test_raw.get("norm", "diff_cov"),
-                mc_draws=config_int(test_raw.get("mc_draws", 100_000), "test.mc_draws"),
-                seed=config_int(test_raw.get("seed", 0), "test.seed"),
-                method=test_raw.get("method", "auto"),
-            )
-            out_raw = _known_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
-            lag_entries = [
-                _known_keys(e, _LAG_KEYS, f"lags[{i}]") for i, e in enumerate(raw.get("lags", ()))
-            ]
-            lags = tuple((e["column"], config_int(e["count"], "lags.count")) for e in lag_entries)
+            derived = model.pop("derived", {})
+            report = model.pop("report_coefficients", None)
+            model = RegressionModel(**model)
+            report = model.regressors if report is None else report
+            effect = derived.get("derived_effect")
+            # Under fixed effects no name depends on the data.
+            for key, names in (
+                ("model.report_coefficients", report),
+                ("model.derived.effect", (effect,) if effect else ()),
+                ("model.derived.lags", derived.get("derived_lags", ())),
+            ):
+                unknown = [n for n in names if n not in model.named_coefficients]
+                if unknown:
+                    raise DataError(
+                        f"{key} names {', '.join(map(repr, unknown))}, not a model "
+                        f"coefficient ({', '.join(model.named_coefficients)})"
+                    )
             return cls(
-                input_path=raw["input"],
-                cluster_column=raw.get("cluster_column"),
-                mode="lstat" if mtype == "lstat" else "regression",
-                model=model,
-                statistics=statistics,
-                comparisons=comparisons,
-                report_coefficients=report_coefficients,
-                derived_effect=derived_effect,
-                derived_lags=derived_lags,
-                derived_horizon=derived_horizon,
-                plan=plan,
-                test=test,
-                output_dir=out_raw.get("directory", "trimtest-output"),
-                plot_pairs=tuple(tuple(p) if isinstance(p, list) else p for p in out_raw.get("plot_pairs", ())),
-                lags=lags,
-                include_analytic_cov=bool(out_raw.get("analytic_cov", False)),
+                mode="regression", model=model, report_coefficients=report, derived=derived, **c
             )
 
     @classmethod
@@ -317,49 +433,6 @@ def read_json_config(path: str) -> dict:
         raise DataError(f"cannot open config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _parse_comparisons(raw: dict) -> tuple[Comparison, ...]:
-    entries = raw.get("comparisons")
-    where = "comparisons[{}]"
-    if entries is None:
-        weights = raw.get("weights")
-        if weights is None:
-            raise DataError("config needs a weights object or a comparisons list")
-        entries = [{"name": "main", "weights": weights}]
-        where = "weights"
-    elif not isinstance(entries, list):
-        raise DataError(f"comparisons must be a list of objects, got {entries!r}")
-    out = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise DataError(f"comparisons[{i}] must be an object, got {e!r}")
-        w = e.get("weights", e)
-        if not isinstance(w, dict):
-            name = "weights" if where == "weights" else f"comparisons[{i}].weights"
-            raise DataError(f"{name} must be an object, got {w!r}")
-        extra = set(w) - {"baseline", "adjusted", "name"}
-        if "baseline" not in w or "adjusted" not in w:
-            raise DataError(
-                "each comparison needs exactly a baseline and an adjusted weight scheme"
-            )
-        if extra:
-            raise DataError(f"unexpected keys in comparison weights: {sorted(extra)}")
-        out.append(
-            Comparison(
-                name=e.get("name", "main"),
-                baseline_scheme=WeightScheme.from_dict(
-                    _kind_section(w["baseline"], _SCHEME_KEYS, f"{where.format(i)}.baseline")
-                ),
-                adjusted_scheme=WeightScheme.from_dict(
-                    _kind_section(w["adjusted"], _SCHEME_KEYS, f"{where.format(i)}.adjusted")
-                ),
-            )
-        )
-    names = [c.name for c in out]
-    if len(set(names)) != len(names):
-        raise DataError("comparison names must be unique")
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -406,9 +479,7 @@ def _build_estimator(config: AnalysisConfig, comparison: Comparison):
         baseline_scheme=comparison.baseline_scheme,
         adjusted_scheme=comparison.adjusted_scheme,
         report_coefficients=config.report_coefficients,
-        derived_effect=config.derived_effect,
-        derived_lags=config.derived_lags,
-        derived_horizon=config.derived_horizon,
+        **config.derived,
     )
     return regression_comparison_estimator(rcomp), rcomp.stat_labels(), None
 
@@ -422,8 +493,8 @@ def _prepared_data(
     else:
         load_report = LoadReport(data.n_rows, 0, {})
     with _stage("lags"):
-        for column, count in config.lags:
-            data = add_within_cluster_lags(data, column, count)
+        for lag in config.lags:
+            data = add_within_cluster_lags(data, **lag)
     return data, load_report
 
 
@@ -450,17 +521,27 @@ def point_estimates(
     return out
 
 
+def _dependent_statistics(cov: np.ndarray, labels) -> list[str]:
+    """Labels of the statistics in the null space of a singular, nonzero covariance."""
+    _, s, vt = np.linalg.svd(cov)
+    if s[0] == 0.0:
+        return []
+    null = vt[s <= s[0] * len(s) * np.finfo(float).eps]
+    return [label for label, v in zip(labels, np.abs(null).max(axis=0, initial=0.0)) if v > 1e-8]
+
+
 def _robustness_tests(
-    b1: np.ndarray, b2: np.ndarray, cov: np.ndarray, diff_cov: np.ndarray, spec: TestSpec
+    labels, b1: np.ndarray, b2: np.ndarray, cov: np.ndarray, diff_cov: np.ndarray, spec: TestSpec
 ) -> tuple[tuple, object]:
     """Per-coefficient tests, then the joint test over all d statistics.
 
     cov is the stacked 2d x 2d bootstrap covariance (its baseline block
     feeds the heuristic p-value); diff_cov is the d x d difference block.
     An explicit d x d norm matrix A tests statistic j alone in the norm
-    [[A[j, j]]].
+    [[A[j, j]]].  Under the default norm a singular difference covariance
+    is reported with the statistics that make it singular.
     """
-    d = len(b1)
+    d = len(labels)
     coef_specs = [spec] * d
     if not isinstance(spec.norm_matrix, str):
         a = np.atleast_2d(np.asarray(spec.norm_matrix, dtype=float))
@@ -477,7 +558,16 @@ def _robustness_tests(
         )
         for j in range(d)
     )
-    joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+    try:
+        joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+    except NumericalError as exc:
+        dependent = spec.norm_matrix == "diff_cov" and _dependent_statistics(diff_cov, labels)
+        if not dependent:
+            raise
+        raise NumericalError(
+            f"the difference covariance is singular: statistics {', '.join(map(repr, dependent))} "
+            'are linearly dependent. Set test.norm to "identity", or drop one of them'
+        ) from exc
     return coef_tests, joint
 
 
@@ -496,7 +586,7 @@ def run_analysis(
         diff_cov = difference_covariance(boot.cov, d)
         flags = {}
         with _stage(f"test:{comparison.name}"):
-            coef_tests, joint = _robustness_tests(b1, b2, boot.cov, diff_cov, config.test)
+            coef_tests, joint = _robustness_tests(labels, b1, b2, boot.cov, diff_cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
             with _stage(f"analytic:{comparison.name}"):
@@ -593,22 +683,6 @@ def _format_table(results: list[ComparisonResult]) -> str:
     return "\n".join(lines)
 
 
-def _test_dict(t) -> dict:
-    return {
-        "statistic": t.statistic,
-        "critical_value": t.critical_value,
-        "reject": bool(t.reject),
-        "p_value_formal": t.p_value_formal,
-        "p_value_heuristic": t.p_value_heuristic,
-        "h": t.h,
-        "alpha": t.alpha,
-        "method": t.method,
-        "path": t.path,
-        "mc_std_error": t.mc_std_error,
-        "seed": t.seed,
-    }
-
-
 def _results_dict(
     config: AnalysisConfig,
     load_report: LoadReport,
@@ -631,9 +705,9 @@ def _results_dict(
             },
             "difference_cov": res.diff_cov.tolist(),
             "tests": {
-                res.labels[j]: _test_dict(res.coefficient_tests[j]) for j in range(d)
+                res.labels[j]: asdict(res.coefficient_tests[j]) for j in range(d)
             },
-            "joint_test": _test_dict(res.joint_test),
+            "joint_test": asdict(res.joint_test),
             "table_rows": _table_rows(res),
             "flags": dict(res.flags),
         }
@@ -649,21 +723,9 @@ def _results_dict(
         "rows_dropped": load_report.n_dropped,
         "dropped_by_column": dict(load_report.dropped_by_column),
         "bootstrap": {
-            "iterations": config.plan.iterations,
-            "seed": config.plan.seed,
-            "resample_unit": config.plan.resample_unit,
-            "engine": config.plan.engine,
+            k: getattr(config.plan, k) for k in ("iterations", "seed", "resample_unit", "engine")
         },
-        "test": {
-            "h": config.test.h,
-            "alpha": config.test.alpha,
-            "norm": config.test.norm_matrix
-            if isinstance(config.test.norm_matrix, str)
-            else np.asarray(config.test.norm_matrix, dtype=float).tolist(),
-            "mc_draws": config.test.mc_draws,
-            "seed": config.test.seed,
-            "method": config.test.method,
-        },
+        "test": {key: getattr(config.test, name) for key, (_, name) in _TEST.keys.items()},
         "comparisons": comparisons,
     }
 
@@ -737,15 +799,7 @@ def _regenerated_tests(directory: str) -> dict:
                 stored = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot open results.json in {directory}: {exc}") from exc
-        test_raw = stored["test"]
-        spec = TestSpec(
-            h=float(test_raw["h"]),
-            alpha=float(test_raw["alpha"]),
-            norm_matrix=test_raw["norm"],
-            mc_draws=int(test_raw["mc_draws"]),
-            seed=int(test_raw["seed"]),
-            method=test_raw["method"],
-        )
+        spec = _TEST(stored["test"], "test")
         out: dict = {}
         for name, entry in stored["comparisons"].items():
             draws = read_draws_csv(os.path.join(directory, f"draws_{name}.csv"))
@@ -753,8 +807,8 @@ def _regenerated_tests(directory: str) -> dict:
             diff_cov = difference_covariance(cov, len(entry["labels"]))
             b1 = np.asarray(entry["baseline"], dtype=float)
             b2 = np.asarray(entry["adjusted"], dtype=float)
-            coef_tests, joint = _robustness_tests(b1, b2, cov, diff_cov, spec)
-            tests = {label: _test_dict(t) for label, t in zip(entry["labels"], coef_tests)}
-            tests["joint"] = _test_dict(joint)
+            coef_tests, joint = _robustness_tests(entry["labels"], b1, b2, cov, diff_cov, spec)
+            tests = {label: asdict(t) for label, t in zip(entry["labels"], coef_tests)}
+            tests["joint"] = asdict(joint)
             out[name] = tests
         return out

@@ -14,15 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 
 from .analysis import (
     AnalysisConfig,
-    config_float,
-    config_int,
-    mc_section,
+    mc_settings,
     point_estimates,
     read_json_config,
     regenerate_report,
@@ -102,44 +100,19 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
+    from .mc_oracle import residual_trim_size_analysis, size_study
 
-    raw = read_json_config(args.config)
-    mc_raw = mc_section(raw)
-    dgp_raw = dict(mc_raw.get("dgp", {}))
-    kind = dgp_raw.pop("kind", None)
-    if kind is None:
-        raise DataError("mc.dgp needs a kind")
-    unknown = sorted(set(dgp_raw) - {f.name for f in fields(DGPSpec)})
-    if unknown:
-        raise DataError(f"unknown mc.dgp key(s): {', '.join(unknown)}")
-    dgp = DGPSpec(kind=kind, **dgp_raw)
-    seed = args.seed if args.seed is not None else config_int(mc_raw.get("seed", 0), "mc.seed")
-    reps = config_int(mc_raw.get("reps", 100), "mc.reps")
-    alpha = config_float(mc_raw.get("alpha", 0.05), "mc.alpha")
-    h = config_float(mc_raw.get("h", 0.0), "mc.h")
-    analysis = residual_trim_size_analysis(
-        multiplier=config_float(mc_raw.get("multiplier", 1.96), "mc.multiplier"),
-        inner_iterations=args.iterations
-        if args.iterations is not None
-        else config_int(mc_raw.get("inner_iterations", 299), "mc.inner_iterations"),
-        alpha=alpha,
-        h=h,
-        coefficient=mc_raw.get("coefficient", "x"),
-    )
-    report = size_study(dgp, analysis, reps=reps, seed=seed, alpha=alpha, h=h)
-    doc = {
-        "rejections": report.rejections,
-        "reps": report.reps,
-        "rate": report.rate,
-        "std_error": report.std_error,
-        "alpha": report.alpha,
-        "h": report.h,
-        "seed": seed,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out_dir = args.output or raw.get("output", {}).get("directory", "trimtest-output")
-    atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)
+    study, out_dir = mc_settings(read_json_config(args.config))
+    if args.seed is not None:
+        study["seed"] = args.seed
+    if args.iterations is not None:
+        study["inner_iterations"] = args.iterations
+    # alpha and h go to both functions; the rest to one of them.
+    run = {k: study.pop(k) for k in ("dgp", "reps", "seed") if k in study}
+    shared = {k: study[k] for k in ("alpha", "h") if k in study}
+    report = size_study(analysis_fn=residual_trim_size_analysis(**study), **run, **shared)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    atomic_write_text(os.path.join(args.output or out_dir, "mc_results.json"), text)
     sys.stdout.write(text)
     return 0
 

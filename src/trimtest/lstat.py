@@ -30,15 +30,21 @@ class Transform:
     """Continuously differentiable transformation applied to observations.
 
     kind "identity", "power" (m(x) = x**exponent), or "table" (piecewise
-    linear interpolation of supplied (x, y, dy) points; evaluation outside
-    the table range raises).
+    linear interpolation of supplied (x, y) points on a strictly increasing
+    x grid; evaluation outside the table range raises).
     """
 
     kind: str = "identity"
     exponent: float = 1.0
     table_x: tuple[float, ...] = ()
     table_y: tuple[float, ...] = ()
-    table_dy: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.kind == "table":
+            if not self.table_x or len(self.table_x) != len(self.table_y):
+                raise ValueError("table x and y must have the same, nonzero length")
+            if any(b <= a for a, b in zip(self.table_x, self.table_x[1:])):
+                raise ValueError("table x grid must be strictly increasing")
 
     @classmethod
     def identity(cls) -> "Transform":
@@ -49,11 +55,8 @@ class Transform:
         return cls("power", exponent=float(exponent))
 
     @classmethod
-    def from_table(cls, x, y, dy) -> "Transform":
-        x = tuple(float(v) for v in x)
-        if any(b <= a for a, b in zip(x, x[1:])):
-            raise ValueError("table x grid must be strictly increasing")
-        return cls("table", table_x=x, table_y=tuple(map(float, y)), table_dy=tuple(map(float, dy)))
+    def from_table(cls, x, y) -> "Transform":
+        return cls("table", table_x=tuple(map(float, x)), table_y=tuple(map(float, y)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -71,25 +74,6 @@ class Transform:
             bad = int(np.nonzero((np.atleast_1d(x) < lo) | (np.atleast_1d(x) > hi))[0][0])
             raise ValueError(f"transform undefined at observation index {bad} (outside table)")
         return np.interp(x, self.table_x, self.table_y)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            return np.ones_like(x)
-        if self.kind == "power":
-            return self.exponent * np.power(x, self.exponent - 1.0)
-        return np.interp(x, self.table_x, self.table_dy)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Transform":
-        kind = d.get("kind", "identity")
-        if kind == "identity":
-            return cls.identity()
-        if kind == "power":
-            return cls.power(d["exponent"])
-        if kind == "table":
-            return cls.from_table(d["x"], d["y"], d["dy"])
-        raise ValueError(f"unknown transform kind {kind!r}")
 
 
 @dataclass(frozen=True)

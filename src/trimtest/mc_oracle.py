@@ -126,6 +126,7 @@ class CoverageReport:
     std_error: float
     alpha: float
     h: float
+    seed: int
 
 
 def _rng_for_rep(seed: int, rep: int) -> np.random.Generator:
@@ -213,7 +214,9 @@ def _child_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0])
 
 
-def size_study(dgp: DGPSpec, analysis_fn, reps: int, seed: int, alpha: float, h: float = 0.0) -> CoverageReport:
+def size_study(
+    dgp: DGPSpec, analysis_fn, reps: int = 100, seed: int = 0, alpha: float = 0.05, h: float = 0.0
+) -> CoverageReport:
     """Rejection rate of analysis_fn(dataset, seed) -> bool over fresh data.
 
     The per-rep seed feeds the inner bootstrap so replications are
@@ -232,7 +235,7 @@ def size_study(dgp: DGPSpec, analysis_fn, reps: int, seed: int, alpha: float, h:
         np.sqrt(alpha * (1.0 - alpha) / reps)
     )
     return CoverageReport(
-        rejections=rejections, reps=reps, rate=rate, std_error=se, alpha=alpha, h=h
+        rejections=rejections, reps=reps, rate=rate, std_error=se, alpha=alpha, h=h, seed=seed
     )
 
 

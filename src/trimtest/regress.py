@@ -43,7 +43,7 @@ class RegressionModel:
     """
 
     outcome: str
-    regressors: tuple[str, ...]
+    regressors: tuple[str, ...] = ()
     endogenous: tuple[str, ...] = ()
     instruments: tuple[str, ...] = ()
     fixed_effects: tuple[str, ...] = ()

@@ -82,22 +82,6 @@ class WeightScheme:
     def custom(cls, values) -> "WeightScheme":
         return cls("custom", values=tuple(float(v) for v in values))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightScheme":
-        kind = d.get("kind")
-        if kind == "all_ones":
-            return cls.all_ones()
-        if kind == "quantile_trim":
-            return cls.quantile_trim(d["columns"], d.get("lower_q", 0.0), d.get("upper_q", 1.0))
-        if kind == "residual_trim":
-            return cls.residual_trim(d.get("multiplier", 1.96))
-        if kind == "winsorize":
-            (col,) = list(d["columns"]) if isinstance(d["columns"], (list, tuple)) else [d["columns"]]
-            return cls.winsorize(col, d.get("lower_q", 0.0), d.get("upper_q", 1.0))
-        if kind == "custom":
-            return cls.custom(d["values"])
-        raise ValueError(f"unknown weight scheme kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class ResidualContext:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trimtest import DataError, NumericalError, PanelDataset
+from trimtest import DataError, NumericalError, PanelDataset, analysis
 from trimtest.analysis import (
     AnalysisConfig,
     point_estimates,
@@ -373,6 +375,74 @@ class TestAnalysisConfig:
         assert other.plan.resample_unit == config.plan.resample_unit
         assert other.comparisons == config.comparisons
         assert config.plan.seed == 5  # original untouched
+
+
+class TestReadmeConfigKeys:
+    """README's "Config file" lists, under each heading, exactly the keys the schema reads."""
+
+    SECTIONS = {
+        "Top level": analysis._ROOT,
+        '`model` of type `"ols"` or `"iv"`': (
+            analysis._MODEL.sections["ols"],
+            analysis._MODEL.sections["iv"],
+        ),
+        '`model` of type `"lstat"`': analysis._MODEL.sections["lstat"],
+        "`model.derived`": analysis._DERIVED,
+        "`statistics` entry": analysis._STATISTIC,
+        "Transform": analysis._TRANSFORM,
+        "Comparison pair": analysis._PAIR,
+        "Weight scheme": analysis._SCHEME,
+        "`lags` entry": analysis._LAG,
+        "`bootstrap`": analysis._ROOT.keys["bootstrap"][0],
+        "`test`": analysis._TEST,
+        "`output`": analysis._OUTPUT,
+        "`mc`": analysis._MC,
+        "`mc.dgp`": analysis._DGP,
+    }
+
+    @staticmethod
+    def _sections(unit) -> list:
+        """The object sections under one heading: a section, some, or every one of a kind."""
+        if isinstance(unit, analysis._Kinds):
+            return list(unit.sections.values())
+        return list(unit) if isinstance(unit, tuple) else [unit]
+
+    @classmethod
+    def _reachable(cls, reader, seen: dict) -> dict:
+        """{id: section} of every object section the reader reads, nested ones included."""
+        if reader is analysis._comparison:
+            reader = analysis._PAIR
+        if isinstance(reader, analysis._Entries):
+            return cls._reachable(reader.item, seen)
+        if isinstance(reader, (analysis._Section, analysis._Kinds)):
+            for section in cls._sections(reader):
+                if id(section) not in seen:
+                    seen[id(section)] = section
+                    for read, _ in section.keys.values():
+                        cls._reachable(read, seen)
+        return seen
+
+    @staticmethod
+    def _readme() -> dict[str, set[str]]:
+        """{heading: keys} of README's config lists; a key is a bullet's `name` followed by " ("."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        config = text.split("\n### Config file\n")[1].split("\n### ")[0]
+        out = {}
+        for block in config.split("\n#### ")[1:]:
+            heading, _, body = block.partition("\n")
+            bullets = "\n".join(line for line in body.splitlines() if line.startswith(("- ", "  ")))
+            out[heading] = set(re.findall(r"`(\w+)` \(", bullets))
+        return out
+
+    def test_every_schema_section_has_a_readme_list(self):
+        listed = {id(s): s for unit in self.SECTIONS.values() for s in self._sections(unit)}
+        assert set(self._reachable(analysis._ROOT, {})) == set(listed)
+        assert set(self._readme()) == set(self.SECTIONS)
+
+    @pytest.mark.parametrize("heading", list(SECTIONS))
+    def test_readme_names_exactly_the_schema_keys(self, heading):
+        schema = {key for s in self._sections(self.SECTIONS[heading]) for key in s.keys}
+        assert self._readme()[heading] == schema
 
 
 class TestPointEstimates:

@@ -48,6 +48,14 @@ def workdir(tmp_path):
     return tmp_path, str(config_path)
 
 
+def _put(raw: dict, dotted: str, value) -> None:
+    """Set the config setting at a dotted path."""
+    *parents, key = dotted.split(".")
+    for part in parents:
+        raw = raw[part]
+    raw[key] = value
+
+
 class TestEstimate:
     def test_writes_estimates_and_prints_them(self, workdir, capsys):
         tmp_path, config = workdir
@@ -644,6 +652,85 @@ class TestExitCodes:
             docs.append((tmp_path / tag / "mc_results.json").read_bytes())
         capsys.readouterr()
         assert docs[0] == docs[1]
+
+    # Configs that used to end in a traceback, be silently misread, or fail
+    # with a message that did not name the setting:
+    # id -> (command, edit of the lagged or mc config, text the message names).
+    _DEFECTS = {
+        "bootstrap.engine-list": ("estimate", lambda r: _put(r, "bootstrap.engine", ["x"]), "bootstrap.engine"),
+        "model.type-list": ("estimate", lambda r: _put(r, "model.type", ["ols"]), "model type"),
+        "comparisons.name-list": (
+            "estimate",
+            lambda r: r.update(comparisons=[{"name": ["a"], "weights": r.pop("weights")}]),
+            "comparisons[0].name",
+        ),
+        "plot_pairs-int": ("estimate", lambda r: _put(r, "output.plot_pairs", 5), "output.plot_pairs"),
+        "plot_pairs-short": ("test", lambda r: _put(r, "output.plot_pairs", [[0]]), "output.plot_pairs[0]"),
+        "lags-int": ("estimate", lambda r: r.update(lags=5), "lags"),
+        "dgp.n-string": ("mc", lambda r: _put(r, "mc.dgp.n", "50"), "mc.dgp.n"),
+        "dgp.n-fraction": ("mc", lambda r: _put(r, "mc.dgp.n", 50.5), "mc.dgp.n"),
+        "dgp.kind-list": ("mc", lambda r: _put(r, "mc.dgp.kind", ["x"]), "mc.dgp.kind"),
+        "dgp-list": ("mc", lambda r: _put(r, "mc.dgp", [1]), "mc.dgp"),
+        "mc-output.directory": ("mc", lambda r: r.update(output={"directory": 5}), "output.directory"),
+        "input-int": ("estimate", lambda r: r.update(input=0), "input"),
+        "intercept-string": ("estimate", lambda r: _put(r, "model.intercept", "false"), "model.intercept"),
+        "analytic_cov-string": ("estimate", lambda r: _put(r, "output.analytic_cov", "no"), "output.analytic_cov"),
+        "comparisons.name-int": (
+            "estimate",
+            lambda r: r.update(comparisons=[{"name": 5, "weights": r.pop("weights")}]),
+            "comparisons[0].name",
+        ),
+        "norm-unknown": ("estimate", lambda r: _put(r, "test.norm", "foo"), "test.norm"),
+        "norm-ragged": ("estimate", lambda r: _put(r, "test.norm", [[1, 0], [0]]), "test.norm"),
+        "model.outcome-missing": ("estimate", lambda r: r["model"].pop("outcome"), "model.outcome"),
+        "lags.count-missing": ("estimate", lambda r: r["lags"][0].pop("count"), "lags[0].count"),
+        "derived.lags-missing": ("estimate", lambda r: r["model"]["derived"].pop("lags"), "model.derived.lags"),
+        "winsorize-two-columns": (
+            "estimate",
+            lambda r: _put(r, "weights.adjusted", {"kind": "winsorize", "columns": ["x", "y"]}),
+            "weights.adjusted",
+        ),
+        "custom-values-string": (
+            "estimate",
+            lambda r: _put(r, "weights.adjusted", {"kind": "custom", "values": "abc"}),
+            "weights.adjusted.values",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(_DEFECTS))
+    def test_config_defect_exits_2_and_names_the_setting(self, workdir, capsys, monkeypatch, case):
+        tmp_path, config = workdir
+        command, edit, name = self._DEFECTS[case]
+        if command == "mc":
+            raw = {"mc": {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}}
+        else:
+            raw = self._lagged_config(config)
+        edit(raw)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # `mc` without --output writes under the working directory
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "trimtest-output").exists()
+
+    def test_dependent_statistics_are_named(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = self._lstat_config(config)
+        raw["model"]["statistics"] = [{"column": "x"}, {"column": "x", "name": "x2"}]
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p), "--output", str(tmp_path / "dup")]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: [test:main] the difference covariance is singular: statistics "
+            "'x', 'x2' are linearly dependent. Set test.norm to \"identity\", or drop one of them\n"
+        )
+        # The remedy the message names runs.
+        raw["test"] = {"norm": "identity", "seed": 9}
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p), "--output", str(tmp_path / "dup")]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("flag", ["--seed", "--iterations", "--threads"])
     def test_estimate_takes_no_draw_flags(self, workdir, capsys, flag):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
-from trimtest.errors import NumericalError
+from trimtest.analysis import _TRANSFORM
+from trimtest.errors import DataError, NumericalError
 from trimtest.lstat import (
     LStatSpec,
     Transform,
@@ -79,12 +80,10 @@ class TestTransform:
     def test_identity(self):
         t = Transform.identity()
         np.testing.assert_array_equal(t([1.0, -2.0]), [1.0, -2.0])
-        np.testing.assert_array_equal(t.deriv([1.0, -2.0]), [1.0, 1.0])
 
     def test_power(self):
         t = Transform.power(2.0)
         np.testing.assert_array_equal(t([3.0]), [9.0])
-        np.testing.assert_array_equal(t.deriv([3.0]), [6.0])
 
     def test_power_undefined_point(self):
         t = Transform.power(0.5)
@@ -92,15 +91,14 @@ class TestTransform:
             t([4.0, -1.0])
 
     def test_table_interpolation_and_range(self):
-        t = Transform.from_table([0.0, 1.0, 2.0], [0.0, 10.0, 20.0], [10.0, 10.0, 10.0])
+        t = Transform.from_table([0.0, 1.0, 2.0], [0.0, 10.0, 20.0])
         assert t(0.5) == 5.0
-        assert t.deriv(0.5) == 10.0
         with pytest.raises(ValueError, match="outside table"):
             t([0.5, 3.0])
 
     def test_table_requires_increasing_grid(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Transform.from_table([0.0, 0.0], [1.0, 2.0], [0.0, 0.0])
+            Transform.from_table([0.0, 0.0], [1.0, 2.0])
 
     @pytest.mark.parametrize(
         "raw, t",
@@ -108,31 +106,31 @@ class TestTransform:
             ({"kind": "identity"}, Transform.identity()),
             ({"kind": "power", "exponent": 3.0}, Transform.power(3.0)),
             (
-                {"kind": "table", "x": [0.0, 1.0], "y": [0.0, 2.0], "dy": [2.0, 2.0]},
-                Transform.from_table([0.0, 1.0], [0.0, 2.0], [2.0, 2.0]),
+                {"kind": "table", "x": [0.0, 1.0], "y": [0.0, 2.0]},
+                Transform.from_table([0.0, 1.0], [0.0, 2.0]),
             ),
         ],
         ids=["identity", "power", "table"],
     )
     def test_from_dict(self, raw, t):
-        assert Transform.from_dict(raw) == t
+        # A config transform object, read by the config schema.
+        assert _TRANSFORM(raw, "transform") == t
 
     def test_from_dict_defaults_to_identity(self):
-        assert Transform.from_dict({}) == Transform.identity()
+        assert _TRANSFORM({}, "transform") == Transform.identity()
 
     def test_from_dict_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown transform kind 'log'"):
-            Transform.from_dict({"kind": "log"})
+        with pytest.raises(DataError, match="unknown transform kind 'log'"):
+            _TRANSFORM({"kind": "log"}, "transform")
+        # The table transform takes no derivative values.
+        with pytest.raises(DataError, match="unknown key.* in transform: dy"):
+            _TRANSFORM({"kind": "table", "x": [0.0], "y": [1.0], "dy": [0.0]}, "transform")
 
     def test_identity_returns_a_copy(self):
         x = np.array([1.0, 2.0])
         out = Transform.identity()(x)
         out[0] = 99.0
         assert x[0] == 1.0
-
-    def test_table_derivative_interpolates_dy(self):
-        t = Transform.from_table([0.0, 1.0, 3.0], [0.0, 1.0, 2.0], [2.0, 4.0, 0.0])
-        np.testing.assert_allclose(t.deriv([0.25, 1.0, 2.0]), [2.5, 4.0, 2.0])
 
 
 class TestLStatSpec:
@@ -241,7 +239,7 @@ class TestAnalyticCov:
 
     def test_non_finite_names_specs_and_observation(self):
         # Finite transform values whose increment overflows.
-        huge = Transform.from_table([0.0, 1.0], [-1.5e308, 1.5e308], [0.0, 0.0])
+        huge = Transform.from_table([0.0, 1.0], [-1.5e308, 1.5e308])
         data = single_cluster({"a": [0.5, 0.0, 1.0, 0.25]})
         specs = [LStatSpec("a", huge, WeightScheme.custom([1.0, 0.5, 2.0, 1.0]), name="wide")]
         with pytest.raises(NumericalError, match=r"specs 'wide' and 'wide' at observation \d"):
@@ -281,7 +279,7 @@ _TRANSFORMS = (
     Transform.identity(),
     Transform.power(2.0),
     Transform.power(3.0),
-    Transform.from_table([-10.0, 0.0, 10.0], [-3.0, 1.0, 2.0], [0.4, 0.1, 0.1]),
+    Transform.from_table([-10.0, 0.0, 10.0], [-3.0, 1.0, 2.0]),
 )
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
+from trimtest.analysis import _SCHEME
+from trimtest.errors import DataError
 from trimtest.weights import (
     ResidualContext,
     WeightFunction,
@@ -74,23 +76,23 @@ class TestWeightScheme:
         ids=["all_ones", "quantile_trim", "residual_trim", "winsorize", "custom"],
     )
     def test_from_dict(self, raw, scheme):
-        assert WeightScheme.from_dict(raw) == scheme
+        # A config scheme object, read by the config schema.
+        assert _SCHEME(raw, "weights.adjusted") == scheme
 
     def test_from_dict_defaults(self):
-        assert WeightScheme.from_dict({"kind": "quantile_trim", "columns": ["a"]}) == (
+        assert _SCHEME({"kind": "quantile_trim", "columns": ["a"]}, "w") == (
             WeightScheme.quantile_trim("a", 0.0, 1.0)
         )
-        assert WeightScheme.from_dict({"kind": "residual_trim"}) == WeightScheme.residual_trim(1.96)
-        # A bare column name is accepted for the one-column winsorize scheme.
-        assert WeightScheme.from_dict({"kind": "winsorize", "columns": "x", "upper_q": 0.9}) == (
-            WeightScheme.winsorize("x", 0.0, 0.9)
-        )
+        assert _SCHEME({"kind": "residual_trim"}, "w") == WeightScheme.residual_trim(1.96)
+        # `columns` is a name list for every kind: a bare column name is refused.
+        with pytest.raises(DataError, match=r"^w\.columns must be a list of names, got 'x'$"):
+            _SCHEME({"kind": "winsorize", "columns": "x", "upper_q": 0.9}, "w")
 
     def test_from_dict_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown weight scheme kind 'trim'"):
-            WeightScheme.from_dict({"kind": "trim"})
-        with pytest.raises(ValueError, match="unknown weight scheme kind None"):
-            WeightScheme.from_dict({})
+        with pytest.raises(DataError, match="^unknown w kind 'trim'$"):
+            _SCHEME({"kind": "trim"}, "w")
+        with pytest.raises(DataError, match="^config is missing required key 'w.kind'$"):
+            _SCHEME({}, "w")
 
     def test_single_column_name_becomes_tuple(self):
         assert WeightScheme.quantile_trim("x", 0.1, 0.9).columns == ("x",)
