@@ -11,6 +11,7 @@ in the message.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from contextlib import contextmanager
@@ -36,10 +37,10 @@ from .estimators import (
     regression_comparison_estimator,
 )
 from .lstat import LStatSpec, Transform, analytic_cov, analytic_cov_is_degenerate
-from .mc_oracle import DGPSpec
+from .mc_oracle import DGPSpec, residual_trim_size_analysis
 from .plotgrid import emit_plot_grid
 from .regress import RegressionModel
-from .robustness import TestSpec, robustness_test
+from .robustness import TestSpec, explicit_norm, robustness_test
 from .weights import WeightScheme, compute_weights
 
 
@@ -107,7 +108,7 @@ def _numbers(value, path: str) -> tuple[float, ...]:
 
 
 def _norm(value, path: str):
-    """"diff_cov", "identity", or a square matrix as a tuple of rows."""
+    """"diff_cov", "identity", or a symmetric matrix as a tuple of rows."""
     if value in ("diff_cov", "identity"):
         return value
     rows = isinstance(value, list) and tuple(
@@ -115,6 +116,10 @@ def _norm(value, path: str):
     )
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DataError(f'{path} must be "diff_cov", "identity" or a square matrix, got {value!r}')
+    try:
+        explicit_norm(rows)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}, got {value!r}") from None
     return rows
 
 
@@ -130,10 +135,6 @@ def _plot_pairs(value, path: str) -> tuple:
             raise DataError(f"{path}[{i}] must be a label or an [i, j] pair, got {pair!r}")
         out.append(pair)
     return tuple(out)
-
-
-def _lag_count(value, path: str) -> int:
-    return _int(value, "lags.count")  # named without the entry's index, as it always was
 
 
 _READERS = {"int": _int, "float": _real, "bool": _bool, "str": _str, "tuple[str, ...]": _names}
@@ -173,8 +174,7 @@ class _Section:
         self.keys = {k: r if isinstance(r, tuple) else (r, k) for k, r in keys.items()}
         self.required, self.build, self.unknown, self.missing = required, build, unknown, missing
 
-    def check(self, raw, path: str) -> dict:
-        """The object itself, once its keys are checked."""
+    def __call__(self, raw, path: str):
         unknown = sorted(set(_object(raw, path)) - set(self.keys))
         if unknown:
             keys = ", ".join(unknown)
@@ -182,10 +182,6 @@ class _Section:
         for key in self.required:
             if key not in raw:
                 raise DataError(self.missing) if self.missing else _missing(path, key)
-        return raw
-
-    def __call__(self, raw, path: str):
-        raw = self.check(raw, path)
         values = {
             name: read(raw[key], _join(path, key))
             for key, (read, name) in self.keys.items()
@@ -315,16 +311,34 @@ _OUTPUT = _Section(
     }
 )
 # Keyword arguments of `add_within_cluster_lags`.
-_LAG = _Section({"column": _str, "count": (_lag_count, "lags")}, ("column", "count"))
-# mc.dgp keeps the unknown-key message it has always given.
-_DGP = _Section(_fields(DGPSpec), ("kind",), DGPSpec, unknown="unknown {path} key(s): {keys}")
-# Keyword arguments of `mc_oracle.residual_trim_size_analysis` and `size_study`.
+_LAG = _Section({"column": _str, "count": (_int, "lags")}, ("column", "count"))
+_COEFFICIENT = inspect.signature(residual_trim_size_analysis).parameters["coefficient"].default
+
+
+def _size_study(dgp: DGPSpec, **study) -> dict:
+    """Keyword arguments of `residual_trim_size_analysis` and `size_study`.
+
+    The size study regresses y on the coefficient's column, so the DGP must
+    simulate both.
+    """
+    coefficient = study.get("coefficient", _COEFFICIENT)
+    for key, column in (("mc.dgp.kind", "y"), ("mc.coefficient", coefficient)):
+        if column not in dgp.columns:
+            raise DataError(
+                f"{key}: the size study regresses y on {coefficient!r}, but a {dgp.kind!r} "
+                f"DGP simulates only {', '.join(dgp.columns)}"
+            )
+    return {"dgp": dgp, **study}
+
+
+_DGP = _Section(_fields(DGPSpec), ("kind",), DGPSpec)
 _MC = _Section(
     {
         "dgp": _DGP, "reps": _int, "seed": _int, "alpha": _real, "h": _real,
         "multiplier": _real, "inner_iterations": _int, "coefficient": _str,
     },
     ("dgp",),
+    _size_study,
 )
 _ROOT = _Section(
     {
@@ -335,17 +349,15 @@ _ROOT = _Section(
     },
     ("input", "model"),
 )
-# `trimtest mc` needs neither input nor model, and reads the mc section itself.
-_MC_ROOT = _Section({**_ROOT.keys, "mc": (_MC.check, "mc")}, ("mc",))
+# `trimtest mc` needs neither input nor model.
+_MC_ROOT = _Section(_ROOT.keys, ("mc",))
 
 
 def mc_settings(raw: dict) -> tuple[dict, str]:
     """The mc section's settings by parameter name, and the configured output directory."""
     with _stage("config"):
         root = _MC_ROOT(raw, "")
-    # Outside the config stage: mc settings are reported without its prefix.
-    study = _MC(root["mc"], "mc")
-    return study, root.get("output", {}).get("output_dir", AnalysisConfig.output_dir)
+    return root["mc"], root.get("output", {}).get("output_dir", AnalysisConfig.output_dir)
 
 
 @dataclass(frozen=True)

@@ -42,18 +42,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, draws: bool = True):
-    """--config and --output; commands that draw also get --seed, --iterations, --threads."""
+def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> argparse.ArgumentParser:
+    """--config and --output; commands that draw also get --seed and --iterations."""
     p.add_argument("--config", required=True, help="path to the JSON analysis config")
     if draws:
         p.add_argument("--seed", type=int, default=None, help="override the bootstrap seed")
         p.add_argument(
             "--iterations", type=int, default=None, help="override the bootstrap iteration count"
         )
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for bootstrap draws"
-        )
     p.add_argument("--output", default=None, help="override the output directory")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("bootstrap", "same as test"),
         ("test", "full analysis: bootstrap plus robustness tests"),
-        ("mc", "Monte Carlo studies driven by the config's mc section"),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        p = _add_common(sub.add_parser(name, help=help_text))
+        p.add_argument("--threads", type=int, default=1, help="worker threads for bootstrap draws")
+    _add_common(sub.add_parser("mc", help="Monte Carlo studies driven by the config's mc section"))
 
     p = sub.add_parser("report", help="regenerate the report from stored draws")
     p.add_argument("--output", required=True, help="directory holding results.json and draws")

@@ -73,6 +73,15 @@ class DGPSpec:
         elif self.n < 1:
             raise ValueError("n must be >= 1")
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The columns simulate() draws."""
+        if self.kind == "univariate":
+            return ("x",)
+        if self.kind == "panel":
+            return ("x", "y", "period")
+        return ("z", "x", "y") if self.instrument_strength > 0.0 else ("x", "y")
+
     @classmethod
     def univariate(cls, law: str, n: int, loc: float = 0.0, scale: float = 1.0, df: float = 5.0):
         return cls("univariate", n=n, law=law, loc=loc, scale=scale, df=df)

@@ -14,22 +14,15 @@ on a deterministic grid of boundary directions with common Monte Carlo
 draws, and the formal p-value inverts the same construction on the same
 draws.
 
-On that Monte Carlo path one test draws once: `_mc_test` generates the
-normal draws and their direction-free squared norms base = xi'A^{-1}xi a
-single time.  Before the grid is walked each draw is screened with the
-annulus bound: every direction v has unit A-norm, so Cauchy-Schwarz in the
-A^{-1} inner product gives |xi'A^{-1}v| <= sqrt(base), and every direction's
-squared norm of the draw lies in [(sqrt(base) - h)^2, (sqrt(base) + h)^2].
-A draw whose interval lies wholly above or below a statistic, or wholly
-beyond the bracket of the order statistic the critical value selects,
-contributes the same to every direction and is counted without being
-walked.  The remaining draws stream over the direction grid MC_CHUNK
-directions at a time, each direction's squared norms one contiguous row.
-The interval is widened by a rounding slack derived from the norm matrix's
-condition number (`_annulus_slack`), and the screened draws keep their
-places in the matrix product's row groups, so every value read is the same
-floating-point number as on the full grid: the result is exact, not an
-approximation.  Memory is MC_CHUNK rows of the screened draws, and the
+On that Monte Carlo path one test draws once, in the norm's whitened
+coordinates (`_mc_test`): with A = L L', eta = L^{-1} xi has ||eta|| =
+||xi||_A and the unit-A-norm directions are L u for plain unit vectors u,
+so nothing is solved per draw.  A draw whose annulus interval
+[(||eta|| - h)^2, (||eta|| + h)^2] cannot tell directions apart is counted
+without walking the grid; the rest stream over it MC_CHUNK directions at a
+time (`_screened_grid`), with a rounding slack that depends on the
+dimension alone.  Every value read is the same floating-point number as on
+the full grid, so the result is exact, not an approximation, and the
 critical value and the formal p-value of a test come from one pass over the
 same draws.
 """
@@ -40,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import NumericalError
 
@@ -57,7 +50,7 @@ class TestSpec:
     """Tolerance h, level alpha, norm matrix choice, and MC settings.
 
     norm_matrix: "diff_cov" (Mahalanobis in the difference covariance),
-    "identity", or an explicit positive-definite matrix.
+    "identity", or an explicit symmetric positive-definite matrix.
     """
 
     h: float = 0.0
@@ -148,6 +141,19 @@ def unit_directions(dim: int) -> np.ndarray:
     return np.vstack([z, -z, axes])
 
 
+def explicit_norm(matrix) -> np.ndarray:
+    """An explicit norm matrix as an array; ValueError unless square and symmetric.
+
+    Symmetric to 1e-10 of its largest entry, as a computed Q D Q' is: the
+    statistic factors the upper triangle and the Monte Carlo path the lower
+    one, so an asymmetric matrix would be two different norms.
+    """
+    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if a.shape != (len(a), len(a)) or np.abs(a - a.T).max() > 1e-10 * np.abs(a).max():
+        raise ValueError("an explicit norm matrix must be square and symmetric")
+    return a
+
+
 def _norm_matrix_of(spec_norm, sigma: np.ndarray) -> np.ndarray:
     if isinstance(spec_norm, str):
         if spec_norm == "diff_cov":
@@ -155,7 +161,7 @@ def _norm_matrix_of(spec_norm, sigma: np.ndarray) -> np.ndarray:
         if spec_norm == "identity":
             return np.eye(len(sigma))
         raise ValueError(f"unknown norm matrix choice {spec_norm!r}")
-    return np.atleast_2d(np.asarray(spec_norm, dtype=float))
+    return explicit_norm(spec_norm)
 
 
 def _proportionality(a: np.ndarray, sigma: np.ndarray) -> float | None:
@@ -233,9 +239,13 @@ def _mc_test(
 ) -> tuple[float | None, float | None]:
     """Monte Carlo critical value and tail fraction on one set of common draws.
 
-    xi ~ N(0, sigma) is drawn once.  For a direction v of unit A-norm the
-    squared norm ||h v + xi||_A^2 is h^2 + 2h xi'A^{-1}v + base with base =
-    xi'A^{-1}xi (base alone when h = 0).
+    The test runs in the norm's whitened coordinates.  With the lower
+    Cholesky factor A = L L', eta = L^{-1} xi has ||eta|| = ||xi||_A, and the
+    unit-A-norm directions are v = L u for unit vectors u, so the squared
+    norm ||h v + xi||_A^2 is ||h u + eta||^2 = h^2 + 2h u'eta + base with
+    base = ||eta||^2 (base alone when h = 0).  eta is drawn once, as standard
+    normals times the whitened root L^{-1} sigma^{1/2}; nothing is solved per
+    draw.
 
     Returns (c, tail): c is the max over directions of the per-direction
     empirical upper alpha-quantile, the k-th smallest value with k =
@@ -245,10 +255,10 @@ def _mc_test(
     exactly when its tail is below alpha.
 
     For h > 0 the draws are screened before the direction grid is walked.
-    Cauchy-Schwarz in the A^{-1} inner product gives |xi'A^{-1}v| <= sqrt(base)
-    for every direction, so each direction's value of a draw lies in the
-    annulus interval [lo, hi] = [(sqrt(base) - h)^2, (sqrt(base) + h)^2],
-    widened by the rounding slack of _annulus_slack.
+    Cauchy-Schwarz gives |u'eta| <= sqrt(base) for every unit u, so each
+    direction's value of a draw lies in the annulus interval [lo, hi] =
+    [(sqrt(base) - h)^2, (sqrt(base) + h)^2], widened by the rounding slack
+    of _screened_grid.
     - Statistic: a draw with lo >= s^2 counts for every direction and one
       with hi < s^2 for none; only the draws whose interval straddles s^2
       can tell directions apart.
@@ -271,35 +281,43 @@ def _mc_test(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
-    xi = rng.standard_normal((mc_draws, dim)) @ root.T
-    factor = cho_factor(norm)
-    base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
+    root = solve_triangular(cholesky(norm, lower=True), root, lower=True)
+    eta = rng.standard_normal((mc_draws, dim)) @ root.T
+    base = np.einsum("bi,bi->b", eta, eta)
     if h == 0.0:
         crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
         count = None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
     else:
-        v = unit_directions(dim) @ cholesky(norm, lower=True).T  # rows have unit A-norm
-        a_inv_v = cho_solve(factor, v.T)  # dim x n_dirs
-        crit, count = _screened_grid(h, a_inv_v, xi, base, _annulus_slack(norm), alpha, statistic_sq)
+        crit, count = _screened_grid(h, unit_directions(dim).T, eta, base, alpha, statistic_sq)
     return crit, None if count is None else count / mc_draws
 
 
 def _screened_grid(
     h: float,
-    a_inv_v: np.ndarray,
-    xi: np.ndarray,
+    directions: np.ndarray,
+    eta: np.ndarray,
     base: np.ndarray,
-    slack: float | None,
     alpha: float | None,
     statistic_sq: float | None,
 ) -> tuple[float | None, int | None]:
     """(critical value, tail count) of the direction grid on the screened draws.
 
-    The bounds repeat _squared_norm_rows's operations in its order with the
-    cross term xi'A^{-1}v replaced by -D and +D, D = (1 + slack) sqrt(base).
-    Each of those floating-point steps is monotone, so a computed cross term
-    of magnitude at most D (_annulus_slack) gives lo <= computed value <= hi
-    in every direction.  slack None walks every draw.
+    directions holds the unit vectors u as columns.  The bounds repeat
+    _squared_norm_rows's operations in its order with the cross term u'eta
+    replaced by -D and +D, D = (1 + slack) sqrt(base).  Each of those
+    floating-point steps is monotone, so a computed cross term of magnitude
+    at most D gives lo <= computed value <= hi in every direction.
+
+    The slack is 32 d^2 u, u the unit roundoff, whatever the norm.
+    Cauchy-Schwarz holds for the stored eta itself, |u'eta| <= ||u|| ||eta||,
+    so only the rounding of d-term sums enters (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3):
+    - a grid vector is normalized by a computed 2-norm: ||u|| <= 1 + (d/2 + 2)u;
+    - the computed cross term is within d u ||u|| ||eta|| of u'eta;
+    - base is within d u ||eta||^2 of ||eta||^2: ||eta|| <= sqrt(base) (1 + d u / 2);
+    - forming D rounds twice (2u).
+    The sum, (2d + 4)u to first order, is below half of the slack for every
+    d >= 1; the other half covers the higher-order terms.
 
     The walked columns are laid out [padding, statistic band, critical-value
     band, tail]; the statistic and critical-value bands overlap in the middle
@@ -315,52 +333,49 @@ def _screened_grid(
     a value could depend on which draws were kept; with it they cannot for
     any kernel whose unroll divides _SCREEN_ALIGN.
     """
-    b = len(base)
+    b, dim = eta.shape
     k = None if alpha is None else _upper_rank(b, alpha)
-    # Walk everything: rows, sure count, statistic slice, tail start,
-    # critical-value start, critical-value rank.
-    rows, sure, s0, s1, t0, c0, rank = None, 0, 0, b, b, 0, k
-    if slack is not None:
-        body = b - b % _SCREEN_ALIGN
-        cross = np.sqrt(np.maximum(base, 0.0))
-        cross *= 1.0 + slack
-        cross *= 2.0 * h
-        lo = h * h - cross
-        lo += base
-        hi = cross + h * h
-        hi += base
-        lo_body, hi_body = lo[:body], hi[:body]
-        in_stat = np.zeros(body, dtype=bool)
-        if statistic_sq is not None:
-            sure = int(np.count_nonzero(lo_body >= statistic_sq))
-            in_stat = (lo_body < statistic_sq) & (hi_body >= statistic_sq)
-        in_crit = np.zeros(body, dtype=bool)
-        if k is not None:
-            lk = np.partition(lo, k - 1)[k - 1]
-            hk = np.partition(hi, k - 1)[k - 1]
-            rank = k - int(np.count_nonzero(hi_body < lk))
-            in_crit = (hi_body >= lk) & (lo_body <= hk)
-        groups = [
-            np.flatnonzero(in_stat & ~in_crit),
-            np.flatnonzero(in_stat & in_crit),
-            np.flatnonzero(in_crit & ~in_stat),
-        ]
-        kept = sum(map(len, groups))
-        pad = -kept % _SCREEN_ALIGN if kept else _SCREEN_ALIGN * (body < b)
-        if pad + kept + b - body < b:
-            rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
-            s0 = pad
-            c0 = s1 = pad + len(groups[0])
-            s1 += len(groups[1])
-            t0 = pad + kept
-            xi, base = xi[rows], base[rows]
-        else:
-            sure, rank = 0, k
+    body = b - b % _SCREEN_ALIGN
+    cross = np.sqrt(base)
+    cross *= 1.0 + 16.0 * dim * dim * np.finfo(float).eps  # the slack: u = eps / 2
+    cross *= 2.0 * h
+    lo = h * h - cross
+    lo += base
+    hi = cross + h * h
+    hi += base
+    lo_body, hi_body = lo[:body], hi[:body]
+    # Sure count, critical-value rank and the draws each purpose must walk.
+    sure, rank = 0, k
+    in_stat = np.zeros(body, dtype=bool)
+    if statistic_sq is not None:
+        sure = int(np.count_nonzero(lo_body >= statistic_sq))
+        in_stat = (lo_body < statistic_sq) & (hi_body >= statistic_sq)
+    in_crit = np.zeros(body, dtype=bool)
+    if k is not None:
+        lk = np.partition(lo, k - 1)[k - 1]
+        hk = np.partition(hi, k - 1)[k - 1]
+        rank = k - int(np.count_nonzero(hi_body < lk))
+        in_crit = (hi_body >= lk) & (lo_body <= hk)
+    groups = [
+        np.flatnonzero(in_stat & ~in_crit),
+        np.flatnonzero(in_stat & in_crit),
+        np.flatnonzero(in_crit & ~in_stat),
+    ]
+    kept = sum(map(len, groups))
+    pad = -kept % _SCREEN_ALIGN if kept else _SCREEN_ALIGN * (body < b)
+    if pad + kept + b - body < b:
+        rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
+        # Statistic slice, critical-value start and tail start.
+        s0, c0, t0 = pad, pad + len(groups[0]), pad + kept
+        s1 = c0 + len(groups[1])
+        eta, base = eta[rows], base[rows]
+    else:  # the screen saves nothing: walk every draw
+        sure, rank, s0, s1, c0, t0 = 0, k, 0, b, 0, b
     crit, count = None, None if statistic_sq is None else sure
     if len(base) == 0:
         return crit, count
-    for lo_dir in range(0, a_inv_v.shape[1], MC_CHUNK):
-        quad = _squared_norm_rows(h, a_inv_v[:, lo_dir : lo_dir + MC_CHUNK], xi, base)
+    for lo_dir in range(0, directions.shape[1], MC_CHUNK):
+        quad = _squared_norm_rows(h, directions[:, lo_dir : lo_dir + MC_CHUNK], eta, base)
         if statistic_sq is not None:
             per_dir = np.count_nonzero(quad[:, s0:s1] >= statistic_sq, axis=1)
             per_dir += np.count_nonzero(quad[:, t0:] >= statistic_sq, axis=1)
@@ -371,51 +386,9 @@ def _screened_grid(
     return crit, count
 
 
-def _annulus_slack(norm: np.ndarray) -> float | None:
-    """Relative slack with |computed xi'A^{-1}v| <= (1 + slack) sqrt(computed base).
-
-    Exact arithmetic gives the bound with slack 0.  The computed quantities
-    differ from the exact ones by rounding, each error a multiple of the unit
-    roundoff u times a power of the dimension n and of kappa, a bound on the
-    condition number of A computed here.  To first order in u kappa
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3, 8, 10):
-    - the direction u (unit up to (n+2)u), v = L u with the lower Cholesky
-      factor L of A (factorization error gamma_{n+1}|L||L'|, product error
-      gamma_n|L||u|): ||v||_{A^{-1}} <= 1 + ((n^2 + n)/2 + n^1.5 + n + 2) u kappa;
-    - a_inv_v = cho_solve(v) solves (A + E) w = v with |E| <=
-      gamma_{3n+1}|R'||R| and || |R'||R| ||_2 <= n ||A||_2, so ||w||_A <=
-      ||v||_{A^{-1}} (1 + (3n + 1) n u kappa);
-    - base solves with the same factor and sums n products:
-      sqrt(exact base) <= sqrt(base) (1 + ((3n + 2) n / 2) u kappa);
-    - the cross product sums n terms: error <= gamma_n ||w|| ||xi|| <=
-      n u kappa ||w||_A sqrt(exact base);
-    - forming D rounds three times (3u).
-    The sum, (5n^2 + n^1.5 + 4.5n + 5) u kappa, is below half of the slack
-    32 n^2 u kappa for every n >= 1; the other half covers the higher-order
-    terms, negligible while the slack stays below 1e-3.  cho_factor reads
-    the upper triangle of A and cholesky the lower one, so an asymmetric A
-    adds ||A - A'||_F / lambda_min.  The eigenvalues of the symmetric part
-    are taken to carry an error of at most 8 n^2 u ||A||_2 plus the
-    asymmetry, and lambda_min and kappa are bounded accordingly.
-
-    Returns None (walk every draw) when A is too ill-conditioned for the
-    slack to stay below 1e-3.
-    """
-    n = len(norm)
-    u = np.finfo(float).eps / 2.0
-    asym = float(np.linalg.norm(norm - norm.T))
-    eig = np.linalg.eigvalsh(0.5 * (norm + norm.T))
-    err = 8.0 * n * n * u * float(np.abs(eig).max()) + asym
-    lam_min, lam_max = float(eig.min()) - err, float(eig.max()) + err
-    if not lam_min > 0.0:
-        return None
-    slack = 32.0 * n * n * u * (lam_max / lam_min) + asym / lam_min
-    return slack if slack < 1e-3 else None
-
-
-def _squared_norm_rows(h: float, a_inv_v: np.ndarray, xi: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """h^2 + 2h xi'A^{-1}v + base for each column v of a_inv_v, one row per direction."""
-    quad = a_inv_v.T @ xi.T
+def _squared_norm_rows(h: float, directions: np.ndarray, eta: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """h^2 + 2h u'eta + base for each column u of directions, one row per direction."""
+    quad = directions.T @ eta.T
     quad *= 2.0 * h
     quad += h * h
     quad += base

@@ -307,7 +307,7 @@ class TestExitCodes:
         p.write_text(json.dumps({"mc": {"dgp": dgp, "reps": 1}}), encoding="utf-8")
         assert main(["mc", "--config", str(p), "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: unknown mc.dgp key(s): slop")
+        assert err.startswith("data error: [config] unknown key(s) in mc.dgp: slop")
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_mc_nonpositive_reps_is_exit_2(self, tmp_path, capsys, reps):
@@ -329,7 +329,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: mc.{key} must be an integer")
+        assert err.startswith(f"data error: [config] mc.{key} must be an integer")
         assert not out.exists()
 
     def test_mc_integral_float_count_runs(self, tmp_path, capsys):
@@ -384,7 +384,8 @@ class TestExitCodes:
         out = tmp_path / "bad-out"
         assert main(["test", "--config", str(p), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: [config] {name} must be an integer, got {value!r}")
+        shown = name.replace("lags.", "lags[0].")  # the lagged config's one lags entry
+        assert err.startswith(f"data error: [config] {shown} must be an integer, got {value!r}")
         assert not out.exists()
 
     def test_integral_float_config_settings_run(self, workdir, capsys):
@@ -639,7 +640,7 @@ class TestExitCodes:
         mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}
         mc[key] = value
         err = self._exit_2(tmp_path, capsys, {"mc": mc}, "mc")
-        assert err == f"data error: mc.{key} must be a number, got {value!r}\n"
+        assert err == f"data error: [config] mc.{key} must be a number, got {value!r}\n"
 
     def test_mc_integer_real_settings_run(self, tmp_path, capsys):
         docs = []
@@ -682,6 +683,9 @@ class TestExitCodes:
         ),
         "norm-unknown": ("estimate", lambda r: _put(r, "test.norm", "foo"), "test.norm"),
         "norm-ragged": ("estimate", lambda r: _put(r, "test.norm", [[1, 0], [0]]), "test.norm"),
+        "norm-asymmetric": ("estimate", lambda r: _put(r, "test.norm", [[1, 0.5], [0, 1]]), "test.norm"),
+        "dgp.kind-no-outcome": ("mc", lambda r: _put(r, "mc.dgp.kind", "univariate"), "mc.dgp.kind"),
+        "coefficient-not-simulated": ("mc", lambda r: _put(r, "mc.coefficient", "z"), "mc.coefficient"),
         "model.outcome-missing": ("estimate", lambda r: r["model"].pop("outcome"), "model.outcome"),
         "lags.count-missing": ("estimate", lambda r: r["lags"][0].pop("count"), "lags[0].count"),
         "derived.lags-missing": ("estimate", lambda r: r["model"]["derived"].pop("lags"), "model.derived.lags"),
@@ -739,6 +743,13 @@ class TestExitCodes:
             main(["estimate", "--config", config, flag, "2"])
         assert exc.value.code == 1
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_mc_takes_no_threads_flag(self, workdir, capsys):
+        _, config = workdir
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--config", config, "--threads", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir

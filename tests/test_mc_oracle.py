@@ -98,6 +98,19 @@ class TestSimulate:
         data = simulate(DGPSpec.linear_regression(100), seed=1)
         assert "z" not in data.columns
 
+    @pytest.mark.parametrize(
+        "dgp",
+        [
+            DGPSpec.univariate("normal", 10),
+            DGPSpec.linear_regression(10),
+            DGPSpec("linear_regression", n=10, instrument_strength=0.5),
+            DGPSpec.panel(n_clusters=4, t_min=1, t_max=3),
+        ],
+        ids=["univariate", "regression", "instrumented", "panel"],
+    )
+    def test_columns_are_the_simulated_ones(self, dgp):
+        assert tuple(simulate(dgp, seed=2).columns) == dgp.columns
+
     def test_panel_shape(self):
         dgp = DGPSpec.panel(n_clusters=40, t_min=3, t_max=8)
         data = simulate(dgp, seed=21)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from trimtest import robustness
 from trimtest.errors import NumericalError
@@ -286,19 +286,20 @@ def _unchunked_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
 def _streamed_quad(h, sigma, norm, mc_draws, seed):
     """Every direction's squared norms, one row per direction, computed as the
     package computes them without the annulus screen: every draw through every
-    MC_CHUNK block of directions.  Also returns base.
+    MC_CHUNK block of directions, in the norm's whitened coordinates (eta =
+    L^{-1} xi for A = L L', and plain unit directions).  Also returns base.
     """
     dim = len(sigma)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))
-    xi = rng.standard_normal((mc_draws, dim)) @ root.T
-    factor = cho_factor(norm)
-    base = np.einsum("bi,bi->b", xi, cho_solve(factor, xi.T).T)
-    a_inv_v = cho_solve(factor, (unit_directions(dim) @ cholesky(norm, lower=True).T).T)
+    root = solve_triangular(cholesky(norm, lower=True), root, lower=True)
+    eta = rng.standard_normal((mc_draws, dim)) @ root.T
+    base = np.einsum("bi,bi->b", eta, eta)
+    directions = unit_directions(dim).T
     blocks = []
-    for lo in range(0, a_inv_v.shape[1], MC_CHUNK):
-        quad = a_inv_v[:, lo : lo + MC_CHUNK].T @ xi.T
+    for lo in range(0, directions.shape[1], MC_CHUNK):
+        quad = directions[:, lo : lo + MC_CHUNK].T @ eta.T
         quad *= 2.0 * h
         quad += h * h
         quad += base
@@ -310,9 +311,10 @@ def _streamed_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
     """(critical value, tail) of the grid in _streamed_quad.
 
     Under an explicit norm this, not _unchunked_mc, reproduces the package
-    bit for bit: the product of the final, partial block of directions
-    rounds differently from the same columns of _unchunked_mc's single
-    product (the identity norm's axis directions have exact cross products).
+    bit for bit: it works in the norm's whitened coordinates, and the product
+    of the final, partial block of directions rounds differently from the
+    same columns of a single product (the identity norm's axis directions
+    have exact cross products).
     """
     quad, _ = _streamed_quad(h, sigma, norm, mc_draws, seed)
     crit = float(_empirical_upper_quantile(quad, alpha).max())
@@ -455,7 +457,7 @@ class TestAnnulusScreen:
         # norm's whitened coordinates, so the +e1 and -e1 directions reach
         # the annulus bounds of exact arithmetic.  The statistics are draws'
         # largest values over the grid that reach the upper bound as rounded
-        # without slack: only the slack of _annulus_slack keeps such a draw
+        # without slack: only the screen's rounding slack keeps such a draw
         # inside the screen's computed interval.
         rng = np.random.default_rng(5)
         norm = _spd_with_condition(rng, dim, log10_cond)
@@ -476,6 +478,36 @@ class TestAnnulusScreen:
         for alpha in (0.05, 0.5, 1e-9):
             crit_ref = float(_empirical_upper_quantile(quad, alpha).max())
             assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_draws_on_an_oblique_grid_direction_reach_the_bounds(self, dim):
+        # In whitened coordinates an axis direction's cross term is exact, so
+        # draws on an axis never pass the bound rounded without slack.  On
+        # the line of an oblique grid direction u the computed u'eta exceeds
+        # the computed sqrt(base) for many draws, and only the slack keeps
+        # such a draw inside the screen's computed interval.
+        directions = unit_directions(dim).T
+        eta = np.outer(np.random.default_rng(dim).normal(size=4000), directions[:, 1])
+        base = np.einsum("bi,bi->b", eta, eta)
+        h = 0.3
+        quad = np.vstack(
+            [
+                robustness._squared_norm_rows(h, directions[:, lo : lo + MC_CHUNK], eta, base)
+                for lo in range(0, directions.shape[1], MC_CHUNK)
+            ]
+        )
+        top = quad.max(axis=0)
+        bound = np.sqrt(base) * (2.0 * h)
+        bound += h * h
+        bound += base
+        reached = top[top > bound]
+        assert len(reached) > 0
+        for s2 in reached[:20]:
+            count = robustness._screened_grid(h, directions, eta, base, None, s2)[1]
+            assert count == np.count_nonzero(quad >= s2, axis=1).max()
+        for alpha in (0.05, 0.5, 1e-9):
+            crit = robustness._screened_grid(h, directions, eta, base, alpha, None)[0]
+            assert crit == float(_empirical_upper_quantile(quad, alpha).max())
 
     @staticmethod
     def _walked_draws(monkeypatch, run) -> list[int]:
@@ -510,6 +542,25 @@ class TestAnnulusScreen:
         walked = self._walked_draws(monkeypatch, lambda: critical_value(10.0, sigma, **kwargs))
         assert set(walked) == {draws}
 
+    @pytest.mark.parametrize("dim,log10_cond", [(2, 11.0), (3, 12.0), (4, 13.0)])
+    def test_ill_conditioned_norm_is_screened(self, monkeypatch, dim, log10_cond):
+        # In whitened coordinates the annulus slack does not grow with the
+        # norm's condition number, so the screen still drops draws where a
+        # slack proportional to it would exceed 1e-3 and walk every draw.
+        rng = np.random.default_rng(30 + dim)
+        m = rng.normal(size=(dim, dim))
+        sigma = m @ m.T + 0.05 * np.eye(dim)
+        norm = _spd_with_condition(rng, dim, log10_cond)
+        h, alpha, draws, seed = 0.1 * float(np.sqrt(np.abs(sigma).max())), 0.05, 20_000, 6
+        kwargs = dict(mc_draws=draws, seed=seed, norm_matrix=norm, method="mc")
+        crit_ref, _ = _streamed_mc(h, sigma, norm, draws, seed, alpha, 0.0)
+        for s2 in (crit_ref, 0.5 * crit_ref, 2.0 * crit_ref):
+            _, p_ref = _streamed_mc(h, sigma, norm, draws, seed, alpha, s2)
+            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+        assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
+        walked = self._walked_draws(monkeypatch, lambda: critical_value(h, sigma, alpha, **kwargs))
+        assert 0 < max(walked) < draws
+
 
 class TestFormalPValue:
     def test_scalar_two_sided_normal(self):
@@ -543,6 +594,15 @@ class TestFormalPValue:
 
 
 class TestRobustnessTest:
+    def test_asymmetric_explicit_norm_is_refused(self):
+        # The statistic would read the upper triangle and the Monte Carlo
+        # draws the lower one: two different norms in one test.
+        norm = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="symmetric"):
+            robustness_test(np.ones(2), np.zeros(2), np.eye(2), TestSpec(h=0.1, norm_matrix=norm))
+        with pytest.raises(ValueError, match="symmetric"):
+            critical_value(0.1, np.eye(2), norm_matrix=norm)
+
     def test_identical_estimates_accept_with_p_one(self):
         est = np.array([1.0, 2.0])
         report = robustness_test(est, est.copy(), np.eye(2))
