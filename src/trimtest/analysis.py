@@ -14,7 +14,6 @@ from __future__ import annotations
 import inspect
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .csvio import (
     read_draws_csv,
 )
 from .dataset import PanelDataset, add_within_cluster_lags
-from .errors import DataError, NumericalError, TrimtestError
+from .errors import DataError, NumericalError, stage
 from .estimators import (
     RegressionComparison,
     difference_covariance,
@@ -37,21 +36,11 @@ from .estimators import (
     regression_comparison_estimator,
 )
 from .lstat import LStatSpec, Transform, analytic_cov, analytic_cov_is_degenerate
-from .mc_oracle import DGPSpec, residual_trim_size_analysis
+from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
 from .plotgrid import emit_plot_grid
 from .regress import RegressionModel
 from .robustness import TestSpec, explicit_norm, robustness_test
 from .weights import WeightScheme, compute_weights
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except (TrimtestError, ValueError, KeyError) as exc:
-        first = str(exc.args[0]) if exc.args else type(exc).__name__
-        exc.args = (f"[{name}] {first}",) + tuple(exc.args[1:])
-        raise
 
 
 # The config schema.  A reader takes (value, dotted path), refuses a value of
@@ -67,6 +56,14 @@ def _int(value, path: str) -> int:
     ):
         raise DataError(f"{path} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value, path: str) -> int:
+    """An integer that numpy's SeedSequence takes: negative ones are refused."""
+    seed = _int(value, path)
+    if seed < 0:
+        raise DataError(f"{path} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _real(value, path: str) -> float:
@@ -159,9 +156,6 @@ def _missing(path: str, key: str) -> DataError:
     return DataError(f"config is missing required key {_join(path, key)!r}")
 
 
-_UNKNOWN = "unknown key(s) in {path}: {keys}"
-
-
 class _Section:
     """An object's keys, each mapped to a reader (or to (reader, field) when named otherwise).
 
@@ -170,18 +164,17 @@ class _Section:
     ValueError from `build` is reported with the section's path.
     """
 
-    def __init__(self, keys: dict, required=(), build=dict, unknown=_UNKNOWN, missing=None):
+    def __init__(self, keys: dict, required=(), build=dict):
         self.keys = {k: r if isinstance(r, tuple) else (r, k) for k, r in keys.items()}
-        self.required, self.build, self.unknown, self.missing = required, build, unknown, missing
+        self.required, self.build = required, build
 
     def __call__(self, raw, path: str):
         unknown = sorted(set(_object(raw, path)) - set(self.keys))
         if unknown:
-            keys = ", ".join(unknown)
-            raise DataError(self.unknown.format(path=path or "config root", keys=keys))
+            raise DataError(f"unknown key(s) in {path or 'config root'}: {', '.join(unknown)}")
         for key in self.required:
             if key not in raw:
-                raise DataError(self.missing) if self.missing else _missing(path, key)
+                raise _missing(path, key)
         values = {
             name: read(raw[key], _join(path, key))
             for key, (read, name) in self.keys.items()
@@ -250,7 +243,6 @@ _SCHEME = _Kinds(
     },
     WeightScheme,
 )
-# The pair keeps the messages it has always given.
 _PAIR = _Section(
     {
         "name": _str, "baseline": (_SCHEME, "baseline_scheme"),
@@ -258,8 +250,6 @@ _PAIR = _Section(
     },
     ("baseline", "adjusted"),
     Comparison,
-    unknown="unexpected keys in {path}: {keys}",
-    missing="each comparison needs exactly a baseline and an adjusted weight scheme",
 )
 
 
@@ -300,7 +290,7 @@ _MODEL = _Kinds("type", {"ols": _REGRESSION, "iv": _REGRESSION, "lstat": _LSTAT}
 _TEST = _Section(
     {
         "h": _real, "alpha": _real, "norm": (_norm, "norm_matrix"), "mc_draws": _int,
-        "seed": _int, "method": _str,
+        "seed": _seed, "method": _str,
     },
     build=TestSpec,
 )
@@ -312,40 +302,49 @@ _OUTPUT = _Section(
 )
 # Keyword arguments of `add_within_cluster_lags`.
 _LAG = _Section({"column": _str, "count": (_int, "lags")}, ("column", "count"))
-_COEFFICIENT = inspect.signature(residual_trim_size_analysis).parameters["coefficient"].default
+_ANALYSIS_PARAMETERS = inspect.signature(residual_trim_size_analysis).parameters
+_STUDY_PARAMETERS = inspect.signature(size_study).parameters
 
 
-def _size_study(dgp: DGPSpec, **study) -> dict:
-    """Keyword arguments of `residual_trim_size_analysis` and `size_study`.
+def _size_study(**study) -> dict:
+    """Keyword arguments of `size_study`, with its `analysis_fn` built from the mc settings.
 
-    The size study regresses y on the coefficient's column, so the DGP must
-    simulate both.
+    Each setting goes to the function with a parameter of its name (`alpha`
+    and `h` to both), so building the analysis checks its settings.  The
+    size study regresses y on the coefficient's column, so the DGP must
+    simulate both and the coefficient cannot be y itself.
     """
-    coefficient = study.get("coefficient", _COEFFICIENT)
+    dgp = study["dgp"]
+    coefficient = study.get("coefficient", _ANALYSIS_PARAMETERS["coefficient"].default)
     for key, column in (("mc.dgp.kind", "y"), ("mc.coefficient", coefficient)):
         if column not in dgp.columns:
             raise DataError(
                 f"{key}: the size study regresses y on {coefficient!r}, but a {dgp.kind!r} "
                 f"DGP simulates only {', '.join(dgp.columns)}"
             )
-    return {"dgp": dgp, **study}
+    if coefficient == "y":
+        raise DataError("mc.coefficient: 'y' is the size study's outcome, not a coefficient")
+    analysis_fn = residual_trim_size_analysis(
+        **{k: v for k, v in study.items() if k in _ANALYSIS_PARAMETERS}
+    )
+    return {k: v for k, v in study.items() if k in _STUDY_PARAMETERS} | {"analysis_fn": analysis_fn}
 
 
 _DGP = _Section(_fields(DGPSpec), ("kind",), DGPSpec)
 _MC = _Section(
     {
-        "dgp": _DGP, "reps": _int, "seed": _int, "alpha": _real, "h": _real,
+        "dgp": _DGP, "reps": _int, "seed": _seed, "alpha": _real, "h": _real,
         "multiplier": _real, "inner_iterations": _int, "coefficient": _str,
     },
     ("dgp",),
     _size_study,
 )
+_BOOTSTRAP = _Section({**_fields(BootstrapPlan), "seed": _seed}, build=BootstrapPlan)
 _ROOT = _Section(
     {
         "input": (_str, "input_path"), "cluster_column": _str_or_null, "model": _MODEL,
         "weights": _PAIR, "comparisons": _Entries(_comparison), "lags": _Entries(_LAG),
-        "bootstrap": (_Section(_fields(BootstrapPlan), build=BootstrapPlan), "plan"),
-        "test": _TEST, "output": _OUTPUT, "mc": _MC,
+        "bootstrap": (_BOOTSTRAP, "plan"), "test": _TEST, "output": _OUTPUT, "mc": _MC,
     },
     ("input", "model"),
 )
@@ -354,8 +353,8 @@ _MC_ROOT = _Section(_ROOT.keys, ("mc",))
 
 
 def mc_settings(raw: dict) -> tuple[dict, str]:
-    """The mc section's settings by parameter name, and the configured output directory."""
-    with _stage("config"):
+    """`size_study`'s keyword arguments from the mc section, and the configured output directory."""
+    with stage("config"):
         root = _MC_ROOT(raw, "")
     return root["mc"], root.get("output", {}).get("output_dir", AnalysisConfig.output_dir)
 
@@ -381,7 +380,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
-        with _stage("config"):
+        with stage("config"):
             c = _ROOT(raw, "")
             model = c.pop("model")
             c.pop("mc", None)
@@ -423,17 +422,6 @@ class AnalysisConfig:
             return cls(
                 mode="regression", model=model, report_coefficients=report, derived=derived, **c
             )
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "AnalysisConfig":
-        return cls.from_dict(read_json_config(path))
-
-    def override(self, seed=None, iterations=None, output_dir=None) -> "AnalysisConfig":
-        plan_changes = {"seed": seed, "iterations": iterations}
-        plan = replace(self.plan, **{k: v for k, v in plan_changes.items() if v is not None})
-        return replace(
-            self, plan=plan, output_dir=self.output_dir if output_dir is None else output_dir
-        )
 
 
 def read_json_config(path: str) -> dict:
@@ -500,11 +488,11 @@ def _prepared_data(
     config: AnalysisConfig, data: PanelDataset | None
 ) -> tuple[PanelDataset, LoadReport]:
     if data is None:
-        with _stage("load"):
+        with stage("load"):
             data, load_report = load_csv(config.input_path, config.cluster_column)
     else:
         load_report = LoadReport(data.n_rows, 0, {})
-    with _stage("lags"):
+    with stage("lags"):
         for lag in config.lags:
             data = add_within_cluster_lags(data, **lag)
     return data, load_report
@@ -522,7 +510,7 @@ def point_estimates(
     out = {}
     for comparison in config.comparisons:
         estimator, labels, _ = _build_estimator(config, comparison)
-        with _stage(f"estimate:{comparison.name}"):
+        with stage(f"estimate:{comparison.name}"):
             stacked = np.asarray(estimator(data, np.ones(data.n_rows)), dtype=float)
         d = len(labels)
         out[comparison.name] = {
@@ -592,16 +580,16 @@ def run_analysis(
     for comparison in config.comparisons:
         estimator, labels, lstat_specs = _build_estimator(config, comparison)
         d = len(labels)
-        with _stage(f"bootstrap:{comparison.name}"):
+        with stage(f"bootstrap:{comparison.name}"):
             boot = bootstrap_pipeline(data, config.plan, estimator, n_threads=n_threads)
         b1, b2 = boot.point[:d], boot.point[d:]
         diff_cov = difference_covariance(boot.cov, d)
         flags = {}
-        with _stage(f"test:{comparison.name}"):
+        with stage(f"test:{comparison.name}"):
             coef_tests, joint = _robustness_tests(labels, b1, b2, boot.cov, diff_cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
-            with _stage(f"analytic:{comparison.name}"):
+            with stage(f"analytic:{comparison.name}"):
                 base_specs, adj_specs = lstat_specs
                 specs_all = list(base_specs) + list(adj_specs)
                 weights = [compute_weights(s.scheme, data) for s in specs_all]
@@ -805,7 +793,7 @@ def _regenerated_tests(directory: str) -> dict:
     the difference covariance and all tests from the draws, and returns
     each test in its results.json form.
     """
-    with _stage("report"):
+    with stage("report"):
         try:
             with open(os.path.join(directory, "results.json"), "r", encoding="utf-8") as fh:
                 stored = json.load(fh)

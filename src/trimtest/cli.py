@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .csvio import atomic_write_text, format_float, grid_csv_text, read_draws_csv
 from .errors import DataError, NumericalError
+from .mc_oracle import size_study
 from .plotgrid import emit_plot_grid
 
 USAGE_EXIT = 1
@@ -42,30 +43,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> argparse.ArgumentParser:
-    """--config and --output; commands that draw also get --seed and --iterations."""
+def _add_common(p: argparse.ArgumentParser, seed=None, iterations=None) -> None:
+    """--config and --output; commands that draw also get --seed and --iterations.
+
+    Each flag overrides the config setting at its dotted path.
+    """
     p.add_argument("--config", required=True, help="path to the JSON analysis config")
-    if draws:
-        p.add_argument("--seed", type=int, default=None, help="override the bootstrap seed")
-        p.add_argument(
-            "--iterations", type=int, default=None, help="override the bootstrap iteration count"
-        )
-    p.add_argument("--output", default=None, help="override the output directory")
-    return p
+    settings = {"output": "output.directory"}
+    if seed:
+        p.add_argument("--seed", type=int, help=f"override {seed}")
+        p.add_argument("--iterations", type=int, help=f"override {iterations}")
+        settings.update(seed=seed, iterations=iterations)
+    p.add_argument("--output", help="override output.directory")
+    p.set_defaults(settings=settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trimtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("estimate", help="compute point estimates only"), draws=False)
+    _add_common(sub.add_parser("estimate", help="compute point estimates only"))
     for name, help_text in (
         ("bootstrap", "same as test"),
         ("test", "full analysis: bootstrap plus robustness tests"),
     ):
-        p = _add_common(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, "bootstrap.seed", "bootstrap.iterations")
         p.add_argument("--threads", type=int, default=1, help="worker threads for bootstrap draws")
-    _add_common(sub.add_parser("mc", help="Monte Carlo studies driven by the config's mc section"))
+    p = sub.add_parser("mc", help="Monte Carlo studies driven by the config's mc section")
+    _add_common(p, "mc.seed", "mc.inner_iterations")
 
     p = sub.add_parser("report", help="regenerate the report from stored draws")
     p.add_argument("--output", required=True, help="directory holding results.json and draws")
@@ -77,8 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> dict:
+    """The parsed config, each flag given written at its setting (a missing section is created)."""
+    raw = read_json_config(args.config)
+    for flag, setting in args.settings.items():
+        section, key = setting.split(".")
+        if getattr(args, flag) is not None and isinstance(raw, dict):
+            if isinstance(raw.setdefault(section, {}), dict):
+                raw[section][key] = getattr(args, flag)
+    return raw
+
+
 def _cmd_estimate(args) -> int:
-    config = AnalysisConfig.from_json_file(args.config).override(output_dir=args.output)
+    config = AnalysisConfig.from_dict(_config(args))
     doc = point_estimates(config)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     path = os.path.join(config.output_dir, "estimates.json")
@@ -88,10 +105,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    config = AnalysisConfig.from_json_file(args.config).override(
-        seed=args.seed, iterations=args.iterations, output_dir=args.output
-    )
-    bundle = run_analysis(config, n_threads=args.threads)
+    bundle = run_analysis(AnalysisConfig.from_dict(_config(args)), n_threads=args.threads)
     paths = write_outputs(bundle)
     sys.stdout.write(bundle.table_text)
     sys.stdout.write("wrote " + " ".join(sorted(paths.values())) + "\n")
@@ -99,19 +113,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    from .mc_oracle import residual_trim_size_analysis, size_study
-
-    study, out_dir = mc_settings(read_json_config(args.config))
-    if args.seed is not None:
-        study["seed"] = args.seed
-    if args.iterations is not None:
-        study["inner_iterations"] = args.iterations
-    # alpha and h go to both functions; the rest to one of them.
-    run = {k: study.pop(k) for k in ("dgp", "reps", "seed") if k in study}
-    shared = {k: study[k] for k in ("alpha", "h") if k in study}
-    report = size_study(analysis_fn=residual_trim_size_analysis(**study), **run, **shared)
-    text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
-    atomic_write_text(os.path.join(args.output or out_dir, "mc_results.json"), text)
+    study, out_dir = mc_settings(_config(args))
+    text = json.dumps(asdict(size_study(**study)), sort_keys=True, indent=2) + "\n"
+    atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)
     sys.stdout.write(text)
     return 0
 

@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the stage that names where one arose.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericalError -> 3.
 Plain ValueError is used for ordinary precondition violations.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class TrimtestError(Exception):
@@ -29,3 +31,14 @@ class RankDeficiencyError(NumericalError):
         super().__init__(
             f"{stage} matrix is rank deficient: rank {rank} < {ncols} columns"
         )
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise a failure of the enclosed pipeline stage with `[name] ` before its message."""
+    try:
+        yield
+    except (TrimtestError, ValueError, KeyError) as exc:
+        first = str(exc.args[0]) if exc.args else type(exc).__name__
+        exc.args = (f"[{name}] {first}",) + tuple(exc.args[1:])
+        raise

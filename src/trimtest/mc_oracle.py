@@ -9,13 +9,13 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bootstrap import BootstrapPlan, bootstrap_pipeline
 from .dataset import PanelDataset
-from .errors import NumericalError
+from .errors import NumericalError, stage
 from .estimators import (
     RegressionComparison,
     difference_covariance,
@@ -229,16 +229,18 @@ def size_study(
     """Rejection rate of analysis_fn(dataset, seed) -> bool over fresh data.
 
     The per-rep seed feeds the inner bootstrap so replications are
-    independent and the whole study is reproducible.
+    independent and the whole study is reproducible.  A failure of a
+    replication is reported in the `mc` stage.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rejections = 0
-    for r in range(reps):
-        rep_seed = _child_seed(seed, r)
-        data = simulate(dgp, rep_seed)
-        if analysis_fn(data, rep_seed):
-            rejections += 1
+    with stage("mc"):
+        for r in range(reps):
+            rep_seed = _child_seed(seed, r)
+            data = simulate(dgp, rep_seed)
+            if analysis_fn(data, rep_seed):
+                rejections += 1
     rate = rejections / reps
     se = float(np.sqrt(rate * (1.0 - rate) / reps)) if 0 < rate < 1 else float(
         np.sqrt(alpha * (1.0 - alpha) / reps)
@@ -259,7 +261,8 @@ def residual_trim_size_analysis(
 
     Fits outcome on the regressor with an intercept, trims at
     multiplier * residual scale, bootstraps the pair, and runs the formal
-    test on the reported coefficient.
+    test on the reported coefficient.  The settings are checked here, once;
+    each replication's seed feeds both its bootstrap and its test.
     """
     comparison = RegressionComparison(
         model=RegressionModel(outcome="y", regressors=(coefficient,)),
@@ -269,13 +272,13 @@ def residual_trim_size_analysis(
     )
     estimator = regression_comparison_estimator(comparison)
     dim = comparison.dim
+    plan = BootstrapPlan(iterations=inner_iterations, resample_unit="cluster")
+    spec = TestSpec(h=h, alpha=alpha)
 
     def analyze(data: PanelDataset, rep_seed: int) -> bool:
-        plan = BootstrapPlan(iterations=inner_iterations, seed=rep_seed, resample_unit="cluster")
-        result = bootstrap_pipeline(data, plan, estimator)
+        result = bootstrap_pipeline(data, replace(plan, seed=rep_seed), estimator)
         b1, b2 = result.point[:dim], result.point[dim:]
         sig_d = difference_covariance(result.cov, dim)
-        report = robustness_test(b1, b2, sig_d, TestSpec(h=h, alpha=alpha, seed=rep_seed))
-        return report.reject
+        return robustness_test(b1, b2, sig_d, replace(spec, seed=rep_seed)).reject
 
     return analyze

@@ -461,8 +461,6 @@ def robustness_test(
         raise ValueError("baseline and adjusted estimates must have the same length")
     sigma = floor_spd(np.atleast_2d(np.asarray(diff_cov, dtype=float)), 0.0)
     scale = float(np.abs(sigma).max())
-    if np.linalg.eigvalsh(sigma).min() < -1e-12 * max(1.0, scale):
-        raise NumericalError("difference covariance is not PSD after flooring")
     diff = b1 - b2
     if scale == 0.0:
         # A weight scheme compared against itself: every draw of the

@@ -173,6 +173,56 @@ class TestBootstrapAndTest:
         assert a != b
 
 
+class TestFlags:
+    """--seed, --iterations and --output set one config setting each."""
+
+    def test_test_flags_set_bootstrap_and_output_settings(self, workdir, capsys):
+        # The bare config has no bootstrap or output section: the flags create them.
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        del raw["bootstrap"], raw["output"]
+        (tmp_path / "bare.json").write_text(json.dumps(raw), encoding="utf-8")
+        raw["bootstrap"] = {"iterations": 50, "seed": 10}
+        raw["output"] = {"directory": str(tmp_path / "by-config")}
+        (tmp_path / "set.json").write_text(json.dumps(raw), encoding="utf-8")
+        flags = ["--seed", "10", "--iterations", "50", "--output", str(tmp_path / "by-flags")]
+        assert main(["test", "--config", str(tmp_path / "bare.json")] + flags) == 0
+        assert main(["test", "--config", str(tmp_path / "set.json")]) == 0
+        capsys.readouterr()
+        results = json.loads((tmp_path / "by-flags" / "results.json").read_text(encoding="utf-8"))
+        assert (results["bootstrap"]["seed"], results["bootstrap"]["iterations"]) == (10, 50)
+        for name in ("results.json", "report.txt", "draws_main.csv"):
+            by_flags, by_config = (tmp_path / d / name for d in ("by-flags", "by-config"))
+            assert by_flags.read_bytes() == by_config.read_bytes()
+
+    def test_flag_leaves_a_section_that_is_not_an_object(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["bootstrap"] = 5
+        (tmp_path / "five.json").write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["test", "--config", str(tmp_path / "five.json"), "--seed", "1"]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: [config] bootstrap must be an object, got 5\n"
+        assert not out.exists()
+
+    def test_mc_flags_set_mc_and_output_settings(self, tmp_path, capsys, monkeypatch):
+        mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2}
+        (tmp_path / "mc.json").write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        set_mc = {**mc, "seed": 7, "inner_iterations": 20}
+        doc = {"mc": set_mc, "output": {"directory": str(tmp_path / "by-config")}}
+        (tmp_path / "set.json").write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # the default output directory would land here
+        flags = ["--seed", "7", "--iterations", "20", "--output", str(tmp_path / "by-flags")]
+        assert main(["mc", "--config", str(tmp_path / "mc.json")] + flags) == 0
+        assert main(["mc", "--config", str(tmp_path / "set.json")]) == 0
+        capsys.readouterr()
+        blobs = [(tmp_path / d / "mc_results.json").read_bytes() for d in ("by-flags", "by-config")]
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["seed"] == 7
+        assert not (tmp_path / "trimtest-output").exists()
+
+
 class TestReport:
     def test_report_matches_stored_pvalues(self, workdir, capsys):
         tmp_path, config = workdir
@@ -699,6 +749,10 @@ class TestExitCodes:
             lambda r: _put(r, "weights.adjusted", {"kind": "custom", "values": "abc"}),
             "weights.adjusted.values",
         ),
+        "coefficient-outcome": ("mc", lambda r: _put(r, "mc.coefficient", "y"), "mc.coefficient"),
+        "bootstrap.seed-negative": ("test", lambda r: _put(r, "bootstrap.seed", -1), "bootstrap.seed"),
+        "test.seed-negative": ("test", lambda r: _put(r, "test.seed", -1), "test.seed"),
+        "mc.seed-negative": ("mc", lambda r: _put(r, "mc.seed", -3), "mc.seed"),
     }
 
     @pytest.mark.parametrize("case", list(_DEFECTS))
@@ -761,6 +815,58 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "[load]" in err
+
+    @pytest.mark.parametrize(
+        "command,flag,value,message",
+        [
+            ("test", "--iterations", "0", "[config] bootstrap: iterations must be >= 1"),
+            ("mc", "--iterations", "0", "[config] mc: iterations must be >= 1"),
+            ("test", "--seed", "-1", "[config] bootstrap.seed must be a non-negative integer, got -1"),
+            ("mc", "--seed", "-1", "[config] mc.seed must be a non-negative integer, got -1"),
+        ],
+        ids=["test-iterations", "mc-iterations", "test-seed", "mc-seed"],
+    )
+    def test_flag_is_checked_like_its_setting(self, workdir, capsys, command, flag, value, message):
+        tmp_path, config = workdir
+        if command == "mc":
+            mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}
+            config = str(tmp_path / "mc.json")
+            (tmp_path / "mc.json").write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        out = tmp_path / "flag-out"
+        assert main([command, "--config", config, flag, value, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("alpha", 1.5, "alpha must lie in (0, 1)"),
+            ("h", -0.1, "tolerance h must be >= 0"),
+            ("inner_iterations", 0, "iterations must be >= 1"),
+        ],
+        ids=["alpha", "h", "inner_iterations"],
+    )
+    @pytest.mark.parametrize("command", ["mc", "test", "estimate"])
+    def test_mc_setting_out_of_range_is_exit_2(self, workdir, capsys, key, value, message, command):
+        # Checked when the config is read: before anything is simulated or
+        # written, and by every command that reads the mc section.
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["mc"] = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, key: value}
+        err = self._exit_2(tmp_path, capsys, raw, command)
+        assert err == f"data error: [config] mc: {message}\n"
+
+    def test_failing_size_study_names_its_stage(self, tmp_path, capsys):
+        # Without noise y is exactly linear in x: every residual is zero, so
+        # residual trimming drops every row and the inner bootstrap fails.
+        dgp = {"kind": "linear_regression", "n": 50, "error_scale": 0}
+        p = tmp_path / "mc.json"
+        mc = {"dgp": dgp, "reps": 2, "inner_iterations": 20}
+        p.write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(p), "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: [mc] ")
+        assert not out.exists()
 
     def test_numerical_failure_is_exit_3(self, workdir, capsys):
         # One bootstrap draw gives a zero covariance matrix while the

@@ -640,6 +640,16 @@ class TestRobustnessTest:
         assert report.p_value_heuristic == pytest.approx(2.0 * stats.norm.sf(z_heur), rel=1e-10)
         assert report.p_value_formal < report.p_value_heuristic
 
+    def test_heuristic_with_zero_marginal_covariance(self):
+        # A baseline that never moves across draws: the heuristic has no
+        # spread to compare against, so only equality of the estimates counts.
+        zero = np.zeros((2, 2))
+        est = np.array([1.0, 2.0])
+        agree = robustness_test(est, est.copy(), np.eye(2), baseline_cov=zero)
+        differ = robustness_test(est, est + 0.1, np.eye(2), baseline_cov=zero)
+        assert agree.p_value_heuristic == 1.0
+        assert differ.p_value_heuristic == 0.0
+
     def test_tolerance_h_shrinks_rejection_region(self):
         base = robustness_test(
             np.array([1.0]), np.array([0.0]), np.array([[0.16]]), TestSpec(h=0.0)
