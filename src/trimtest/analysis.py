@@ -286,7 +286,41 @@ _REGRESSION = (
     ("outcome",),
 )
 _LSTAT = ({"statistics": _Entries(_STATISTIC)}, ("statistics",))
-_MODEL = _Kinds("type", {"ols": _REGRESSION, "iv": _REGRESSION, "lstat": _LSTAT}, default="ols")
+
+
+def _model(statistics=(), report_coefficients=None, derived=None, **model):
+    """What each comparison runs, less its weight schemes: LStatSpecs or a RegressionComparison."""
+    kind = model.pop("type")
+    if kind == "lstat":
+        if not statistics:
+            raise DataError("lstat model requires a statistics list")
+        return statistics
+    if (kind == "iv") != bool(model.get("endogenous")):
+        raise DataError(
+            'an "iv" model requires endogenous and instruments lists; "ols" takes neither'
+        )
+    model = RegressionModel(**model)
+    report = model.regressors if report_coefficients is None else report_coefficients
+    comparison = RegressionComparison(model, report_coefficients=report, **(derived or {}))
+    effect = comparison.derived_effect
+    # Under fixed effects no name depends on the data.
+    for key, names in (
+        ("model.report_coefficients", report),
+        ("model.derived.effect", (effect,) if effect else ()),
+        ("model.derived.lags", comparison.derived_lags),
+    ):
+        unknown = [n for n in names if n not in model.named_coefficients]
+        if unknown:
+            raise DataError(
+                f"{key} names {', '.join(map(repr, unknown))}, not a model "
+                f"coefficient ({', '.join(model.named_coefficients)})"
+            )
+    return comparison
+
+
+_MODEL = _Kinds(
+    "type", {"ols": _REGRESSION, "iv": _REGRESSION, "lstat": _LSTAT}, _model, default="ols"
+)
 _TEST = _Section(
     {
         "h": _real, "alpha": _real, "norm": (_norm, "norm_matrix"), "mc_draws": _int,
@@ -310,10 +344,13 @@ def _size_study(**study) -> dict:
     """Keyword arguments of `size_study`, with its `analysis_fn` built from the mc settings.
 
     Each setting goes to the function with a parameter of its name (`alpha`
-    and `h` to both), so building the analysis checks its settings.  The
+    and `h` to both), so building the analysis checks its settings; `reps`
+    is checked here, as `size_study` checks it only when it runs.  The
     size study regresses y on the coefficient's column, so the DGP must
     simulate both and the coefficient cannot be y itself.
     """
+    if study.get("reps", 1) < 1:
+        raise ValueError("reps must be >= 1")
     dgp = study["dgp"]
     coefficient = study.get("coefficient", _ANALYSIS_PARAMETERS["coefficient"].default)
     for key, column in (("mc.dgp.kind", "y"), ("mc.coefficient", coefficient)):
@@ -364,13 +401,9 @@ class AnalysisConfig:
     """Validated analysis description; build from a dict with from_dict."""
 
     input_path: str
-    mode: str  # "regression" | "lstat"
+    model: RegressionComparison | tuple[LStatSpec, ...]
     comparisons: tuple[Comparison, ...]
     cluster_column: str | None = None
-    model: RegressionModel | None = None
-    statistics: tuple[LStatSpec, ...] = ()
-    report_coefficients: tuple[str, ...] = ()
-    derived: dict = field(default_factory=dict)  # RegressionComparison's derived_* fields
     plan: BootstrapPlan = field(default_factory=BootstrapPlan)
     test: TestSpec = field(default_factory=TestSpec)
     output_dir: str = "trimtest-output"
@@ -382,7 +415,6 @@ class AnalysisConfig:
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
         with stage("config"):
             c = _ROOT(raw, "")
-            model = c.pop("model")
             c.pop("mc", None)
             c.update(c.pop("output", {}))
             pair = c.pop("weights", None)
@@ -393,35 +425,7 @@ class AnalysisConfig:
             names = [comparison.name for comparison in c["comparisons"]]
             if len(set(names)) != len(names):
                 raise DataError("comparison names must be unique")
-            mtype = model.pop("type")
-            if mtype == "lstat":
-                if not model["statistics"]:
-                    raise DataError("lstat model requires a statistics list")
-                return cls(mode="lstat", **model, **c)
-            if (mtype == "iv") != bool(model.get("endogenous")):
-                raise DataError(
-                    'an "iv" model requires endogenous and instruments lists; "ols" takes neither'
-                )
-            derived = model.pop("derived", {})
-            report = model.pop("report_coefficients", None)
-            model = RegressionModel(**model)
-            report = model.regressors if report is None else report
-            effect = derived.get("derived_effect")
-            # Under fixed effects no name depends on the data.
-            for key, names in (
-                ("model.report_coefficients", report),
-                ("model.derived.effect", (effect,) if effect else ()),
-                ("model.derived.lags", derived.get("derived_lags", ())),
-            ):
-                unknown = [n for n in names if n not in model.named_coefficients]
-                if unknown:
-                    raise DataError(
-                        f"{key} names {', '.join(map(repr, unknown))}, not a model "
-                        f"coefficient ({', '.join(model.named_coefficients)})"
-                    )
-            return cls(
-                mode="regression", model=model, report_coefficients=report, derived=derived, **c
-            )
+            return cls(**c)
 
 
 def read_json_config(path: str) -> dict:
@@ -463,25 +467,17 @@ class ReportBundle:
 
 
 def _build_estimator(config: AnalysisConfig, comparison: Comparison):
-    if config.mode == "lstat":
-        base_specs = [
-            LStatSpec(s.column, s.transform, comparison.baseline_scheme, s.name)
-            for s in config.statistics
-        ]
-        adj_specs = [
-            LStatSpec(s.column, s.transform, comparison.adjusted_scheme, s.name)
-            for s in config.statistics
-        ]
-        labels = tuple(s.label() for s in base_specs)
-        return lstat_pair_estimator(base_specs, adj_specs), labels, (base_specs, adj_specs)
-    rcomp = RegressionComparison(
-        model=config.model,
-        baseline_scheme=comparison.baseline_scheme,
-        adjusted_scheme=comparison.adjusted_scheme,
-        report_coefficients=config.report_coefficients,
-        **config.derived,
-    )
-    return regression_comparison_estimator(rcomp), rcomp.stat_labels(), None
+    if isinstance(config.model, RegressionComparison):
+        rcomp = replace(
+            config.model,
+            baseline_scheme=comparison.baseline_scheme,
+            adjusted_scheme=comparison.adjusted_scheme,
+        )
+        return regression_comparison_estimator(rcomp), rcomp.stat_labels(), None
+    base_specs = [replace(s, scheme=comparison.baseline_scheme) for s in config.model]
+    adj_specs = [replace(s, scheme=comparison.adjusted_scheme) for s in config.model]
+    labels = tuple(s.label() for s in base_specs)
+    return lstat_pair_estimator(base_specs, adj_specs), labels, (base_specs, adj_specs)
 
 
 def _prepared_data(

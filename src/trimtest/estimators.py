@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import PanelDataset
 from .lstat import LStatSpec, lstat_eval
-from .regress import RegressionModel, RegressionFit, derived_params, fit_model
+from .regress import RegressionModel, RegressionFit, derived_params, fit_model, sigma_hat
 from .weights import ResidualContext, WeightScheme, compute_weights
 
 
@@ -74,6 +74,17 @@ def _side_vector(comparison: RegressionComparison, fit: RegressionFit) -> list[f
     return vals
 
 
+def _residual_context(
+    fit: RegressionFit, data: PanelDataset, row_weights: np.ndarray, normalization: str
+) -> ResidualContext:
+    """The fit's residuals and first-stage residuals, each column with its sigma_hat scale."""
+    first_stage = fit.first_stage_residuals
+    columns = [fit.residuals, *([] if first_stage is None else first_stage.T)]
+    scales = [sigma_hat(column, data, row_weights, normalization) for column in columns]
+    fs_scales = None if first_stage is None else np.array(scales[1:])
+    return ResidualContext(fit.residuals, scales[0], first_stage, fs_scales)
+
+
 def regression_comparison_estimator(comparison: RegressionComparison):
     """Estimator returning [baseline coefficients..., adjusted coefficients...].
 
@@ -86,12 +97,9 @@ def regression_comparison_estimator(comparison: RegressionComparison):
     def estimate(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
         w_base = compute_weights(comparison.baseline_scheme, data, row_weights=row_weights)
         base_fit = fit_model(comparison.model, data, w_base, row_weights)
-        ctx = ResidualContext(
-            residuals=base_fit.residuals,
-            scale=base_fit.sigma,
-            first_stage_residuals=base_fit.first_stage_residuals,
-            first_stage_scales=base_fit.first_stage_sigmas,
-        )
+        ctx = None
+        if comparison.adjusted_scheme.kind == "residual_trim":
+            ctx = _residual_context(base_fit, data, row_weights, comparison.model.normalization)
         w_adj = compute_weights(comparison.adjusted_scheme, data, ctx, row_weights)
         adj_fit = fit_model(comparison.model, data, w_adj, row_weights)
         return np.array(_side_vector(comparison, base_fit) + _side_vector(comparison, adj_fit))

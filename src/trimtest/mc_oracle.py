@@ -60,6 +60,9 @@ class DGPSpec:
     def __post_init__(self):
         if self.kind not in {"univariate", "linear_regression", "panel"}:
             raise ValueError(f"unknown DGP kind {self.kind!r}")
+        for name, value in (("scale", self.scale), ("error_scale", self.error_scale)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.law not in _LAWS:
             raise ValueError(f"unknown law {self.law!r}")
         if self.law == "student_t" and self.df <= 2.0:

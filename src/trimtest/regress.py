@@ -79,14 +79,12 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Coefficients with names, residuals on the estimation rows, and scales."""
+    """Coefficients with names, residuals on the estimation rows, first-stage ones for 2SLS."""
 
     coefficient_names: tuple[str, ...]
     coefficients: np.ndarray
     residuals: np.ndarray
-    sigma: float
     first_stage_residuals: np.ndarray | None = None
-    first_stage_sigmas: np.ndarray | None = None
 
     def coef(self, name: str) -> float:
         try:
@@ -256,7 +254,7 @@ def fit_model(
     Lovell), and residuals are those of the demeaned outcome.  Residuals
     are computed for every row from the actual regressors; an instrumented
     fit also returns the first-stage residuals (one column per endogenous
-    regressor) and their scales for residual-trimming rules.
+    regressor) for residual-trimming rules.
     """
     w = np.ones(data.n_rows) if weights is None else np.asarray(weights, dtype=float)
     present = None if row_multipliers is None else np.asarray(row_multipliers) != 0
@@ -287,18 +285,10 @@ def fit_model(
         fitted_design, stage = z_design @ pi, "second-stage"
     beta = _solve_normal_equations(fitted_design, scale, y, stage, design_norm).ravel()
     resid = y - design @ beta
-    sig = sigma_hat(resid, data, row_multipliers, model.normalization)
     if not model.is_instrumented:
-        return RegressionFit(names, beta, resid, sig)
+        return RegressionFit(names, beta, resid)
     endog_idx = [names.index(e) for e in model.endogenous]
-    fs_resid = design[:, endog_idx] - fitted_design[:, endog_idx]
-    fs_sig = np.array(
-        [
-            sigma_hat(fs_resid[:, j], data, row_multipliers, model.normalization)
-            for j in range(fs_resid.shape[1])
-        ]
-    )
-    return RegressionFit(names, beta, resid, sig, fs_resid, fs_sig)
+    return RegressionFit(names, beta, resid, design[:, endog_idx] - fitted_design[:, endog_idx])
 
 
 # Both names stay public because acceptance criterion 10 imports them.

@@ -204,12 +204,14 @@ def _route(
     if method != "mc":
         r = _proportionality(a, sigma)
         if r is not None and r * h * h <= _NCX2_MAX_NC:
+            # Shape arguments, not a frozen distribution: building one costs
+            # several times as much as the quantile itself.
             if h == 0.0:
-                path, dist = "chi2", stats.chi2(df=len(sigma))
+                path, dist, shape = "chi2", stats.chi2, (len(sigma),)
             else:
-                path, dist = "ncx2", stats.ncx2(df=len(sigma), nc=r * h * h)
-            crit = None if alpha is None else float(dist.ppf(1.0 - alpha) / r)
-            tail = None if statistic_sq is None else float(dist.sf(r * statistic_sq))
+                path, dist, shape = "ncx2", stats.ncx2, (len(sigma), r * h * h)
+            crit = None if alpha is None else float(dist.ppf(1.0 - alpha, *shape) / r)
+            tail = None if statistic_sq is None else float(dist.sf(r * statistic_sq, *shape))
             return path, crit, tail
         if method == "exact":
             raise ValueError("no exact critical value path for this norm/covariance pair and h; use mc")

@@ -26,6 +26,8 @@ from trimtest.csvio import (
     load_csv,
     read_draws_csv,
 )
+from trimtest.estimators import RegressionComparison
+from trimtest.lstat import LStatSpec
 from trimtest.plotgrid import GRID_POINTS, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
 
@@ -294,12 +296,18 @@ def regression_config(**overrides) -> dict:
 class TestAnalysisConfig:
     def test_minimal_regression_config(self):
         config = AnalysisConfig.from_dict(regression_config())
-        assert config.mode == "regression"
-        assert config.model.outcome == "y"
-        assert config.report_coefficients == ("x",)
+        assert isinstance(config.model, RegressionComparison)
+        assert config.model.model.outcome == "y"
+        assert config.model.report_coefficients == ("x",)
         assert len(config.comparisons) == 1
         assert config.comparisons[0].name == "main"
         assert config.plan.iterations == 80
+
+    def test_lstat_config_model_is_its_statistics(self):
+        raw = regression_config()
+        raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y", "name": "m"}]}
+        model = AnalysisConfig.from_dict(raw).model
+        assert model == (LStatSpec("x", name="x"), LStatSpec("y", name="m"))
 
     def test_missing_required_keys(self):
         with pytest.raises(DataError, match="missing required key 'input'"):

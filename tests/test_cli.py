@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface.
 
-main() is driven in-process; one test exercises the installed module entry
-point through a subprocess.
+main() is driven in-process; one test exercises the module entry point
+through a subprocess, importing the package from this checkout's src.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ class TestExitCodes:
         p.write_text(json.dumps({"mc": {"dgp": dgp, "reps": reps}}), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
-        assert capsys.readouterr().err == "data error: reps must be >= 1\n"
+        assert capsys.readouterr().err == "data error: [config] mc: reps must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["reps", "inner_iterations", "seed"])
@@ -753,6 +753,25 @@ class TestExitCodes:
         "bootstrap.seed-negative": ("test", lambda r: _put(r, "bootstrap.seed", -1), "bootstrap.seed"),
         "test.seed-negative": ("test", lambda r: _put(r, "test.seed", -1), "test.seed"),
         "mc.seed-negative": ("mc", lambda r: _put(r, "mc.seed", -3), "mc.seed"),
+        "dgp.error_scale-negative": (
+            "mc",
+            lambda r: _put(r, "mc.dgp.error_scale", -1),
+            "[config] mc.dgp: error_scale must be >= 0",
+        ),
+        "dgp.scale-negative": (
+            "mc", lambda r: _put(r, "mc.dgp.scale", -1), "[config] mc.dgp: scale must be >= 0"
+        ),
+        "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
+        "mc.reps-zero-test": (
+            "test",
+            lambda r: r.update(mc={"dgp": {"kind": "linear_regression"}, "reps": 0}),
+            "[config] mc: reps must be >= 1",
+        ),
+        "mc.reps-zero-estimate": (
+            "estimate",
+            lambda r: r.update(mc={"dgp": {"kind": "linear_regression"}, "reps": 0}),
+            "[config] mc: reps must be >= 1",
+        ),
     }
 
     @pytest.mark.parametrize("case", list(_DEFECTS))
@@ -881,10 +900,13 @@ class TestExitCodes:
 class TestModuleEntryPoint:
     def test_python_dash_m_runs(self, workdir):
         tmp_path, config = workdir
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "trimtest", "estimate", "--config", config],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["main"]["labels"] == ["x"]

@@ -13,7 +13,7 @@ from trimtest.estimators import (
     regression_comparison_estimator,
 )
 from trimtest.lstat import LStatSpec
-from trimtest.regress import RegressionModel, weighted_ols
+from trimtest.regress import RegressionModel, sigma_hat, weighted_2sls, weighted_ols
 from trimtest.weights import ResidualContext, WeightScheme, compute_weights
 
 from conftest import make_panel
@@ -88,11 +88,41 @@ class TestRegressionComparisonEstimator:
         out = est(panel, np.ones(panel.n_rows))
         # Manual reconstruction of the adjusted side.
         base = weighted_ols(RegressionModel("y", ("x",)), panel)
-        ctx = ResidualContext(base.residuals, base.sigma)
+        ctx = ResidualContext(base.residuals, sigma_hat(base.residuals, panel))
         w = compute_weights(WeightScheme.residual_trim(1.0), panel, ctx)
         assert 0 < w.sum() < panel.n_rows  # the trim actually bites
         refit = weighted_ols(RegressionModel("y", ("x",)), panel, weights=w)
         assert out[1] == pytest.approx(refit.coef("x"), abs=1e-13)
+
+    def test_instrumented_adjusted_half_trims_on_both_stages(self):
+        rng = np.random.default_rng(11)
+        n = 300
+        z = rng.normal(size=n)
+        u = rng.standard_t(3, size=n)
+        x = 0.8 * z + 0.5 * u + rng.normal(size=n)
+        data = PanelDataset({"y": 1.5 * x + u, "x": x, "z": z}, np.arange(n) // 3)
+        model = RegressionModel("y", ("x",), endogenous=("x",), instruments=("z",))
+        scheme = WeightScheme.residual_trim(1.5)
+        est = regression_comparison_estimator(
+            RegressionComparison(model=model, adjusted_scheme=scheme)
+        )
+        rho = rng.multinomial(n // 3, np.full(n // 3, 3.0 / n)).repeat(3).astype(float)
+        out = est(data, rho)
+        # Manual reconstruction: scales are sigma_hat of the baseline fit's
+        # residuals and of each first-stage residual column, under rho.
+        base = weighted_2sls(model, data, row_multipliers=rho)
+        first_stage = base.first_stage_residuals
+        ctx = ResidualContext(
+            base.residuals,
+            sigma_hat(base.residuals, data, rho),
+            first_stage,
+            np.array([sigma_hat(first_stage[:, 0], data, rho)]),
+        )
+        w = compute_weights(scheme, data, ctx, rho)
+        only_outcome = compute_weights(scheme, data, ResidualContext(base.residuals, ctx.scale))
+        assert 0 < w.sum() < only_outcome.sum()  # the first-stage bound trims more rows
+        refit = weighted_2sls(model, data, weights=w, row_multipliers=rho)
+        np.testing.assert_array_equal(out, [base.coef("x"), refit.coef("x")])
 
     def test_derived_summaries_appended_per_side(self):
         data = make_panel(40, 6, seed=3)

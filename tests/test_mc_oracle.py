@@ -38,6 +38,12 @@ class TestDGPSpecValidation:
         with pytest.raises(ValueError, match="n must be"):
             DGPSpec.univariate("normal", 0)
 
+    @pytest.mark.parametrize("name", ["scale", "error_scale"])
+    def test_negative_scale(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
+            DGPSpec("linear_regression", n=10, **{name: -1.0})
+        assert getattr(DGPSpec("linear_regression", n=10, **{name: 0.0}), name) == 0.0
+
     def test_panel_bounds(self):
         with pytest.raises(ValueError, match="t_min"):
             DGPSpec.panel(n_clusters=5, t_min=0, t_max=3)

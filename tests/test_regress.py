@@ -344,8 +344,7 @@ class TestWeighted2sls:
         z_mat = np.column_stack([np.ones(n), iv_data.column("z")])
         moments = z_mat.T @ (fit.first_stage_residuals[:, 0] / n)
         np.testing.assert_allclose(moments, 0.0, atol=1e-12)
-        assert fit.first_stage_sigmas.shape == (1,)
-        assert fit.first_stage_sigmas[0] > 0
+        assert sigma_hat(fit.first_stage_residuals[:, 0], iv_data) > 0
 
     def test_structural_residuals_use_actual_regressors(self, iv_data):
         model = RegressionModel("y", ("x",), endogenous=("x",), instruments=("z",))
@@ -373,12 +372,13 @@ class TestWeighted2sls:
                 assert fit.coefficient_names == ref.coefficient_names
                 np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
                 np.testing.assert_array_equal(fit.residuals, ref.residuals)
-                assert fit.sigma == ref.sigma
+                assert sigma_hat(fit.residuals, iv_data) == sigma_hat(ref.residuals, iv_data)
                 if model.is_instrumented:
                     np.testing.assert_array_equal(
                         fit.first_stage_residuals, ref.first_stage_residuals
                     )
-                    np.testing.assert_array_equal(fit.first_stage_sigmas, ref.first_stage_sigmas)
+                    first_stage = fit.first_stage_residuals[:, 0], ref.first_stage_residuals[:, 0]
+                    assert sigma_hat(first_stage[0], iv_data) == sigma_hat(first_stage[1], iv_data)
 
     def test_uninstrumented_model_falls_back_to_ols(self, iv_data):
         model = RegressionModel("y", ("x",))
