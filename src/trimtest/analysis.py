@@ -4,9 +4,8 @@ The configuration is a JSON document (objects, arrays, scalars).  A run
 produces a ReportBundle holding point estimates, bootstrap draws,
 covariances with provenance, per-coefficient and joint robustness tests,
 and a formatted comparison table.  Machine-readable outputs are
-deterministic: identical config and seeds give byte-identical files
-regardless of thread count.  Failures are re-raised with the pipeline stage
-in the message.
+deterministic: identical config and seeds give byte-identical files.
+Failures are re-raised with the pipeline stage in the message.
 """
 
 from __future__ import annotations
@@ -417,6 +416,8 @@ class AnalysisConfig:
             c = _ROOT(raw, "")
             c.pop("mc", None)
             c.update(c.pop("output", {}))
+            if c.get("include_analytic_cov") and isinstance(c["model"], RegressionComparison):
+                raise DataError('output.analytic_cov is for lstat models only, not "ols" or "iv"')
             pair = c.pop("weights", None)
             if "comparisons" not in c:
                 if pair is None:
@@ -567,9 +568,7 @@ def _robustness_tests(
     return coef_tests, joint
 
 
-def run_analysis(
-    config: AnalysisConfig, n_threads: int = 1, data: PanelDataset | None = None
-) -> ReportBundle:
+def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> ReportBundle:
     """Execute the full pipeline described by the config."""
     data, load_report = _prepared_data(config, data)
     results = []
@@ -577,7 +576,7 @@ def run_analysis(
         estimator, labels, lstat_specs = _build_estimator(config, comparison)
         d = len(labels)
         with stage(f"bootstrap:{comparison.name}"):
-            boot = bootstrap_pipeline(data, config.plan, estimator, n_threads=n_threads)
+            boot = bootstrap_pipeline(data, config.plan, estimator)
         b1, b2 = boot.point[:d], boot.point[d:]
         diff_cov = difference_covariance(boot.cov, d)
         flags = {}

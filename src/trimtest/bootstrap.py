@@ -4,8 +4,7 @@ Every draw is a random weight on each observation of the original dataset:
 the bootstrap statistic is the same estimator integrated against a randomly
 reweighted empirical measure, so no resampled dataset is ever built.  Draw b
 uses a generator derived from the master seed and the draw index alone, so
-results are bit-identical no matter how many threads execute the draws or in
-which order they finish.
+no draw depends on the order in which the draws are run.
 
 Unit weights (one per cluster or per row, by resample unit):
   - "multinomial": counts ~ Multinomial(U; 1/U, ..., 1/U) over the U units.
@@ -27,7 +26,6 @@ sort order of a column, the cluster row blocks) and shared by all draws.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,41 +123,46 @@ def _one_draw(data: PanelDataset, plan: BootstrapPlan, estimator_fn, b: int):
     return estimator_fn(data, rho)
 
 
-def bootstrap_pipeline(
-    data: PanelDataset,
-    plan: BootstrapPlan,
-    estimator_fn,
-    n_threads: int = 1,
-) -> BootstrapResult:
+def tolerant_results(count: int, attempt, noun: str, unit: str):
+    """Yield attempt(i) as a float vector for i in range(count), or None where that raised.
+
+    A numerical or value error marks i as failed.  After the last result, more
+    than max(1, 1% of count) failures raise a NumericalError naming noun and
+    unit: count >= 100 keeps the plain 1% rule, a shorter run survives one.
+    """
+    n_failed = 0
+    for i in range(count):
+        try:
+            value = np.atleast_1d(np.asarray(attempt(i), dtype=float))
+        except _CATCHABLE:
+            value = None
+            n_failed += 1
+        yield value
+    if n_failed > max(1.0, 0.01 * count):
+        raise NumericalError(
+            f"{n_failed} of {count} {noun} failed (limit is 1% of {unit}, at least one)"
+        )
+
+
+def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) -> BootstrapResult:
     """Run the full bootstrap: point estimate, draws, covariance.
 
     estimator_fn(dataset, row_weights) is always called on `data` itself,
     with all-ones weights for the point estimate and the draw's row weights
     for each draw (count weights sum to n_rows); it must honour row_weights
     and return a fixed-length float vector.  Draws that raise a numerical
-    or value error are recorded as missing (NaN rows); more than
-    max(1, 1% of B) of them abort with an error, so B >= 100 keeps the
-    plain 1% rule and a shorter run survives one failed draw.  Aggregation
-    is by draw index, so thread count does not affect any output value.
+    or value error are recorded as missing (NaN rows), within the failure
+    limit of tolerant_results.
     """
     point = np.atleast_1d(np.asarray(estimator_fn(data, np.ones(data.n_rows)), dtype=float))
     d = len(point)
     B = plan.iterations
     draws = np.full((B, d), np.nan)
     failed: list[int] = []
-
-    def run(b: int):
-        try:
-            return b, np.atleast_1d(np.asarray(_one_draw(data, plan, estimator_fn, b), dtype=float))
-        except _CATCHABLE:
-            return b, None
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, range(B)))
-    else:
-        results = [run(b) for b in range(B)]
-    for b, val in results:
+    results = tolerant_results(
+        B, lambda b: _one_draw(data, plan, estimator_fn, b), "bootstrap draws", "draws"
+    )
+    for b, val in enumerate(results):
         if val is None:
             failed.append(b)
         elif val.shape != (d,):
@@ -168,10 +171,6 @@ def bootstrap_pipeline(
             )
         else:
             draws[b] = val
-    if len(failed) > max(1.0, 0.01 * B):
-        raise NumericalError(
-            f"{len(failed)} of {B} bootstrap draws failed (limit is 1% of draws, at least one)"
-        )
     n_ok = int(np.sum(~np.isnan(draws).any(axis=1)))
     cov = bootstrap_cov(draws) if n_ok >= 2 else np.zeros((d, d))
     return BootstrapResult(

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, "bootstrap.seed", "bootstrap.iterations")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for bootstrap draws")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p = sub.add_parser("mc", help="Monte Carlo studies driven by the config's mc section")
     _add_common(p, "mc.seed", "mc.inner_iterations")
 
@@ -105,7 +105,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    bundle = run_analysis(AnalysisConfig.from_dict(_config(args)), n_threads=args.threads)
+    bundle = run_analysis(AnalysisConfig.from_dict(_config(args)))
     paths = write_outputs(bundle)
     sys.stdout.write(bundle.table_text)
     sys.stdout.write("wrote " + " ".join(sorted(paths.values())) + "\n")

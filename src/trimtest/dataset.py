@@ -62,7 +62,7 @@ class PanelDataset:
     row_cluster_index: np.ndarray = field(init=False, repr=False)
     _sizes: np.ndarray = field(init=False, repr=False)
     # Column name -> sort order.  Created with the dataset, not lazily, so
-    # threads running draws on one dataset always share a single memo.
+    # any threads a caller runs on one dataset always share a single memo.
     _sort_orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Factor name -> (labels, codes), shared the same way.
     _factor_codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -133,7 +133,7 @@ class PanelDataset:
         """
         order = self._sort_orders.get(name)
         if order is None:
-            # setdefault keeps the first order stored if threads race here.
+            # setdefault keeps the first order stored if two callers race here.
             order = self._sort_orders.setdefault(
                 name, _readonly(np.argsort(self.column(name), kind="stable"))
             )

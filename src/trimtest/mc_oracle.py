@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, bootstrap_pipeline
+from .bootstrap import BootstrapPlan, bootstrap_pipeline, tolerant_results
 from .dataset import PanelDataset
 from .errors import NumericalError, stage
 from .estimators import (
@@ -191,27 +191,19 @@ def mc_covariance(
     """Ground-truth covariance of sqrt(n) * (statistic - MC mean) across reps.
 
     Returns (covariance, mean vector).  estimator_fn(dataset, row_weights)
-    is the same callable the bootstrap uses.  More than max(1, 1% of reps)
-    failed replications abort, the failure limit of bootstrap_pipeline.
+    is the same callable the bootstrap uses.  A replication whose simulation
+    or estimate raises a numerical or value error is dropped, within the
+    failure limit of tolerant_results that bootstrap_pipeline also uses.
     """
-    stats_list = []
-    failed = 0
-    n_units = None
-    for r in range(reps):
+    # Every simulated dataset has this many clusters: one per row unless a panel.
+    n_units = dgp.n_clusters if dgp.kind == "panel" else dgp.n
+
+    def replicate(r: int):
         data = simulate(dgp, _child_seed(seed, r))
-        if n_units is None:
-            n_units = data.n_clusters
-        try:
-            v = np.atleast_1d(
-                np.asarray(estimator_fn(data, np.ones(data.n_rows)), dtype=float)
-            )
-            stats_list.append(v)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError):
-            failed += 1
-    if failed > max(1.0, 0.01 * reps):
-        raise NumericalError(
-            f"{failed} of {reps} Monte Carlo replications failed (limit is 1% of reps, at least one)"
-        )
+        return estimator_fn(data, np.ones(data.n_rows))
+
+    results = tolerant_results(reps, replicate, "Monte Carlo replications", "reps")
+    stats_list = [v for v in results if v is not None]
     if len(stats_list) < 2:
         raise NumericalError(f"only {len(stats_list)} of {reps} Monte Carlo replications succeeded")
     stats = np.vstack(stats_list)

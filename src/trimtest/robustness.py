@@ -284,13 +284,14 @@ def _mc_test(
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
     root = solve_triangular(cholesky(norm, lower=True), root, lower=True)
-    eta = rng.standard_normal((mc_draws, dim)) @ root.T
-    base = np.einsum("bi,bi->b", eta, eta)
-    if h == 0.0:
-        crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
-        count = None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
-    else:
-        crit, count = _screened_grid(h, unit_directions(dim).T, eta, base, alpha, statistic_sq)
+    # eta is passed unbound, so the grid walk holds the only reference to it.
+    crit, count = _screened_grid(
+        h,
+        unit_directions(dim).T,
+        rng.standard_normal((mc_draws, dim)) @ root.T,
+        alpha,
+        statistic_sq,
+    )
     return crit, None if count is None else count / mc_draws
 
 
@@ -298,13 +299,13 @@ def _screened_grid(
     h: float,
     directions: np.ndarray,
     eta: np.ndarray,
-    base: np.ndarray,
     alpha: float | None,
     statistic_sq: float | None,
 ) -> tuple[float | None, int | None]:
-    """(critical value, tail count) of the direction grid on the screened draws.
+    """(critical value, tail count) of the direction grid on the screened rows of eta.
 
-    directions holds the unit vectors u as columns.  The bounds repeat
+    With h = 0 every direction's value is base = ||eta||^2 and no grid is
+    walked.  directions holds the unit vectors u as columns.  The bounds repeat
     _squared_norm_rows's operations in its order with the cross term u'eta
     replaced by -D and +D, D = (1 + slack) sqrt(base).  Each of those
     floating-point steps is monotone, so a computed cross term of magnitude
@@ -335,6 +336,10 @@ def _screened_grid(
     a value could depend on which draws were kept; with it they cannot for
     any kernel whose unroll divides _SCREEN_ALIGN.
     """
+    base = np.einsum("bi,bi->b", eta, eta)
+    if h == 0.0:
+        crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
+        return crit, None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
     b, dim = eta.shape
     k = None if alpha is None else _upper_rank(b, alpha)
     body = b - b % _SCREEN_ALIGN

@@ -491,15 +491,6 @@ class TestRunAnalysis:
         diff = np.asarray(entry["difference_cov"])
         assert diff.shape == (d, d)
 
-    def test_thread_count_does_not_change_results(self):
-        data = make_panel(20, 3, seed=2)
-        config = AnalysisConfig.from_dict(regression_config())
-        a = run_analysis(config, n_threads=1, data=data)
-        b = run_analysis(config, n_threads=4, data=data)
-        assert json.dumps(a.results_dict, sort_keys=True) == json.dumps(
-            b.results_dict, sort_keys=True
-        )
-
     def test_identical_schemes_accept_with_p_one(self):
         data = make_panel(20, 3, seed=6)
         raw = regression_config()
@@ -585,7 +576,7 @@ class TestOutputsAndReport:
             raw = regression_config()
             raw["output"] = {"directory": str(tmp_path / sub)}
             config = AnalysisConfig.from_dict(raw)
-            bundle = run_analysis(config, n_threads=(1 if sub == "a" else 3), data=data)
+            bundle = run_analysis(config, data=data)
             write_outputs(bundle)
             with open(tmp_path / sub / "results.json", "rb") as fh:
                 raws.append(fh.read())

@@ -134,13 +134,6 @@ class TestPlanValidation:
 
 
 class TestPipeline:
-    def test_thread_count_does_not_change_draws(self, clustered):
-        plan = BootstrapPlan(iterations=60, seed=5)
-        serial = bootstrap_pipeline(clustered, plan, weighted_mean_estimator, n_threads=1)
-        threaded = bootstrap_pipeline(clustered, plan, weighted_mean_estimator, n_threads=4)
-        np.testing.assert_array_equal(serial.draws, threaded.draws)
-        np.testing.assert_array_equal(serial.cov, threaded.cov)
-
     def test_multinomial_draw_matches_manual_materialization(self, unequal):
         # Count weights on the original rows give the statistic of the
         # materialized cluster resample, unequal cluster sizes included.
@@ -266,7 +259,7 @@ class TestPipeline:
             return weighted_mean_estimator(data, row_weights)
 
         plan = BootstrapPlan(iterations=300, seed=1)
-        boot = bootstrap_pipeline(clustered, plan, flaky, n_threads=1)
+        boot = bootstrap_pipeline(clustered, plan, flaky)
         assert boot.n_failed == 2
         assert boot.failed_indices == (3, 17)
         assert np.isnan(boot.draws[3, 0]) and np.isnan(boot.draws[17, 0])
@@ -296,7 +289,7 @@ class TestPipeline:
     @pytest.mark.parametrize("iterations", [40, 100, 150])
     def test_one_failed_draw_is_tolerated(self, clustered, iterations):
         plan = BootstrapPlan(iterations=iterations, seed=5)
-        boot = bootstrap_pipeline(clustered, plan, self._failing_on({7}), n_threads=1)
+        boot = bootstrap_pipeline(clustered, plan, self._failing_on({7}))
         assert boot.n_failed == 1
         assert boot.failed_indices == (7,)
         assert np.isnan(boot.draws[7]).all()
@@ -307,7 +300,7 @@ class TestPipeline:
     def test_two_failed_draws_abort_below_200(self, clustered, iterations):
         plan = BootstrapPlan(iterations=iterations, seed=5)
         with pytest.raises(NumericalError, match=f"2 of {iterations} .*limit is 1%"):
-            bootstrap_pipeline(clustered, plan, self._failing_on({3, 9}), n_threads=1)
+            bootstrap_pipeline(clustered, plan, self._failing_on({3, 9}))
     def test_single_draw_zero_covariance(self, clustered):
         boot = bootstrap_pipeline(clustered, BootstrapPlan(iterations=1, seed=3), weighted_mean_estimator)
         assert boot.draws.shape == (1, 1)

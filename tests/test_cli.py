@@ -726,6 +726,7 @@ class TestExitCodes:
         "input-int": ("estimate", lambda r: r.update(input=0), "input"),
         "intercept-string": ("estimate", lambda r: _put(r, "model.intercept", "false"), "model.intercept"),
         "analytic_cov-string": ("estimate", lambda r: _put(r, "output.analytic_cov", "no"), "output.analytic_cov"),
+        "analytic_cov-ols": ("test", lambda r: _put(r, "output.analytic_cov", True), "output.analytic_cov"),
         "comparisons.name-int": (
             "estimate",
             lambda r: r.update(comparisons=[{"name": 5, "weights": r.pop("weights")}]),

@@ -80,8 +80,9 @@ class TestPanelDataset:
         np.testing.assert_array_equal(tiny.sort_order("v"), [0, 1, 2, 3, 4])
 
     def test_threads_share_one_sort_order_per_column(self):
-        # Draws on worker threads hit a fresh memo together; every thread
-        # must come away with the same stored array for each column.
+        # PanelDataset is public, so a caller may share one across threads
+        # that hit a fresh memo together; every thread must come away with
+        # the same stored array for each column.
         rng = np.random.default_rng(3)
         names = [f"c{j}" for j in range(6)]
         data = PanelDataset({c: rng.normal(size=500) for c in names}, np.arange(500))

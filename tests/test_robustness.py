@@ -503,10 +503,10 @@ class TestAnnulusScreen:
         reached = top[top > bound]
         assert len(reached) > 0
         for s2 in reached[:20]:
-            count = robustness._screened_grid(h, directions, eta, base, None, s2)[1]
+            count = robustness._screened_grid(h, directions, eta, None, s2)[1]
             assert count == np.count_nonzero(quad >= s2, axis=1).max()
         for alpha in (0.05, 0.5, 1e-9):
-            crit = robustness._screened_grid(h, directions, eta, base, alpha, None)[0]
+            crit = robustness._screened_grid(h, directions, eta, alpha, None)[0]
             assert crit == float(_empirical_upper_quantile(quad, alpha).max())
 
     @staticmethod
