@@ -1,10 +1,13 @@
 """Estimator callables for the bootstrap pipeline.
 
-Each builder returns a function f(dataset, row_weights) -> vector that
-recomputes everything data-dependent from scratch under the row weights:
-weight-scheme thresholds come from the reweighted sample, residual scales
-come from a fresh reweighted baseline fit, and derived dynamic parameters
-are recomputed from the fresh coefficients.
+Each builder returns a BlockEstimator: f(dataset, row_weights) -> vector
+for one draw, f.block(dataset, W) -> K x d for a block of draws.  Both
+recompute everything data-dependent from scratch under each draw's row
+weights: weight-scheme thresholds come from the reweighted sample, residual
+scales come from a fresh reweighted baseline fit, and derived dynamic
+parameters are recomputed from the fresh coefficients.  Regression
+comparisons fit the whole block with batched linear algebra; L-statistic
+pairs evaluate the block one draw at a time.
 """
 
 from __future__ import annotations
@@ -13,21 +16,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bootstrap import BlockEstimator
 from .dataset import PanelDataset
 from .lstat import LStatSpec, lstat_eval
-from .regress import RegressionModel, RegressionFit, derived_params, fit_model, sigma_hat
+from .regress import RegressionFit, RegressionModel, derived_params, fit_block, sigma_hat
 from .weights import ResidualContext, WeightScheme, compute_weights
 
 
-def lstat_pair_estimator(specs_baseline: list[LStatSpec], specs_adjusted: list[LStatSpec]):
+def lstat_pair_estimator(
+    specs_baseline: list[LStatSpec], specs_adjusted: list[LStatSpec]
+) -> BlockEstimator:
     """Estimator returning [baseline stats..., adjusted stats...]."""
+    specs = [*specs_baseline, *specs_adjusted]
 
-    def estimate(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
-        out = [lstat_eval(s, data, row_weights=row_weights) for s in specs_baseline]
-        out += [lstat_eval(s, data, row_weights=row_weights) for s in specs_adjusted]
-        return np.array(out)
+    def block(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
+        return np.array([[lstat_eval(s, data, row_weights=w) for s in specs] for w in row_weights])
 
-    return estimate
+    return BlockEstimator(block)
 
 
 @dataclass(frozen=True)
@@ -62,16 +67,20 @@ class RegressionComparison:
         return len(self.stat_labels())
 
 
-def _side_vector(comparison: RegressionComparison, fit: RegressionFit) -> list[float]:
-    vals = [fit.coef(c) for c in comparison.coefficient_list()]
+def _side_matrix(comparison: RegressionComparison, fit: RegressionFit) -> np.ndarray:
+    """One side's reported statistics for each draw of a block fit, K x dim."""
+    coef = fit.coefficients
+    cols = [coef[:, fit.index(c)] for c in comparison.coefficient_list()]
     if comparison.derived_effect:
-        dp = derived_params(
-            fit.coef(comparison.derived_effect),
-            [fit.coef(c) for c in comparison.derived_lags],
-            comparison.derived_horizon,
-        )
-        vals += [dp.long_run_effect, dp.effect_at_horizon, dp.persistence]
-    return vals
+        effect = coef[:, fit.index(comparison.derived_effect)]
+        lags = coef[:, [fit.index(c) for c in comparison.derived_lags]]
+        derived = [derived_params(e, g, comparison.derived_horizon) for e, g in zip(effect, lags)]
+        cols += [
+            [dp.long_run_effect for dp in derived],
+            [dp.effect_at_horizon for dp in derived],
+            [dp.persistence for dp in derived],
+        ]
+    return np.column_stack(cols)
 
 
 def _residual_context(
@@ -79,32 +88,52 @@ def _residual_context(
 ) -> ResidualContext:
     """The fit's residuals and first-stage residuals, each column with its sigma_hat scale."""
     first_stage = fit.first_stage_residuals
-    columns = [fit.residuals, *([] if first_stage is None else first_stage.T)]
+    columns = [fit.residuals, *([] if first_stage is None else np.moveaxis(first_stage, -1, 0))]
     scales = [sigma_hat(column, data, row_weights, normalization) for column in columns]
-    fs_scales = None if first_stage is None else np.array(scales[1:])
+    fs_scales = None if first_stage is None else np.stack(scales[1:], axis=-1)
     return ResidualContext(fit.residuals, scales[0], first_stage, fs_scales)
 
 
-def regression_comparison_estimator(comparison: RegressionComparison):
+def _block_weights(
+    scheme: WeightScheme,
+    data: PanelDataset,
+    row_weights: np.ndarray,
+    context: ResidualContext | None = None,
+) -> np.ndarray | None:
+    """The scheme's weights: one row per draw, one row shared by the draws, or None for all ones."""
+    if scheme.kind == "all_ones":
+        return None
+    if scheme.kind in {"quantile_trim", "winsorize"}:
+        # Order-statistic thresholds move with each draw's row weights.
+        return np.array([compute_weights(scheme, data, row_weights=w) for w in row_weights])
+    return compute_weights(scheme, data, context, row_weights)
+
+
+def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEstimator:
     """Estimator returning [baseline coefficients..., adjusted coefficients...].
 
     Baseline fit first (with its scheme's weights), residual context built
     from that fit, then the adjusted fit with the adjusted scheme's weights.
     All under the row weights passed in, so a bootstrap draw recomputes
-    thresholds and scales on its reweighted sample.
+    thresholds and scales on its reweighted sample.  A block of draws is
+    fitted at once, except under two or more fixed effects, where each
+    draw's present categories pick its indicator columns.
     """
+    model = comparison.model
 
-    def estimate(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
-        w_base = compute_weights(comparison.baseline_scheme, data, row_weights=row_weights)
-        base_fit = fit_model(comparison.model, data, w_base, row_weights)
+    def block(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
+        if len(model.fixed_effects) > 1 and len(row_weights) > 1:
+            return np.vstack([block(data, w[None]) for w in row_weights])
+        w_base = _block_weights(comparison.baseline_scheme, data, row_weights)
+        base_fit = fit_block(model, data, w_base, row_weights)
         ctx = None
         if comparison.adjusted_scheme.kind == "residual_trim":
-            ctx = _residual_context(base_fit, data, row_weights, comparison.model.normalization)
-        w_adj = compute_weights(comparison.adjusted_scheme, data, ctx, row_weights)
-        adj_fit = fit_model(comparison.model, data, w_adj, row_weights)
-        return np.array(_side_vector(comparison, base_fit) + _side_vector(comparison, adj_fit))
+            ctx = _residual_context(base_fit, data, row_weights, model.normalization)
+        w_adj = _block_weights(comparison.adjusted_scheme, data, row_weights, ctx)
+        adj_fit = fit_block(model, data, w_adj, row_weights)
+        return np.hstack([_side_matrix(comparison, base_fit), _side_matrix(comparison, adj_fit)])
 
-    return estimate
+    return BlockEstimator(block)
 
 
 def difference_covariance(cov: np.ndarray, dim: int) -> np.ndarray:

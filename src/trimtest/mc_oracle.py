@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, bootstrap_pipeline, tolerant_results
+from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures
 from .dataset import PanelDataset
 from .errors import NumericalError, stage
 from .estimators import (
@@ -193,7 +193,7 @@ def mc_covariance(
     Returns (covariance, mean vector).  estimator_fn(dataset, row_weights)
     is the same callable the bootstrap uses.  A replication whose simulation
     or estimate raises a numerical or value error is dropped, within the
-    failure limit of tolerant_results that bootstrap_pipeline also uses.
+    failure limit of check_failures that bootstrap_pipeline also uses.
     """
     # Every simulated dataset has this many clusters: one per row unless a panel.
     n_units = dgp.n_clusters if dgp.kind == "panel" else dgp.n
@@ -202,8 +202,9 @@ def mc_covariance(
         data = simulate(dgp, _child_seed(seed, r))
         return estimator_fn(data, np.ones(data.n_rows))
 
-    results = tolerant_results(reps, replicate, "Monte Carlo replications", "reps")
+    results = [attempt(replicate, r) for r in range(reps)]
     stats_list = [v for v in results if v is not None]
+    check_failures(reps - len(stats_list), reps, "Monte Carlo replications", "reps")
     if len(stats_list) < 2:
         raise NumericalError(f"only {len(stats_list)} of {reps} Monte Carlo replications succeeded")
     stats = np.vstack(stats_list)

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.special import ndtri
 
 from .errors import NumericalError
 
@@ -136,7 +136,7 @@ def unit_directions(dim: int) -> np.ndarray:
     k = np.arange(1, half + 1)[:, None]
     u = np.mod(k * alphas[None, :], 1.0)
     u = np.clip(u, 1e-6, 1.0 - 1e-6)
-    z = stats.norm.ppf(u)
+    z = ndtri(u)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return np.vstack([z, -z, axes])
 
@@ -202,6 +202,9 @@ def _route(
     if method not in {"auto", "exact", "mc"}:
         raise ValueError(f"unknown method {method!r}")
     if method != "mc":
+        # scipy.stats costs most of a cold import of the package; only this path needs it.
+        from scipy import stats
+
         r = _proportionality(a, sigma)
         if r is not None and r * h * h <= _NCX2_MAX_NC:
             # Shape arguments, not a frozen distribution: building one costs
@@ -340,8 +343,37 @@ def _screened_grid(
     if h == 0.0:
         crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
         return crit, None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
-    b, dim = eta.shape
-    k = None if alpha is None else _upper_rank(b, alpha)
+    k = None if alpha is None else _upper_rank(len(base), alpha)
+    rows, sure, rank, (s0, s1, c0, t0) = _screen(h, eta.shape[1], base, k, statistic_sq)
+    if rows is not None:
+        eta, base = eta[rows], base[rows]
+    crit, count = None, None if statistic_sq is None else sure
+    if len(base) == 0:
+        return crit, count
+    for lo_dir in range(0, directions.shape[1], MC_CHUNK):
+        quad = _squared_norm_rows(h, directions[:, lo_dir : lo_dir + MC_CHUNK], eta, base)
+        if statistic_sq is not None:
+            per_dir = np.count_nonzero(quad[:, s0:s1] >= statistic_sq, axis=1)
+            per_dir += np.count_nonzero(quad[:, t0:] >= statistic_sq, axis=1)
+            count = max(count, sure + int(per_dir.max()))
+        if k is not None:
+            q = float(np.partition(quad[:, c0:], rank - 1, axis=-1)[:, rank - 1].max())
+            crit = q if crit is None else max(crit, q)
+    return crit, count
+
+
+def _screen(
+    h: float, dim: int, base: np.ndarray, k: int | None, statistic_sq: float | None
+) -> tuple[np.ndarray | None, int, int | None, tuple[int, int, int, int]]:
+    """The annulus screen of _screened_grid: (rows, sure count, rank, slice bounds).
+
+    rows lists the draws to walk in the column layout _screened_grid
+    describes, or is None when the screen saves nothing and every draw is
+    walked.  The bounds are the statistic slice, the critical-value start
+    and the tail start.  The full-length bounds and masks live only here, so
+    they are freed before the grid walk.
+    """
+    b = len(base)
     body = b - b % _SCREEN_ALIGN
     cross = np.sqrt(base)
     cross *= 1.0 + 16.0 * dim * dim * np.finfo(float).eps  # the slack: u = eps / 2
@@ -370,27 +402,11 @@ def _screened_grid(
     ]
     kept = sum(map(len, groups))
     pad = -kept % _SCREEN_ALIGN if kept else _SCREEN_ALIGN * (body < b)
-    if pad + kept + b - body < b:
-        rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
-        # Statistic slice, critical-value start and tail start.
-        s0, c0, t0 = pad, pad + len(groups[0]), pad + kept
-        s1 = c0 + len(groups[1])
-        eta, base = eta[rows], base[rows]
-    else:  # the screen saves nothing: walk every draw
-        sure, rank, s0, s1, c0, t0 = 0, k, 0, b, 0, b
-    crit, count = None, None if statistic_sq is None else sure
-    if len(base) == 0:
-        return crit, count
-    for lo_dir in range(0, directions.shape[1], MC_CHUNK):
-        quad = _squared_norm_rows(h, directions[:, lo_dir : lo_dir + MC_CHUNK], eta, base)
-        if statistic_sq is not None:
-            per_dir = np.count_nonzero(quad[:, s0:s1] >= statistic_sq, axis=1)
-            per_dir += np.count_nonzero(quad[:, t0:] >= statistic_sq, axis=1)
-            count = max(count, sure + int(per_dir.max()))
-        if k is not None:
-            q = float(np.partition(quad[:, c0:], rank - 1, axis=-1)[:, rank - 1].max())
-            crit = q if crit is None else max(crit, q)
-    return crit, count
+    if pad + kept + b - body >= b:
+        return None, 0, k, (0, b, 0, b)
+    rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
+    c0 = pad + len(groups[0])
+    return rows, sure, rank, (pad, c0 + len(groups[1]), c0, pad + kept)
 
 
 def _squared_norm_rows(h: float, directions: np.ndarray, eta: np.ndarray, base: np.ndarray) -> np.ndarray:

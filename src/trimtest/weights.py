@@ -89,10 +89,11 @@ class ResidualContext:
 
     first_stage_residuals, when present (instrumented fits), is an (n, k)
     matrix; the trim indicator conjoins the bound across all its columns.
+    For a block of draws every field gains a leading draw axis.
     """
 
     residuals: np.ndarray
-    scale: float
+    scale: float | np.ndarray
     first_stage_residuals: np.ndarray | None = None
     first_stage_scales: np.ndarray | None = None
 
@@ -173,12 +174,15 @@ def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.nda
     """0/1 weights keeping rows with |residual| < multiplier * scale.
 
     With first-stage residuals present, each first-stage column must also
-    satisfy its own bound (conjunction).
+    satisfy its own bound (conjunction).  A context may hold a block of
+    draws: K x n residuals with K scales, K x n x k first-stage residuals
+    with K x k scales; the weights are then K x n.
     """
     eps = np.asarray(context.residuals, dtype=float)
-    if context.scale <= 0 or not np.isfinite(context.scale):
+    scale = np.asarray(context.scale, dtype=float)
+    if not np.all((scale > 0) & np.isfinite(scale)):
         raise ValueError("residual scale must be positive and finite")
-    keep = np.abs(eps) < multiplier * context.scale
+    keep = np.abs(eps) < multiplier * scale[..., None]
     if context.first_stage_residuals is not None:
         fs = np.atleast_2d(np.asarray(context.first_stage_residuals, dtype=float))
         if fs.shape[0] != len(eps):
@@ -186,8 +190,7 @@ def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.nda
         scales = context.first_stage_scales
         if scales is None:
             raise ValueError("first-stage residuals require first-stage scales")
-        for j in range(fs.shape[1]):
-            keep &= np.abs(fs[:, j]) < multiplier * scales[j]
+        keep &= np.all(np.abs(fs) < multiplier * np.asarray(scales)[..., None, :], axis=-1)
     return keep.astype(float)
 
 

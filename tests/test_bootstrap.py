@@ -8,16 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
+from trimtest import bootstrap
 from trimtest.bootstrap import (
     BootstrapPlan,
-    _one_draw,
+    _block_values,
+    _draw_block,
+    attempt,
     bootstrap_cov,
     bootstrap_pipeline,
     draw_rng,
     multinomial_counts,
     multiplier_weights,
 )
-from trimtest.errors import NumericalError
+from trimtest.errors import NumericalError, RankDeficiencyError
 from trimtest.estimators import (
     RegressionComparison,
     lstat_pair_estimator,
@@ -246,8 +249,13 @@ class TestPipeline:
         b = next(
             b for b in range(100) if multiplier_weights(1, "poisson", draw_rng(9, b))[0] == -1.0
         )
-        with pytest.raises(ValueError, match="empty multiplier resample"):
-            _one_draw(data, plan, weighted_mean_estimator, b)
+        rho, empty = _draw_block(data, plan, range(b, b + 1))
+        assert empty.tolist() == [True]
+        np.testing.assert_array_equal(rho, np.zeros((1, 2)))
+        boot = bootstrap_pipeline(data, BootstrapPlan(
+            iterations=b + 1, seed=9, engine="multiplier", multiplier_distribution="poisson"
+        ), weighted_mean_estimator)
+        assert b in boot.failed_indices
 
     def test_failed_draws_become_nan_rows(self, clustered):
         calls = {"n": 0}
@@ -430,10 +438,17 @@ class TestWeightsStayWithTheirRows:
 _SCHEMES = ("quantile_trim", "winsorize", "residual_trim", "custom")
 _PAIRS = [
     (estimator, scheme)
-    for estimator in ("lstat", "ols", "ols_fe")
+    for estimator in ("lstat", "ols", "ols_fe", "iv", "ols_fe2")
     for scheme in _SCHEMES
     if not (estimator == "lstat" and scheme == "residual_trim")
 ]
+
+
+def _property_model(estimator: str, fe: str) -> RegressionModel:
+    if estimator == "iv":
+        return RegressionModel("y", ("x",), endogenous=("x",), instruments=("z",))
+    effects = {"ols_fe": (fe,), "ols_fe2": (fe, "h")}.get(estimator, ())
+    return RegressionModel("y", ("x",), fixed_effects=effects)
 
 
 def _property_estimator(estimator: str, scheme: str, custom: np.ndarray, fe: str):
@@ -445,12 +460,13 @@ def _property_estimator(estimator: str, scheme: str, custom: np.ndarray, fe: str
         "custom": lambda: WeightScheme.custom(custom),
     }[scheme]()
     if estimator == "lstat":
-        est = lstat_pair_estimator([LStatSpec("v")], [LStatSpec("v", scheme=adjusted)])
-    else:
-        effects = (fe,) if estimator == "ols_fe" else ()
-        model = RegressionModel("y", ("x",), fixed_effects=effects)
-        est = regression_comparison_estimator(RegressionComparison(model, adjusted_scheme=adjusted))
+        return lstat_pair_estimator([LStatSpec("v")], [LStatSpec("v", scheme=adjusted)])
+    return regression_comparison_estimator(
+        RegressionComparison(_property_model(estimator, fe), adjusted_scheme=adjusted)
+    )
 
+
+def _safe(est):
     def safe(data, row_weights):
         # A draw that cannot be fitted (say, trimming empties a cluster)
         # reads NaN on both routes instead of aborting the comparison.
@@ -485,8 +501,10 @@ def test_count_weighted_draws_equal_materialized_resamples(
     y = 1.0 + 2.0 * x + rng.normal(size=len(sizes))[ids] + rng.standard_t(3, size=n)
     cols = {"y": y, "x": x, "v": rng.standard_t(3, size=n), "g": ids.astype(float)}
     cols["row"] = np.arange(n, dtype=float)
-    data = PanelDataset(cols, ids)
     custom = rng.uniform(0.0, 2.0, size=n)
+    cols["z"] = x + rng.normal(size=n)
+    cols["h"] = (np.arange(n) % 3).astype(float)
+    data = PanelDataset(cols, ids)
     # take_rows makes every row its own cluster, so row draws absorb the
     # original clusters through the column g instead.
     fe = "cluster" if unit == "cluster" else "g"
@@ -505,17 +523,21 @@ def test_count_weighted_draws_equal_materialized_resamples(
         counts = [multiplier_weights(n_units, "poisson", draw_rng(seed, b)) + 1 for b in range(4)]
     # An all-zero Poisson draw fails by design (see test_all_zero_poisson_draw_is_empty).
     assume(all(c.sum() > 0 for c in counts))
-    boot = bootstrap_pipeline(data, plan, _property_estimator(estimator, scheme, custom, fe))
+    est = _property_estimator(estimator, scheme, custom, fe)
+    boot = bootstrap_pipeline(data, plan, _safe(est))
+    # The same four draws evaluated as one block; a failed draw reads NaN.
+    blocked = _block_values(data, est, _draw_block(data, plan, range(4))[0])
     for b, c in enumerate(counts):
         units = np.repeat(np.arange(n_units), c.astype(np.intp))
         resample = data.take_clusters(units) if unit == "cluster" else data.take_rows(units)
         rows = resample.column("row").astype(np.intp)
-        ref_est = _property_estimator(estimator, scheme, custom[rows], fe)
+        ref_est = _safe(_property_estimator(estimator, scheme, custom[rows], fe))
         expected = ref_est(resample, np.ones(resample.n_rows))
         scale = float(np.nanmax(np.abs(expected), initial=1.0))
-        np.testing.assert_allclose(
-            boot.draws[b], expected, rtol=1e-12, atol=1e-12 * scale, equal_nan=True
-        )
+        for got in (boot.draws[b], np.full(2, np.nan) if blocked[b] is None else blocked[b]):
+            np.testing.assert_allclose(
+                got, expected, rtol=1e-12, atol=1e-12 * scale, equal_nan=True
+            )
 
 
 def test_cluster_bootstrap_tracks_cluster_dependence():
@@ -531,3 +553,123 @@ def test_cluster_bootstrap_tracks_cluster_dependence():
         data, BootstrapPlan(800, seed=10, resample_unit="row"), mean_y
     )
     assert by_cluster.cov[0, 0] > 1.8 * by_row.cov[0, 0]
+
+
+def _one_at_a_time(estimator):
+    """The same estimator as a plain callable, which the engine evaluates draw by draw."""
+    return lambda data, row_weights: estimator(data, row_weights)
+
+
+_BLOCK_MODELS = ("ols", "iv", "ols_fe", "ols_fe2")
+_ENGINES = {
+    "multinomial": {},
+    "poisson": {"engine": "multiplier", "multiplier_distribution": "poisson"},
+    "normal": {"engine": "multiplier", "multiplier_distribution": "normal"},
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+@pytest.mark.parametrize("estimator", _BLOCK_MODELS)
+@pytest.mark.parametrize("scheme", ["residual_trim", "quantile_trim"])
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(
+    n_clusters=st.integers(6, 14),
+    per_draw=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_block_draws_equal_one_draw_evaluation(engine, estimator, scheme, n_clusters, per_draw, seed):
+    # Blocks of per_draw draws, a partial last block included, against the
+    # draw-by-draw route that evaluates each draw as a block of one.
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(n_clusters), 4)
+    n = len(ids)
+    x = rng.normal(size=n)
+    y = 1.0 + 2.0 * x + rng.normal(size=n_clusters)[ids] + rng.standard_t(3, size=n)
+    cols = {"y": y, "x": x, "z": x + rng.normal(size=n), "h": (np.arange(n) % 3).astype(float)}
+    data = PanelDataset(cols, ids)
+    adjusted = (
+        WeightScheme.residual_trim(1.5)
+        if scheme == "residual_trim"
+        else WeightScheme.quantile_trim("y", 0.1, 0.9)
+    )
+    est = regression_comparison_estimator(
+        RegressionComparison(_property_model(estimator, "cluster"), adjusted_scheme=adjusted)
+    )
+    plan = BootstrapPlan(iterations=23, seed=seed, **_ENGINES[engine])
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "BLOCK_ENTRIES", per_draw * n)
+        for fn in (est, _one_at_a_time(est)):
+            try:
+                outcomes.append(bootstrap_pipeline(data, plan, fn))
+            except NumericalError as exc:  # too many failed draws
+                outcomes.append(str(exc))
+    blocked, single = outcomes
+    if isinstance(single, str):
+        assert blocked == single
+        return
+    assert blocked.failed_indices == single.failed_indices
+    np.testing.assert_array_equal(blocked.point, single.point)
+    scale = float(np.nanmax(np.abs(single.draws), initial=1.0))
+    np.testing.assert_allclose(
+        blocked.draws, single.draws, rtol=1e-12, atol=1e-12 * scale, equal_nan=True
+    )
+
+
+class TestBlockFailures:
+    """A draw of a block fails exactly when its one-draw evaluation raises."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(4)
+        ids = np.repeat(np.arange(12), 4)
+        x = rng.normal(size=48)
+        return PanelDataset({"y": 1.0 + 2.0 * x + rng.standard_t(3, size=48), "x": x}, ids)
+
+    def test_failed_rows_match_one_draw_evaluation(self):
+        data = self._data()
+        model = RegressionModel("y", ("x",))
+        est = regression_comparison_estimator(
+            RegressionComparison(model, adjusted_scheme=WeightScheme.residual_trim(1.5))
+        )
+        n = data.n_rows
+        largest = int(np.argmax(np.abs(weighted_ols(model, data).residuals)))
+        single_row = np.zeros(n)
+        single_row[0] = n  # one present row cannot identify a slope
+        signed = np.ones(n)
+        signed[largest] = -5.0  # outweighs the rest of the mean square
+        rng = np.random.default_rng(8)
+        W = np.vstack([np.ones(n), single_row, rng.uniform(0.5, 1.5, n), signed, 2.0 * np.ones(n)])
+        with pytest.raises(RankDeficiencyError):
+            est(data, single_row)
+        with pytest.raises(ValueError, match="weighted mean square is negative"):
+            est(data, signed)
+        with pytest.raises((ValueError, NumericalError)):
+            est.block(data, W)
+        values = _block_values(data, est, W)
+        assert [v is None for v in values] == [False, True, False, True, False]
+        for w, v in zip(W, values):
+            if v is not None:
+                np.testing.assert_allclose(v, attempt(est, data, w), rtol=1e-12)
+
+    def test_block_without_failures_matches_one_draw_evaluation(self):
+        data = self._data()
+        est = regression_comparison_estimator(RegressionComparison(RegressionModel("y", ("x",))))
+        W = np.random.default_rng(2).poisson(1.0, (9, data.n_rows)).astype(float)
+        block = est.block(data, W)
+        assert block.shape == (9, 2)
+        for w, v in zip(W, block):
+            np.testing.assert_allclose(v, est(data, w), rtol=1e-12)
+
+    def test_plain_callable_sees_one_draw_per_call(self, clustered):
+        shapes = []
+
+        def spy(data, row_weights):
+            shapes.append(np.shape(row_weights))
+            return weighted_mean_estimator(data, row_weights)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bootstrap, "BLOCK_ENTRIES", 5 * clustered.n_rows)
+            boot = bootstrap_pipeline(clustered, BootstrapPlan(iterations=12, seed=1), spy)
+        assert shapes == [(clustered.n_rows,)] * 13
+        assert np.isfinite(boot.draws).all()

@@ -911,3 +911,16 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["main"]["labels"] == ["x"]
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats is most of a cold import; only the closed-form test route loads it.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, trimtest.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
