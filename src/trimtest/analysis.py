@@ -103,8 +103,12 @@ def _numbers(value, path: str) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+# Refused above this: an explicit norm's Monte Carlo critical value errs by ~ kappa * u.
+MAX_NORM_CONDITION = 1e10
+
+
 def _norm(value, path: str):
-    """"diff_cov", "identity", or a symmetric matrix as a tuple of rows."""
+    """"diff_cov", "identity", or a symmetric positive definite matrix as a tuple of rows."""
     if value in ("diff_cov", "identity"):
         return value
     rows = isinstance(value, list) and tuple(
@@ -113,9 +117,14 @@ def _norm(value, path: str):
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DataError(f'{path} must be "diff_cov", "identity" or a square matrix, got {value!r}')
     try:
-        explicit_norm(rows)
+        eig = np.linalg.eigvalsh(explicit_norm(rows))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}, got {value!r}") from None
+    if not eig[0] > 0:
+        raise DataError(f"{path}: not positive definite, smallest eigenvalue {eig[0]:.3g}")
+    kappa = eig[-1] / eig[0]
+    if kappa > MAX_NORM_CONDITION:
+        raise DataError(f"{path}: condition number {kappa:.3g} exceeds {MAX_NORM_CONDITION:.3g}")
     return rows
 
 

@@ -5,9 +5,11 @@ for one draw, f.block(dataset, W) -> K x d for a block of draws.  Both
 recompute everything data-dependent from scratch under each draw's row
 weights: weight-scheme thresholds come from the reweighted sample, residual
 scales come from a fresh reweighted baseline fit, and derived dynamic
-parameters are recomputed from the fresh coefficients.  Regression
-comparisons fit the whole block with batched linear algebra; L-statistic
-pairs evaluate the block one draw at a time.
+parameters are recomputed from the fresh coefficients.  A block is
+evaluated without a loop over its draws: weight schemes return one weight
+row per draw, L-statistics are row means, and regression comparisons fit
+the block with batched linear algebra.  Models with two or more fixed
+effects are the exception; they fit one draw at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def lstat_pair_estimator(
     specs = [*specs_baseline, *specs_adjusted]
 
     def block(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
-        return np.array([[lstat_eval(s, data, row_weights=w) for s in specs] for w in row_weights])
+        return np.column_stack([lstat_eval(s, data, row_weights) for s in specs])
 
     return BlockEstimator(block)
 
@@ -94,21 +96,6 @@ def _residual_context(
     return ResidualContext(fit.residuals, scales[0], first_stage, fs_scales)
 
 
-def _block_weights(
-    scheme: WeightScheme,
-    data: PanelDataset,
-    row_weights: np.ndarray,
-    context: ResidualContext | None = None,
-) -> np.ndarray | None:
-    """The scheme's weights: one row per draw, one row shared by the draws, or None for all ones."""
-    if scheme.kind == "all_ones":
-        return None
-    if scheme.kind in {"quantile_trim", "winsorize"}:
-        # Order-statistic thresholds move with each draw's row weights.
-        return np.array([compute_weights(scheme, data, row_weights=w) for w in row_weights])
-    return compute_weights(scheme, data, context, row_weights)
-
-
 def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEstimator:
     """Estimator returning [baseline coefficients..., adjusted coefficients...].
 
@@ -124,12 +111,12 @@ def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEs
     def block(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
         if len(model.fixed_effects) > 1 and len(row_weights) > 1:
             return np.vstack([block(data, w[None]) for w in row_weights])
-        w_base = _block_weights(comparison.baseline_scheme, data, row_weights)
+        w_base = compute_weights(comparison.baseline_scheme, data, row_weights=row_weights)
         base_fit = fit_block(model, data, w_base, row_weights)
         ctx = None
         if comparison.adjusted_scheme.kind == "residual_trim":
             ctx = _residual_context(base_fit, data, row_weights, model.normalization)
-        w_adj = _block_weights(comparison.adjusted_scheme, data, row_weights, ctx)
+        w_adj = compute_weights(comparison.adjusted_scheme, data, ctx, row_weights)
         adj_fit = fit_block(model, data, w_adj, row_weights)
         return np.hstack([_side_matrix(comparison, base_fit), _side_matrix(comparison, adj_fit)])
 

@@ -2,7 +2,8 @@
 
 The statistic for one spec is the weighted sample mean (1/n) sum_i
 m(X_i) w_i, equivalently the Stieltjes integral of m composed with the
-empirical quantile function against the cumulative weight function.  The
+empirical quantile function against the cumulative weight function.  A
+K x n block of bootstrap row weights gives K statistics, row means.  The
 analytic covariance estimator is the sample analogue of the asymptotic
 covariance form, a Riemann-Stieltjes double sum over the observed order
 statistics.  The empirical CDFs and weight functions enter it only through
@@ -93,18 +94,19 @@ def lstat_eval(
     spec: LStatSpec,
     data: PanelDataset,
     row_weights: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Weighted mean (1/n) sum_i m(X_i) w_i rho_i over the rows.
 
     row_weights rho (repetition counts or multiplier perturbations) default
     to ones.  Weight schemes that depend on the sample see the same
-    row_weights so thresholds shift with the resample.
+    row_weights so thresholds shift with the resample.  K x n row weights
+    give K statistics, each its one-draw value bit for bit.
     """
-    x = data.column(spec.column)
-    w = compute_weights(spec.scheme, data, row_weights=row_weights)
-    m = spec.transform(x)
-    rho = np.ones(len(x)) if row_weights is None else np.asarray(row_weights, dtype=float)
-    return float(np.mean(m * w * rho))
+    # C order: a row mean is then the one-draw pairwise sum.
+    rho = np.ones(data.n_rows) if row_weights is None else np.ascontiguousarray(row_weights, float)
+    terms = spec.transform(data.column(spec.column)) * compute_weights(spec.scheme, data, None, rho)
+    stat = np.mean(terms * rho, axis=-1)
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def lstat_eval_via_integral(spec: LStatSpec, data: PanelDataset) -> float:

@@ -11,7 +11,8 @@ Order-statistic thresholds are first crossings of the cumulative row weight
 along a column's ascending sort order.  Reweighting the rows never changes
 that order, so `compute_weights` takes it from the dataset's memo
 (`PanelDataset.sort_order`) and a bootstrap draw pays for a cumulative sum,
-not a sort.
+not a sort.  A block of K draws, K x n row weights, takes one cumulative
+sum along the rows and one argmax for their first crossings.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PanelDataset
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -100,41 +102,43 @@ class ResidualContext:
 
 def weighted_quantile_threshold(
     values, weights, q: float, order: np.ndarray | None = None
-) -> float | None:
+) -> float | np.ndarray | None:
     """First value where the cumulative weight mass reaches a q fraction.
 
     With unit weights this is the ceil(q*n)-th order statistic; with integer
     repetition counts it is the corresponding multiset order statistic, which
     is what resampled-data thresholds need.  Weights may be signed (the
     first crossing of the running mass is returned), which supports
-    multiplier-perturbed diagnostics.  Returns None when q*total <= 0, i.e.
-    no constraint.  A tiny relative snap guards ceil against float error in
-    q * total.
+    multiplier-perturbed diagnostics.  q*total <= 0 means no constraint:
+    None for one n-vector of weights, NaN in the K thresholds of a K x n
+    block (one draw per row, each row's threshold its one-draw value).  A
+    tiny relative snap guards ceil against float error in q * total.
 
     order, when given, must be the stable ascending argsort of values (for
     a dataset column, `PanelDataset.sort_order`); it saves the sort and
     gives the same threshold.  Without it the values are sorted here.
     """
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape or v.ndim != 1 or len(v) == 0:
-        raise ValueError("values and weights must be equal-length non-empty 1-d arrays")
-    total = float(w.sum())
-    if total <= 0:
+    w = np.ascontiguousarray(weights, dtype=float)  # rows sum pairwise, as one draw does
+    if v.ndim != 1 or len(v) == 0 or w.ndim > 2 or w.shape[-1:] != v.shape:
+        raise ValueError("values must be non-empty and 1-d, weights one or K equal-length rows")
+    total = w.sum(axis=-1)
+    if np.any(total <= 0):
         raise ValueError("total weight must be positive")
     target = q * total
-    snap = 1e-9 * max(1.0, abs(total))
-    if target <= snap:
-        return None
+    snap = 1e-9 * np.maximum(1.0, np.abs(total))
     if order is None:
         order = np.argsort(v, kind="stable")
     elif len(order) != len(v):
         raise ValueError("order must have one entry per value")
-    cum = np.cumsum(w[order])
-    hit = np.nonzero(cum >= target - snap)[0]
-    if len(hit) == 0:
-        raise ValueError(f"level unattainable: cumulative weight never reaches {target}")
-    return float(v[order[hit[0]]])
+    cum = w[..., order]
+    hit = np.cumsum(cum, axis=-1, out=cum) >= (target - snap)[..., None]
+    free = target <= snap
+    missed = ~(free | hit.any(axis=-1))
+    if np.any(missed):
+        raise ValueError(f"level unattainable: cumulative weight never reaches {target[missed][0]}")
+    threshold = np.where(free, np.nan, v[order[hit.argmax(axis=-1)]])
+    return threshold if w.ndim == 2 else None if free else float(threshold)
 
 
 def weights_quantile_trim(
@@ -150,24 +154,22 @@ def weights_quantile_trim(
     (weighted order statistics when repetition weights are given, so
     count-weighted data reproduces the materialized multiset thresholds).
     lower_q = 0 means no lower bound.  Invariant under strictly increasing
-    transformations of the columns.  orders, when given, holds each
-    column's stable ascending argsort (see `weighted_quantile_threshold`).
+    transformations of the columns.  K x n row weights give K x n weights.
+    orders, when given, holds each column's stable ascending argsort (see
+    `weighted_quantile_threshold`).
     """
     if not columns:
         raise ValueError("quantile_trim requires at least one column")
-    n = len(columns[0])
-    rw = np.ones(n) if row_weights is None else np.asarray(row_weights, dtype=float)
-    keep = np.ones(n, dtype=bool)
+    rw = np.ones(len(columns[0])) if row_weights is None else np.asarray(row_weights, dtype=float)
+    block = np.atleast_2d(rw)
+    keep = np.ones(block.shape, dtype=bool)
     for j, v in enumerate(columns):
         v = np.asarray(v, dtype=float)
         order = None if orders is None else orders[j]
-        lo = weighted_quantile_threshold(v, rw, lower_q, order)
-        hi = weighted_quantile_threshold(v, rw, upper_q, order)
-        if lo is not None:
-            keep &= v >= lo
-        if hi is not None:
-            keep &= v <= hi
-    return keep.astype(float)
+        for q, inside in ((lower_q, np.greater_equal), (upper_q, np.less_equal)):
+            bound = weighted_quantile_threshold(v, block, q, order)[:, None]
+            keep &= inside(v, bound) | np.isnan(bound)  # NaN: no constraint
+    return keep.astype(float).reshape(rw.shape)
 
 
 def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.ndarray:
@@ -176,12 +178,13 @@ def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.nda
     With first-stage residuals present, each first-stage column must also
     satisfy its own bound (conjunction).  A context may hold a block of
     draws: K x n residuals with K scales, K x n x k first-stage residuals
-    with K x k scales; the weights are then K x n.
+    with K x k scales; the weights are then K x n.  A zero scale is a
+    degenerate fit, so a NumericalError.
     """
     eps = np.asarray(context.residuals, dtype=float)
     scale = np.asarray(context.scale, dtype=float)
     if not np.all((scale > 0) & np.isfinite(scale)):
-        raise ValueError("residual scale must be positive and finite")
+        raise NumericalError("residual scale must be positive and finite")
     keep = np.abs(eps) < multiplier * scale[..., None]
     if context.first_stage_residuals is not None:
         fs = np.atleast_2d(np.asarray(context.first_stage_residuals, dtype=float))
@@ -206,28 +209,24 @@ def weights_winsorize(
     The weighted mean of v under these weights equals the mean of the
     Winsorized values.  v_i = 0 with a clamp that moves the value has no
     ratio representation and raises, unless the row has row weight 0 and
-    so is absent from the sample.  order, when given, is the stable
-    ascending argsort of values (see `weighted_quantile_threshold`).
+    so is absent from the sample.  K x n row weights give K x n weights.
+    order, when given, is the stable ascending argsort of values (see
+    `weighted_quantile_threshold`).
     """
     v = np.asarray(values, dtype=float)
-    n = len(v)
-    rw = np.ones(n) if row_weights is None else np.asarray(row_weights, dtype=float)
-    lo = weighted_quantile_threshold(v, rw, lower_q, order)
-    hi = weighted_quantile_threshold(v, rw, upper_q, order)
-    clamped = v.copy()
-    if lo is not None:
-        clamped = np.maximum(clamped, lo)
-    if hi is not None:
-        clamped = np.minimum(clamped, hi)
+    rw = np.ones(len(v)) if row_weights is None else np.asarray(row_weights, dtype=float)
+    block = np.atleast_2d(rw)
+    # fmax and fmin ignore a NaN bound: no constraint.
+    out = np.fmax(v, weighted_quantile_threshold(v, block, lower_q, order)[:, None])
+    np.fmin(out, weighted_quantile_threshold(v, block, upper_q, order)[:, None], out=out)
     zero = v == 0.0
-    undefined = zero & (clamped != 0.0) & (rw != 0.0)
+    undefined = zero & (out != 0.0) & (block != 0.0)
     if np.any(undefined):
-        i = int(np.nonzero(undefined)[0][0])
+        i = int(np.nonzero(undefined)[1][0])
         raise ValueError(f"winsorize ratio undefined at zero observation (row {i})")
-    out = np.ones(n)
-    nz = ~zero
-    out[nz] = clamped[nz] / v[nz]
-    return out
+    np.divide(out, v, out=out, where=~zero)
+    out[:, zero] = 1.0
+    return out.reshape(rw.shape)
 
 
 def compute_weights(
@@ -238,7 +237,9 @@ def compute_weights(
 ) -> np.ndarray:
     """Evaluate a weight scheme on a dataset, one weight per row.
 
-    Order-statistic schemes reuse the dataset's memoized column sort orders.
+    K x n row weights give K x n weights, except that all_ones and custom
+    give the n-vector every draw shares.  Order-statistic schemes reuse the
+    dataset's memoized column sort orders.
     """
     n = data.n_rows
     if scheme.kind == "all_ones":

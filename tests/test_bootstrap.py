@@ -616,6 +616,48 @@ def test_block_draws_equal_one_draw_evaluation(engine, estimator, scheme, n_clus
     )
 
 
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+@pytest.mark.parametrize("scheme", ["quantile_trim", "winsorize"])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(
+    n_clusters=st.integers(3, 150),
+    per_draw=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_lstat_block_draws_equal_one_draw_evaluation_bit_for_bit(
+    engine, scheme, n_clusters, per_draw, seed
+):
+    # The block route computes every draw's thresholds, weights and row mean
+    # at once; each must be the one-draw value exactly, not merely close.
+    # Values rounded to one decimal give ties and zero observations.
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(n_clusters), rng.integers(1, 4, size=n_clusters))
+    v = np.round(rng.standard_t(3, size=len(ids)), 1)
+    data = PanelDataset({"v": v}, ids)
+    adjusted = (
+        WeightScheme.quantile_trim("v", 0.1, 0.9)
+        if scheme == "quantile_trim"
+        else WeightScheme.winsorize("v", 0.1, 0.9)
+    )
+    est = lstat_pair_estimator([LStatSpec("v")], [LStatSpec("v", scheme=adjusted)])
+    plan = BootstrapPlan(iterations=23, seed=seed, **_ENGINES[engine])
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bootstrap, "BLOCK_ENTRIES", per_draw * data.n_rows)
+        for fn in (est, _one_at_a_time(est)):
+            try:
+                outcomes.append(bootstrap_pipeline(data, plan, fn))
+            except NumericalError as exc:  # too many failed draws
+                outcomes.append(str(exc))
+    blocked, single = outcomes
+    if isinstance(single, str):
+        assert blocked == single
+        return
+    assert blocked.failed_indices == single.failed_indices
+    np.testing.assert_array_equal(blocked.point, single.point)
+    np.testing.assert_array_equal(blocked.draws, single.draws)
+
+
 class TestBlockFailures:
     """A draw of a block fails exactly when its one-draw evaluation raises."""
 
@@ -660,6 +702,25 @@ class TestBlockFailures:
         assert block.shape == (9, 2)
         for w, v in zip(W, block):
             np.testing.assert_allclose(v, est(data, w), rtol=1e-12)
+
+    def test_winsorize_fails_only_the_draw_that_clamps_a_zero(self):
+        v = np.arange(10.0)  # the zero observation is the minimum
+        data = PanelDataset({"v": v}, np.arange(10))
+        adjusted = WeightScheme.winsorize("v", 0.2, 0.9)
+        est = lstat_pair_estimator([LStatSpec("v")], [LStatSpec("v", scheme=adjusted)])
+        W = np.random.default_rng(3).uniform(0.5, 1.5, (5, 10))
+        W[0, 0] = 0.0  # the zero is absent from this draw
+        W[1] = 1.0  # lower bound at the second value: the zero is clamped to 1
+        W[2:, 0] = 4.0  # the zero carries the lower 20% of the mass itself
+        with pytest.raises(ValueError, match="zero observation"):
+            est(data, W[1])
+        with pytest.raises(ValueError, match="zero observation"):
+            est.block(data, W)
+        values = _block_values(data, est, W)
+        assert [v is None for v in values] == [False, True, False, False, False]
+        for w, v in zip(W, values):
+            if v is not None:
+                np.testing.assert_array_equal(v, est(data, w))
 
     def test_plain_callable_sees_one_draw_per_call(self, clustered):
         shapes = []

@@ -735,6 +735,16 @@ class TestExitCodes:
         "norm-unknown": ("estimate", lambda r: _put(r, "test.norm", "foo"), "test.norm"),
         "norm-ragged": ("estimate", lambda r: _put(r, "test.norm", [[1, 0], [0]]), "test.norm"),
         "norm-asymmetric": ("estimate", lambda r: _put(r, "test.norm", [[1, 0.5], [0, 1]]), "test.norm"),
+        "norm-not-pd": (
+            "estimate",
+            lambda r: _put(r, "test.norm", [[1, 2], [2, 1]]),
+            "[config] test.norm: not positive definite",
+        ),
+        "norm-ill-conditioned": (
+            "estimate",
+            lambda r: _put(r, "test.norm", [[1, 0], [0, 1e-11]]),
+            "[config] test.norm: condition number 1e+11 exceeds 1e+10",
+        ),
         "dgp.kind-no-outcome": ("mc", lambda r: _put(r, "mc.dgp.kind", "univariate"), "mc.dgp.kind"),
         "coefficient-not-simulated": ("mc", lambda r: _put(r, "mc.coefficient", "z"), "mc.coefficient"),
         "model.outcome-missing": ("estimate", lambda r: r["model"].pop("outcome"), "model.outcome"),
@@ -886,6 +896,29 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: [mc] ")
+        assert not out.exists()
+
+    def test_zero_residual_scale_is_a_numerical_failure(self, tmp_path, capsys):
+        # An intercept-only fit of an all-zero outcome leaves residuals of
+        # exactly zero, so residual trimming has no scale to cut at.
+        lines = ["y,unit"] + [f"0.0,c{i % 10}" for i in range(40)]
+        (tmp_path / "zero.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = {
+            "input": str(tmp_path / "zero.csv"),
+            "cluster_column": "unit",
+            "model": {
+                "type": "ols", "outcome": "y", "regressors": [], "report_coefficients": ["intercept"]
+            },
+            "weights": {"baseline": {"kind": "all_ones"}, "adjusted": {"kind": "residual_trim"}},
+            "bootstrap": {"iterations": 20, "seed": 1},
+        }
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(p), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: [bootstrap:main] residual scale must be positive and finite\n"
+        )
         assert not out.exists()
 
     def test_numerical_failure_is_exit_3(self, workdir, capsys):

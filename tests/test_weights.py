@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trimtest import PanelDataset
 from trimtest.analysis import _SCHEME
-from trimtest.errors import DataError
+from trimtest.errors import DataError, NumericalError
 from trimtest.weights import (
     ResidualContext,
     WeightFunction,
@@ -162,9 +162,12 @@ class TestResidualTrim:
         out = weights_residual_trim(ctx, 1.96)
         np.testing.assert_array_equal(out, [1.0, 0.0, 1.0])
 
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            weights_residual_trim(ResidualContext(np.array([1.0]), scale=0.0), 1.96)
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_scale(self, scale):
+        # A zero scale means every residual is exactly zero: a degenerate
+        # fit, so a numerical failure rather than a data error.
+        with pytest.raises(NumericalError, match="scale"):
+            weights_residual_trim(ResidualContext(np.array([1.0]), scale=scale), 1.96)
 
     def test_first_stage_needs_scales(self):
         ctx = ResidualContext(
@@ -468,6 +471,39 @@ class TestWeightedQuantileThreshold:
             assert weighted_quantile_threshold(values, weights, q) == (
                 weighted_quantile_threshold(values[present], weights[present], q)
             )
+
+    @pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.5, 0.77, 1.0, 1.2])
+    def test_each_row_of_a_block_is_its_one_draw_threshold(self, rng, q):
+        values = np.round(rng.normal(size=30), 1)  # ties
+        order = np.argsort(values, kind="stable")
+        block = np.vstack([
+            rng.integers(0, 3, size=(3, 30)),
+            1.0 + rng.normal(size=(4, 30)),  # signed multiplier weights
+            np.ones(30),  # never reaches more than its total
+            np.zeros(30),
+        ])
+        block[-1, order[:2]] = [10.0, -5.0]  # running mass 10 against a total of 5
+        singles = []
+        for w in block:
+            try:
+                singles.append(weighted_quantile_threshold(values, w, q, order))
+            except ValueError as exc:
+                assert "unattainable" in str(exc)
+                singles.append(exc)
+        ok = [i for i, t in enumerate(singles) if not isinstance(t, ValueError)]
+        got = weighted_quantile_threshold(values, block[ok], q, order)
+        assert got.shape == (len(ok),)
+        for t, i in zip(got, ok):
+            if singles[i] is None:
+                assert np.isnan(t)
+            else:
+                assert t == singles[i]
+        if q > 1.0:
+            assert len(ok) < len(block)
+            with pytest.raises(ValueError, match="unattainable"):
+                weighted_quantile_threshold(values, block, q, order)
+        else:
+            assert len(ok) == len(block)
 
     @given(
         data=st.lists(
