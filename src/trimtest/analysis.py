@@ -521,8 +521,8 @@ def point_estimates(
         d = len(labels)
         out[comparison.name] = {
             "labels": list(labels),
-            "baseline": [float(v) for v in stacked[:d]],
-            "adjusted": [float(v) for v in stacked[d:]],
+            "baseline": stacked[:d].tolist(),
+            "adjusted": stacked[d:].tolist(),
         }
     return out
 
@@ -698,8 +698,8 @@ def _results_dict(
         d = len(res.labels)
         entry = {
             "labels": list(res.labels),
-            "baseline": [float(v) for v in res.baseline],
-            "adjusted": [float(v) for v in res.adjusted],
+            "baseline": res.baseline.tolist(),
+            "adjusted": res.adjusted.tolist(),
             "bootstrap_cov": {
                 "matrix": res.bootstrap.cov.tolist(),
                 "provenance": "bootstrap",

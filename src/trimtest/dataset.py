@@ -61,10 +61,9 @@ class PanelDataset:
     cluster_labels: tuple = field(init=False, repr=False)
     row_cluster_index: np.ndarray = field(init=False, repr=False)
     _sizes: np.ndarray = field(init=False, repr=False)
-    # Column name -> sort order.  Created with the dataset, not lazily, so
-    # any threads a caller runs on one dataset always share a single memo.
+    # Column name -> sort order, computed once per dataset.
     _sort_orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Factor name -> (labels, codes), shared the same way.
+    # Factor name -> (labels, codes), computed once per dataset.
     _factor_codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -133,7 +132,6 @@ class PanelDataset:
         """
         order = self._sort_orders.get(name)
         if order is None:
-            # setdefault keeps the first order stored if two callers race here.
             order = self._sort_orders.setdefault(
                 name, _readonly(np.argsort(self.column(name), kind="stable"))
             )
@@ -159,7 +157,7 @@ class PanelDataset:
         return factor
 
     def take_rows(self, indices: np.ndarray) -> "PanelDataset":
-        """New dataset from row indices; each taken row becomes its own cluster."""
+        """Materialized resample of row indices, each its own cluster (the tests' reference)."""
         indices = np.asarray(indices, dtype=np.intp)
         cols = {k: v[indices] for k, v in self.columns.items()}
         return PanelDataset(cols, np.arange(len(indices)))
@@ -169,7 +167,8 @@ class PanelDataset:
 
         Each drawn cluster (including repeated draws of the same source
         cluster) gets a fresh id, so the resample has len(ordinals) clusters.
-        Row blocks are exact copies of the source cluster rows.
+        Row blocks are exact copies of the source cluster rows.  The bootstrap
+        never materializes a resample; this and take_rows are the tests' reference.
         """
         ordinals = np.asarray(ordinals, dtype=np.intp)
         if len(ordinals) and (ordinals.min() < 0 or ordinals.max() >= self.n_clusters):

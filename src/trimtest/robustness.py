@@ -88,13 +88,12 @@ class TestReport:
     mc_std_error: float | None = None  # binomial SE of p_value_formal on the mc path
 
 
-def floor_spd(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clip eigenvalues from below and re-symmetrize."""
+def floor_spd(matrix: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues at 0 and re-symmetrize."""
     m = np.asarray(matrix, dtype=float)
     m = 0.5 * (m + m.T)
     vals, vecs = np.linalg.eigh(m)
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
 def mahalanobis(diff: np.ndarray, norm_matrix: np.ndarray) -> float:
@@ -105,8 +104,8 @@ def mahalanobis(diff: np.ndarray, norm_matrix: np.ndarray) -> float:
         factor = cho_factor(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "norm matrix is not positive definite; floor its eigenvalues "
-            "(floor_spd) or supply a different norm"
+            "norm matrix is not positive definite (floor_spd clips eigenvalues at 0); "
+            "lift its eigenvalues above 0 or supply a different norm"
         ) from exc
     return float(np.sqrt(d @ cho_solve(factor, d)))
 
@@ -482,7 +481,7 @@ def robustness_test(
     b2 = np.atleast_1d(np.asarray(adjusted, dtype=float))
     if b1.shape != b2.shape:
         raise ValueError("baseline and adjusted estimates must have the same length")
-    sigma = floor_spd(np.atleast_2d(np.asarray(diff_cov, dtype=float)), 0.0)
+    sigma = floor_spd(np.atleast_2d(np.asarray(diff_cov, dtype=float)))
     scale = float(np.abs(sigma).max())
     diff = b1 - b2
     if scale == 0.0:
@@ -502,7 +501,7 @@ def robustness_test(
         )
     p_heur = None
     if baseline_cov is not None:
-        marg = floor_spd(np.atleast_2d(np.asarray(baseline_cov, dtype=float)), 0.0)
+        marg = floor_spd(np.atleast_2d(np.asarray(baseline_cov, dtype=float)))
         if float(np.abs(marg).max()) == 0.0:
             p_heur = 1.0 if float(np.abs(diff).max()) == 0.0 else 0.0
         else:

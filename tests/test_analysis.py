@@ -127,6 +127,10 @@ class TestLoadCsv:
 
 
 class TestAtomicOutput:
+    # Values whose text is easy to get wrong: signed zero, the smallest
+    # subnormal, the first power of ten repr writes with an exponent.
+    EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]
+
     def test_write_and_overwrite(self, tmp_path):
         p = str(tmp_path / "out" / "file.txt")
         atomic_write_text(p, "first\n")
@@ -171,16 +175,27 @@ class TestAtomicOutput:
         for x in (0.1, -3.0, 1e-17, 12345.6789, float(np.pi)):
             assert float(format_float(x)) == x
         assert format_float(float("nan")) == "nan"
+        assert [format_float(np.float64(v)) for v in self.EDGE_VALUES] == [
+            "nan", "inf", "-inf", "-0.0", "5e-324", "1e+16"
+        ]
 
     def test_draws_round_trip(self, tmp_path, rng):
         draws = rng.normal(size=(20, 3))
         draws[4] = np.nan  # a failed draw
+        draws[5] = self.EDGE_VALUES[1:4]
+        draws[6] = self.EDGE_VALUES[4:] + [np.nan]
         p = str(tmp_path / "draws.csv")
         text = draws_csv_text(draws)
-        assert text.splitlines()[0] == "draw_index,stat_1,stat_2,stat_3"
+        lines = text.splitlines()
+        assert lines[0] == "draw_index,stat_1,stat_2,stat_3"
+        assert lines[1:] == [
+            f"{b}," + ",".join(format_float(v) for v in row) for b, row in enumerate(draws)
+        ]
+        assert lines[6] == "5,inf,-inf,-0.0"
         atomic_write_text(p, text)
         back = read_draws_csv(p)
         np.testing.assert_array_equal(back, draws)
+        assert np.signbit(back[5, 2])
 
     def test_read_draws_rejects_other_csv(self, tmp_path):
         p = write_csv(tmp_path, "y,x\n1,2\n")
@@ -197,6 +212,18 @@ class TestAtomicOutput:
         # x is the outer loop: first three rows share x=0.
         assert lines[1] == "0.0,10.0,0.0"
         assert lines[4] == "1.0,10.0,3.0"
+        # Every row is format_float of its three values, edge values included.
+        x = np.array(self.EDGE_VALUES[:3])
+        y = np.array(self.EDGE_VALUES[3:] + [2.5])
+        dens = np.array(self.EDGE_VALUES * 2).reshape(3, 4)
+        lines = grid_csv_text(x, y, dens).splitlines()
+        assert lines[1:] == [
+            f"{format_float(x[i])},{format_float(y[j])},{format_float(dens[i, j])}"
+            for i in range(3)
+            for j in range(4)
+        ]
+        assert lines[1] == "nan,-0.0,nan"
+        assert lines[12] == "-inf,2.5,1e+16"
 
 
 class TestPlotGrid:

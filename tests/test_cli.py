@@ -921,6 +921,27 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_csv_cell_is_exit_2(self, tmp_path, capsys, cell):
+        # float() parses these spellings; a statistic of them is not a
+        # number, and results.json could not hold it as JSON.
+        lines = ["x"] + [repr(float(v)) for v in range(10)]
+        lines[4] = cell
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = {
+            "input": str(csv_path),
+            "model": {"type": "lstat", "statistics": [{"column": "x"}]},
+            "weights": {
+                "baseline": {"kind": "all_ones"},
+                "adjusted": {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9},
+            },
+        }
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == (
+            f"data error: [load] {csv_path}: line 5, column 'x': {cell!r} is not a finite number\n"
+        )
+
     def test_numerical_failure_is_exit_3(self, workdir, capsys):
         # One bootstrap draw gives a zero covariance matrix while the
         # baseline and adjusted estimates differ, which the robustness test

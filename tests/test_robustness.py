@@ -694,8 +694,9 @@ class TestRobustnessTest:
         cov = np.array([[1.0, 1.1], [1.1, 1.0]])
         with pytest.raises(NumericalError, match="floor_spd"):
             robustness_test(np.array([0.1, 0.0]), np.array([0.0, 0.0]), cov)
-        # An explicit positive floor or a different norm both resolve it.
-        repaired = floor_spd(cov, floor=1e-6)
+        # A positive eigenvalue floor or a different norm both resolve it.
+        vals, vecs = np.linalg.eigh(cov)
+        repaired = (vecs * np.maximum(vals, 1e-6)) @ vecs.T
         report = robustness_test(np.array([0.1, 0.0]), np.array([0.0, 0.0]), repaired)
         assert np.isfinite(report.p_value_formal)
         ident = robustness_test(
