@@ -435,7 +435,15 @@ class AnalysisConfig:
             names = [comparison.name for comparison in c["comparisons"]]
             if len(set(names)) != len(names):
                 raise DataError("comparison names must be unique")
-            return cls(**c)
+            config = cls(**c)
+            for comparison in config.comparisons:
+                labels = _build_estimator(config, comparison)[1]
+                for i, pair in enumerate(config.plot_pairs):
+                    try:
+                        _plot_pair_columns(labels, pair)
+                    except DataError as exc:
+                        raise DataError(f"output.plot_pairs[{i}]: {exc}") from None
+            return config
 
 
 def read_json_config(path: str) -> dict:
@@ -501,6 +509,11 @@ def _prepared_data(
     with stage("lags"):
         for lag in config.lags:
             data = add_within_cluster_lags(data, **lag)
+            if data.n_rows == 0:
+                raise DataError(
+                    f"{lag['lags']} lag(s) of {lag['column']!r} leave no rows: "
+                    f"a cluster needs more than {lag['lags']} rows"
+                )
     return data, load_report
 
 
@@ -734,12 +747,13 @@ def _results_dict(
     }
 
 
-def _plot_pair_columns(res: ComparisonResult, pair) -> tuple[int, int, str]:
-    d = len(res.labels)
+def _plot_pair_columns(labels, pair) -> tuple[int, int, str]:
+    """The two draw columns a plot pair names, and the tag of its file name."""
+    d = len(labels)
     if isinstance(pair, str):
-        if pair not in res.labels:
+        if pair not in labels:
             raise DataError(f"plot pair {pair!r} is not a reported statistic")
-        j = res.labels.index(pair)
+        j = labels.index(pair)
         return j, d + j, pair
     i, j = int(pair[0]), int(pair[1])
     if not (0 <= i < 2 * d and 0 <= j < 2 * d):
@@ -765,7 +779,7 @@ def write_outputs(bundle: ReportBundle) -> dict[str, str]:
         paths[f"draws_{res.name}"] = p
         point = np.concatenate([res.baseline, res.adjusted])
         for pair in bundle.config.plot_pairs:
-            i, j, tag = _plot_pair_columns(res, pair)
+            i, j, tag = _plot_pair_columns(res.labels, pair)
             grid = emit_plot_grid(
                 res.bootstrap.draws[:, i],
                 res.bootstrap.draws[:, j],

@@ -28,7 +28,7 @@ from .analysis import (
     write_outputs,
 )
 from .csvio import atomic_write_text, format_float, grid_csv_text, read_draws_csv
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, stage
 from .mc_oracle import size_study
 from .plotgrid import emit_plot_grid
 
@@ -98,15 +98,16 @@ def _cmd_estimate(args) -> int:
     config = AnalysisConfig.from_dict(_config(args))
     doc = point_estimates(config)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    path = os.path.join(config.output_dir, "estimates.json")
-    atomic_write_text(path, text)
+    with stage("write"):
+        atomic_write_text(os.path.join(config.output_dir, "estimates.json"), text)
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_test(args) -> int:
     bundle = run_analysis(AnalysisConfig.from_dict(_config(args)))
-    paths = write_outputs(bundle)
+    with stage("write"):
+        paths = write_outputs(bundle)
     sys.stdout.write(bundle.table_text)
     sys.stdout.write("wrote " + " ".join(sorted(paths.values())) + "\n")
     return 0
@@ -115,7 +116,8 @@ def _cmd_test(args) -> int:
 def _cmd_mc(args) -> int:
     study, out_dir = mc_settings(_config(args))
     text = json.dumps(asdict(size_study(**study)), sort_keys=True, indent=2) + "\n"
-    atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)
+    with stage("write"):
+        atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)
     sys.stdout.write(text)
     return 0
 
@@ -170,7 +172,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_EXIT
     except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"data error: {exc}\n")
+        # args[0], not str(exc): str() of a KeyError quotes its message.
+        sys.stderr.write(f"data error: {exc.args[0] if exc.args else exc}\n")
         return DATA_EXIT
 
 

@@ -90,7 +90,7 @@ def load_csv(path: str, cluster_column: str | None = None) -> tuple[PanelDataset
             raise DataError(f"{path}: no usable data rows")
     mat = np.array(rows, dtype=float)
     columns = {name: mat[:, j] for j, name in enumerate(numeric_names)}
-    data = PanelDataset(columns, np.array(clusters, dtype=object))
+    data = PanelDataset(columns, np.array(clusters))
     return data, LoadReport(n_rows=len(rows), n_dropped=n_dropped, dropped_by_column=dropped)
 
 
@@ -99,20 +99,24 @@ def atomic_write_text(path: str, text: str) -> None:
 
     The temp file is created with mode 0666 so the kernel applies the
     umask, as open() would (mkstemp's 0600 would leave every output
-    private); O_EXCL keeps an existing file from being reused.
+    private); O_EXCL keeps an existing file from being reused.  A path
+    that cannot be written raises DataError.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def format_float(x: float) -> str:

@@ -1,10 +1,11 @@
 """Clustered rectangular data container used by every pipeline stage.
 
 A PanelDataset is a set of named numeric columns plus a cluster label per
-row.  Rows belonging to one cluster stay contiguous in file order, and the
-cluster order follows first appearance.  Resampling a cluster twice yields
-two distinct clusters in the resampled dataset, so per-cluster statistics
-(sizes, normalizations) treat the copies independently.
+row.  A cluster's rows may be interleaved with other clusters' rows; they
+keep their input order, and clusters are ordered by first appearance.
+Resampling a cluster twice yields two distinct clusters in the resampled
+dataset, so per-cluster statistics (sizes, normalizations) treat the copies
+independently.
 """
 
 from __future__ import annotations
@@ -24,23 +25,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def factorize_first_appearance(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Labels in first-appearance order and the per-row cluster ordinal.
 
-    Integer labels go through a vectorized path; anything else (file labels
-    are strings) falls back to a dictionary scan.
+    Each label is the first element of ids that holds it.  The labels
+    must be ordered against each other: an object array mixing 1 and "a"
+    raises TypeError.  NaN values of a float array form one category.
     """
-    if ids.dtype.kind in "iu":
-        uniq, first, inv = np.unique(ids, return_index=True, return_inverse=True)
-        by_appearance = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.intp)
-        rank[by_appearance] = np.arange(len(uniq))
-        return tuple(uniq[by_appearance].tolist()), rank[inv.ravel()]
-    order: dict = {}
-    row_ci = np.empty(len(ids), dtype=np.intp)
-    for r, label in enumerate(ids):
-        key = label.item() if hasattr(label, "item") else label
-        if key not in order:
-            order[key] = len(order)
-        row_ci[r] = order[key]
-    return tuple(order.keys()), row_ci
+    uniq, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[by_appearance] = np.arange(len(uniq))
+    return tuple(ids[first[by_appearance]].tolist()), rank[inv.ravel()]
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,11 @@ class PanelDataset:
 
     @cached_property
     def cluster_rows(self) -> tuple:
+        """Each cluster's row indices, in order.
+
+        The package no longer calls this; it stays for library use and as
+        the tests' reference, as take_rows does.
+        """
         if self.n_clusters == 0:
             return ()
         bounds = np.cumsum(self._sizes[:-1])
@@ -183,12 +181,21 @@ class PanelDataset:
         return PanelDataset(cols, new_ids)
 
     def subset_rows(self, mask: np.ndarray) -> "PanelDataset":
-        """Keep rows where mask is True; cluster labels are preserved."""
+        """Keep rows where mask is True; cluster labels are preserved.
+
+        The package no longer calls this; it stays for library use and as
+        the tests' reference, as take_rows does.
+        """
         mask = np.asarray(mask, dtype=bool)
         cols = {k: v[mask] for k, v in self.columns.items()}
         return PanelDataset(cols, np.asarray(self.cluster_ids)[mask])
 
     def with_columns(self, extra: dict[str, np.ndarray]) -> "PanelDataset":
+        """Add columns, replacing any of the same name.
+
+        The package no longer calls this; it stays for library use and as
+        the tests' reference, as take_rows does.
+        """
         cols = dict(self.columns)
         cols.update(extra)
         return PanelDataset(cols, self.cluster_ids)
@@ -199,20 +206,20 @@ def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> Panel
 
     Lag k of row t inside a cluster is the value at row t-k of the same
     cluster; the first k rows of each cluster have no lag-k value, so the
-    rows missing any requested lag are removed.  New columns are named
-    `{column}_lag{k}`.
+    rows missing any requested lag, or holding a non-finite one, are
+    removed.  New columns are named `{column}_lag{k}`.
     """
     if lags < 1:
         raise ValueError("lags must be >= 1")
     base = data.column(column)
-    n = data.n_rows
-    lag_cols = {}
-    valid = np.ones(n, dtype=bool)
-    for k in range(1, lags + 1):
-        out = np.full(n, np.nan)
-        for rows in data.cluster_rows:
-            if len(rows) > k:
-                out[rows[k:]] = base[rows[:-k]]
-        lag_cols[f"{column}_lag{k}"] = out
-        valid &= np.isfinite(out)
-    return data.with_columns(lag_cols).subset_rows(valid)
+    grouped = data._rows_by_cluster
+    place = np.empty(data.n_rows, dtype=np.intp)
+    place[grouped] = np.arange(data.n_rows)
+    # place minus the cluster's offset is the row's position inside its cluster
+    rows = np.flatnonzero(place - data._offsets[data.row_cluster_index] >= lags)
+    lagged = {f"{column}_lag{k}": base[grouped[place[rows] - k]] for k in range(1, lags + 1)}
+    finite = np.isfinite(list(lagged.values())).all(axis=0)
+    rows = rows[finite]
+    columns = {name: v[rows] for name, v in data.columns.items()}
+    columns.update((name, v[finite]) for name, v in lagged.items())
+    return PanelDataset(columns, data.cluster_ids[rows])

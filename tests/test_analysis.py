@@ -162,7 +162,7 @@ class TestAtomicOutput:
         target = tmp_path / "taken"
         target.mkdir()
         (target / "inside").write_text("x", encoding="utf-8")
-        with pytest.raises(OSError):
+        with pytest.raises(DataError, match="cannot write .*taken"):
             atomic_write_text(str(target), "text\n")
         assert sorted(os.listdir(tmp_path)) == ["taken"]
 
@@ -621,12 +621,12 @@ class TestOutputsAndReport:
         assert "plotgrid_main_col0_col1" in paths
 
     def test_unknown_plot_pair_label(self, tmp_path):
-        data = make_panel(15, 3, seed=12)
         raw = regression_config()
         raw["output"] = {"directory": str(tmp_path / "o"), "plot_pairs": ["zzz"]}
-        bundle = run_analysis(AnalysisConfig.from_dict(raw), data=data)
-        with pytest.raises(DataError, match="not a reported statistic"):
-            write_outputs(bundle)
+        with pytest.raises(
+            DataError, match=r"\[config\] output\.plot_pairs\[0\]: .* not a reported statistic"
+        ):
+            AnalysisConfig.from_dict(raw)
 
     def test_explicit_norm_matrix_runs_and_regenerates(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -717,6 +717,8 @@ class TestExitCodes:
         ),
         "plot_pairs-int": ("estimate", lambda r: _put(r, "output.plot_pairs", 5), "output.plot_pairs"),
         "plot_pairs-short": ("test", lambda r: _put(r, "output.plot_pairs", [[0]]), "output.plot_pairs[0]"),
+        "plot_pairs-label": ("test", lambda r: _put(r, "output.plot_pairs", ["nope"]), "output.plot_pairs[0]"),
+        "plot_pairs-range": ("test", lambda r: _put(r, "output.plot_pairs", [[0, 9]]), "output.plot_pairs[0]"),
         "lags-int": ("estimate", lambda r: r.update(lags=5), "lags"),
         "dgp.n-string": ("mc", lambda r: _put(r, "mc.dgp.n", "50"), "mc.dgp.n"),
         "dgp.n-fraction": ("mc", lambda r: _put(r, "mc.dgp.n", 50.5), "mc.dgp.n"),
@@ -801,6 +803,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and name in err and "Traceback" not in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "trimtest-output").exists()
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "mc"])
+    def test_unwritable_output_exits_2_at_write(self, workdir, capsys, command):
+        tmp_path, config = workdir
+        if command == "mc":
+            config = str(tmp_path / "mc.json")
+            mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 1, "inner_iterations": 19}
+            (tmp_path / "mc.json").write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        # A directory under a file, and a file where the directory should be.
+        for output in (blocker / "sub", blocker):
+            assert main([command, "--config", config, "--output", str(output)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: [write] cannot write {output}")
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["test", "estimate"])
+    def test_lags_leaving_no_row_exit_2_at_lags(self, workdir, capsys, command):
+        tmp_path, config = workdir
+        raw = self._lagged_config(config, **{"lags.count": 4})  # every cluster has 4 rows
+        assert self._exit_2(tmp_path, capsys, raw, command) == (
+            "data error: [lags] 4 lag(s) of 'y' leave no rows: a cluster needs more than 4 rows\n"
+        )
+
+    def test_unknown_column_is_printed_without_quotes(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["model"]["regressors"] = ["x", "zz"]
+        assert self._exit_2(tmp_path, capsys, raw, "test") == (
+            "data error: [bootstrap:main] no column named 'zz'\n"
+        )
 
     def test_dependent_statistics_are_named(self, workdir, capsys):
         tmp_path, config = workdir

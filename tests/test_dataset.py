@@ -8,8 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimtest import PanelDataset, add_within_cluster_lags
+from trimtest.csvio import load_csv
+from trimtest.dataset import factorize_first_appearance
 
 
 @pytest.fixture
@@ -139,13 +143,47 @@ class TestPanelDataset:
         np.testing.assert_array_equal(out.column("v"), np.zeros(5))
         np.testing.assert_array_equal(tiny.column("v"), [1.0, 2.0, 3.0, 4.0, 5.0])
 
-    def test_integer_and_string_labels_factorize_alike(self):
+    def test_integer_and_string_labels_factorize_alike(self, tmp_path):
         ints = PanelDataset({"v": np.arange(6.0)}, np.array([7, 3, 7, 9, 3, 7]))
         strs = PanelDataset({"v": np.arange(6.0)}, np.array(["7", "3", "7", "9", "3", "7"]))
         assert ints.cluster_labels == (7, 3, 9)
         assert strs.cluster_labels == ("7", "3", "9")
         np.testing.assert_array_equal(ints.row_cluster_index, strs.row_cluster_index)
         np.testing.assert_array_equal(ints.cluster_sizes, [3, 2, 1])
+
+        def dictionary_scan(ids):
+            order: dict = {}
+            codes = [order.setdefault(label, len(order)) for label in ids.tolist()]
+            return tuple(order), np.array(codes, dtype=np.intp)
+
+        raw = np.random.default_rng(5).integers(0, 300, size=2000)
+        labelled, numeric = tmp_path / "labelled.csv", tmp_path / "numeric.csv"
+        labelled.write_text("v,g\n" + "".join(f"{g}.0,u{g}\n" for g in raw), encoding="utf-8")
+        numeric.write_text("v\n" + "".join(f"{g}.0\n" for g in raw), encoding="utf-8")
+        by_column, _ = load_csv(str(labelled), "g")
+        by_line, _ = load_csv(str(numeric))
+        # The loader hands over typed arrays: strings, or line ordinals without a cluster column.
+        assert by_column.cluster_ids.dtype.kind == "U" and by_line.cluster_ids.dtype.kind == "i"
+        for ids in (
+            raw,
+            raw.astype(object),
+            raw.astype(str),
+            raw.astype(float),
+            np.array([f"u{g}" for g in raw], dtype=object),
+            by_column.cluster_ids,
+            by_line.cluster_ids,
+        ):
+            labels, codes = factorize_first_appearance(ids)
+            want_labels, want_codes = dictionary_scan(ids)
+            assert labels == want_labels
+            assert [type(label) for label in labels] == [type(label) for label in want_labels]
+            np.testing.assert_array_equal(codes, want_codes)
+        # Labels must be ordered against each other, and NaN values form one category.
+        with pytest.raises(TypeError):
+            factorize_first_appearance(np.array([1, "a"], dtype=object))
+        labels, codes = factorize_first_appearance(np.array([np.nan, 2.0, np.nan, 1.0]))
+        assert np.isnan(labels[0]) and labels[1:] == (2.0, 1.0)
+        np.testing.assert_array_equal(codes, [0, 1, 0, 2])
 
     def test_cluster_rows_partition_the_rows_in_order(self, tiny):
         assert [list(rows) for rows in tiny.cluster_rows] == [[0, 1, 3], [2, 4]]
@@ -214,6 +252,47 @@ class TestWithinClusterLags:
         assert list(out.cluster_ids) == ["b", "a", "b", "a"]
         np.testing.assert_array_equal(out.column("x"), [20.0, 30.0, 40.0, 50.0])
         np.testing.assert_array_equal(out.column("y_lag1"), [0.0, 1.0, 2.0, 3.0])
+
+    @staticmethod
+    def _lags_by_cluster_loop(data, column, lags):
+        """The lags one cluster at a time, through with_columns and subset_rows: the reference."""
+        base = data.column(column)
+        lag_cols, valid = {}, np.ones(data.n_rows, dtype=bool)
+        for k in range(1, lags + 1):
+            out = np.full(data.n_rows, np.nan)
+            for rows in data.cluster_rows:
+                if len(rows) > k:
+                    out[rows[k:]] = base[rows[:-k]]
+            lag_cols[f"{column}_lag{k}"] = out
+            valid &= np.isfinite(out)
+        return data.with_columns(lag_cols).subset_rows(valid)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.one_of(st.floats(-100, 100), st.sampled_from([np.nan, np.inf, -np.inf])),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        string_ids=st.booleans(),
+        lags=st.integers(1, 3),
+    )
+    def test_lags_match_a_per_cluster_loop(self, rows, string_ids, lags):
+        ids = np.array([f"c{c}" if string_ids else c for c, _ in rows])
+        y = np.array([v for _, v in rows])
+        data = PanelDataset({"y": y, "x": np.arange(len(rows), dtype=float)}, ids)
+        got = add_within_cluster_lags(data, "y", lags)
+        want = self._lags_by_cluster_loop(data, "y", lags)
+        assert tuple(got.columns) == tuple(want.columns)
+        for name in want.columns:
+            np.testing.assert_array_equal(got.column(name), want.column(name))
+        assert got.cluster_ids.dtype == want.cluster_ids.dtype
+        np.testing.assert_array_equal(got.cluster_ids, want.cluster_ids)
+        assert got.cluster_labels == want.cluster_labels
+        np.testing.assert_array_equal(got.row_cluster_index, want.row_cluster_index)
 
     def test_unknown_column(self):
         data = PanelDataset({"y": np.array([1.0, 2.0])}, np.array([0, 0]))
