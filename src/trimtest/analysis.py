@@ -591,19 +591,28 @@ def _robustness_tests(
 
 
 def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> ReportBundle:
-    """Execute the full pipeline described by the config."""
+    """Execute the full pipeline described by the config.
+
+    Stages, in order: [load] and [lags]; one bootstrap pass that draws each
+    block once and gives it to every comparison's estimator, its errors
+    reported under [bootstrap:<name>] of the comparison they concern; then,
+    comparison by comparison in config order, [test:<name>] and
+    [analytic:<name>].
+    """
     data, load_report = _prepared_data(config, data)
+    built = [_build_estimator(config, comparison) for comparison in config.comparisons]
+    estimators = {
+        f"bootstrap:{c.name}": estimator for c, (estimator, _, _) in zip(config.comparisons, built)
+    }
+    parts = bootstrap_pipeline(data, config.plan, estimators).parts if estimators else ()
     results = []
-    for comparison in config.comparisons:
-        estimator, labels, lstat_specs = _build_estimator(config, comparison)
+    for comparison, (_, labels, lstat_specs), part in zip(config.comparisons, built, parts):
         d = len(labels)
-        with stage(f"bootstrap:{comparison.name}"):
-            boot = bootstrap_pipeline(data, config.plan, estimator)
-        b1, b2 = boot.point[:d], boot.point[d:]
-        diff_cov = difference_covariance(boot.cov, d)
+        b1, b2 = part.point[:d], part.point[d:]
+        diff_cov = difference_covariance(part.cov, d)
         flags = {}
         with stage(f"test:{comparison.name}"):
-            coef_tests, joint = _robustness_tests(labels, b1, b2, boot.cov, diff_cov, config.test)
+            coef_tests, joint = _robustness_tests(labels, b1, b2, part.cov, diff_cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
             with stage(f"analytic:{comparison.name}"):
@@ -618,7 +627,7 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
                 labels=labels,
                 baseline=b1,
                 adjusted=b2,
-                bootstrap=boot,
+                bootstrap=part,
                 diff_cov=diff_cov,
                 coefficient_tests=coef_tests,
                 joint_test=joint,

@@ -18,7 +18,13 @@ the 1/n_b of the resample the counts describe.  A count draw whose counts
 are all zero is an empty resample and fails.
 
 Draws run in blocks: a block of K draws is one K x n matrix of row weights,
-K = BLOCK_ENTRIES // n, so the layout depends on (n, B) alone.
+K = BLOCK_ENTRIES // n, so the layout depends on (n, B) alone.  One call
+can run several estimators (one per comparison of an analysis) on the same
+draws: each block is built once and every estimator evaluates it before
+the next block is drawn, so no draw's weights are built twice and no more
+than one block is held at a time.  Each estimator keeps its own point
+estimate, draws, failed draws, failure limit and covariance; a draw that
+fails one estimator is still a draw of the others.
 
 Estimator contract: estimator_fn(data, row_weights) always receives the full
 dataset, must honour row_weights in every data-dependent quantity
@@ -35,19 +41,20 @@ the cluster row blocks) and shared by all draws.
 Failures: a draw fails when its estimate raises a numerical or value
 error.  A block call that raises is evaluated again one draw at a time, so
 a draw fails exactly when its one-draw evaluation raises, and at the same
-index.  More than max(1, 1%) failed draws abort (check_failures, shared
-with the Monte Carlo covariance).
+index.  More than max(1, 1%) failed draws of one estimator abort
+(check_failures, shared with the Monte Carlo covariance).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PanelDataset
-from .errors import NumericalError
+from .errors import NumericalError, stage
 
 _CATCHABLE = (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError)
 
@@ -79,6 +86,9 @@ class BootstrapResult:
 
     cov is the unbiased sample covariance of the successful draws,
     symmetrized; a single-draw result carries a zero matrix by convention.
+    A run of several estimators holds each one's own result in `parts`;
+    its draws, point and cov are theirs side by side, and a draw counts as
+    failed when it failed any of them.
     """
 
     draws: np.ndarray
@@ -88,6 +98,7 @@ class BootstrapResult:
     iterations: int
     n_failed: int
     failed_indices: tuple[int, ...] = ()
+    parts: tuple["BootstrapResult", ...] = ()
 
 
 def draw_rng(master_seed: int, draw_index: int) -> np.random.Generator:
@@ -193,6 +204,24 @@ def _block_values(data: PanelDataset, estimator_fn, rho: np.ndarray) -> list:
     return [attempt(estimator_fn, data, w) for w in rho]
 
 
+def _result(
+    draws: np.ndarray, point: np.ndarray, plan: BootstrapPlan, failed, parts=()
+) -> BootstrapResult:
+    """The result of these draws; the covariance is taken over the rows with no NaN."""
+    d = draws.shape[1]
+    n_ok = int(np.sum(~np.isnan(draws).any(axis=1)))
+    return BootstrapResult(
+        draws=draws,
+        point=point,
+        cov=bootstrap_cov(draws) if n_ok >= 2 else np.zeros((d, d)),
+        seed=plan.seed,
+        iterations=plan.iterations,
+        n_failed=len(failed),
+        failed_indices=tuple(failed),
+        parts=parts,
+    )
+
+
 def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) -> BootstrapResult:
     """Run the full bootstrap: point estimate, draws, covariance.
 
@@ -202,38 +231,60 @@ def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) ->
     and return a fixed-length float vector.  A BlockEstimator gets a block
     of draws per call.  Draws that raise a numerical or value error are
     recorded as missing (NaN rows), within the limit of check_failures.
+
+    estimator_fn may also be a dict {stage name: estimator}: every
+    estimator then runs on the same draws, each block built once, and the
+    result holds each one's own result in `parts`, in dict order.  An
+    error of one estimator (its point estimate, a draw of the wrong length,
+    its failure limit) is raised under `[its stage name]` (errors.stage);
+    an error building the draws, under the first name.
     """
-    point = np.atleast_1d(np.asarray(estimator_fn(data, np.ones(data.n_rows)), dtype=float))
-    d = len(point)
+    named = estimator_fn if isinstance(estimator_fn, dict) else {None: estimator_fn}
+
+    def within(name):
+        return nullcontext() if name is None else stage(name)
+
+    points = {}
+    for name, fn in named.items():
+        with within(name):
+            points[name] = np.atleast_1d(np.asarray(fn(data, np.ones(data.n_rows)), dtype=float))
     B = plan.iterations
-    draws = np.full((B, d), np.nan)
-    failed: list[int] = []
+    draws = {name: np.full((B, len(point)), np.nan) for name, point in points.items()}
+    failed = {name: [] for name in named}
+    first = next(iter(named))
     size = max(1, BLOCK_ENTRIES // max(data.n_rows, 1))
     for start in range(0, B, size):
         block = range(start, min(B, start + size))
-        rho, empty = _draw_block(data, plan, block)
-        values = iter(_block_values(data, estimator_fn, rho[~empty] if empty.any() else rho))
-        for b, is_empty in zip(block, empty):
-            val = None if is_empty else next(values)
-            if val is None:
-                failed.append(b)
-            elif val.shape != (d,):
-                raise ValueError(
-                    f"estimator returned length {val.shape} on draw {b}, expected {d}"
-                )
-            else:
-                draws[b] = val
-    check_failures(len(failed), B, "bootstrap draws", "draws")
-    n_ok = int(np.sum(~np.isnan(draws).any(axis=1)))
-    cov = bootstrap_cov(draws) if n_ok >= 2 else np.zeros((d, d))
-    return BootstrapResult(
-        draws=draws,
-        point=point,
-        cov=cov,
-        seed=plan.seed,
-        iterations=B,
-        n_failed=len(failed),
-        failed_indices=tuple(failed),
+        with within(first):
+            rho, empty = _draw_block(data, plan, block)
+        if empty.any():
+            rho = rho[~empty]
+        for name, fn in named.items():
+            values = iter(_block_values(data, fn, rho))
+            for b, is_empty in zip(block, empty):
+                val = None if is_empty else next(values)
+                if val is None:
+                    failed[name].append(b)
+                elif val.shape != points[name].shape:
+                    with within(name):
+                        raise ValueError(
+                            f"estimator returned length {val.shape} on draw {b}, "
+                            f"expected {len(points[name])}"
+                        )
+                else:
+                    draws[name][b] = val
+    for name in named:
+        with within(name):
+            check_failures(len(failed[name]), B, "bootstrap draws", "draws")
+    parts = tuple(_result(draws[name], points[name], plan, failed[name]) for name in named)
+    if not isinstance(estimator_fn, dict):
+        return parts[0]
+    return _result(
+        np.hstack([part.draws for part in parts]),
+        np.concatenate([part.point for part in parts]),
+        plan,
+        sorted(set().union(*failed.values())),
+        parts,
     )
 
 

@@ -27,7 +27,13 @@ from .analysis import (
     run_analysis,
     write_outputs,
 )
-from .csvio import atomic_write_text, format_float, grid_csv_text, read_draws_csv
+from .csvio import (
+    atomic_write_text,
+    check_writable_directory,
+    format_float,
+    grid_csv_text,
+    read_draws_csv,
+)
 from .errors import DataError, NumericalError, stage
 from .mc_oracle import size_study
 from .plotgrid import emit_plot_grid
@@ -94,8 +100,15 @@ def _config(args) -> dict:
     return raw
 
 
+def _check_output(directory: str) -> None:
+    """Refuse at [write], before any work, an output directory that cannot be written."""
+    with stage("write"):
+        check_writable_directory(directory)
+
+
 def _cmd_estimate(args) -> int:
     config = AnalysisConfig.from_dict(_config(args))
+    _check_output(config.output_dir)
     doc = point_estimates(config)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with stage("write"):
@@ -105,7 +118,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    bundle = run_analysis(AnalysisConfig.from_dict(_config(args)))
+    config = AnalysisConfig.from_dict(_config(args))
+    _check_output(config.output_dir)
+    bundle = run_analysis(config)
     with stage("write"):
         paths = write_outputs(bundle)
     sys.stdout.write(bundle.table_text)
@@ -115,6 +130,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_mc(args) -> int:
     study, out_dir = mc_settings(_config(args))
+    _check_output(out_dir)
     text = json.dumps(asdict(size_study(**study)), sort_keys=True, indent=2) + "\n"
     with stage("write"):
         atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)

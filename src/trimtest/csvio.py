@@ -3,9 +3,10 @@
 Input files are UTF-8 with a header row.  All columns except the cluster
 column must parse as finite floats; an empty cell in any of them drops the
 row with a warning count, while non-numeric garbage or a non-finite value
-(nan, inf, -Infinity) is an error naming the row and column.  Output files
-are written to a temporary file in the target directory and renamed into
-place, so readers never observe a partial file.
+(nan, inf, -Infinity) is an error naming the row and column, and so is a
+cluster label holding a NUL character.  Output files are written to a
+temporary file in the target directory and renamed into place, so readers
+never observe a partial file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def load_csv(path: str, cluster_column: str | None = None) -> tuple[PanelDataset
     cluster_column (kept as labels, not parsed) groups rows into clusters in
     file order; without it every row is its own cluster.  Every other column
     is numeric and required: rows with an empty cell are dropped and
-    counted; unparseable or non-finite cells raise DataError with the location.
+    counted; unparseable or non-finite cells, and cluster labels holding a
+    NUL character, raise DataError with the location.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -84,8 +86,14 @@ def load_csv(path: str, cluster_column: str | None = None) -> tuple[PanelDataset
                 for c in drop_cols:
                     dropped[c] = dropped.get(c, 0) + 1
                 continue
+            label = rec[col_idx[cluster_column]].strip() if cluster_column else r - 2
+            if cluster_column and "\x00" in label:
+                # numpy's fixed-width strings drop trailing NULs: "a" and "a\x00" would merge.
+                raise DataError(
+                    f"{path}: line {r}, column {cluster_column!r}: {label!r} contains a NUL character"
+                )
             rows.append(vals)
-            clusters.append(rec[col_idx[cluster_column]].strip() if cluster_column else r - 2)
+            clusters.append(label)
         if not rows:
             raise DataError(f"{path}: no usable data rows")
     mat = np.array(rows, dtype=float)
@@ -117,6 +125,19 @@ def atomic_write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable_directory(directory: str) -> None:
+    """Raise DataError unless atomic_write_text could write into directory; create nothing.
+
+    The directory itself if it exists, else its nearest existing ancestor,
+    must be a directory this process may write to.
+    """
+    existing = os.path.abspath(directory)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise DataError(f"cannot write {directory}: {existing} is not a writable directory")
 
 
 def format_float(x: float) -> str:

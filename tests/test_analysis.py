@@ -577,6 +577,114 @@ class TestRunAnalysis:
         assert "bootstrap covariance is authoritative" in report.table_text
 
 
+def _three_comparisons(iterations=40, seed=11):
+    """An lstat config with three comparisons, and its data."""
+    rng = np.random.default_rng(21)
+    data = PanelDataset({"x": rng.standard_t(3, size=120)}, np.repeat(np.arange(40), 3))
+    raw = regression_config(bootstrap={"iterations": iterations, "seed": seed})
+    raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}]}
+    del raw["weights"]
+    raw["comparisons"] = [
+        {"name": "trim", "baseline": {"kind": "all_ones"},
+         "adjusted": {"kind": "quantile_trim", "columns": ["x"], "lower_q": 0.05, "upper_q": 0.95}},
+        {"name": "wins", "baseline": {"kind": "all_ones"},
+         "adjusted": {"kind": "winsorize", "columns": ["x"], "lower_q": 0.1, "upper_q": 0.9}},
+        {"name": "upper", "baseline": {"kind": "all_ones"},
+         "adjusted": {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.8}},
+    ]
+    return raw, data
+
+
+class TestSharedDrawPass:
+    """Every comparison of an analysis is evaluated on one pass of draws."""
+
+    def test_draws_are_built_once_per_analysis(self, monkeypatch):
+        from trimtest import bootstrap
+
+        calls = []
+        original = bootstrap.draw_rng
+
+        def counted(seed, b):
+            calls.append(b)
+            return original(seed, b)
+
+        monkeypatch.setattr(bootstrap, "draw_rng", counted)
+        raw, data = _three_comparisons(iterations=40)
+        report = run_analysis(AnalysisConfig.from_dict(raw), data=data)
+        assert len(report.results) == 3
+        assert calls == list(range(40))
+
+    def test_each_comparison_equals_its_own_run(self):
+        raw, data = _three_comparisons()
+        report = run_analysis(AnalysisConfig.from_dict(raw), data=data)
+        for i, res in enumerate(report.results):
+            alone_raw = {**raw, "comparisons": [raw["comparisons"][i]]}
+            alone_report = run_analysis(AnalysisConfig.from_dict(alone_raw), data=data)
+            (alone,) = alone_report.results
+            assert res.name == alone.name
+            np.testing.assert_array_equal(res.bootstrap.draws, alone.bootstrap.draws)
+            np.testing.assert_array_equal(res.bootstrap.cov, alone.bootstrap.cov)
+            np.testing.assert_array_equal(res.baseline, alone.baseline)
+            np.testing.assert_array_equal(res.adjusted, alone.adjusted)
+            assert report.results_dict["comparisons"][res.name] == (
+                alone_report.results_dict["comparisons"][res.name]
+            )
+
+    def test_a_draw_that_fails_one_comparison_leaves_the_other_complete(self, monkeypatch):
+        raw, data = _three_comparisons(iterations=30)
+        raw["comparisons"] = raw["comparisons"][:2]
+        config = AnalysisConfig.from_dict(raw)
+        build = analysis._build_estimator
+        counter = {"calls": 0}
+
+        def build_failing_on_draw_7(config, comparison):
+            estimator, labels, specs = build(config, comparison)
+            if comparison.name != "trim":
+                return estimator, labels, specs
+
+            def one_draw_at_a_time(data, row_weights):
+                # Call 0 is the point estimate, call b + 1 draw b.
+                call = counter["calls"]
+                counter["calls"] += 1
+                if call == 8:
+                    raise NumericalError("draw 7 is refused")
+                return estimator(data, row_weights)
+
+            return one_draw_at_a_time, labels, specs
+
+        monkeypatch.setattr(analysis, "_build_estimator", build_failing_on_draw_7)
+        trim, wins = run_analysis(config, data=data).results
+        assert trim.bootstrap.failed_indices == (7,)
+        assert np.isnan(trim.bootstrap.draws[7]).all()
+        assert np.isfinite(np.delete(trim.bootstrap.draws, 7, axis=0)).all()
+        assert wins.bootstrap.failed_indices == () and wins.bootstrap.n_failed == 0
+        assert np.isfinite(wins.bootstrap.draws).all() and wins.bootstrap.draws.shape == (30, 2)
+
+    def test_bootstrap_errors_come_before_test_errors(self, monkeypatch):
+        # The shared pass ends before the first comparison's test runs.
+        raw, data = _three_comparisons(iterations=20)
+        config = AnalysisConfig.from_dict(raw)
+        build = analysis._build_estimator
+
+        def build_failing_last(config, comparison):
+            estimator, labels, specs = build(config, comparison)
+            if comparison.name != "upper":
+                return estimator, labels, specs
+
+            def fails(data, row_weights):
+                raise ValueError("point refused")
+
+            return fails, labels, specs
+
+        def refuse_tests(*args):
+            raise NumericalError("test refused")
+
+        monkeypatch.setattr(analysis, "_build_estimator", build_failing_last)
+        monkeypatch.setattr(analysis, "_robustness_tests", refuse_tests)
+        with pytest.raises(ValueError, match=r"^\[bootstrap:upper\] point refused$"):
+            run_analysis(config, data=data)
+
+
 class TestOutputsAndReport:
     def test_write_outputs_and_regenerate(self, tmp_path):
         data = make_panel(25, 4, seed=21)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trimtest import PanelDataset
 from trimtest import bootstrap
 from trimtest.bootstrap import (
+    BlockEstimator,
     BootstrapPlan,
     _block_values,
     _draw_block,
@@ -734,3 +735,100 @@ class TestBlockFailures:
             boot = bootstrap_pipeline(clustered, BootstrapPlan(iterations=12, seed=1), spy)
         assert shapes == [(clustered.n_rows,)] * 13
         assert np.isfinite(boot.draws).all()
+
+
+class TestSharedDrawPass:
+    """A dict of estimators runs every one of them on the same draws."""
+
+    PLAN = BootstrapPlan(iterations=30, seed=17)
+
+    @staticmethod
+    def _failing_on(data, plan, draw):
+        """A block estimator of the weighted mean that raises on one draw's weights only."""
+        bad = _draw_block(data, plan, range(draw, draw + 1))[0][0]
+
+        def block(data, W):
+            if any(np.array_equal(w, bad) for w in W):
+                raise ValueError(f"draw {draw} is refused")
+            return np.vstack([weighted_mean_estimator(data, w) for w in W])
+
+        return BlockEstimator(block)
+
+    def test_each_part_equals_its_own_run(self, clustered):
+        estimators = {"a": trimmed_mean_estimator, "b": weighted_mean_estimator}
+        boot = bootstrap_pipeline(clustered, self.PLAN, estimators)
+        assert len(boot.parts) == 2
+        for part, fn in zip(boot.parts, estimators.values()):
+            alone = bootstrap_pipeline(clustered, self.PLAN, fn)
+            np.testing.assert_array_equal(part.draws, alone.draws)
+            np.testing.assert_array_equal(part.point, alone.point)
+            np.testing.assert_array_equal(part.cov, alone.cov)
+            assert part.failed_indices == alone.failed_indices == ()
+            assert part.parts == ()
+        np.testing.assert_array_equal(boot.draws, np.hstack([p.draws for p in boot.parts]))
+        np.testing.assert_array_equal(boot.point, np.concatenate([p.point for p in boot.parts]))
+        np.testing.assert_array_equal(boot.cov, bootstrap_cov(boot.draws))
+        assert (boot.iterations, boot.n_failed, boot.seed) == (30, 0, 17)
+
+    def test_draws_are_built_once_for_all_parts(self, clustered, monkeypatch):
+        calls = []
+
+        def counted(seed, b):
+            calls.append(b)
+            return draw_rng(seed, b)
+
+        monkeypatch.setattr(bootstrap, "draw_rng", counted)
+        parts = {name: weighted_mean_estimator for name in ("a", "b", "c")}
+        bootstrap_pipeline(clustered, self.PLAN, parts)
+        assert calls == list(range(30))
+
+    def test_a_failed_draw_is_its_own_parts_failure(self, clustered):
+        failing = self._failing_on(clustered, self.PLAN, 7)
+        boot = bootstrap_pipeline(
+            clustered, self.PLAN, {"a": failing, "b": weighted_mean_estimator}
+        )
+        fails, other = boot.parts
+        assert fails.failed_indices == (7,) and fails.n_failed == 1
+        assert other.failed_indices == () and np.isfinite(other.draws).all()
+        alone = bootstrap_pipeline(clustered, self.PLAN, weighted_mean_estimator)
+        np.testing.assert_array_equal(other.draws, alone.draws)
+        np.testing.assert_array_equal(np.delete(fails.draws, 7, axis=0), np.delete(alone.draws, 7, axis=0))
+        assert np.isnan(fails.draws[7]).all()
+        assert boot.failed_indices == (7,) and boot.n_failed == 1
+
+    def test_failures_count_once_per_draw_in_the_whole(self, clustered):
+        boot = bootstrap_pipeline(
+            clustered,
+            self.PLAN,
+            {"a": self._failing_on(clustered, self.PLAN, 3), "b": self._failing_on(clustered, self.PLAN, 9)},
+        )
+        assert [p.failed_indices for p in boot.parts] == [(3,), (9,)]
+        assert boot.failed_indices == (3, 9) and boot.n_failed == 2
+
+    def test_errors_are_raised_under_their_parts_name(self, clustered):
+        def wrong_length(data, row_weights):
+            return np.zeros(1 if np.all(row_weights == 1.0) else 2)
+
+        def point_fails(data, row_weights):
+            raise ValueError("no point")
+
+        def draws_fail(data, row_weights):
+            if not np.all(row_weights == 1.0):
+                raise ValueError("no draw")
+            return np.zeros(1)
+
+        ok = weighted_mean_estimator
+        cases = [
+            (point_fails, r"^\[second\] no point$"),
+            (wrong_length, r"^\[second\] estimator returned length \(2,\) on draw 0, expected 1$"),
+        ]
+        for fn, message in cases:
+            with pytest.raises(ValueError, match=message):
+                bootstrap_pipeline(clustered, self.PLAN, {"first": ok, "second": fn})
+        with pytest.raises(NumericalError, match=(
+            r"^\[second\] 30 of 30 bootstrap draws failed \(limit is 1% of draws, at least one\)$"
+        )):
+            bootstrap_pipeline(clustered, self.PLAN, {"first": ok, "second": draws_fail})
+        # One estimator, no stage: today's messages, unprefixed.
+        with pytest.raises(NumericalError, match=r"^30 of 30 bootstrap draws failed"):
+            bootstrap_pipeline(clustered, self.PLAN, draws_fail)

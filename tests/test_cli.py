@@ -820,6 +820,33 @@ class TestExitCodes:
             assert err.startswith(f"data error: [write] cannot write {output}")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["test", "estimate", "mc"])
+    def test_unwritable_output_is_found_before_any_work(self, workdir, capsys, monkeypatch, command):
+        from trimtest import cli
+
+        tmp_path, config = workdir
+        if command == "mc":
+            config = str(tmp_path / "mc.json")
+            mc = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 1, "inner_iterations": 19}
+            (tmp_path / "mc.json").write_text(json.dumps({"mc": mc}), encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for name in ("run_analysis", "point_estimates", "size_study"):
+            monkeypatch.setattr(cli, name, no_work)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        output = blocker / "sub" / "deeper"
+        assert main([command, "--config", config, "--output", str(output)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: [write] cannot write {output}: {blocker} is not a writable directory\n"
+        )
+        # A path that can be created is left uncreated by the check.
+        writable = tmp_path / "new" / "out"
+        cli.check_writable_directory(str(writable))
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("command", ["test", "estimate"])
     def test_lags_leaving_no_row_exit_2_at_lags(self, workdir, capsys, command):
         tmp_path, config = workdir
@@ -835,6 +862,42 @@ class TestExitCodes:
         assert self._exit_2(tmp_path, capsys, raw, "test") == (
             "data error: [bootstrap:main] no column named 'zz'\n"
         )
+
+    def test_second_comparison_past_its_failure_limit_exits_3(self, workdir, capsys, monkeypatch):
+        # Both comparisons share one pass of draws; only the second one's
+        # estimator fails them, so only its failure limit is passed.
+        from trimtest import analysis
+
+        tmp_path, config = workdir
+        raw = self._lstat_config(config)
+        raw["comparisons"] = [
+            {"name": "first", "weights": raw["weights"]},
+            {"name": "second", "weights": raw.pop("weights")},
+        ]
+        build = analysis._build_estimator
+
+        def build_refusing_second(config, comparison):
+            estimator, labels, specs = build(config, comparison)
+            if comparison.name != "second":
+                return estimator, labels, specs
+
+            def refuses_draws(data, row_weights):
+                if not np.all(row_weights == 1.0):
+                    raise np.linalg.LinAlgError("draw refused")
+                return estimator(data, row_weights)
+
+            return refuses_draws, labels, specs
+
+        monkeypatch.setattr(analysis, "_build_estimator", build_refusing_second)
+        p = tmp_path / "two.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "two-out"
+        assert main(["test", "--config", str(p), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: [bootstrap:second] 120 of 120 bootstrap draws failed "
+            "(limit is 1% of draws, at least one)\n"
+        )
+        assert not out.exists()
 
     def test_dependent_statistics_are_named(self, workdir, capsys):
         tmp_path, config = workdir
@@ -954,6 +1017,22 @@ class TestExitCodes:
             "numerical failure: [bootstrap:main] residual scale must be positive and finite\n"
         )
         assert not out.exists()
+
+    def test_nul_in_cluster_label_is_exit_2(self, tmp_path, capsys):
+        # numpy's fixed-width strings drop trailing NULs, so "a" and "a\x00"
+        # would be read as one cluster.
+        csv_path = tmp_path / "nul.csv"
+        csv_path.write_text("x,unit\n1.0,a\n2.0,a\x00\n3.0,a\n4.0,b\n", encoding="utf-8")
+        raw = {
+            "input": str(csv_path),
+            "cluster_column": "unit",
+            "model": {"type": "lstat", "statistics": [{"column": "x"}]},
+            "weights": {"baseline": {"kind": "all_ones"}, "adjusted": {"kind": "all_ones"}},
+        }
+        err = self._exit_2(tmp_path, capsys, raw)
+        assert err == (
+            f"data error: [load] {csv_path}: line 3, column 'unit': 'a\\x00' contains a NUL character\n"
+        )
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_csv_cell_is_exit_2(self, tmp_path, capsys, cell):

@@ -7,7 +7,8 @@ attribute of an imported module, or imports it with `from ... import`.  An
 attribute read on any other object does not count: `report.critical_value`
 is a field, not a call of the function `critical_value`.  Re-exports in
 __init__.py do not count, and neither do references inside the name's own
-definition.
+definition.  The last test pins the engine entry point that the benchmark's
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -84,3 +85,41 @@ def test_every_top_level_name_is_used_inside_the_package():
 def test_keep_list_names_still_exist():
     definitions, _ = _scan()
     assert KEEP <= {name for name, _ in definitions}
+
+
+def test_pipeline_stage_calls_the_bootstrap_engine(monkeypatch):
+    # perfbench's tracer replaces trimtest.bootstrap.bootstrap_pipeline in
+    # every module that binds it and reads `iterations` and `n_failed`
+    # from what each call returns.
+    import numpy as np
+
+    import trimtest.analysis
+    import trimtest.bootstrap
+    from trimtest import PanelDataset
+
+    assert trimtest.analysis.bootstrap_pipeline is trimtest.bootstrap.bootstrap_pipeline
+    returned = []
+    engine = trimtest.bootstrap.bootstrap_pipeline
+
+    def recorded(*args, **kwargs):
+        returned.append(engine(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(trimtest.analysis, "bootstrap_pipeline", recorded)
+    scheme = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
+    config = trimtest.analysis.AnalysisConfig.from_dict(
+        {
+            "input": "unused.csv",
+            "model": {"type": "lstat", "statistics": [{"column": "x"}]},
+            "comparisons": [
+                {"name": name, "baseline": {"kind": "all_ones"}, "adjusted": scheme}
+                for name in ("a", "b")
+            ],
+            "bootstrap": {"iterations": 25, "seed": 3},
+        }
+    )
+    data = PanelDataset({"x": np.random.default_rng(0).normal(size=50)}, np.arange(50))
+    trimtest.analysis.run_analysis(config, data=data)
+    assert returned
+    for result in returned:
+        assert (result.iterations, result.n_failed) == (25, 0)
