@@ -32,6 +32,10 @@ class RankDeficiencyError(NumericalError):
             f"{stage} matrix is rank deficient: rank {rank} < {ncols} columns"
         )
 
+    def __reduce__(self):
+        # Unpickle without __init__, keeping args (and any [stage] prefix) and the fields.
+        return (type(self).__new__, (type(self), *self.args), self.__dict__)
+
 
 @contextmanager
 def stage(name: str):

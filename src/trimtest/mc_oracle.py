@@ -2,13 +2,18 @@
 
 Everything here is deterministic given the DGP description and the seed;
 replication r uses a generator derived from (seed, r) so results do not
-depend on execution order.  The Monte Carlo covariance across fresh datasets is the
-ground truth that bootstrap and analytic covariance estimators are checked
-against.
+depend on execution order, and `size_study` runs them in forked worker
+processes (its `analysis_fn` may run in a child, whose side effects the
+caller does not see).  The Monte Carlo covariance across fresh datasets is
+the ground truth that bootstrap and analytic covariance estimators are
+checked against.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,24 +224,80 @@ def _child_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0])
 
 
+def _map_reps(fn, reps: int) -> list:
+    """[fn(0), ..., fn(reps - 1)]; worker r % workers runs rep r, worker 0 in this process.
+
+    The other workers are forked, not spawned, so fn may be a closure.  Each
+    worker stops at its first exception, so the lowest failing rep, raised
+    here, is the one a serial loop raises.
+    """
+
+    def run(w: int) -> list:  # [(rep, ok, value or exception)] of worker w
+        out = []
+        for r in range(w, reps, workers):
+            try:
+                out.append((r, True, fn(r)))
+            except Exception as exc:
+                return out + [(r, False, exc)]
+        return out
+
+    workers = min(len(os.sched_getaffinity(0)), reps) if hasattr(os, "sched_getaffinity") else 1
+    children = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(run(w)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        outcomes = run(0)
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for payload, status in zip(payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)  # 0 only once the whole payload is written
+        if code:
+            raise NumericalError(f"a replication worker exited with status {code} and no results")
+        outcomes += pickle.loads(payload)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
+
+
 def size_study(
     dgp: DGPSpec, analysis_fn, reps: int = 100, seed: int = 0, alpha: float = 0.05, h: float = 0.0
 ) -> CoverageReport:
     """Rejection rate of analysis_fn(dataset, seed) -> bool over fresh data.
 
     The per-rep seed feeds the inner bootstrap so replications are
-    independent and the whole study is reproducible.  A failure of a
-    replication is reported in the `mc` stage.
+    independent and the whole study is reproducible.  Replications run in
+    up to one forked process per CPU (see `_map_reps`), so analysis_fn's
+    side effects may not reach the caller, and a caller with threads running
+    must not call this.  The first failing replication is reported in the
+    `mc` stage.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    rejections = 0
+
+    def replicate(r: int) -> bool:
+        rep_seed = _child_seed(seed, r)
+        return bool(analysis_fn(simulate(dgp, rep_seed), rep_seed))
+
     with stage("mc"):
-        for r in range(reps):
-            rep_seed = _child_seed(seed, r)
-            data = simulate(dgp, rep_seed)
-            if analysis_fn(data, rep_seed):
-                rejections += 1
+        rejections = sum(_map_reps(replicate, reps))
     rate = rejections / reps
     se = float(np.sqrt(rate * (1.0 - rate) / reps)) if 0 < rate < 1 else float(
         np.sqrt(alpha * (1.0 - alpha) / reps)

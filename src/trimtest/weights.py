@@ -101,8 +101,8 @@ class ResidualContext:
 
 
 def weighted_quantile_threshold(
-    values, weights, q: float, order: np.ndarray | None = None
-) -> float | np.ndarray | None:
+    values, weights, q: float | tuple[float, ...], order: np.ndarray | None = None
+) -> float | np.ndarray | None | list:
     """First value where the cumulative weight mass reaches a q fraction.
 
     With unit weights this is the ceil(q*n)-th order statistic; with integer
@@ -117,6 +117,9 @@ def weighted_quantile_threshold(
     order, when given, must be the stable ascending argsort of values (for
     a dataset column, `PanelDataset.sort_order`); it saves the sort and
     gives the same threshold.  Without it the values are sorted here.
+
+    A tuple of levels q gives the list of their thresholds, read from one
+    cumulative sum of the weights.
     """
     v = np.asarray(values, dtype=float)
     w = np.ascontiguousarray(weights, dtype=float)  # rows sum pairwise, as one draw does
@@ -125,20 +128,25 @@ def weighted_quantile_threshold(
     total = w.sum(axis=-1)
     if np.any(total <= 0):
         raise ValueError("total weight must be positive")
-    target = q * total
     snap = 1e-9 * np.maximum(1.0, np.abs(total))
     if order is None:
         order = np.argsort(v, kind="stable")
     elif len(order) != len(v):
         raise ValueError("order must have one entry per value")
     cum = w[..., order]
-    hit = np.cumsum(cum, axis=-1, out=cum) >= (target - snap)[..., None]
-    free = target <= snap
-    missed = ~(free | hit.any(axis=-1))
-    if np.any(missed):
-        raise ValueError(f"level unattainable: cumulative weight never reaches {target[missed][0]}")
-    threshold = np.where(free, np.nan, v[order[hit.argmax(axis=-1)]])
-    return threshold if w.ndim == 2 else None if free else float(threshold)
+    np.cumsum(cum, axis=-1, out=cum)
+    out = []
+    for level in q if isinstance(q, tuple) else (q,):
+        target = level * total
+        hit = cum >= (target - snap)[..., None]
+        free = target <= snap
+        first = hit.argmax(axis=-1)  # 0 where the mass never reaches the target
+        missed = ~(free | np.take_along_axis(hit, first[..., None], -1)[..., 0])
+        if np.any(missed):
+            raise ValueError(f"level unattainable: cumulative weight never reaches {target[missed][0]}")
+        threshold = np.where(free, np.nan, v[order[first]])
+        out.append(threshold if w.ndim == 2 else None if free else float(threshold))
+    return out if isinstance(q, tuple) else out[0]
 
 
 def weights_quantile_trim(
@@ -166,9 +174,9 @@ def weights_quantile_trim(
     for j, v in enumerate(columns):
         v = np.asarray(v, dtype=float)
         order = None if orders is None else orders[j]
-        for q, inside in ((lower_q, np.greater_equal), (upper_q, np.less_equal)):
-            bound = weighted_quantile_threshold(v, block, q, order)[:, None]
-            keep &= inside(v, bound) | np.isnan(bound)  # NaN: no constraint
+        bounds = weighted_quantile_threshold(v, block, (lower_q, upper_q), order)
+        for bound, inside in zip(bounds, (np.greater_equal, np.less_equal)):
+            keep &= inside(v, bound[:, None]) | np.isnan(bound[:, None])  # NaN: no constraint
     return keep.astype(float).reshape(rw.shape)
 
 
@@ -216,9 +224,10 @@ def weights_winsorize(
     v = np.asarray(values, dtype=float)
     rw = np.ones(len(v)) if row_weights is None else np.asarray(row_weights, dtype=float)
     block = np.atleast_2d(rw)
+    lower, upper = weighted_quantile_threshold(v, block, (lower_q, upper_q), order)
     # fmax and fmin ignore a NaN bound: no constraint.
-    out = np.fmax(v, weighted_quantile_threshold(v, block, lower_q, order)[:, None])
-    np.fmin(out, weighted_quantile_threshold(v, block, upper_q, order)[:, None], out=out)
+    out = np.fmax(v, lower[:, None])
+    np.fmin(out, upper[:, None], out=out)
     zero = v == 0.0
     undefined = zero & (out != 0.0) & (block != 0.0)
     if np.any(undefined):

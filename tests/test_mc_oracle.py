@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+import trimtest.mc_oracle
 from trimtest import NumericalError
+from trimtest.cli import main
+from trimtest.errors import RankDeficiencyError
 from trimtest.lstat import LStatSpec
 from trimtest.estimators import lstat_pair_estimator
 from trimtest.mc_oracle import (
@@ -228,9 +236,16 @@ class TestMcCovariance:
             mc_covariance(DGPSpec.univariate("normal", 20), fails_first, reps=2, seed=1)
 
 
+def _pin_cpus(monkeypatch, count):
+    # size_study runs one worker per CPU it may use, this process being the first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestSizeStudy:
-    def test_counts_rejections_exactly(self):
-        # Deterministic analysis: reject iff the rep seed is even.
+    def test_counts_rejections_exactly(self, monkeypatch):
+        # Deterministic analysis: reject iff the rep seed is even.  One
+        # worker, so every call is made here and `seen` records it.
+        _pin_cpus(monkeypatch, 1)
         seen = []
 
         def analysis(data, rep_seed):
@@ -269,7 +284,8 @@ class TestSizeStudy:
         assert 0.0 < p < 1.0
         assert rep2.std_error == pytest.approx(np.sqrt(p * (1 - p) / 64))
 
-    def test_rep_seeds_match_child_seed(self):
+    def test_rep_seeds_match_child_seed(self, monkeypatch):
+        _pin_cpus(monkeypatch, 1)
         captured = []
 
         def analysis(data, rep_seed):
@@ -280,6 +296,109 @@ class TestSizeStudy:
             DGPSpec.univariate("normal", 5), analysis, reps=6, seed=77, alpha=0.05
         )
         assert captured == [_child_seed(77, r) for r in range(6)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_at(seed, failures):
+    """analysis_fn raising failures[r] at rep r and rejecting at odd reps."""
+    rep_of = {_child_seed(seed, r): r for r in range(64)}
+
+    def analysis(data, rep_seed):
+        rep = rep_of[rep_seed]
+        if rep in failures:
+            raise failures[rep]
+        return rep % 2 == 1
+
+    return analysis
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+class TestSizeStudyWorkers:
+    def test_report_is_the_same_for_any_worker_count(self, monkeypatch, cpus):
+        dgp = DGPSpec.linear_regression(80, slope=0.5)
+        analysis = residual_trim_size_analysis(inner_iterations=19, alpha=0.3)
+        expected = sum(
+            analysis(simulate(dgp, _child_seed(4, r)), _child_seed(4, r)) for r in range(7)
+        )
+        _pin_cpus(monkeypatch, cpus)
+        report = size_study(dgp, analysis, reps=7, seed=4, alpha=0.3)
+        assert 0 < expected < 7
+        assert report == CoverageReport(
+            rejections=expected, reps=7, rate=expected / 7,
+            std_error=float(np.sqrt(expected / 7 * (1 - expected / 7) / 7)),
+            alpha=0.3, h=0.0, seed=4,
+        )
+        assert size_study(
+            DGPSpec.univariate("normal", 5), _failing_at(9, {}), reps=10, seed=9
+        ).rejections == 5
+        _assert_no_child_left()
+
+    def test_first_failing_rep_is_raised(self, monkeypatch, cpus):
+        # With 2 workers rep 1 fails in the child and rep 4 here; with 3 both
+        # belong to one child, which stops at rep 1.
+        _pin_cpus(monkeypatch, cpus)
+        analysis = _failing_at(3, {1: ValueError("rep 1 failed"), 4: ValueError("rep 4 failed")})
+        with pytest.raises(ValueError, match=r"^\[mc\] rep 1 failed$"):
+            size_study(DGPSpec.univariate("normal", 5), analysis, reps=6, seed=3)
+        _assert_no_child_left()
+
+    def test_rank_deficiency_keeps_its_type_and_fields(self, monkeypatch, cpus):
+        _pin_cpus(monkeypatch, cpus)
+        analysis = _failing_at(3, {1: RankDeficiencyError(2, 3, "adjusted design")})
+        with pytest.raises(RankDeficiencyError) as info:
+            size_study(DGPSpec.univariate("normal", 5), analysis, reps=4, seed=3)
+        exc = info.value
+        assert str(exc) == "[mc] adjusted design matrix is rank deficient: rank 2 < 3 columns"
+        assert (exc.rank, exc.ncols, exc.stage) == (2, 3, "adjusted design")
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+class TestWorkerFailures:
+    def test_killed_worker_is_a_numerical_failure_at_exit_3(
+        self, monkeypatch, tmp_path, capsys, cpus
+    ):
+        # Rep 1 runs in a child from 2 workers on; that child kills itself.
+        _pin_cpus(monkeypatch, cpus)
+        parent, simulate_rep = os.getpid(), trimtest.mc_oracle.simulate
+
+        def simulate_or_die(dgp, rep_seed):
+            if os.getpid() != parent and rep_seed == _child_seed(0, 1):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return simulate_rep(dgp, rep_seed)
+
+        monkeypatch.setattr(trimtest.mc_oracle, "simulate", simulate_or_die)
+        config = tmp_path / "mc.json"
+        mc = {"dgp": {"kind": "linear_regression", "n": 40}, "reps": 4, "inner_iterations": 9}
+        config.write_text(json.dumps({"mc": mc}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(config), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: [mc] a replication worker exited with status -9 and no results\n"
+        )
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_interrupt_kills_the_workers(self, monkeypatch, cpus):
+        # Rep 0 runs here and is interrupted while rep 1 sleeps in a child:
+        # the child is killed and reaped rather than waited for.
+        _pin_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+
+        def analysis(data, rep_seed):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            size_study(DGPSpec.univariate("normal", 5), analysis, reps=4, seed=0)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
 
 
 class TestResidualTrimSizeAnalysis:

@@ -505,6 +505,22 @@ class TestWeightedQuantileThreshold:
         else:
             assert len(ok) == len(block)
 
+    def test_a_tuple_of_levels_gives_each_level_threshold(self, rng):
+        # The trim and Winsorizing schemes read both bounds from one cumulative sum.
+        values = np.round(rng.normal(size=30), 1)  # ties
+        order = np.argsort(values, kind="stable")
+        block = np.vstack([rng.integers(0, 3, size=(3, 30)), 1.0 + rng.normal(size=(2, 30))])
+        levels = (0.0, 0.05, 0.5, 0.98, 1.0)
+        for weights in (block, block[0], block[-1]):
+            got = weighted_quantile_threshold(values, weights, levels, order)
+            assert isinstance(got, list) and len(got) == len(levels)
+            for q, threshold in zip(levels, got):
+                expected = weighted_quantile_threshold(values, weights, q, order)
+                np.testing.assert_array_equal(threshold, expected)
+        assert weighted_quantile_threshold(values, block[0], (0.0,), order) == [None]
+        with pytest.raises(ValueError, match="unattainable"):
+            weighted_quantile_threshold(values, block, (0.5, 1.2), order)
+
     @given(
         data=st.lists(
             st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
