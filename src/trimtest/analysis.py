@@ -209,7 +209,8 @@ class _Kinds:
         if kind is None:
             raise _missing(path, self.key)
         if not isinstance(kind, str) or kind not in self.sections:
-            raise DataError(f"unknown {path} {self.key} {kind!r}")
+            where = "" if isinstance(kind, str) else f": {_join(path, self.key)} must be a string"
+            raise DataError(f"unknown {path} {self.key} {kind!r}{where}")
         return self.sections[kind]({**raw, self.key: kind}, path)
 
 
@@ -375,7 +376,15 @@ def _size_study(**study) -> dict:
     return {k: v for k, v in study.items() if k in _STUDY_PARAMETERS} | {"analysis_fn": analysis_fn}
 
 
-_DGP = _Section(_fields(DGPSpec), ("kind",), DGPSpec)
+_DGP_FIELDS = _fields(DGPSpec)
+_DGP = _Kinds(  # each kind takes the keyword arguments of its DGPSpec constructor
+    "kind",
+    {
+        kind: ({k: _DGP_FIELDS[k] for k in inspect.signature(getattr(DGPSpec, kind)).parameters}, ())
+        for kind in ("univariate", "linear_regression", "panel")
+    },
+    DGPSpec,
+)
 _MC = _Section(
     {
         "dgp": _DGP, "reps": _int, "seed": _seed, "alpha": _real, "h": _real,
@@ -436,7 +445,16 @@ class AnalysisConfig:
             if len(set(names)) != len(names):
                 raise DataError("comparison names must be unique")
             config = cls(**c)
+            regression = isinstance(config.model, RegressionComparison)
             for comparison in config.comparisons:
+                if comparison.baseline_scheme.kind == "residual_trim" or (
+                    comparison.adjusted_scheme.kind == "residual_trim" and not regression
+                ):
+                    raise DataError(
+                        f"comparison {comparison.name!r}: residual_trim needs a regression "
+                        "model's baseline residuals, so it must be the adjusted scheme of an "
+                        '"ols" or "iv" model'
+                    )
                 labels = _build_estimator(config, comparison)[1]
                 for i, pair in enumerate(config.plot_pairs):
                     try:

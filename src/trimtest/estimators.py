@@ -8,8 +8,10 @@ scales come from a fresh reweighted baseline fit, and derived dynamic
 parameters are recomputed from the fresh coefficients.  A block is
 evaluated without a loop over its draws: weight schemes return one weight
 row per draw, L-statistics are row means, and regression comparisons fit
-the block with batched linear algebra.  Models with two or more fixed
-effects are the exception; they fit one draw at a time.
+the block with batched linear algebra, trim on one stack of the baseline's
+outcome and first-stage residuals and derive their dynamic summaries from
+whole coefficient columns.  Models with two or more fixed effects are the
+exception; they fit one draw at a time.
 """
 
 from __future__ import annotations
@@ -72,28 +74,24 @@ class RegressionComparison:
 def _side_matrix(comparison: RegressionComparison, fit: RegressionFit) -> np.ndarray:
     """One side's reported statistics for each draw of a block fit, K x dim."""
     coef = fit.coefficients
-    cols = [coef[:, fit.index(c)] for c in comparison.coefficient_list()]
+    cols = [coef[:, [fit.index(c) for c in comparison.coefficient_list()]]]
     if comparison.derived_effect:
         effect = coef[:, fit.index(comparison.derived_effect)]
         lags = coef[:, [fit.index(c) for c in comparison.derived_lags]]
-        derived = [derived_params(e, g, comparison.derived_horizon) for e, g in zip(effect, lags)]
-        cols += [
-            [dp.long_run_effect for dp in derived],
-            [dp.effect_at_horizon for dp in derived],
-            [dp.persistence for dp in derived],
-        ]
+        derived = derived_params(effect, lags, comparison.derived_horizon)
+        cols += [derived.long_run_effect, derived.effect_at_horizon, derived.persistence]
     return np.column_stack(cols)
 
 
 def _residual_context(
     fit: RegressionFit, data: PanelDataset, row_weights: np.ndarray, normalization: str
 ) -> ResidualContext:
-    """The fit's residuals and first-stage residuals, each column with its sigma_hat scale."""
-    first_stage = fit.first_stage_residuals
-    columns = [fit.residuals, *([] if first_stage is None else np.moveaxis(first_stage, -1, 0))]
-    scales = [sigma_hat(column, data, row_weights, normalization) for column in columns]
-    fs_scales = None if first_stage is None else np.stack(scales[1:], axis=-1)
-    return ResidualContext(fit.residuals, scales[0], first_stage, fs_scales)
+    """The fit's outcome residuals, then its first-stage residuals, c x K x n, with their scales."""
+    residuals = fit.residuals[None]
+    if fit.first_stage_residuals is not None:
+        stages = np.concatenate([residuals, np.moveaxis(fit.first_stage_residuals, -1, 0)])
+        residuals = np.ascontiguousarray(stages)  # C order: each row sums as it would alone
+    return ResidualContext(residuals, sigma_hat(residuals, data, row_weights, normalization))
 
 
 def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEstimator:

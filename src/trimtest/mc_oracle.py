@@ -229,7 +229,8 @@ def _map_reps(fn, reps: int) -> list:
 
     The other workers are forked, not spawned, so fn may be a closure.  Each
     worker stops at its first exception, so the lowest failing rep, raised
-    here, is the one a serial loop raises.
+    here, is the one a serial loop raises.  A child's exception that cannot
+    be pickled comes back as a NumericalError naming its type and message.
     """
 
     def run(w: int) -> list:  # [(rep, ok, value or exception)] of worker w
@@ -248,8 +249,15 @@ def _map_reps(fn, reps: int) -> list:
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    outcomes = run(w)
+                    try:
+                        payload = pickle.dumps(outcomes)
+                    except Exception:  # only a worker's last outcome can be an exception
+                        rep, _, exc = outcomes[-1]
+                        error = NumericalError(f"{type(exc).__name__}: {exc}")
+                        payload = pickle.dumps(outcomes[:-1] + [(rep, False, error)])
                     with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(run(w)))
+                        pipe.write(payload)
                     os._exit(0)
                 finally:
                     os._exit(1)

@@ -159,14 +159,10 @@ def _row_scale(
     None stands for all ones, for either factor.
     """
     norm = data.row_cluster_sizes * data.n_clusters if normalization == "equal" else data.n_rows
-    if row_multipliers is None:
-        w = np.ones(data.n_rows) if weights is None else np.asarray(weights, dtype=float)
-        return w / norm
-    if weights is None:
-        return np.asarray(row_multipliers, dtype=float) / norm
-    scale = np.asarray(weights, dtype=float) * np.asarray(row_multipliers, dtype=float)
-    scale /= norm
-    return scale
+    scale = np.ones(data.n_rows) if weights is None else np.asarray(weights, dtype=float)
+    if row_multipliers is not None:
+        scale = scale * np.asarray(row_multipliers, dtype=float)
+    return scale / norm
 
 
 def _weighted_cross(a: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,9 +266,10 @@ def sigma_hat(
     normalization each cluster contributes its within-cluster mean square
     once, so unit multipliers give sqrt of (1/n) sum_i (1/T_i) sum_t e_it^2;
     under "pooled" it is the plain mean square over rows.  Multiplier
-    perturbations, when given, weight the rows.  A K x n block of residuals,
-    with K x n multipliers, gives the K scales of its draws; the first draw
-    whose scale is undefined raises.
+    perturbations, when given, weight the rows.  Leading axes are kept:
+    K x n residuals with K x n multipliers give K scales, a c x K x n stack
+    c x K; the first negative mean square raises.  A strided stack may sum
+    a row in another order than that row alone, so pass it C-contiguous.
     """
     eps = np.asarray(residuals, dtype=float)
     if eps.shape[-1] != data.n_rows:
@@ -287,11 +284,10 @@ def sigma_hat(
     weighted *= s
     mean_square = weighted.sum(axis=-1) / denom
     # signed multipliers can make the weighted mean square negative
-    negative = np.flatnonzero(np.atleast_1d(mean_square) < 0)
-    if len(negative):
-        value = float(np.atleast_1d(mean_square)[negative[0]])
+    negative = np.asarray(mean_square)[mean_square < 0]  # in C order
+    if negative.size:
         raise ValueError(
-            f"residual scale: weighted mean square is negative ({value!r}); "
+            f"residual scale: weighted mean square is negative ({float(negative[0])!r}); "
             "signed multiplier weights outweigh the positive ones"
         )
     scale = np.sqrt(mean_square)
@@ -395,42 +391,43 @@ class DerivedParams:
     """Dynamic summaries of an effect coefficient with autoregressive lags.
 
     persistence: sum of the lag coefficients.
-    long_run_effect: effect / (1 - persistence); infinite with a flag at a
-    unit root.
+    long_run_effect: effect / (1 - persistence); sign(effect) * inf (NaN for
+    a zero effect) with unit_root set at a unit root.
     effect_at_horizon: cumulative effect after `horizon` periods from the
     recursion e_j = effect + sum_s lag_s * e_{j-s} with e_j = 0 for j <= 0.
+    Each field is a float, or an array with one entry per draw.
     """
 
-    persistence: float
-    long_run_effect: float
-    effect_at_horizon: float
+    persistence: float | np.ndarray
+    long_run_effect: float | np.ndarray
+    effect_at_horizon: float | np.ndarray
     horizon: int
-    unit_root: bool = False
+    unit_root: bool | np.ndarray = False
 
 
-def derived_params(effect: float, lag_coefficients, horizon: int = 25) -> DerivedParams:
-    """Exact arithmetic on fitted coefficients; no estimation happens here."""
-    lags = [float(b) for b in lag_coefficients]
+def derived_params(effect, lag_coefficients, horizon: int = 25) -> DerivedParams:
+    """Exact arithmetic on fitted coefficients; no estimation happens here.
+
+    A scalar effect with a sequence of lags gives floats; K effects with
+    K x L lags (a draw per row) give arrays, entry k that draw's floats.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    persistence = float(np.sum(lags)) if lags else 0.0
+    effect = np.asarray(effect, dtype=float)
+    lags = np.asarray(lag_coefficients, dtype=float)
+    persistence = lags.sum(axis=-1)
     unit_root = persistence == 1.0
-    if unit_root:
-        long_run = float("inf") if effect > 0 else float("-inf") if effect < 0 else float("nan")
-    else:
-        long_run = float(effect) / (1.0 - persistence)
-    # e_j = effect + sum_s lag_s e_{j-s}, zero initial conditions
-    e = [0.0] * (len(lags) + horizon + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = effect / (1.0 - persistence)
+    long_run = np.select([~unit_root, effect > 0, effect < 0], [ratio, np.inf, -np.inf], np.nan)
+    # e_j = effect + sum_s lag_s e_{j-s}, zero initial conditions, added in order of s
+    e = [np.zeros_like(effect)]
     for j in range(1, horizon + 1):
-        acc = float(effect)
-        for s, b in enumerate(lags, start=1):
-            if j - s >= 1:
-                acc += b * e[j - s]
-        e[j] = acc
-    return DerivedParams(
-        persistence=persistence,
-        long_run_effect=long_run,
-        effect_at_horizon=float(e[horizon]),
-        horizon=horizon,
-        unit_root=unit_root,
-    )
+        acc = effect
+        for s in range(1, min(j - 1, lags.shape[-1]) + 1):
+            acc = acc + lags[..., s - 1] * e[j - s]
+        e.append(acc)
+    values = (persistence, long_run, e[horizon], unit_root)
+    if effect.ndim == 0:
+        values = tuple(v.item() for v in values)
+    return DerivedParams(*values[:3], horizon=horizon, unit_root=values[3])

@@ -34,8 +34,8 @@ class WeightScheme:
       - "quantile_trim": keep rows inside per-column order-statistic bands
         [v_(ceil(lower_q*n)), v_(ceil(upper_q*n))], all listed columns at
         once; lower_q = 0 disables the lower bound.
-      - "residual_trim": keep rows with |residual| < multiplier * scale,
-        residuals and scale supplied by the caller via ResidualContext.
+      - "residual_trim": keep rows with |residual| < multiplier * scale for
+        every residual row and scale of the caller's ResidualContext.
       - "winsorize": ratio weights clamp(v, L, U) / v on one column with
         order-statistic bounds; undefined when v = 0 and the clamp moves it.
       - "custom": a fixed per-row weight vector.
@@ -89,15 +89,13 @@ class WeightScheme:
 class ResidualContext:
     """Residuals and scales a residual_trim scheme conditions on.
 
-    first_stage_residuals, when present (instrumented fits), is an (n, k)
-    matrix; the trim indicator conjoins the bound across all its columns.
-    For a block of draws every field gains a leading draw axis.
+    residuals is c x n, or c x K x n for a block of K draws: row 0 is the
+    outcome residual, then one row per endogenous regressor's first-stage
+    residual.  scales (c, or c x K) holds each row's scale.
     """
 
     residuals: np.ndarray
-    scale: float | np.ndarray
-    first_stage_residuals: np.ndarray | None = None
-    first_stage_scales: np.ndarray | None = None
+    scales: np.ndarray
 
 
 def weighted_quantile_threshold(
@@ -181,28 +179,18 @@ def weights_quantile_trim(
 
 
 def weights_residual_trim(context: ResidualContext, multiplier: float) -> np.ndarray:
-    """0/1 weights keeping rows with |residual| < multiplier * scale.
+    """0/1 weights keeping rows with |r| < multiplier * s for every residual row r and scale s.
 
-    With first-stage residuals present, each first-stage column must also
-    satisfy its own bound (conjunction).  A context may hold a block of
-    draws: K x n residuals with K scales, K x n x k first-stage residuals
-    with K x k scales; the weights are then K x n.  A zero scale is a
-    degenerate fit, so a NumericalError.
+    A c x K x n context gives K x n weights.  A scale that is not positive
+    and finite (zero: a degenerate fit) is a NumericalError.
     """
-    eps = np.asarray(context.residuals, dtype=float)
-    scale = np.asarray(context.scale, dtype=float)
-    if not np.all((scale > 0) & np.isfinite(scale)):
+    residuals = np.asarray(context.residuals, dtype=float)
+    scales = np.asarray(context.scales, dtype=float)
+    if residuals.ndim not in (2, 3) or residuals.shape[:-1] != scales.shape:
+        raise ValueError("residuals must be c x n or c x K x n, with one scale per residual row")
+    if not np.all((scales > 0) & np.isfinite(scales)):
         raise NumericalError("residual scale must be positive and finite")
-    keep = np.abs(eps) < multiplier * scale[..., None]
-    if context.first_stage_residuals is not None:
-        fs = np.atleast_2d(np.asarray(context.first_stage_residuals, dtype=float))
-        if fs.shape[0] != len(eps):
-            fs = fs.T
-        scales = context.first_stage_scales
-        if scales is None:
-            raise ValueError("first-stage residuals require first-stage scales")
-        keep &= np.all(np.abs(fs) < multiplier * np.asarray(scales)[..., None, :], axis=-1)
-    return keep.astype(float)
+    return np.all(np.abs(residuals) < multiplier * scales[..., None], axis=0).astype(float)
 
 
 def weights_winsorize(

@@ -333,6 +333,7 @@ class TestAnalysisConfig:
     def test_lstat_config_model_is_its_statistics(self):
         raw = regression_config()
         raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y", "name": "m"}]}
+        raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
         model = AnalysisConfig.from_dict(raw).model
         assert model == (LStatSpec("x", name="x"), LStatSpec("y", name="m"))
 

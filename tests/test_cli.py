@@ -772,7 +772,9 @@ class TestExitCodes:
             "[config] mc.dgp: error_scale must be >= 0",
         ),
         "dgp.scale-negative": (
-            "mc", lambda r: _put(r, "mc.dgp.scale", -1), "[config] mc.dgp: scale must be >= 0"
+            "mc",
+            lambda r: r["mc"]["dgp"].update(kind="univariate", scale=-1),
+            "[config] mc.dgp: scale must be >= 0",
         ),
         "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
         "mc.reps-zero-test": (
@@ -1017,6 +1019,64 @@ class TestExitCodes:
             "numerical failure: [bootstrap:main] residual scale must be positive and finite\n"
         )
         assert not out.exists()
+
+    def test_zero_first_stage_scale_is_a_numerical_failure(self, tmp_path, capsys):
+        # x = 2 z exactly, so the first stage fits x without error: its
+        # residual scale is exactly zero, as the outcome's is above.
+        rng = np.random.default_rng(3)
+        lines = ["y,x,z,unit"]
+        for i in range(40):
+            z = float(i % 7) - 3.0
+            lines.append(f"{2.0 * z + rng.normal()!r},{2.0 * z!r},{z!r},c{i % 10}")
+        (tmp_path / "iv.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = {
+            "input": str(tmp_path / "iv.csv"),
+            "cluster_column": "unit",
+            "model": {
+                "type": "iv", "outcome": "y", "regressors": ["x"], "endogenous": ["x"],
+                "instruments": ["z"],
+            },
+            "weights": {"baseline": {"kind": "all_ones"}, "adjusted": {"kind": "residual_trim"}},
+            "bootstrap": {"iterations": 20, "seed": 1},
+        }
+        p = tmp_path / "iv.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(p), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: [bootstrap:main] residual scale must be positive and finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["test", "estimate"])
+    @pytest.mark.parametrize(
+        "model_type, side", [("lstat", "adjusted"), ("lstat", "baseline"), ("ols", "baseline")]
+    )
+    def test_residual_trim_without_baseline_residuals_is_exit_2(
+        self, workdir, capsys, command, model_type, side
+    ):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        if model_type == "lstat":
+            raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}]}
+        raw["weights"] = {"baseline": {"kind": "all_ones"}, "adjusted": {"kind": "all_ones"}}
+        raw["weights"][side] = {"kind": "residual_trim"}
+        err = self._exit_2(tmp_path, capsys, raw, command)
+        assert err == (
+            "data error: [config] comparison 'main': residual_trim needs a regression model's "
+            'baseline residuals, so it must be the adjusted scheme of an "ols" or "iv" model\n'
+        )
+
+    @pytest.mark.parametrize("df", [5, 1.5])
+    def test_mc_dgp_key_of_another_kind_is_exit_2(self, tmp_path, capsys, df):
+        # n_clusters and t_max belong to "panel", law and df to "univariate".
+        dgp = {
+            "kind": "linear_regression", "n": 50, "n_clusters": 7, "law": "student_t", "df": df,
+            "t_max": 9,
+        }
+        raw = {"mc": {"dgp": dgp, "reps": 2, "inner_iterations": 19}}
+        err = self._exit_2(tmp_path, capsys, raw, "mc")
+        assert err == "data error: [config] unknown key(s) in mc.dgp: df, law, n_clusters, t_max\n"
 
     def test_nul_in_cluster_label_is_exit_2(self, tmp_path, capsys):
         # numpy's fixed-width strings drop trailing NULs, so "a" and "a\x00"

@@ -8,12 +8,19 @@ import pytest
 from trimtest import PanelDataset
 from trimtest.estimators import (
     RegressionComparison,
+    _residual_context,
     difference_covariance,
     lstat_pair_estimator,
     regression_comparison_estimator,
 )
 from trimtest.lstat import LStatSpec
-from trimtest.regress import RegressionModel, sigma_hat, weighted_2sls, weighted_ols
+from trimtest.regress import (
+    RegressionFit,
+    RegressionModel,
+    sigma_hat,
+    weighted_2sls,
+    weighted_ols,
+)
 from trimtest.weights import ResidualContext, WeightScheme, compute_weights
 
 from conftest import make_panel
@@ -88,7 +95,7 @@ class TestRegressionComparisonEstimator:
         out = est(panel, np.ones(panel.n_rows))
         # Manual reconstruction of the adjusted side.
         base = weighted_ols(RegressionModel("y", ("x",)), panel)
-        ctx = ResidualContext(base.residuals, sigma_hat(base.residuals, panel))
+        ctx = ResidualContext(base.residuals[None], np.array([sigma_hat(base.residuals, panel)]))
         w = compute_weights(WeightScheme.residual_trim(1.0), panel, ctx)
         assert 0 < w.sum() < panel.n_rows  # the trim actually bites
         refit = weighted_ols(RegressionModel("y", ("x",)), panel, weights=w)
@@ -113,16 +120,34 @@ class TestRegressionComparisonEstimator:
         base = weighted_2sls(model, data, row_multipliers=rho)
         first_stage = base.first_stage_residuals
         ctx = ResidualContext(
-            base.residuals,
-            sigma_hat(base.residuals, data, rho),
-            first_stage,
-            np.array([sigma_hat(first_stage[:, 0], data, rho)]),
+            np.array([base.residuals, first_stage[:, 0]]),
+            np.array([sigma_hat(base.residuals, data, rho), sigma_hat(first_stage[:, 0], data, rho)]),
         )
         w = compute_weights(scheme, data, ctx, rho)
-        only_outcome = compute_weights(scheme, data, ResidualContext(base.residuals, ctx.scale))
+        only_outcome = compute_weights(
+            scheme, data, ResidualContext(ctx.residuals[:1], ctx.scales[:1])
+        )
         assert 0 < w.sum() < only_outcome.sum()  # the first-stage bound trims more rows
         refit = weighted_2sls(model, data, weights=w, row_multipliers=rho)
         np.testing.assert_array_equal(out, [base.coef("x"), refit.coef("x")])
+
+    @pytest.mark.parametrize("normalization", ["equal", "pooled"])
+    def test_each_residual_row_gets_its_own_scale(self, normalization):
+        # First-stage residuals laid out draw by draw (K x n x 2, C order)
+        # make a strided stack; the context must still give every row the
+        # scale sigma_hat gives that row alone, bit for bit.
+        rng = np.random.default_rng(6)
+        n, k = 537, 16
+        data = PanelDataset({"y": np.zeros(n)}, np.sort(rng.integers(0, 90, n)))
+        rho = rng.multinomial(n, np.full(n, 1.0 / n), size=k).astype(float)
+        fit = RegressionFit(
+            ("x1", "x2"), np.zeros((k, 2)), rng.standard_t(3, (k, n)), rng.standard_t(3, (k, n, 2))
+        )
+        ctx = _residual_context(fit, data, rho, normalization)
+        rows = [fit.residuals, *np.moveaxis(fit.first_stage_residuals, -1, 0)]
+        np.testing.assert_array_equal(ctx.residuals, rows)
+        for row, scales in zip(rows, ctx.scales):
+            assert scales.tobytes() == sigma_hat(row, data, rho, normalization).tobytes()
 
     def test_derived_summaries_appended_per_side(self):
         data = make_panel(40, 6, seed=3)

@@ -35,39 +35,35 @@ def brute_force_analytic_cov(specs, data, weights):
     """Quadruple-loop transcription of the covariance double sum.
 
     Every empirical quantity (CDFs, joint CDF, conditional mean weights) is
-    recomputed from scratch at each grid node with boolean masks, so this
-    shares no code with the vectorized implementation.
+    computed from scratch with boolean masks, so this shares no code with
+    the vectorized implementation.  Each grid node's mask, F and K are
+    computed once and reused by every pair of nodes that includes it.
     """
     n = data.n_rows
     d = len(specs)
     cols = [data.column(s.column) for s in specs]
+    nodes = []  # per spec: (dm, mask, F, K) of each grid node with a nonzero increment
+    for j in range(d):
+        x = np.sort(cols[j])
+        m = specs[j].transform(x)
+        w = np.asarray(weights[j], dtype=float)
+        nodes.append([])
+        for a in range(n - 1):
+            dm = m[a + 1] - m[a]
+            if dm == 0.0:
+                continue
+            mask = cols[j] <= x[a]
+            nodes[j].append((dm, mask, mask.mean(), w[mask].mean() if mask.any() else 0.0))
     out = np.zeros((d, d))
     for j in range(d):
-        xj = np.sort(cols[j])
-        mj = specs[j].transform(xj)
-        wj = np.asarray(weights[j], dtype=float)
         for k in range(d):
-            xk = np.sort(cols[k])
-            mk = specs[k].transform(xk)
-            wk = np.asarray(weights[k], dtype=float)
+            wjk = np.asarray(weights[j], dtype=float) * np.asarray(weights[k], dtype=float)
             acc = 0.0
-            for a in range(n - 1):
-                dm_j = mj[a + 1] - mj[a]
-                if dm_j == 0.0:
-                    continue
-                in_j = cols[j] <= xj[a]
-                f_j = in_j.mean()
-                k_j = wj[in_j].mean() if in_j.any() else 0.0
-                for b in range(n - 1):
-                    dm_k = mk[b + 1] - mk[b]
-                    if dm_k == 0.0:
-                        continue
-                    in_k = cols[k] <= xk[b]
-                    f_k = in_k.mean()
-                    k_k = wk[in_k].mean() if in_k.any() else 0.0
+            for dm_j, in_j, f_j, k_j in nodes[j]:
+                for dm_k, in_k, f_k, k_k in nodes[k]:
                     both = in_j & in_k
                     f_jk = both.mean()
-                    k_jk = (wj * wk)[both].mean() if both.any() else 0.0
+                    k_jk = wjk[both].mean() if both.any() else 0.0
                     term = (1.0 - k_j - k_k) * (f_jk - f_j * f_k) + (
                         k_jk * f_jk - k_j * k_k * f_j * f_k
                     )

@@ -383,6 +383,17 @@ class TestWorkerFailures:
         assert not out.exists()
         _assert_no_child_left()
 
+    def test_unpicklable_exception_keeps_its_message(self, monkeypatch, cpus):
+        # Rep 1 runs in a child.  A lambda in its args stops the exception
+        # from pickling, so it comes back as a NumericalError naming its
+        # type and text.
+        _pin_cpus(monkeypatch, cpus)
+        analysis = _failing_at(3, {1: ValueError("broken", lambda: None)})
+        with pytest.raises(NumericalError) as info:
+            size_study(DGPSpec.univariate("normal", 5), analysis, reps=4, seed=3)
+        assert str(info.value).startswith("[mc] ValueError: ('broken', <function ")
+        _assert_no_child_left()
+
     def test_interrupt_kills_the_workers(self, monkeypatch, cpus):
         # Rep 0 runs here and is interrupted while rep 1 sleeps in a child:
         # the child is killed and reaped rather than waited for.

@@ -304,6 +304,28 @@ class TestSigmaHat:
             with pytest.raises(ValueError, match="weighted mean square is negative"):
                 sigma_hat(eps, data, row_multipliers=rho, normalization=normalization)
 
+    @pytest.mark.parametrize("normalization", ["equal", "pooled"])
+    def test_stack_of_residual_rows_gives_each_row_its_scale(self, normalization):
+        rng = np.random.default_rng(4)
+        n, k = 537, 16
+        data = PanelDataset({"y": np.zeros(n)}, np.sort(rng.integers(0, 90, n)))
+        rho = rng.poisson(1.0, (k, n)) * 1.0
+        stack = rng.standard_t(3, (3, k, n))
+        got = sigma_hat(stack, data, rho, normalization)
+        assert got.shape == (3, k)
+        for row, scales in zip(stack, got):
+            np.testing.assert_array_equal(scales, sigma_hat(row, data, rho, normalization))
+
+    def test_negative_mean_square_in_a_stack_quotes_its_value(self):
+        # Only draw 1 of residual row 1 has a negative mean square: entry 3
+        # of the flattened 2 x 2 scales.
+        data = PanelDataset({"y": np.zeros(2)}, np.array([0, 1]))
+        rho = np.array([[1.0, 1.0], [2.0, -1.0]])
+        stack = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.1, 3.0]]])
+        value = (2.0 * 0.1**2 - 3.0**2) / 1.0
+        with pytest.raises(ValueError, match=rf"negative \({value!r}\)"):
+            sigma_hat(stack, data, rho, normalization="pooled")
+
 
 class TestWeighted2sls:
     @pytest.fixture
@@ -631,3 +653,31 @@ class TestDerivedParams:
     def test_is_plain_dataclass(self):
         out = derived_params(1.0, [0.5])
         assert isinstance(out, DerivedParams)
+
+    def test_scalar_input_gives_floats(self):
+        for effect, lags in ((1.0, [0.5]), (0.0, [1.0]), (0.7, [])):
+            out = derived_params(effect, lags, horizon=3)
+            fields = (out.persistence, out.long_run_effect, out.effect_at_horizon)
+            assert all(type(v) is float for v in fields)
+            assert type(out.unit_root) is bool
+
+    @pytest.mark.parametrize("n_lags", [0, 1, 2, 4, 8, 11])
+    @pytest.mark.parametrize("k", [1, 32])
+    def test_block_equals_each_draw(self, n_lags, k):
+        rng = np.random.default_rng(n_lags)
+        effect = rng.normal(size=k)
+        lags = rng.normal(scale=0.3, size=(k, n_lags))
+        if k > 1 and n_lags:
+            effect[0] = 0.0  # a zero effect at a unit root: NaN
+            lags[:3] = 0.0
+            lags[:2, 0] = 1.0
+            lags[2] = 1.0 / n_lags  # a unit root up to rounding, or exactly
+        block = derived_params(effect, lags, horizon=25)
+        for i in range(k):
+            one = derived_params(effect[i], lags[i], horizon=25)
+            got = [
+                block.persistence[i], block.long_run_effect[i],
+                block.effect_at_horizon[i], block.unit_root[i],
+            ]
+            want = [one.persistence, one.long_run_effect, one.effect_at_horizon, one.unit_root]
+            np.testing.assert_array_equal(got, want)

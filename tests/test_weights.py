@@ -148,16 +148,14 @@ class TestQuantileTrim:
 
 class TestResidualTrim:
     def test_strict_inequality_at_boundary(self):
-        ctx = ResidualContext(residuals=np.array([0.5, 1.96, -2.5]), scale=1.0)
+        ctx = ResidualContext(residuals=np.array([[0.5, 1.96, -2.5]]), scales=np.array([1.0]))
         out = weights_residual_trim(ctx, 1.96)
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
 
     def test_first_stage_conjunction(self):
         ctx = ResidualContext(
-            residuals=np.array([0.1, 0.1, 0.1]),
-            scale=1.0,
-            first_stage_residuals=np.array([[0.1], [5.0], [0.1]]),
-            first_stage_scales=np.array([1.0]),
+            residuals=np.array([[0.1, 0.1, 0.1], [0.1, 5.0, 0.1]]),
+            scales=np.array([1.0, 1.0]),
         )
         out = weights_residual_trim(ctx, 1.96)
         np.testing.assert_array_equal(out, [1.0, 0.0, 1.0])
@@ -167,33 +165,34 @@ class TestResidualTrim:
         # A zero scale means every residual is exactly zero: a degenerate
         # fit, so a numerical failure rather than a data error.
         with pytest.raises(NumericalError, match="scale"):
-            weights_residual_trim(ResidualContext(np.array([1.0]), scale=scale), 1.96)
+            weights_residual_trim(ResidualContext(np.array([[1.0]]), np.array([scale])), 1.96)
 
-    def test_first_stage_needs_scales(self):
-        ctx = ResidualContext(
-            residuals=np.array([0.1]),
-            scale=1.0,
-            first_stage_residuals=np.array([[0.1]]),
-        )
-        with pytest.raises(ValueError, match="first-stage scales"):
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_first_stage_scale(self, scale):
+        ctx = ResidualContext(np.array([[0.1, 0.2], [0.0, 0.0]]), np.array([1.0, scale]))
+        with pytest.raises(NumericalError, match="residual scale must be positive and finite"):
             weights_residual_trim(ctx, 1.96)
 
-    def test_first_stage_columns_may_come_transposed(self):
-        rows = ResidualContext(
-            residuals=np.zeros(3),
-            scale=1.0,
-            first_stage_residuals=np.array([[0.1, 3.0], [5.0, 0.1], [0.1, 0.1]]),
-            first_stage_scales=np.array([1.0, 2.0]),
+    def test_each_residual_row_has_its_own_scale(self):
+        ctx = ResidualContext(
+            residuals=np.array([[0.0, 0.0, 0.0], [0.1, 5.0, 0.1], [3.0, 0.1, 0.1]]),
+            scales=np.array([1.0, 1.0, 2.0]),
         )
-        cols = ResidualContext(
-            residuals=np.zeros(3),
-            scale=1.0,
-            first_stage_residuals=rows.first_stage_residuals.T,
-            first_stage_scales=np.array([1.0, 2.0]),
-        )
-        # Column 2 has scale 2, so 3.0 stays inside 1.96 * 2.
-        np.testing.assert_array_equal(weights_residual_trim(rows, 1.96), [1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(weights_residual_trim(cols, 1.96), [1.0, 0.0, 1.0])
+        # Row 2 has scale 2, so 3.0 stays inside 1.96 * 2.
+        np.testing.assert_array_equal(weights_residual_trim(ctx, 1.96), [1.0, 0.0, 1.0])
+
+    def test_block_context_gives_one_weight_row_per_draw(self):
+        residuals = np.array([[[0.5, 3.0], [0.5, 0.5]], [[0.1, 0.1], [4.0, 0.1]]])
+        ctx = ResidualContext(residuals, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        np.testing.assert_array_equal(weights_residual_trim(ctx, 1.96), [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "residuals, scales",
+        [([0.5, 1.0], [1.0]), ([[0.5, 1.0]], 1.0), ([[0.5, 1.0]], [1.0, 1.0])],
+    )
+    def test_rejects_a_scale_count_that_does_not_match_the_rows(self, residuals, scales):
+        with pytest.raises(ValueError, match="one scale per residual row"):
+            weights_residual_trim(ResidualContext(np.array(residuals), np.array(scales)), 1.96)
 
 
 class TestWinsorize:
@@ -263,7 +262,7 @@ class TestComputeWeights:
 
     def test_residual_trim_with_context(self):
         data = single_cluster({"v": [1.0, 2.0, 3.0]})
-        ctx = ResidualContext(residuals=np.array([0.5, -3.0, 1.0]), scale=1.0)
+        ctx = ResidualContext(residuals=np.array([[0.5, -3.0, 1.0]]), scales=np.array([1.0]))
         out = compute_weights(WeightScheme.residual_trim(2.0), data, ctx)
         np.testing.assert_array_equal(out, [1.0, 0.0, 1.0])
 
