@@ -55,7 +55,6 @@ from .robustness import (
     TestReport,
     TestSpec,
     critical_value,
-    formal_p_value,
     mahalanobis,
     robustness_test,
 )

@@ -88,6 +88,13 @@ def _str_or_null(value, path: str) -> str | None:
     return None if value is None else _str(value, path)
 
 
+def _file_tag(value, path: str) -> str:
+    """A string that becomes part of an output file name: no path separator or NUL."""
+    if any(c in _str(value, path) for c in "/\\\0"):
+        raise DataError(f"{path} names an output file, so it cannot hold '/', '\\' or NUL, got {value!r}")
+    return value
+
+
 def _names(value, path: str) -> tuple[str, ...]:
     """A list of column or coefficient names; a bare string is refused."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -136,7 +143,9 @@ def _plot_pairs(value, path: str) -> tuple:
     for i, pair in enumerate(value):
         if isinstance(pair, list) and len(pair) == 2:
             pair = tuple(_int(v, f"{path}[{i}]") for v in pair)
-        elif not isinstance(pair, str):
+        elif isinstance(pair, str):
+            _file_tag(pair, f"{path}[{i}]")
+        else:
             raise DataError(f"{path}[{i}] must be a label or an [i, j] pair, got {pair!r}")
         out.append(pair)
     return tuple(out)
@@ -254,7 +263,7 @@ _SCHEME = _Kinds(
 )
 _PAIR = _Section(
     {
-        "name": _str, "baseline": (_SCHEME, "baseline_scheme"),
+        "name": _file_tag, "baseline": (_SCHEME, "baseline_scheme"),
         "adjusted": (_SCHEME, "adjusted_scheme"),
     },
     ("baseline", "adjusted"),
@@ -456,6 +465,10 @@ class AnalysisConfig:
                         '"ols" or "iv" model'
                     )
                 labels = _build_estimator(config, comparison)[1]
+                # Tests are stored by label, next to the joint test's "joint".
+                taken = [label for label in labels if labels.count(label) > 1 or label == "joint"]
+                if taken:
+                    raise DataError(f"statistic label {taken[0]!r} is taken; 'joint' and each label name one test")
                 for i, pair in enumerate(config.plot_pairs):
                     try:
                         _plot_pair_columns(labels, pair)

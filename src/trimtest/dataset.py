@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DataError
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -207,7 +209,8 @@ def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> Panel
     Lag k of row t inside a cluster is the value at row t-k of the same
     cluster; the first k rows of each cluster have no lag-k value, so the
     rows missing any requested lag, or holding a non-finite one, are
-    removed.  New columns are named `{column}_lag{k}`.
+    removed.  New columns are named `{column}_lag{k}`; a DataError refuses
+    one that is already a column, rather than replacing it.
     """
     if lags < 1:
         raise ValueError("lags must be >= 1")
@@ -218,6 +221,8 @@ def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> Panel
     # place minus the cluster's offset is the row's position inside its cluster
     rows = np.flatnonzero(place - data._offsets[data.row_cluster_index] >= lags)
     lagged = {f"{column}_lag{k}": base[grouped[place[rows] - k]] for k in range(1, lags + 1)}
+    if clash := sorted(lagged.keys() & data.columns.keys()):
+        raise DataError(f"{lags} lag(s) of {column!r} would replace the column {clash[0]!r}")
     finite = np.isfinite(list(lagged.values())).all(axis=0)
     rows = rows[finite]
     columns = {name: v[rows] for name, v in data.columns.items()}

@@ -25,6 +25,11 @@ dimension alone.  Every value read is the same floating-point number as on
 the full grid, so the result is exact, not an approximation, and the
 critical value and the formal p-value of a test come from one pass over the
 same draws.
+
+A test's settings are checked once, when its TestSpec is built.  The formal
+test and the heuristic p-value each make one call of `_quadratic`; the
+heuristic is `formal_p_value`, the same test against the baseline
+estimator's covariance with no level.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ class TestSpec:
     """Tolerance h, level alpha, norm matrix choice, and MC settings.
 
     norm_matrix: "diff_cov" (Mahalanobis in the difference covariance),
-    "identity", or an explicit symmetric positive-definite matrix.
+    "identity", or an explicit symmetric positive-definite matrix, kept as
+    a tuple of float rows.  The settings are checked here, once, and the
+    test routines trust them.
     """
 
     h: float = 0.0
@@ -69,6 +76,10 @@ class TestSpec:
             raise ValueError("mc_draws must be >= 1000")
         if self.method not in {"auto", "exact", "mc"}:
             raise ValueError(f"unknown method {self.method!r}")
+        if not isinstance(self.norm_matrix, str):
+            object.__setattr__(self, "norm_matrix", tuple(map(tuple, explicit_norm(self.norm_matrix).tolist())))
+        elif self.norm_matrix not in {"diff_cov", "identity"}:
+            raise ValueError(f"unknown norm matrix choice {self.norm_matrix!r}")
 
 
 @dataclass(frozen=True)
@@ -154,24 +165,16 @@ def explicit_norm(matrix) -> np.ndarray:
 
 
 def _norm_matrix_of(spec_norm, sigma: np.ndarray) -> np.ndarray:
-    if isinstance(spec_norm, str):
-        if spec_norm == "diff_cov":
-            return np.asarray(sigma, dtype=float)
-        if spec_norm == "identity":
-            return np.eye(len(sigma))
-        raise ValueError(f"unknown norm matrix choice {spec_norm!r}")
-    return explicit_norm(spec_norm)
+    if not isinstance(spec_norm, str):
+        return np.array(spec_norm)
+    return sigma if spec_norm == "diff_cov" else np.eye(len(sigma))
 
 
 def _proportionality(a: np.ndarray, sigma: np.ndarray) -> float | None:
     """Return r with a = r * sigma if the matrices are proportional."""
-    a = np.atleast_2d(a)
-    sigma = np.atleast_2d(sigma)
     if a.shape != sigma.shape:
         return None
     denom = np.abs(sigma).max()
-    if denom == 0:
-        return None
     mask = np.abs(sigma) > 1e-12 * denom
     if not mask.any():
         return None
@@ -185,22 +188,19 @@ def _proportionality(a: np.ndarray, sigma: np.ndarray) -> float | None:
 
 
 def _route(
-    h: float, sigma: np.ndarray, a: np.ndarray, method: str, mc_draws: int, seed: int,
+    spec: TestSpec, sigma: np.ndarray, a: np.ndarray,
     alpha: float | None = None, statistic_sq: float | None = None,
 ) -> tuple[str, float | None, float | None]:
     """The one route of a test: (path, critical value, tail probability).
 
-    path is "chi2" or "ncx2" when the norm matrix is r * covariance (always
+    path is "chi2" or "ncx2" when the norm matrix a is r * covariance (always
     so for one statistic) and the noncentrality r h^2 is at most
-    _NCX2_MAX_NC, else "mc" (direction grid on common draws).  The
-    critical value is None when alpha is None, and the tail
+    _NCX2_MAX_NC, else "mc" (direction grid on spec.mc_draws common draws).
+    The critical value is None when alpha is None, and the tail
     sup_v Pr(||h v + xi||^2 >= statistic_sq) is None when statistic_sq is.
     """
-    if h < 0:
-        raise ValueError("tolerance h must be >= 0")
-    if method not in {"auto", "exact", "mc"}:
-        raise ValueError(f"unknown method {method!r}")
-    if method != "mc":
+    h = spec.h
+    if spec.method != "mc":
         # scipy.stats costs most of a cold import of the package; only this path needs it.
         from scipy import stats
 
@@ -215,9 +215,9 @@ def _route(
             crit = None if alpha is None else float(dist.ppf(1.0 - alpha, *shape) / r)
             tail = None if statistic_sq is None else float(dist.sf(r * statistic_sq, *shape))
             return path, crit, tail
-        if method == "exact":
+        if spec.method == "exact":
             raise ValueError("no exact critical value path for this norm/covariance pair and h; use mc")
-    crit, tail = _mc_test(h, sigma, a, mc_draws, seed, alpha, statistic_sq)
+    crit, tail = _mc_test(spec, sigma, a, alpha, statistic_sq)
     return "mc", crit, tail
 
 
@@ -233,15 +233,10 @@ def _empirical_upper_quantile(values: np.ndarray, alpha: float):
 
 
 def _mc_test(
-    h: float,
-    sigma: np.ndarray,
-    norm: np.ndarray,
-    mc_draws: int,
-    seed: int,
-    alpha: float | None = None,
-    statistic_sq: float | None = None,
+    spec: TestSpec, sigma: np.ndarray, norm: np.ndarray,
+    alpha: float | None = None, statistic_sq: float | None = None,
 ) -> tuple[float | None, float | None]:
-    """Monte Carlo critical value and tail fraction on one set of common draws.
+    """Monte Carlo critical value and tail fraction on spec.mc_draws common draws.
 
     The test runs in the norm's whitened coordinates.  With the lower
     Cholesky factor A = L L', eta = L^{-1} xi has ||eta|| = ||xi||_A, and the
@@ -279,10 +274,10 @@ def _mc_test(
     interval straddles, every draw is walked and the cost is that of the
     full grid.
     """
-    dim = len(sigma)
+    dim, h, mc_draws = len(sigma), spec.h, spec.mc_draws
     # Domain tag 2 keeps this stream disjoint from data simulation (bare
     # one-element spawn keys) and bootstrap draws (domain 1) under seed reuse.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, 0)))
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
     root = solve_triangular(cholesky(norm, lower=True), root, lower=True)
@@ -437,29 +432,31 @@ def critical_value(
     Monte Carlo path takes the max over a deterministic direction grid of
     per-direction empirical upper quantiles on common draws.
     """
+    spec = TestSpec(h, alpha, norm_matrix, mc_draws, seed, method)
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    a = _norm_matrix_of(norm_matrix, sigma)
-    return _route(h, sigma, a, method, mc_draws, seed, alpha=alpha)[1]
+    return _route(spec, sigma, _norm_matrix_of(spec.norm_matrix, sigma), alpha)[1]
 
 
-def formal_p_value(
-    statistic_sq: float,
-    h: float,
-    sigma: np.ndarray,
-    mc_draws: int = 100_000,
-    seed: int = 0,
-    norm_matrix: object = "diff_cov",
-    method: str = "auto",
-) -> float:
-    """Smallest alpha at which the test rejects: sup_v Pr(||h v + xi||^2 >= s^2).
+def _quadratic(
+    diff: np.ndarray, cov: np.ndarray, spec: TestSpec, alpha: float | None = None
+) -> tuple[float, str, float | None, float] | None:
+    """(statistic, path, critical value, p-value) of diff against cov, floored to PSD.
 
-    Uses the same draws for every alpha (the inversion is exact on the exact
-    paths and a common-random-numbers inversion on the Monte Carlo path), so
-    reject at level alpha if and only if the p-value is below alpha.
+    None when the floored covariance is exactly zero; the critical value is
+    None when alpha is.  The test rejects at alpha exactly when p < alpha.
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    a = _norm_matrix_of(norm_matrix, sigma)
-    return _route(h, sigma, a, method, mc_draws, seed, statistic_sq=statistic_sq)[2]
+    sigma = floor_spd(np.atleast_2d(cov))
+    if float(np.abs(sigma).max()) == 0.0:
+        return None
+    a = _norm_matrix_of(spec.norm_matrix, sigma)
+    stat = mahalanobis(diff, a)
+    return (stat, *_route(spec, sigma, a, alpha, stat * stat))
+
+
+def formal_p_value(diff: np.ndarray, cov: np.ndarray, spec: TestSpec) -> float:
+    """Formal p-value of diff against cov; with no spread in cov, 1.0 if diff is 0, else 0.0."""
+    test = _quadratic(diff, cov, spec)
+    return test[3] if test else float(not np.any(diff))
 
 
 def robustness_test(
@@ -481,34 +478,19 @@ def robustness_test(
     b2 = np.atleast_1d(np.asarray(adjusted, dtype=float))
     if b1.shape != b2.shape:
         raise ValueError("baseline and adjusted estimates must have the same length")
-    sigma = floor_spd(np.atleast_2d(np.asarray(diff_cov, dtype=float)))
-    scale = float(np.abs(sigma).max())
     diff = b1 - b2
-    if scale == 0.0:
+    formal = _quadratic(diff, diff_cov, spec, spec.alpha)
+    if formal is None:
         # A weight scheme compared against itself: every draw of the
         # difference is identically zero.  No evidence against the null.
-        if float(np.abs(diff).max()) != 0.0:
+        if np.any(diff):
             raise NumericalError(
                 "difference covariance is exactly zero but the estimates differ; "
                 "the bootstrap draws are inconsistent with the point estimates"
             )
-        stat, crit, p_formal, path = 0.0, spec.h * spec.h, 1.0, "zero_cov"
-    else:
-        a = _norm_matrix_of(spec.norm_matrix, sigma)
-        stat = mahalanobis(diff, a)
-        path, crit, p_formal = _route(
-            spec.h, sigma, a, spec.method, spec.mc_draws, spec.seed, spec.alpha, stat * stat
-        )
-    p_heur = None
-    if baseline_cov is not None:
-        marg = floor_spd(np.atleast_2d(np.asarray(baseline_cov, dtype=float)))
-        if float(np.abs(marg).max()) == 0.0:
-            p_heur = 1.0 if float(np.abs(diff).max()) == 0.0 else 0.0
-        else:
-            stat_heur = mahalanobis(diff, _norm_matrix_of(spec.norm_matrix, marg))
-            p_heur = formal_p_value(
-                stat_heur * stat_heur, spec.h, marg, spec.mc_draws, spec.seed, spec.norm_matrix, spec.method
-            )
+        formal = 0.0, "zero_cov", spec.h * spec.h, 1.0
+    stat, path, crit, p_formal = formal
+    p_heur = None if baseline_cov is None else formal_p_value(diff, baseline_cov, spec)
     return TestReport(
         statistic=stat,
         critical_value=crit,

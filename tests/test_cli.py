@@ -857,6 +857,60 @@ class TestExitCodes:
             "data error: [lags] 4 lag(s) of 'y' leave no rows: a cluster needs more than 4 rows\n"
         )
 
+    def test_lag_named_like_an_input_column_is_exit_2(self, workdir, capsys):
+        # The computed lag used to replace the input column of its name.
+        tmp_path, config = workdir
+        csv = tmp_path / "panel.csv"
+        header, *rows = csv.read_text(encoding="utf-8").splitlines()
+        csv.write_text("\n".join([header + ",y_lag1"] + [row + ",7.0" for row in rows]) + "\n", encoding="utf-8")
+        assert self._exit_2(tmp_path, capsys, self._lagged_config(config)) == (
+            "data error: [lags] 1 lag(s) of 'y' would replace the column 'y_lag1'\n"
+        )
+
+    @pytest.mark.parametrize("case", ["lstat-power", "report_coefficients", "derived-persistence", "joint"])
+    def test_repeated_statistic_label_is_exit_2(self, workdir, capsys, case):
+        # Tests are keyed by label, so a repeated label used to drop a test,
+        # and one named "joint" was overwritten by the joint test.
+        tmp_path, config = workdir
+        raw, label = self._lagged_config(config), "x"
+        if case == "lstat-power":
+            raw = self._lstat_config(config)
+            power = {"kind": "power", "exponent": 2}
+            raw["model"]["statistics"] = [{"column": "x"}, {"column": "x", "transform": power}]
+            raw["test"]["norm"] = "identity"
+        elif case == "joint":
+            raw, label = self._lstat_config(config), "joint"
+            raw["model"]["statistics"] = [{"column": "x", "name": "joint"}, {"column": "y"}]
+            raw["test"]["norm"] = "identity"
+        elif case == "report_coefficients":
+            raw["model"]["report_coefficients"] = ["x", "x"]
+        else:
+            label, renamed = "persistence", tmp_path / "renamed.csv"
+            text = (tmp_path / "panel.csv").read_text(encoding="utf-8")
+            renamed.write_text(text.replace("y,x,", "y,persistence,", 1), encoding="utf-8")
+            raw["input"] = str(renamed)
+            raw["model"].update(regressors=["persistence", "y_lag1"], report_coefficients=["persistence"])
+            raw["model"]["derived"]["effect"] = "persistence"
+        assert self._exit_2(tmp_path, capsys, raw, "test") == (
+            f"data error: [config] statistic label {label!r} is taken; 'joint' and each label name one test\n"
+        )
+
+    @pytest.mark.parametrize("name", ["a/b", "x/../../escaped", "a\\b", "a\0b"])
+    def test_file_tag_with_a_path_separator_is_exit_2(self, workdir, capsys, name):
+        # A comparison name, or a plot-pair label, becomes part of a file name.
+        tmp_path, config = workdir
+        raw = self._lstat_config(config)
+        raw["weights"]["name"] = name
+        refused = "names an output file, so it cannot hold '/', '\\' or NUL"
+        err = self._exit_2(tmp_path, capsys, raw, "test")
+        assert err == f"data error: [config] weights.name {refused}, got {name!r}\n"
+        raw["weights"]["name"] = "main"
+        raw["model"]["statistics"] = [{"column": "x", "name": name}]
+        raw["output"]["plot_pairs"] = [name]
+        err = self._exit_2(tmp_path, capsys, raw, "test")
+        assert err == f"data error: [config] output.plot_pairs[0] {refused}, got {name!r}\n"
+        assert not (tmp_path / "escaped.csv").exists()
+
     def test_unknown_column_is_printed_without_quotes(self, workdir, capsys):
         tmp_path, config = workdir
         raw = json.loads(open(config, encoding="utf-8").read())

@@ -17,12 +17,18 @@ from trimtest.robustness import (
     TestSpec,
     critical_value,
     floor_spd,
-    formal_p_value,
     mahalanobis,
     robustness_test,
     unit_directions,
 )
 from trimtest.robustness import MC_CHUNK, _empirical_upper_quantile
+
+
+def _formal_p_value(statistic_sq, h, sigma, norm_matrix="diff_cov", **settings):
+    """The formal p-value alone: the tail at statistic_sq of the test's one route."""
+    spec = TestSpec(h, norm_matrix=norm_matrix, **settings)
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    return robustness._route(spec, sigma, robustness._norm_matrix_of(norm_matrix, sigma), None, statistic_sq)[2]
 
 
 class TestSpecValidation:
@@ -35,6 +41,27 @@ class TestSpecValidation:
             TestSpec(mc_draws=10)
         with pytest.raises(ValueError, match="method"):
             TestSpec(method="bayes")
+
+    def test_norm_is_checked_when_built(self):
+        with pytest.raises(ValueError, match="unknown norm matrix choice 'mahalanobis'"):
+            TestSpec(norm_matrix="mahalanobis")
+        with pytest.raises(ValueError, match="symmetric"):
+            TestSpec(norm_matrix=[[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            TestSpec(norm_matrix=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        # A matrix is kept as float rows, so a later change to the caller's list leaves it.
+        rows = [[2, 0], [0, 1]]
+        spec = TestSpec(norm_matrix=rows)
+        rows[0][0] = -1
+        assert spec.norm_matrix == ((2.0, 0.0), (0.0, 1.0))
+
+    def test_critical_value_checks_its_settings_as_test_spec_does(self):
+        with pytest.raises(ValueError, match="alpha"):
+            critical_value(0.0, np.eye(2), alpha=1.0)
+        with pytest.raises(ValueError, match="mc_draws"):
+            critical_value(0.0, np.eye(2), mc_draws=999)
+        with pytest.raises(ValueError, match="unknown norm matrix choice"):
+            critical_value(0.0, np.eye(2), norm_matrix="mahalanobis")
 
 
 class TestFloorSpd:
@@ -181,7 +208,7 @@ class TestScalarRoute:
         c = critical_value(h, sigma, alpha, norm_matrix=[[a]])
         assert c == pytest.approx(_normal_cdf_critical_value(h, sigma2, a, alpha), rel=1e-10)
         for s2 in (0.5 * c, c, 2.0 * c):
-            p = formal_p_value(s2, h, sigma, norm_matrix=[[a]])
+            p = _formal_p_value(s2, h, sigma, norm_matrix=[[a]])
             assert p == pytest.approx(_normal_tail(s2, h, sigma2, a), rel=1e-10)
         spec = TestSpec(h=h, alpha=alpha, norm_matrix=[[a]])
         for s2 in (0.5 * c, 2.0 * c):
@@ -210,7 +237,7 @@ class TestScalarRoute:
 
     def test_p_value_rejects_negative_h(self):
         with pytest.raises(ValueError, match=">= 0"):
-            formal_p_value(1.0, -1.0, np.array([[1.0]]))
+            _formal_p_value(1.0, -1.0, np.array([[1.0]]))
 
 
 class TestCriticalValueMonteCarlo:
@@ -339,7 +366,7 @@ class TestStreamedMonteCarlo:
         assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
         for s2 in (0.5 * crit_ref, crit_ref, 1.5 * crit_ref):
             _, p_ref = _unchunked_mc(h, sigma, np.eye(dim), draws, seed, alpha, s2)
-            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+            assert _formal_p_value(s2, h, sigma, **kwargs) == p_ref
         # robustness_test floors both covariances first, then draws once for
         # the difference covariance and once for the marginal one.
         diff = 0.9 * np.sqrt(crit_ref / dim) * np.ones(dim)
@@ -440,7 +467,7 @@ class TestAnnulusScreen:
         ties = [reference(h, sigma, norm, draws, seed, a, 0.0)[0] for a in (1e-9, 0.5)]
         for s2 in (crit_ref, *ties, 0.0):
             _, p_ref = reference(h, sigma, norm, draws, seed, alpha, s2)
-            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+            assert _formal_p_value(s2, h, sigma, **kwargs) == p_ref
         diff = rng.normal(size=dim)
         diff *= np.sqrt(crit_ref * rng.uniform(0.5, 1.5)) / mahalanobis(diff, norm)
         spec = TestSpec(h=h, alpha=alpha, norm_matrix=norm_matrix, mc_draws=draws, seed=seed, method="mc")
@@ -474,7 +501,7 @@ class TestAnnulusScreen:
         assert len(reached) > 0
         for s2 in reached:
             p_ref = np.count_nonzero(quad >= s2, axis=1).max() / draws
-            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+            assert _formal_p_value(s2, h, sigma, **kwargs) == p_ref
         for alpha in (0.05, 0.5, 1e-9):
             crit_ref = float(_empirical_upper_quantile(quad, alpha).max())
             assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
@@ -534,7 +561,7 @@ class TestAnnulusScreen:
         # A statistic far in the tail, as the workload's, straddles almost no
         # interval.
         walked = self._walked_draws(
-            monkeypatch, lambda: formal_p_value(4.0 * crit, 0.02, sigma, **kwargs)
+            monkeypatch, lambda: _formal_p_value(4.0 * crit, 0.02, sigma, **kwargs)
         )
         assert max(walked) < 0.01 * draws
         # h far beyond the covariance scale: every interval straddles the
@@ -556,7 +583,7 @@ class TestAnnulusScreen:
         crit_ref, _ = _streamed_mc(h, sigma, norm, draws, seed, alpha, 0.0)
         for s2 in (crit_ref, 0.5 * crit_ref, 2.0 * crit_ref):
             _, p_ref = _streamed_mc(h, sigma, norm, draws, seed, alpha, s2)
-            assert formal_p_value(s2, h, sigma, **kwargs) == p_ref
+            assert _formal_p_value(s2, h, sigma, **kwargs) == p_ref
         assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
         walked = self._walked_draws(monkeypatch, lambda: critical_value(h, sigma, alpha, **kwargs))
         assert 0 < max(walked) < draws
@@ -566,18 +593,18 @@ class TestFormalPValue:
     def test_scalar_two_sided_normal(self):
         # At h = 0 the formal p-value is the two-sided normal tail.
         s2 = 1.44
-        p = formal_p_value(s2, 0.0, np.array([[1.0]]))
+        p = _formal_p_value(s2, 0.0, np.array([[1.0]]))
         assert p == pytest.approx(2.0 * stats.norm.sf(1.2), rel=1e-12)
 
     def test_zero_statistic_gives_one(self):
-        assert formal_p_value(0.0, 0.0, np.array([[1.0]])) == pytest.approx(1.0)
+        assert _formal_p_value(0.0, 0.0, np.array([[1.0]])) == pytest.approx(1.0)
 
     def test_chi2_survival(self):
-        p = formal_p_value(5.0, 0.0, np.eye(3))
+        p = _formal_p_value(5.0, 0.0, np.eye(3))
         assert p == pytest.approx(stats.chi2.sf(5.0, df=3), rel=1e-12)
 
     def test_increasing_in_h(self):
-        ps = [formal_p_value(4.0, h, np.array([[1.0]])) for h in (0.0, 0.5, 1.0, 2.0)]
+        ps = [_formal_p_value(4.0, h, np.array([[1.0]])) for h in (0.0, 0.5, 1.0, 2.0)]
         assert np.all(np.diff(ps) > 0)
 
     @pytest.mark.parametrize("method", ["auto", "mc"])
@@ -589,7 +616,7 @@ class TestFormalPValue:
         kwargs = dict(mc_draws=20_000, seed=17, method=method)
         c = critical_value(0.6, sigma, alpha=alpha, **kwargs)
         for s2 in np.linspace(0.1, 3.0 * c, 23):
-            p = formal_p_value(s2, 0.6, sigma, **kwargs)
+            p = _formal_p_value(s2, 0.6, sigma, **kwargs)
             assert (s2 > c) == (p < alpha), f"s2={s2}, c={c}, p={p}"
 
 
@@ -639,6 +666,23 @@ class TestRobustnessTest:
         assert report.p_value_formal == pytest.approx(2.0 * stats.norm.sf(z_formal), rel=1e-10)
         assert report.p_value_heuristic == pytest.approx(2.0 * stats.norm.sf(z_heur), rel=1e-10)
         assert report.p_value_formal < report.p_value_heuristic
+
+    @pytest.mark.parametrize(
+        "h,norm_matrix,path", [(0.0, "diff_cov", "chi2"), (0.3, "diff_cov", "ncx2"), (0.3, "identity", "mc")]
+    )
+    def test_heuristic_is_formal_test_against_baseline_cov(self, h, norm_matrix, path):
+        # The heuristic p-value is the formal p-value with the baseline
+        # covariance in place of the difference covariance, bit for bit.
+        rng = np.random.default_rng(31)
+        spec = TestSpec(h=h, alpha=0.1, norm_matrix=norm_matrix, mc_draws=5_000, seed=7)
+        for _ in range(6):
+            m, v = rng.normal(size=(2, 3, 3))
+            diff_cov, baseline_cov = m @ m.T + 0.1 * np.eye(3), v @ v.T + 0.1 * np.eye(3)
+            b1, b2 = rng.normal(size=(2, 3))
+            heuristic = robustness_test(b1, b2, diff_cov, spec, baseline_cov=baseline_cov)
+            formal = robustness_test(b1, b2, baseline_cov, spec)
+            assert formal.path == path
+            assert heuristic.p_value_heuristic == formal.p_value_formal
 
     def test_heuristic_with_zero_marginal_covariance(self):
         # A baseline that never moves across draws: the heuristic has no
