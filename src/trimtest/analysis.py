@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -65,11 +66,18 @@ def _seed(value, path: str) -> int:
     return seed
 
 
+def _finite(value: int | float, path: str) -> float:
+    """A number as a float; NaN, Infinity and integers past the float range refused."""
+    if not abs(value) <= sys.float_info.max:
+        raise DataError(f"{path} must be finite, got {value!r}")
+    return float(value)
+
+
 def _real(value, path: str) -> float:
-    """A real number; integers are accepted, bools and strings refused."""
+    """A finite real number; integers are accepted, bools and strings refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    return _finite(value, path)
 
 
 def _bool(value, path: str) -> bool:
@@ -107,7 +115,7 @@ def _numbers(value, path: str) -> tuple[float, ...]:
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
     ):
         raise DataError(f"{path} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 # Refused above this: an explicit norm's Monte Carlo critical value errs by ~ kappa * u.
@@ -469,6 +477,7 @@ class AnalysisConfig:
                 taken = [label for label in labels if labels.count(label) > 1 or label == "joint"]
                 if taken:
                     raise DataError(f"statistic label {taken[0]!r} is taken; 'joint' and each label name one test")
+                _coefficient_specs(config.test, len(labels))  # refuses a norm of the wrong size
                 for i, pair in enumerate(config.plot_pairs):
                     try:
                         _plot_pair_columns(labels, pair)
@@ -526,7 +535,7 @@ def _build_estimator(config: AnalysisConfig, comparison: Comparison):
     base_specs = [replace(s, scheme=comparison.baseline_scheme) for s in config.model]
     adj_specs = [replace(s, scheme=comparison.adjusted_scheme) for s in config.model]
     labels = tuple(s.label() for s in base_specs)
-    return lstat_pair_estimator(base_specs, adj_specs), labels, (base_specs, adj_specs)
+    return lstat_pair_estimator(base_specs, adj_specs), labels, base_specs + adj_specs
 
 
 def _prepared_data(
@@ -580,24 +589,30 @@ def _dependent_statistics(cov: np.ndarray, labels) -> list[str]:
     return [label for label, v in zip(labels, np.abs(null).max(axis=0, initial=0.0)) if v > 1e-8]
 
 
-def _robustness_tests(
-    labels, b1: np.ndarray, b2: np.ndarray, cov: np.ndarray, diff_cov: np.ndarray, spec: TestSpec
-) -> tuple[tuple, object]:
-    """Per-coefficient tests, then the joint test over all d statistics.
+def _coefficient_specs(spec: TestSpec, d: int) -> list[TestSpec]:
+    """Each statistic's test settings: an explicit d x d norm A tests statistic j in [[A[j, j]]]."""
+    if isinstance(spec.norm_matrix, str):
+        return [spec] * d
+    a = np.array(spec.norm_matrix)
+    if a.shape != (d, d):
+        raise DataError(f"test.norm must be a {d} x {d} matrix, got shape {a.shape}")
+    return [replace(spec, norm_matrix=[[a[j, j]]]) for j in range(d)]
 
-    cov is the stacked 2d x 2d bootstrap covariance (its baseline block
-    feeds the heuristic p-value); diff_cov is the d x d difference block.
-    An explicit d x d norm matrix A tests statistic j alone in the norm
-    [[A[j, j]]].  Under the default norm a singular difference covariance
-    is reported with the statistics that make it singular.
+
+def _robustness_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> tuple:
+    """One comparison's tests, from its stacked point and bootstrap covariance.
+
+    point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
+    d x d difference block feeds each formal test and the baseline block
+    each heuristic p-value.  Returns (baseline, adjusted, difference
+    covariance, per-statistic tests, joint test).  Under the default norm a
+    singular difference covariance is reported with the statistics that
+    make it singular.
     """
     d = len(labels)
-    coef_specs = [spec] * d
-    if not isinstance(spec.norm_matrix, str):
-        a = np.atleast_2d(np.asarray(spec.norm_matrix, dtype=float))
-        if a.shape != (d, d):
-            raise DataError(f"test.norm must be a {d} x {d} matrix, got shape {a.shape}")
-        coef_specs = [replace(spec, norm_matrix=[[float(a[j, j])]]) for j in range(d)]
+    b1, b2 = point[:d], point[d:]
+    diff_cov = difference_covariance(cov, d)
+    coef_specs = _coefficient_specs(spec, d)
     coef_tests = tuple(
         robustness_test(
             b1[j : j + 1],
@@ -618,7 +633,7 @@ def _robustness_tests(
             f"the difference covariance is singular: statistics {', '.join(map(repr, dependent))} "
             'are linearly dependent. Set test.norm to "identity", or drop one of them'
         ) from exc
-    return coef_tests, joint
+    return b1, b2, diff_cov, coef_tests, joint
 
 
 def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> ReportBundle:
@@ -638,19 +653,14 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
     parts = bootstrap_pipeline(data, config.plan, estimators).parts if estimators else ()
     results = []
     for comparison, (_, labels, lstat_specs), part in zip(config.comparisons, built, parts):
-        d = len(labels)
-        b1, b2 = part.point[:d], part.point[d:]
-        diff_cov = difference_covariance(part.cov, d)
         flags = {}
         with stage(f"test:{comparison.name}"):
-            coef_tests, joint = _robustness_tests(labels, b1, b2, part.cov, diff_cov, config.test)
+            b1, b2, diff_cov, coef_tests, joint = _robustness_tests(labels, part.point, part.cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
             with stage(f"analytic:{comparison.name}"):
-                base_specs, adj_specs = lstat_specs
-                specs_all = list(base_specs) + list(adj_specs)
-                weights = [compute_weights(s.scheme, data) for s in specs_all]
-                analytic = analytic_cov(specs_all, data, weights)
+                weights = [compute_weights(s.scheme, data) for s in lstat_specs]
+                analytic = analytic_cov(lstat_specs, data, weights)
                 flags["analytic_cov_degenerate_all_ones"] = analytic_cov_is_degenerate(weights)
         results.append(
             ComparisonResult(
@@ -667,7 +677,7 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
             )
         )
     table = _format_table(results)
-    rd = _results_dict(config, load_report, results, table)
+    rd = _results_dict(config, load_report, results)
     return ReportBundle(
         config=config,
         load_report=load_report,
@@ -695,6 +705,7 @@ def _fmt(x: float) -> str:
 def _table_rows(res: ComparisonResult) -> list[dict]:
     rows = []
     d = len(res.labels)
+    se = np.sqrt(np.maximum(np.diag(res.bootstrap.cov), 0.0))
     for j, label in enumerate(res.labels):
         t = res.coefficient_tests[j]
         rows.append(
@@ -702,10 +713,8 @@ def _table_rows(res: ComparisonResult) -> list[dict]:
                 "statistic": label,
                 "baseline": _fmt(res.baseline[j]),
                 "adjusted": _fmt(res.adjusted[j]),
-                "se_baseline": _fmt(float(np.sqrt(max(res.bootstrap.cov[j, j], 0.0)))),
-                "se_adjusted": _fmt(
-                    float(np.sqrt(max(res.bootstrap.cov[d + j, d + j], 0.0)))
-                ),
+                "se_baseline": _fmt(se[j]),
+                "se_adjusted": _fmt(se[d + j]),
                 "p_formal": _fmt(t.p_value_formal),
                 "p_heuristic": _fmt(t.p_value_heuristic)
                 if t.p_value_heuristic is not None
@@ -740,12 +749,7 @@ def _format_table(results: list[ComparisonResult]) -> str:
     return "\n".join(lines)
 
 
-def _results_dict(
-    config: AnalysisConfig,
-    load_report: LoadReport,
-    results: list[ComparisonResult],
-    table: str,
-) -> dict:
+def _results_dict(config: AnalysisConfig, load_report: LoadReport, results: list[ComparisonResult]) -> dict:
     comparisons = {}
     for res in results:
         d = len(res.labels)
@@ -779,9 +783,7 @@ def _results_dict(
         "rows_used": load_report.n_rows,
         "rows_dropped": load_report.n_dropped,
         "dropped_by_column": dict(load_report.dropped_by_column),
-        "bootstrap": {
-            k: getattr(config.plan, k) for k in ("iterations", "seed", "resample_unit", "engine")
-        },
+        "bootstrap": {key: getattr(config.plan, name) for key, (_, name) in _BOOTSTRAP.keys.items()},
         "test": {key: getattr(config.test, name) for key, (_, name) in _TEST.keys.items()},
         "comparisons": comparisons,
     }
@@ -817,13 +819,12 @@ def write_outputs(bundle: ReportBundle) -> dict[str, str]:
         p = os.path.join(directory, f"draws_{res.name}.csv")
         atomic_write_text(p, draws_csv_text(res.bootstrap.draws))
         paths[f"draws_{res.name}"] = p
-        point = np.concatenate([res.baseline, res.adjusted])
         for pair in bundle.config.plot_pairs:
             i, j, tag = _plot_pair_columns(res.labels, pair)
             grid = emit_plot_grid(
                 res.bootstrap.draws[:, i],
                 res.bootstrap.draws[:, j],
-                point=(float(point[i]), float(point[j])),
+                point=(float(res.bootstrap.point[i]), float(res.bootstrap.point[j])),
             )
             gp = os.path.join(directory, f"plotgrid_{res.name}_{tag}.csv")
             atomic_write_text(gp, grid_csv_text(grid.x, grid.y, grid.density))
@@ -861,11 +862,8 @@ def _regenerated_tests(directory: str) -> dict:
         out: dict = {}
         for name, entry in stored["comparisons"].items():
             draws = read_draws_csv(os.path.join(directory, f"draws_{name}.csv"))
-            cov = bootstrap_cov(draws)
-            diff_cov = difference_covariance(cov, len(entry["labels"]))
-            b1 = np.asarray(entry["baseline"], dtype=float)
-            b2 = np.asarray(entry["adjusted"], dtype=float)
-            coef_tests, joint = _robustness_tests(entry["labels"], b1, b2, cov, diff_cov, spec)
+            point = np.asarray(entry["baseline"] + entry["adjusted"], dtype=float)
+            *_, coef_tests, joint = _robustness_tests(entry["labels"], point, bootstrap_cov(draws), spec)
             tests = {label: asdict(t) for label, t in zip(entry["labels"], coef_tests)}
             tests["joint"] = asdict(joint)
             out[name] = tests

@@ -154,7 +154,7 @@ def draws_csv_text(draws: np.ndarray) -> str:
 
 
 def read_draws_csv(path: str) -> np.ndarray:
-    """Read a draws CSV back into a float matrix (NaN rows preserved)."""
+    """Read a draws CSV back into a B x d float matrix (NaN rows preserved); B may be 0."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -166,8 +166,10 @@ def read_draws_csv(path: str) -> np.ndarray:
             raise DataError(f"{path}: not a draws file (header must start with draw_index)")
         rows = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise DataError(f"{path}: line {reader.line_num} has {len(rec)} fields, not {len(header)}")
             rows.append([float(v) for v in rec[1:]])
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
 
 
 def grid_csv_text(x: np.ndarray, y: np.ndarray, density: np.ndarray) -> str:

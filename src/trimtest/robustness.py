@@ -68,6 +68,8 @@ class TestSpec:
     method: str = "auto"  # "auto" | "exact" | "mc"
 
     def __post_init__(self):
+        if not np.isfinite(self.h):
+            raise ValueError(f"tolerance h must be finite, got {self.h!r}")
         if self.h < 0:
             raise ValueError("tolerance h must be >= 0")
         if not 0.0 < self.alpha < 1.0:
@@ -152,13 +154,15 @@ def unit_directions(dim: int) -> np.ndarray:
 
 
 def explicit_norm(matrix) -> np.ndarray:
-    """An explicit norm matrix as an array; ValueError unless square and symmetric.
+    """An explicit norm matrix as an array; ValueError unless finite, square and symmetric.
 
     Symmetric to 1e-10 of its largest entry, as a computed Q D Q' is: the
     statistic factors the upper triangle and the Monte Carlo path the lower
     one, so an asymmetric matrix would be two different norms.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.isfinite(a).all():
+        raise ValueError("an explicit norm matrix must be finite")
     if a.shape != (len(a), len(a)) or np.abs(a - a.T).max() > 1e-10 * np.abs(a).max():
         raise ValueError("an explicit norm matrix must be square and symmetric")
     return a

@@ -202,6 +202,16 @@ class TestAtomicOutput:
         with pytest.raises(DataError, match="draw_index"):
             read_draws_csv(p)
 
+    def test_read_draws_keeps_the_width_of_an_empty_file(self, tmp_path):
+        p = write_csv(tmp_path, "draw_index,stat_1,stat_2\n", name="draws.csv")
+        assert read_draws_csv(p).shape == (0, 2)
+
+    @pytest.mark.parametrize("line", ["1,0.5", "1,0.5,0.5,0.5", ""], ids=["short", "long", "blank"])
+    def test_read_draws_refuses_a_ragged_row(self, tmp_path, line):
+        p = write_csv(tmp_path, f"draw_index,stat_1,stat_2\n0,1.0,2.0\n{line}\n2,1.0,2.0\n", name="draws.csv")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: line 3 has \d fields, not 3$"):
+            read_draws_csv(p)
+
     def test_grid_csv_layout(self):
         x = np.array([0.0, 1.0])
         y = np.array([10.0, 20.0, 30.0])
@@ -397,6 +407,20 @@ class TestAnalysisConfig:
         raw.pop("weights")
         with pytest.raises(DataError, match="weights object or a comparisons"):
             AnalysisConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    def test_number_readers_refuse_non_finite_values(self, value):
+        with pytest.raises(DataError, match=rf"^test\.h must be finite, got {re.escape(repr(value))}$"):
+            analysis._real(value, "test.h")
+        with pytest.raises(DataError, match=rf"^x\[2\] must be finite, got {re.escape(repr(value))}$"):
+            analysis._numbers([0.0, 1, value], "x")
+        # A wrong type keeps its own message.
+        with pytest.raises(DataError, match=r"^test\.h must be a number, got 'nan'$"):
+            analysis._real("nan", "test.h")
+        assert analysis._real(10**300, "test.h") == 1e300
+        assert analysis._numbers([0, 2.5], "x") == (0.0, 2.5)
 
     def test_stage_prefix_on_errors(self):
         with pytest.raises(DataError, match=r"^\[config\]"):
@@ -774,11 +798,11 @@ class TestOutputsAndReport:
         assert regenerated["main"]["joint"] == main["joint_test"]["p_value_formal"]
 
     def test_norm_matrix_shape_must_match_statistics(self):
-        data = make_panel(15, 3, seed=12)
+        # Refused when the config is read, before any draw is made.
         raw = regression_config()
         raw["test"] = {"norm": [[1.0, 0.0], [0.0, 1.0]]}
-        with pytest.raises(DataError, match=r"\[test:main\] test.norm must be a 1 x 1 matrix"):
-            run_analysis(AnalysisConfig.from_dict(raw), data=data)
+        with pytest.raises(DataError, match=r"\[config\] test.norm must be a 1 x 1 matrix"):
+            AnalysisConfig.from_dict(raw)
 
     def test_regenerate_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="results.json"):

@@ -265,7 +265,64 @@ class TestReport:
         assert regenerated == {**stored["tests"], "joint": joint}
 
 
+    def test_report_refuses_a_stored_norm_of_the_wrong_size(self, workdir, capsys):
+        # results.json is read back from disk, so its norm is checked again.
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["test"]["norm"] = [[2.0]]
+        p = tmp_path / "norm.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p)]) == 0
+        results = tmp_path / "out" / "results.json"
+        stored = json.loads(results.read_text(encoding="utf-8"))
+        stored["test"]["norm"] = [[1.0, 0.0], [0.0, 1.0]]
+        results.write_text(json.dumps(stored), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: [report] test.norm must be a 1 x 1 matrix, got shape (2, 2)\n"
+        )
+
+    def test_report_on_a_draws_file_without_draws_is_exit_2(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["test", "--config", config]) == 0
+        (tmp_path / "out" / "draws_main.csv").write_text("draw_index,stat_1,stat_2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: [report] need at least two non-missing draws for a covariance\n"
+        )
+
+    def test_records_every_bootstrap_setting(self, workdir, capsys):
+        tmp_path, config = workdir
+        raw = json.loads(open(config, encoding="utf-8").read())
+        raw["bootstrap"].update(engine="multiplier", multiplier_distribution="poisson")
+        p = tmp_path / "poisson.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p)]) == 0
+        capsys.readouterr()
+        stored = json.loads((tmp_path / "out" / "results.json").read_text(encoding="utf-8"))
+        assert stored["bootstrap"] == {
+            "iterations": 120, "seed": 9, "resample_unit": "cluster", "engine": "multiplier",
+            "multiplier_distribution": "poisson",
+        }
+
+
 class TestPlotData:
+    def test_draws_file_without_draws_is_exit_3(self, tmp_path, capsys):
+        draws, grid = tmp_path / "draws.csv", tmp_path / "g.csv"
+        draws.write_text("draw_index,stat_1,stat_2\n", encoding="utf-8")
+        assert main(["plot-data", "--draws", str(draws), "--columns", "1,2", "--output", str(grid)]) == 3
+        assert capsys.readouterr().err == "numerical failure: kernel density needs at least two draws\n"
+        assert not grid.exists()
+
+    def test_ragged_draws_file_is_exit_2(self, tmp_path, capsys):
+        draws, grid = tmp_path / "draws.csv", tmp_path / "g.csv"
+        draws.write_text("draw_index,stat_1,stat_2\n0,1.0,2.0\n1,1.5\n", encoding="utf-8")
+        assert main(["plot-data", "--draws", str(draws), "--columns", "1,2", "--output", str(grid)]) == 2
+        assert capsys.readouterr().err == f"data error: {draws}: line 3 has 2 fields, not 3\n"
+        assert not grid.exists()
+
     def test_grid_from_draws(self, workdir, capsys):
         tmp_path, config = workdir
         main(["test", "--config", config])
@@ -742,6 +799,7 @@ class TestExitCodes:
             lambda r: _put(r, "test.norm", [[1, 2], [2, 1]]),
             "[config] test.norm: not positive definite",
         ),
+        "norm-size": ("test", lambda r: _put(r, "test.norm", [[1.0]]), "[config] test.norm must be a 4 x 4 matrix"),
         "norm-ill-conditioned": (
             "estimate",
             lambda r: _put(r, "test.norm", [[1, 0], [0, 1e-11]]),
@@ -910,6 +968,38 @@ class TestExitCodes:
         err = self._exit_2(tmp_path, capsys, raw, "test")
         assert err == f"data error: [config] output.plot_pairs[0] {refused}, got {name!r}\n"
         assert not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "test.h",
+            "weights.adjusted.multiplier",
+            "weights.adjusted.values[99]",
+            "model.statistics[0].transform.x[1]",
+            "mc.h",
+            "mc.dgp.instrument_strength",
+        ],
+    )
+    def test_non_finite_number_is_exit_2(self, workdir, capsys, name, value):
+        # Python's JSON reader takes NaN and Infinity.  These used to fail
+        # later with a message that did not name the setting, or to run.
+        tmp_path, config = workdir
+        raw, command = json.loads(open(config, encoding="utf-8").read()), "test"
+        if name == "weights.adjusted.values[99]":
+            raw["weights"]["adjusted"] = {"kind": "custom", "values": [1.0] * 99 + [value]}
+        elif name.startswith("model."):
+            raw = self._lstat_config(config)
+            table = {"kind": "table", "x": [-100.0, value, 100.0], "y": [-100.0, 0.0, 100.0]}
+            raw["model"]["statistics"][0]["transform"] = table
+        elif name.startswith("mc."):
+            raw = {"mc": {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, "inner_iterations": 20}}
+            command = "mc"
+            _put(raw, name, value)
+        else:
+            _put(raw, name, value)
+        err = self._exit_2(tmp_path, capsys, raw, command)
+        assert err == f"data error: [config] {name} must be finite, got {value!r}\n"
 
     def test_unknown_column_is_printed_without_quotes(self, workdir, capsys):
         tmp_path, config = workdir

@@ -16,6 +16,7 @@ from trimtest.errors import NumericalError
 from trimtest.robustness import (
     TestSpec,
     critical_value,
+    explicit_norm,
     floor_spd,
     mahalanobis,
     robustness_test,
@@ -54,6 +55,19 @@ class TestSpecValidation:
         spec = TestSpec(norm_matrix=rows)
         rows[0][0] = -1
         assert spec.norm_matrix == ((2.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_h_is_refused(self, h):
+        with pytest.raises(ValueError, match=f"tolerance h must be finite, got {h!r}"):
+            TestSpec(h=h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_norm_is_refused(self, bad):
+        for matrix in ([[bad]], [[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="an explicit norm matrix must be finite"):
+                explicit_norm(matrix)
+            with pytest.raises(ValueError, match="an explicit norm matrix must be finite"):
+                TestSpec(norm_matrix=matrix)
 
     def test_critical_value_checks_its_settings_as_test_spec_does(self):
         with pytest.raises(ValueError, match="alpha"):
