@@ -2,8 +2,9 @@
 
 The configuration is a JSON document (objects, arrays, scalars).  A run
 produces a ReportBundle holding point estimates, bootstrap draws,
-covariances with provenance, per-coefficient and joint robustness tests,
-and a formatted comparison table.  Machine-readable outputs are
+covariances with provenance, per-coefficient and joint robustness tests
+(from `estimators.comparison_tests`, which `trimtest report` reruns on the
+stored draws), and a formatted comparison table.  Machine-readable outputs are
 deterministic: identical config and seeds give byte-identical files.
 Failures are re-raised with the pipeline stage in the message.
 """
@@ -28,10 +29,11 @@ from .csvio import (
     read_draws_csv,
 )
 from .dataset import PanelDataset, add_within_cluster_lags
-from .errors import DataError, NumericalError, stage
+from .errors import DataError, stage
 from .estimators import (
     RegressionComparison,
-    difference_covariance,
+    coefficient_specs,
+    comparison_tests,
     lstat_pair_estimator,
     regression_comparison_estimator,
 )
@@ -39,7 +41,7 @@ from .lstat import LStatSpec, Transform, analytic_cov, analytic_cov_is_degenerat
 from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
 from .plotgrid import emit_plot_grid
 from .regress import RegressionModel
-from .robustness import TestSpec, explicit_norm, robustness_test
+from .robustness import TestSpec, explicit_norm
 from .weights import WeightScheme, compute_weights
 
 
@@ -477,7 +479,7 @@ class AnalysisConfig:
                 taken = [label for label in labels if labels.count(label) > 1 or label == "joint"]
                 if taken:
                     raise DataError(f"statistic label {taken[0]!r} is taken; 'joint' and each label name one test")
-                _coefficient_specs(config.test, len(labels))  # refuses a norm of the wrong size
+                coefficient_specs(config.test, len(labels))  # refuses a norm of the wrong size
                 for i, pair in enumerate(config.plot_pairs):
                     try:
                         _plot_pair_columns(labels, pair)
@@ -486,26 +488,29 @@ class AnalysisConfig:
             return config
 
 
-def read_json_config(path: str) -> dict:
-    """Parsed JSON config; an unreadable or malformed file is a DataError."""
+def read_json(path: str, what: str) -> dict:
+    """Parsed JSON file; an unreadable or malformed one is a DataError naming what it is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DataError(f"cannot open config {path}: {exc}") from exc
+        raise DataError(f"cannot open {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Everything computed for one baseline/adjusted pair."""
+    """Everything computed for one baseline/adjusted pair.
+
+    baseline through joint_test are what `comparison_tests` returns, in its order.
+    """
 
     name: str
     labels: tuple[str, ...]
+    bootstrap: BootstrapResult
     baseline: np.ndarray
     adjusted: np.ndarray
-    bootstrap: BootstrapResult
     diff_cov: np.ndarray
     coefficient_tests: tuple
     joint_test: object
@@ -580,62 +585,6 @@ def point_estimates(
     return out
 
 
-def _dependent_statistics(cov: np.ndarray, labels) -> list[str]:
-    """Labels of the statistics in the null space of a singular, nonzero covariance."""
-    _, s, vt = np.linalg.svd(cov)
-    if s[0] == 0.0:
-        return []
-    null = vt[s <= s[0] * len(s) * np.finfo(float).eps]
-    return [label for label, v in zip(labels, np.abs(null).max(axis=0, initial=0.0)) if v > 1e-8]
-
-
-def _coefficient_specs(spec: TestSpec, d: int) -> list[TestSpec]:
-    """Each statistic's test settings: an explicit d x d norm A tests statistic j in [[A[j, j]]]."""
-    if isinstance(spec.norm_matrix, str):
-        return [spec] * d
-    a = np.array(spec.norm_matrix)
-    if a.shape != (d, d):
-        raise DataError(f"test.norm must be a {d} x {d} matrix, got shape {a.shape}")
-    return [replace(spec, norm_matrix=[[a[j, j]]]) for j in range(d)]
-
-
-def _robustness_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> tuple:
-    """One comparison's tests, from its stacked point and bootstrap covariance.
-
-    point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
-    d x d difference block feeds each formal test and the baseline block
-    each heuristic p-value.  Returns (baseline, adjusted, difference
-    covariance, per-statistic tests, joint test).  Under the default norm a
-    singular difference covariance is reported with the statistics that
-    make it singular.
-    """
-    d = len(labels)
-    b1, b2 = point[:d], point[d:]
-    diff_cov = difference_covariance(cov, d)
-    coef_specs = _coefficient_specs(spec, d)
-    coef_tests = tuple(
-        robustness_test(
-            b1[j : j + 1],
-            b2[j : j + 1],
-            np.array([[float(diff_cov[j, j])]]),
-            coef_specs[j],
-            baseline_cov=np.array([[float(cov[j, j])]]),
-        )
-        for j in range(d)
-    )
-    try:
-        joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
-    except NumericalError as exc:
-        dependent = spec.norm_matrix == "diff_cov" and _dependent_statistics(diff_cov, labels)
-        if not dependent:
-            raise
-        raise NumericalError(
-            f"the difference covariance is singular: statistics {', '.join(map(repr, dependent))} "
-            'are linearly dependent. Set test.norm to "identity", or drop one of them'
-        ) from exc
-    return b1, b2, diff_cov, coef_tests, joint
-
-
 def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> ReportBundle:
     """Execute the full pipeline described by the config.
 
@@ -655,27 +604,14 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
     for comparison, (_, labels, lstat_specs), part in zip(config.comparisons, built, parts):
         flags = {}
         with stage(f"test:{comparison.name}"):
-            b1, b2, diff_cov, coef_tests, joint = _robustness_tests(labels, part.point, part.cov, config.test)
+            tests = comparison_tests(labels, part.point, part.cov, config.test)
         analytic = None
         if config.include_analytic_cov and lstat_specs is not None:
             with stage(f"analytic:{comparison.name}"):
                 weights = [compute_weights(s.scheme, data) for s in lstat_specs]
                 analytic = analytic_cov(lstat_specs, data, weights)
                 flags["analytic_cov_degenerate_all_ones"] = analytic_cov_is_degenerate(weights)
-        results.append(
-            ComparisonResult(
-                name=comparison.name,
-                labels=labels,
-                baseline=b1,
-                adjusted=b2,
-                bootstrap=part,
-                diff_cov=diff_cov,
-                coefficient_tests=coef_tests,
-                joint_test=joint,
-                flags=flags,
-                analytic=analytic,
-            )
-        )
+        results.append(ComparisonResult(comparison.name, labels, part, *tests, flags, analytic))
     table = _format_table(results)
     rd = _results_dict(config, load_report, results)
     return ReportBundle(
@@ -752,7 +688,6 @@ def _format_table(results: list[ComparisonResult]) -> str:
 def _results_dict(config: AnalysisConfig, load_report: LoadReport, results: list[ComparisonResult]) -> dict:
     comparisons = {}
     for res in results:
-        d = len(res.labels)
         entry = {
             "labels": list(res.labels),
             "baseline": res.baseline.tolist(),
@@ -765,9 +700,7 @@ def _results_dict(config: AnalysisConfig, load_report: LoadReport, results: list
                 "failed_draws": res.bootstrap.n_failed,
             },
             "difference_cov": res.diff_cov.tolist(),
-            "tests": {
-                res.labels[j]: asdict(res.coefficient_tests[j]) for j in range(d)
-            },
+            "tests": dict(zip(res.labels, map(asdict, res.coefficient_tests))),
             "joint_test": asdict(res.joint_test),
             "table_rows": _table_rows(res),
             "flags": dict(res.flags),
@@ -845,26 +778,40 @@ def regenerate_report(directory: str) -> dict:
     }
 
 
+def _stored(raw, file: str, path: str, **keys) -> dict:
+    """The named keys of an object in a results file, each read at its path; other keys are ignored."""
+    try:
+        for key in keys:
+            if key not in _object(raw, path or "the top level"):
+                raise DataError(f"{path or 'the top level'} has no key {key!r}")
+        return {key: read(raw[key], _join(path, key)) for key, read in keys.items()}
+    except DataError as exc:
+        raise DataError(f"{file}: {exc}") from None
+
+
 def _regenerated_tests(directory: str) -> dict:
     """{comparison: {label: test record, ..., "joint": test record}}.
 
     Reads results.json and each draws CSV under the directory, recomputes
     the difference covariance and all tests from the draws, and returns
-    each test in its results.json form.
+    each test in its results.json form.  A file that does not hold what
+    `trimtest test` writes is a DataError naming it and the key at fault.
     """
     with stage("report"):
-        try:
-            with open(os.path.join(directory, "results.json"), "r", encoding="utf-8") as fh:
-                stored = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot open results.json in {directory}: {exc}") from exc
-        spec = _TEST(stored["test"], "test")
+        path = os.path.join(directory, "results.json")
+        stored = _stored(read_json(path, "results file"), path, "", test=_TEST, comparisons=_object)
         out: dict = {}
         for name, entry in stored["comparisons"].items():
-            draws = read_draws_csv(os.path.join(directory, f"draws_{name}.csv"))
-            point = np.asarray(entry["baseline"] + entry["adjusted"], dtype=float)
-            *_, coef_tests, joint = _robustness_tests(entry["labels"], point, bootstrap_cov(draws), spec)
-            tests = {label: asdict(t) for label, t in zip(entry["labels"], coef_tests)}
-            tests["joint"] = asdict(joint)
-            out[name] = tests
+            entry = _stored(entry, path, f"comparisons.{name}", labels=_names, baseline=_numbers, adjusted=_numbers)
+            labels, draws_path = entry["labels"], os.path.join(directory, f"draws_{name}.csv")
+            if not len(labels) == len(entry["baseline"]) == len(entry["adjusted"]):
+                raise DataError(f"{path}: comparisons.{name}: baseline and adjusted need one number per label")
+            draws = read_draws_csv(draws_path)
+            if draws.shape[1] != 2 * len(labels):
+                raise DataError(
+                    f"{draws_path}: {draws.shape[1]} columns, not 2 x {len(labels)} for comparisons.{name}.labels"
+                )
+            point = np.array(entry["baseline"] + entry["adjusted"])
+            *_, coef_tests, joint = comparison_tests(labels, point, bootstrap_cov(draws), stored["test"])
+            out[name] = dict(zip(labels, map(asdict, coef_tests)), joint=asdict(joint))
         return out

@@ -22,7 +22,7 @@ from .analysis import (
     AnalysisConfig,
     mc_settings,
     point_estimates,
-    read_json_config,
+    read_json,
     regenerate_report,
     run_analysis,
     write_outputs,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> dict:
     """The parsed config, each flag given written at its setting (a missing section is created)."""
-    raw = read_json_config(args.config)
+    raw = read_json(args.config, "config")
     for flag, setting in args.settings.items():
         section, key = setting.split(".")
         if getattr(args, flag) is not None and isinstance(raw, dict):

@@ -154,7 +154,10 @@ def draws_csv_text(draws: np.ndarray) -> str:
 
 
 def read_draws_csv(path: str) -> np.ndarray:
-    """Read a draws CSV back into a B x d float matrix (NaN rows preserved); B may be 0."""
+    """Read a draws CSV back into a B x d float matrix (NaN rows preserved); B may be 0.
+
+    A ragged row or a cell that is not a number is a DataError naming the line.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -168,7 +171,15 @@ def read_draws_csv(path: str) -> np.ndarray:
         for rec in reader:
             if len(rec) != len(header):
                 raise DataError(f"{path}: line {reader.line_num} has {len(rec)} fields, not {len(header)}")
-            rows.append([float(v) for v in rec[1:]])
+            row = []
+            for name, cell in zip(header[1:], rec[1:]):
+                try:
+                    row.append(float(cell))  # "nan" too: a failed draw is a NaN row
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {reader.line_num}, column {name!r}: {cell!r} is not a number"
+                    ) from None
+            rows.append(row)
     return np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
 
 

@@ -1,4 +1,4 @@
-"""Estimator callables for the bootstrap pipeline.
+"""Estimator callables for the bootstrap pipeline, and the comparison step that tests them.
 
 Each builder returns a BlockEstimator: f(dataset, row_weights) -> vector
 for one draw, f.block(dataset, W) -> K x d for a block of draws.  Both
@@ -11,19 +11,23 @@ row per draw, L-statistics are row means, and regression comparisons fit
 the block with batched linear algebra, trim on one stack of the baseline's
 outcome and first-stage residuals and derive their dynamic summaries from
 whole coefficient columns.  Models with two or more fixed effects are the
-exception; they fit one draw at a time.
+exception; they fit one draw at a time.  `comparison_tests` tests the
+stacked [baseline | adjusted] vector an estimator returns against its
+bootstrap covariance, for `test`, `report` and `mc` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bootstrap import BlockEstimator
 from .dataset import PanelDataset
+from .errors import DataError, NumericalError
 from .lstat import LStatSpec, lstat_eval
 from .regress import RegressionFit, RegressionModel, derived_params, fit_block, sigma_hat
+from .robustness import TestSpec, robustness_test
 from .weights import ResidualContext, WeightScheme, compute_weights
 
 
@@ -65,10 +69,6 @@ class RegressionComparison:
         if self.derived_effect:
             labels += ["long_run_effect", f"effect_after_{self.derived_horizon}", "persistence"]
         return tuple(labels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.stat_labels())
 
 
 def _side_matrix(comparison: RegressionComparison, fit: RegressionFit) -> np.ndarray:
@@ -128,3 +128,56 @@ def difference_covariance(cov: np.ndarray, dim: int) -> np.ndarray:
     v2 = cov[dim:, dim:]
     c12 = cov[:dim, dim:]
     return v1 + v2 - c12 - c12.T
+
+
+def coefficient_specs(spec: TestSpec, d: int) -> list[TestSpec]:
+    """Each statistic's test settings: an explicit d x d norm A tests statistic j in [[A[j, j]]]."""
+    if isinstance(spec.norm_matrix, str):
+        return [spec] * d
+    a = np.array(spec.norm_matrix)
+    if a.shape != (d, d):
+        raise DataError(f"test.norm must be a {d} x {d} matrix, got shape {a.shape}")
+    return [replace(spec, norm_matrix=[[a[j, j]]]) for j in range(d)]
+
+
+def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> tuple:
+    """One comparison's tests, from its stacked point and bootstrap covariance.
+
+    point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
+    d x d difference block feeds each formal test and the baseline block
+    each heuristic p-value.  Returns (baseline, adjusted, difference
+    covariance, per-statistic tests, joint test).  With one statistic the
+    joint test is its test (same settings, same 1 x 1 blocks), so it runs
+    once.  Under the default norm a singular difference covariance is
+    reported with the statistics that make it singular.
+    """
+    d = len(labels)
+    b1, b2 = point[:d], point[d:]
+    diff_cov = difference_covariance(cov, d)
+    coef_specs = coefficient_specs(spec, d)
+    coef_tests = () if d == 1 else tuple(
+        robustness_test(
+            b1[j : j + 1],
+            b2[j : j + 1],
+            np.array([[float(diff_cov[j, j])]]),
+            coef_specs[j],
+            baseline_cov=np.array([[float(cov[j, j])]]),
+        )
+        for j in range(d)
+    )
+    try:
+        joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+    except NumericalError as exc:
+        if spec.norm_matrix != "diff_cov":
+            raise
+        # The statistics in the null space of a singular, nonzero covariance.
+        _, s, vt = np.linalg.svd(diff_cov)
+        null = vt[s <= s[0] * d * np.finfo(float).eps] if s[0] > 0.0 else vt[:0]
+        dependent = [label for label, v in zip(labels, np.abs(null).max(axis=0, initial=0.0)) if v > 1e-8]
+        if not dependent:
+            raise
+        raise NumericalError(
+            f"the difference covariance is singular: statistics {', '.join(map(repr, dependent))} "
+            'are linearly dependent. Set test.norm to "identity", or drop one of them'
+        ) from exc
+    return b1, b2, diff_cov, (joint,) if d == 1 else coef_tests, joint

@@ -6,7 +6,8 @@ depend on execution order, and `size_study` runs them in forked worker
 processes (its `analysis_fn` may run in a child, whose side effects the
 caller does not see).  The Monte Carlo covariance across fresh datasets is
 the ground truth that bootstrap and analytic covariance estimators are
-checked against.
+checked against.  The canonical size study decides each replication by the
+joint test of `comparison_tests`, the step that `trimtest test` runs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .dataset import PanelDataset
 from .errors import NumericalError, stage
 from .estimators import (
     RegressionComparison,
-    difference_covariance,
+    comparison_tests,
     regression_comparison_estimator,
 )
 from .regress import RegressionModel
-from .robustness import TestSpec, robustness_test
+from .robustness import TestSpec
 from .weights import WeightScheme
 
 _LAWS = {"normal", "uniform", "lognormal", "student_t"}
@@ -324,10 +325,10 @@ def residual_trim_size_analysis(
 ):
     """analysis_fn for the canonical size study: OLS vs residual-trimmed OLS.
 
-    Fits outcome on the regressor with an intercept, trims at
-    multiplier * residual scale, bootstraps the pair, and runs the formal
-    test on the reported coefficient.  The settings are checked here, once;
-    each replication's seed feeds both its bootstrap and its test.
+    Fits outcome on the regressor with an intercept, trims at multiplier *
+    residual scale, bootstraps the pair by cluster and decides by the joint
+    test of `comparison_tests`.  The settings are checked here, once; each
+    replication's seed feeds both its bootstrap and its test.
     """
     comparison = RegressionComparison(
         model=RegressionModel(outcome="y", regressors=(coefficient,)),
@@ -336,14 +337,12 @@ def residual_trim_size_analysis(
         report_coefficients=(coefficient,),
     )
     estimator = regression_comparison_estimator(comparison)
-    dim = comparison.dim
+    labels = comparison.stat_labels()
     plan = BootstrapPlan(iterations=inner_iterations, resample_unit="cluster")
     spec = TestSpec(h=h, alpha=alpha)
 
     def analyze(data: PanelDataset, rep_seed: int) -> bool:
         result = bootstrap_pipeline(data, replace(plan, seed=rep_seed), estimator)
-        b1, b2 = result.point[:dim], result.point[dim:]
-        sig_d = difference_covariance(result.cov, dim)
-        return robustness_test(b1, b2, sig_d, replace(spec, seed=rep_seed)).reject
+        return comparison_tests(labels, result.point, result.cov, replace(spec, seed=rep_seed))[-1].reject
 
     return analyze

@@ -705,7 +705,7 @@ class TestSharedDrawPass:
             raise NumericalError("test refused")
 
         monkeypatch.setattr(analysis, "_build_estimator", build_failing_last)
-        monkeypatch.setattr(analysis, "_robustness_tests", refuse_tests)
+        monkeypatch.setattr(analysis, "comparison_tests", refuse_tests)
         with pytest.raises(ValueError, match=r"^\[bootstrap:upper\] point refused$"):
             run_analysis(config, data=data)
 

@@ -16,6 +16,7 @@ import pytest
 
 from trimtest.analysis import _regenerated_tests
 from trimtest.cli import main
+from trimtest.csvio import read_draws_csv
 
 from conftest import make_panel
 
@@ -46,6 +47,11 @@ def workdir(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     return tmp_path, str(config_path)
+
+
+def _read_config(config: str) -> dict:
+    with open(config, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _put(raw: dict, dotted: str, value) -> None:
@@ -179,7 +185,7 @@ class TestFlags:
     def test_test_flags_set_bootstrap_and_output_settings(self, workdir, capsys):
         # The bare config has no bootstrap or output section: the flags create them.
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         del raw["bootstrap"], raw["output"]
         (tmp_path / "bare.json").write_text(json.dumps(raw), encoding="utf-8")
         raw["bootstrap"] = {"iterations": 50, "seed": 10}
@@ -197,7 +203,7 @@ class TestFlags:
 
     def test_flag_leaves_a_section_that_is_not_an_object(self, workdir, capsys):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["bootstrap"] = 5
         (tmp_path / "five.json").write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "o"
@@ -242,7 +248,7 @@ class TestReport:
         # takes the Monte Carlo path, the per-statistic tests the df = 1
         # noncentral chi-square one.
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y"}]}
         raw["weights"]["adjusted"] = {
             "kind": "quantile_trim", "columns": ["x", "y"], "lower_q": 0.05, "upper_q": 0.95,
@@ -268,7 +274,7 @@ class TestReport:
     def test_report_refuses_a_stored_norm_of_the_wrong_size(self, workdir, capsys):
         # results.json is read back from disk, so its norm is checked again.
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["test"]["norm"] = [[2.0]]
         p = tmp_path / "norm.json"
         p.write_text(json.dumps(raw), encoding="utf-8")
@@ -295,7 +301,7 @@ class TestReport:
 
     def test_records_every_bootstrap_setting(self, workdir, capsys):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["bootstrap"].update(engine="multiplier", multiplier_distribution="poisson")
         p = tmp_path / "poisson.json"
         p.write_text(json.dumps(raw), encoding="utf-8")
@@ -322,6 +328,23 @@ class TestPlotData:
         assert main(["plot-data", "--draws", str(draws), "--columns", "1,2", "--output", str(grid)]) == 2
         assert capsys.readouterr().err == f"data error: {draws}: line 3 has 2 fields, not 3\n"
         assert not grid.exists()
+
+    def test_non_numeric_draws_cell_is_exit_2(self, tmp_path, capsys):
+        # A "nan" cell is a failed draw and still reads as NaN; "abc" is refused.
+        draws, grid = tmp_path / "draws.csv", tmp_path / "g.csv"
+        draws.write_text("draw_index,stat_1,stat_2\n0,nan,nan\n1,1.0,abc\n", encoding="utf-8")
+        assert main(["plot-data", "--draws", str(draws), "--columns", "1,2", "--output", str(grid)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {draws}: line 3, column 'stat_2': 'abc' is not a number\n"
+        )
+        assert not grid.exists()
+
+    def test_nan_draws_rows_are_kept(self, tmp_path):
+        draws = tmp_path / "draws.csv"
+        draws.write_text("draw_index,stat_1,stat_2\n0,nan,nan\n1,1.0,-2.5\n", encoding="utf-8")
+        got = read_draws_csv(str(draws))
+        assert got.shape == (2, 2) and np.isnan(got[0]).all()
+        assert got[1].tolist() == [1.0, -2.5]
 
     def test_grid_from_draws(self, workdir, capsys):
         tmp_path, config = workdir
@@ -400,6 +423,62 @@ class TestExitCodes:
         code = main(["test", "--config", str(p)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[]", "{results}: the top level must be an object, got []", id="list"),
+            pytest.param("{}", "{results}: the top level has no key 'test'", id="empty"),
+            pytest.param('{"test": {}}', "{results}: the top level has no key 'comparisons'", id="no-comparisons"),
+            pytest.param(
+                '{"test": {}, "comparisons": []}',
+                "{results}: comparisons must be an object, got []",
+                id="comparisons-list",
+            ),
+            pytest.param(
+                '{"test": {"h": "a"}, "comparisons": {}}',
+                "{results}: test.h must be a number, got 'a'",
+                id="test-setting",
+            ),
+            pytest.param(
+                '{"test": {}, "comparisons": {"main": []}}',
+                "{results}: comparisons.main must be an object, got []",
+                id="entry-list",
+            ),
+            pytest.param(
+                '{"test": {}, "comparisons": {"main": {"labels": ["x"], "baseline": [1.0]}}}',
+                "{results}: comparisons.main has no key 'adjusted'",
+                id="no-adjusted",
+            ),
+            pytest.param(
+                '{"test": {}, "comparisons": {"main": {"labels": "x", "baseline": [1], "adjusted": [2]}}}',
+                "{results}: comparisons.main.labels must be a list of names, got 'x'",
+                id="labels-string",
+            ),
+            pytest.param(
+                '{"test": {}, "comparisons": {"main": {"labels": ["x"], "baseline": [1, 2], "adjusted": [2]}}}',
+                "{results}: comparisons.main: baseline and adjusted need one number per label",
+                id="point-length",
+            ),
+            pytest.param(
+                '{"test": {}, "comparisons": {"main": {"labels": ["x", "w"], "baseline": [1, 2], "adjusted": [3, 4]}}}',
+                "{draws}: 2 columns, not 2 x 2 for comparisons.main.labels",
+                id="draws-width",
+            ),
+            pytest.param("{not json", "results file {results} is not valid JSON: ", id="not-json"),
+        ],
+    )
+    def test_malformed_results_file_is_exit_2(self, workdir, capsys, text, message):
+        # results.json and the draws files are read back from disk, so each is checked.
+        tmp_path, config = workdir
+        assert main(["test", "--config", config]) == 0
+        out = tmp_path / "out"
+        (out / "results.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = message.format(results=out / "results.json", draws=out / "draws_main.csv")
+        assert err.startswith("data error: [report] " + message) and err.count("\n") == 1
 
     def test_mc_missing_config_is_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -607,7 +686,7 @@ class TestExitCodes:
     )
     def test_unknown_weight_scheme_key_is_exit_2(self, workdir, capsys, scheme, typo):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["weights"]["adjusted"] = scheme
         err = self._exit_2(tmp_path, capsys, raw)
         assert err == f"data error: [config] unknown key(s) in weights.adjusted: {typo}\n"
@@ -621,7 +700,7 @@ class TestExitCodes:
     )
     def test_unknown_entry_key_is_exit_2(self, workdir, capsys, where, typo):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         stat = {"column": "x", "transform": {"kind": "power", "exponent": 2}}
         raw["model"] = {"type": "lstat", "statistics": [stat]}
         raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}
@@ -985,7 +1064,7 @@ class TestExitCodes:
         # Python's JSON reader takes NaN and Infinity.  These used to fail
         # later with a message that did not name the setting, or to run.
         tmp_path, config = workdir
-        raw, command = json.loads(open(config, encoding="utf-8").read()), "test"
+        raw, command = _read_config(config), "test"
         if name == "weights.adjusted.values[99]":
             raw["weights"]["adjusted"] = {"kind": "custom", "values": [1.0] * 99 + [value]}
         elif name.startswith("model."):
@@ -1003,7 +1082,7 @@ class TestExitCodes:
 
     def test_unknown_column_is_printed_without_quotes(self, workdir, capsys):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["model"]["regressors"] = ["x", "zz"]
         assert self._exit_2(tmp_path, capsys, raw, "test") == (
             "data error: [bootstrap:main] no column named 'zz'\n"
@@ -1080,7 +1159,7 @@ class TestExitCodes:
 
     def test_missing_input_csv_is_exit_2(self, workdir, tmp_path, capsys):
         _, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["input"] = str(tmp_path / "gone.csv")
         p = tmp_path / "config2.json"
         p.write_text(json.dumps(raw), encoding="utf-8")
@@ -1124,7 +1203,7 @@ class TestExitCodes:
         # Checked when the config is read: before anything is simulated or
         # written, and by every command that reads the mc section.
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         raw["mc"] = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, key: value}
         err = self._exit_2(tmp_path, capsys, raw, command)
         assert err == f"data error: [config] mc: {message}\n"
@@ -1200,7 +1279,7 @@ class TestExitCodes:
         self, workdir, capsys, command, model_type, side
     ):
         tmp_path, config = workdir
-        raw = json.loads(open(config, encoding="utf-8").read())
+        raw = _read_config(config)
         if model_type == "lstat":
             raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}]}
         raw["weights"] = {"baseline": {"kind": "all_ones"}, "adjusted": {"kind": "all_ones"}}

@@ -9,11 +9,14 @@ from trimtest import PanelDataset
 from trimtest.estimators import (
     RegressionComparison,
     _residual_context,
+    coefficient_specs,
+    comparison_tests,
     difference_covariance,
     lstat_pair_estimator,
     regression_comparison_estimator,
 )
 from trimtest.lstat import LStatSpec
+from trimtest.robustness import TestSpec, robustness_test
 from trimtest.regress import (
     RegressionFit,
     RegressionModel,
@@ -57,7 +60,6 @@ class TestRegressionComparison:
             model=RegressionModel("y", ("x", "w")), report_coefficients=("x",)
         )
         assert comp.stat_labels() == ("x",)
-        assert comp.dim == 1
 
     def test_labels_with_derived(self):
         comp = RegressionComparison(
@@ -185,3 +187,41 @@ class TestDrawHelpers:
         full = np.cov(stacked, rowvar=False, ddof=1)
         direct = np.cov(a - b, rowvar=False, ddof=1)
         np.testing.assert_allclose(difference_covariance(full, 2), direct, atol=1e-12)
+
+
+class TestComparisonTests:
+    @pytest.mark.parametrize("norm", ["diff_cov", "identity", ((2.5,),)])
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_one_statistic_joint_test_is_its_test(self, norm, method):
+        # One statistic: the joint test has the statistic's settings and
+        # 1 x 1 blocks, so it is the test the statistic gets on its own.
+        point = np.array([1.0, 0.2])
+        cov = np.array([[0.5, 0.3], [0.3, 0.4]])
+        spec = TestSpec(norm_matrix=norm, method=method, mc_draws=2000, seed=3)
+        b1, b2, diff_cov, coef_tests, joint = comparison_tests(("x",), point, cov, spec)
+        alone = robustness_test(
+            b1[0:1],
+            b2[0:1],
+            np.array([[float(diff_cov[0, 0])]]),
+            coefficient_specs(spec, 1)[0],
+            baseline_cov=np.array([[float(cov[0, 0])]]),
+        )
+        assert joint.path == ("mc" if method == "mc" else "chi2")
+        assert coef_tests == (joint,)
+        assert joint == alone
+
+    def test_each_of_two_statistics_is_tested_in_its_own_block(self):
+        point = np.array([1.0, 2.0, 0.2, 1.9])
+        cov = np.diag([0.5, 0.4, 0.3, 0.2])
+        spec = TestSpec(norm_matrix=((2.0, 0.0), (0.0, 3.0)))
+        b1, b2, diff_cov, coef_tests, joint = comparison_tests(("x", "w"), point, cov, spec)
+        for j, test in enumerate(coef_tests):
+            alone = robustness_test(
+                b1[j : j + 1],
+                b2[j : j + 1],
+                diff_cov[j : j + 1, j : j + 1],
+                TestSpec(norm_matrix=((spec.norm_matrix[j][j],),)),
+                baseline_cov=cov[j : j + 1, j : j + 1],
+            )
+            assert test == alone
+        assert joint == robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:2, :2])

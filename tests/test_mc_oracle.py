@@ -12,6 +12,7 @@ import pytest
 
 import trimtest.mc_oracle
 from trimtest import NumericalError
+from trimtest.analysis import AnalysisConfig, run_analysis
 from trimtest.cli import main
 from trimtest.errors import RankDeficiencyError
 from trimtest.lstat import LStatSpec
@@ -424,3 +425,29 @@ class TestResidualTrimSizeAnalysis:
         analysis = residual_trim_size_analysis(inner_iterations=59)
         data = simulate(DGPSpec.linear_regression(150, slope=1.0), seed=8)
         assert analysis(data, rep_seed=4) == analysis(data, rep_seed=4)
+
+    def test_rejections_match_trimtest_test_on_each_rep(self, monkeypatch):
+        # Each replication is tested the way `trimtest test` tests it: OLS
+        # against residual_trim, cluster resampling, the rep seed seeding
+        # both the bootstrap and the test.
+        dgp = DGPSpec.linear_regression(80, slope=0.5)
+        _pin_cpus(monkeypatch, 1)
+        analysis = residual_trim_size_analysis(multiplier=1.5, inner_iterations=19, alpha=0.3, h=0.02)
+        report = size_study(dgp, analysis, reps=8, seed=6, alpha=0.3, h=0.02)
+        rejections = 0
+        for r in range(8):
+            rep_seed = _child_seed(6, r)
+            config = AnalysisConfig.from_dict({
+                "input": "simulated",
+                "model": {"type": "ols", "outcome": "y", "regressors": ["x"]},
+                "weights": {
+                    "baseline": {"kind": "all_ones"},
+                    "adjusted": {"kind": "residual_trim", "multiplier": 1.5},
+                },
+                "bootstrap": {"iterations": 19, "resample_unit": "cluster", "seed": rep_seed},
+                "test": {"alpha": 0.3, "h": 0.02, "seed": rep_seed},
+            })
+            (result,) = run_analysis(config, data=simulate(dgp, rep_seed)).results
+            rejections += result.joint_test.reject
+        assert 0 < rejections < 8
+        assert report.rejections == rejections
