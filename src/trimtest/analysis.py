@@ -501,16 +501,13 @@ def read_json(path: str, what: str) -> dict:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Everything computed for one baseline/adjusted pair.
-
-    baseline through joint_test are what `comparison_tests` returns, in its order.
-    """
+    """Everything computed for one baseline/adjusted pair."""
 
     name: str
     labels: tuple[str, ...]
-    bootstrap: BootstrapResult
     baseline: np.ndarray
     adjusted: np.ndarray
+    bootstrap: BootstrapResult
     diff_cov: np.ndarray
     coefficient_tests: tuple
     joint_test: object
@@ -611,7 +608,20 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
                 weights = [compute_weights(s.scheme, data) for s in lstat_specs]
                 analytic = analytic_cov(lstat_specs, data, weights)
                 flags["analytic_cov_degenerate_all_ones"] = analytic_cov_is_degenerate(weights)
-        results.append(ComparisonResult(comparison.name, labels, part, *tests, flags, analytic))
+        results.append(
+            ComparisonResult(
+                name=comparison.name,
+                labels=labels,
+                baseline=tests.baseline,
+                adjusted=tests.adjusted,
+                bootstrap=part,
+                diff_cov=tests.diff_cov,
+                coefficient_tests=tests.coefficient_tests,
+                joint_test=tests.joint,
+                flags=flags,
+                analytic=analytic,
+            )
+        )
     table = _format_table(results)
     rd = _results_dict(config, load_report, results)
     return ReportBundle(
@@ -781,10 +791,12 @@ def regenerate_report(directory: str) -> dict:
 def _stored(raw, file: str, path: str, **keys) -> dict:
     """The named keys of an object in a results file, each read at its path; other keys are ignored."""
     try:
+        where = path or "the top level"
+        obj = _object(raw, where)
         for key in keys:
-            if key not in _object(raw, path or "the top level"):
-                raise DataError(f"{path or 'the top level'} has no key {key!r}")
-        return {key: read(raw[key], _join(path, key)) for key, read in keys.items()}
+            if key not in obj:
+                raise DataError(f"{where} has no key {key!r}")
+        return {key: read(obj[key], _join(path, key)) for key, read in keys.items()}
     except DataError as exc:
         raise DataError(f"{file}: {exc}") from None
 
@@ -812,6 +824,6 @@ def _regenerated_tests(directory: str) -> dict:
                     f"{draws_path}: {draws.shape[1]} columns, not 2 x {len(labels)} for comparisons.{name}.labels"
                 )
             point = np.array(entry["baseline"] + entry["adjusted"])
-            *_, coef_tests, joint = comparison_tests(labels, point, bootstrap_cov(draws), stored["test"])
-            out[name] = dict(zip(labels, map(asdict, coef_tests)), joint=asdict(joint))
+            tests = comparison_tests(labels, point, bootstrap_cov(draws), stored["test"])
+            out[name] = dict(zip(labels, map(asdict, tests.coefficient_tests)), joint=asdict(tests.joint))
         return out

@@ -140,22 +140,31 @@ def coefficient_specs(spec: TestSpec, d: int) -> list[TestSpec]:
     return [replace(spec, norm_matrix=[[a[j, j]]]) for j in range(d)]
 
 
-def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> tuple:
+@dataclass(frozen=True)
+class ComparisonTests:
+    """One comparison's estimates, difference covariance and tests."""
+
+    baseline: np.ndarray
+    adjusted: np.ndarray
+    diff_cov: np.ndarray
+    coefficient_tests: tuple
+    joint: object
+
+
+def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> ComparisonTests:
     """One comparison's tests, from its stacked point and bootstrap covariance.
 
     point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
     d x d difference block feeds each formal test and the baseline block
-    each heuristic p-value.  Returns (baseline, adjusted, difference
-    covariance, per-statistic tests, joint test).  With one statistic the
-    joint test is its test (same settings, same 1 x 1 blocks), so it runs
-    once.  Under the default norm a singular difference covariance is
+    each heuristic p-value: each statistic is tested alone, then all d
+    jointly.  Under the default norm a singular difference covariance is
     reported with the statistics that make it singular.
     """
     d = len(labels)
     b1, b2 = point[:d], point[d:]
     diff_cov = difference_covariance(cov, d)
     coef_specs = coefficient_specs(spec, d)
-    coef_tests = () if d == 1 else tuple(
+    coef_tests = tuple(
         robustness_test(
             b1[j : j + 1],
             b2[j : j + 1],
@@ -180,4 +189,4 @@ def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec)
             f"the difference covariance is singular: statistics {', '.join(map(repr, dependent))} "
             'are linearly dependent. Set test.norm to "identity", or drop one of them'
         ) from exc
-    return b1, b2, diff_cov, (joint,) if d == 1 else coef_tests, joint
+    return ComparisonTests(b1, b2, diff_cov, coef_tests, joint)

@@ -343,6 +343,6 @@ def residual_trim_size_analysis(
 
     def analyze(data: PanelDataset, rep_seed: int) -> bool:
         result = bootstrap_pipeline(data, replace(plan, seed=rep_seed), estimator)
-        return comparison_tests(labels, result.point, result.cov, replace(spec, seed=rep_seed))[-1].reject
+        return comparison_tests(labels, result.point, result.cov, replace(spec, seed=rep_seed)).joint.reject
 
     return analyze

@@ -16,7 +16,6 @@ import pytest
 
 from trimtest.analysis import _regenerated_tests
 from trimtest.cli import main
-from trimtest.csvio import read_draws_csv
 
 from conftest import make_panel
 
@@ -338,13 +337,6 @@ class TestPlotData:
             f"data error: {draws}: line 3, column 'stat_2': 'abc' is not a number\n"
         )
         assert not grid.exists()
-
-    def test_nan_draws_rows_are_kept(self, tmp_path):
-        draws = tmp_path / "draws.csv"
-        draws.write_text("draw_index,stat_1,stat_2\n0,nan,nan\n1,1.0,-2.5\n", encoding="utf-8")
-        got = read_draws_csv(str(draws))
-        assert got.shape == (2, 2) and np.isnan(got[0]).all()
-        assert got[1].tolist() == [1.0, -2.5]
 
     def test_grid_from_draws(self, workdir, capsys):
         tmp_path, config = workdir

@@ -198,24 +198,25 @@ class TestComparisonTests:
         point = np.array([1.0, 0.2])
         cov = np.array([[0.5, 0.3], [0.3, 0.4]])
         spec = TestSpec(norm_matrix=norm, method=method, mc_draws=2000, seed=3)
-        b1, b2, diff_cov, coef_tests, joint = comparison_tests(("x",), point, cov, spec)
+        tests = comparison_tests(("x",), point, cov, spec)
         alone = robustness_test(
-            b1[0:1],
-            b2[0:1],
-            np.array([[float(diff_cov[0, 0])]]),
+            point[:1],
+            point[1:],
+            np.array([[float(tests.diff_cov[0, 0])]]),
             coefficient_specs(spec, 1)[0],
             baseline_cov=np.array([[float(cov[0, 0])]]),
         )
-        assert joint.path == ("mc" if method == "mc" else "chi2")
-        assert coef_tests == (joint,)
-        assert joint == alone
+        assert tests.joint.path == ("mc" if method == "mc" else "chi2")
+        assert tests.coefficient_tests == (tests.joint,)
+        assert tests.joint == alone
 
     def test_each_of_two_statistics_is_tested_in_its_own_block(self):
         point = np.array([1.0, 2.0, 0.2, 1.9])
         cov = np.diag([0.5, 0.4, 0.3, 0.2])
         spec = TestSpec(norm_matrix=((2.0, 0.0), (0.0, 3.0)))
-        b1, b2, diff_cov, coef_tests, joint = comparison_tests(("x", "w"), point, cov, spec)
-        for j, test in enumerate(coef_tests):
+        tests = comparison_tests(("x", "w"), point, cov, spec)
+        b1, b2, diff_cov = tests.baseline, tests.adjusted, tests.diff_cov
+        for j, test in enumerate(tests.coefficient_tests):
             alone = robustness_test(
                 b1[j : j + 1],
                 b2[j : j + 1],
@@ -224,4 +225,4 @@ class TestComparisonTests:
                 baseline_cov=cov[j : j + 1, j : j + 1],
             )
             assert test == alone
-        assert joint == robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:2, :2])
+        assert tests.joint == robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:2, :2])
