@@ -1,12 +1,14 @@
 """End-to-end analysis: config -> data -> bootstrap -> tests -> reports.
 
-The configuration is a JSON document (objects, arrays, scalars).  A run
-produces a ReportBundle holding point estimates, bootstrap draws,
-covariances with provenance, per-coefficient and joint robustness tests
-(from `estimators.comparison_tests`, which `trimtest report` reruns on the
-stored draws), and a formatted comparison table.  Machine-readable outputs are
-deterministic: identical config and seeds give byte-identical files.
-Failures are re-raised with the pipeline stage in the message.
+The configuration is a JSON document (objects, arrays, scalars); the
+`mc.dgp` schema takes the settings `mc_oracle.DGP_SETTINGS` lists per kind.
+A run produces a ReportBundle holding, per comparison, its bootstrap
+result and the `ComparisonTests` record of `estimators.comparison_tests`
+(estimates, difference covariance, per-statistic and joint robustness
+tests), which `trimtest report` rebuilds from the stored draws; and a
+formatted comparison table.  Machine-readable outputs are deterministic:
+identical config and seeds give byte-identical files.  Failures are
+re-raised with the pipeline stage in the message.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .csvio import (
 from .dataset import PanelDataset, add_within_cluster_lags
 from .errors import DataError, stage
 from .estimators import (
+    ComparisonTests,
     RegressionComparison,
     coefficient_specs,
     comparison_tests,
@@ -38,7 +41,7 @@ from .estimators import (
     regression_comparison_estimator,
 )
 from .lstat import LStatSpec, Transform, analytic_cov, analytic_cov_is_degenerate
-from .mc_oracle import DGPSpec, residual_trim_size_analysis, size_study
+from .mc_oracle import DGP_SETTINGS, DGPSpec, residual_trim_size_analysis, size_study
 from .plotgrid import emit_plot_grid
 from .regress import RegressionModel
 from .robustness import TestSpec, explicit_norm
@@ -66,6 +69,14 @@ def _seed(value, path: str) -> int:
     if seed < 0:
         raise DataError(f"{path} must be a non-negative integer, got {value!r}")
     return seed
+
+
+def _draw_count(value, path: str) -> int:
+    """A bootstrap draw count: one draw has no covariance, so 1 is refused (below 1, by the plan)."""
+    count = _int(value, path)
+    if count == 1:
+        raise DataError(f"{path} must be at least 2, got 1: one bootstrap draw has no covariance")
+    return count
 
 
 def _finite(value: int | float, path: str) -> float:
@@ -396,23 +407,18 @@ def _size_study(**study) -> dict:
 
 
 _DGP_FIELDS = _fields(DGPSpec)
-_DGP = _Kinds(  # each kind takes the keyword arguments of its DGPSpec constructor
-    "kind",
-    {
-        kind: ({k: _DGP_FIELDS[k] for k in inspect.signature(getattr(DGPSpec, kind)).parameters}, ())
-        for kind in ("univariate", "linear_regression", "panel")
-    },
-    DGPSpec,
+_DGP = _Kinds(
+    "kind", {kind: ({k: _DGP_FIELDS[k] for k in keys}, ()) for kind, keys in DGP_SETTINGS.items()}, DGPSpec
 )
 _MC = _Section(
     {
         "dgp": _DGP, "reps": _int, "seed": _seed, "alpha": _real, "h": _real,
-        "multiplier": _real, "inner_iterations": _int, "coefficient": _str,
+        "multiplier": _real, "inner_iterations": _draw_count, "coefficient": _str,
     },
     ("dgp",),
     _size_study,
 )
-_BOOTSTRAP = _Section({**_fields(BootstrapPlan), "seed": _seed}, build=BootstrapPlan)
+_BOOTSTRAP = _Section({**_fields(BootstrapPlan), "iterations": _draw_count, "seed": _seed}, build=BootstrapPlan)
 _ROOT = _Section(
     {
         "input": (_str, "input_path"), "cluster_column": _str_or_null, "model": _MODEL,
@@ -501,16 +507,12 @@ def read_json(path: str, what: str) -> dict:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Everything computed for one baseline/adjusted pair."""
+    """Everything computed for one baseline/adjusted pair; `tests` as `comparison_tests` returns it."""
 
     name: str
     labels: tuple[str, ...]
-    baseline: np.ndarray
-    adjusted: np.ndarray
     bootstrap: BootstrapResult
-    diff_cov: np.ndarray
-    coefficient_tests: tuple
-    joint_test: object
+    tests: ComparisonTests
     flags: dict = field(default_factory=dict)
     analytic: np.ndarray | None = None
 
@@ -612,12 +614,8 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
             ComparisonResult(
                 name=comparison.name,
                 labels=labels,
-                baseline=tests.baseline,
-                adjusted=tests.adjusted,
                 bootstrap=part,
-                diff_cov=tests.diff_cov,
-                coefficient_tests=tests.coefficient_tests,
-                joint_test=tests.joint,
+                tests=tests,
                 flags=flags,
                 analytic=analytic,
             )
@@ -653,12 +651,12 @@ def _table_rows(res: ComparisonResult) -> list[dict]:
     d = len(res.labels)
     se = np.sqrt(np.maximum(np.diag(res.bootstrap.cov), 0.0))
     for j, label in enumerate(res.labels):
-        t = res.coefficient_tests[j]
+        t = res.tests.coefficient_tests[j]
         rows.append(
             {
                 "statistic": label,
-                "baseline": _fmt(res.baseline[j]),
-                "adjusted": _fmt(res.adjusted[j]),
+                "baseline": _fmt(res.tests.baseline[j]),
+                "adjusted": _fmt(res.tests.adjusted[j]),
                 "se_baseline": _fmt(se[j]),
                 "se_adjusted": _fmt(se[d + j]),
                 "p_formal": _fmt(t.p_value_formal),
@@ -681,7 +679,7 @@ def _format_table(results: list[ComparisonResult]) -> str:
         lines.append("  ".join(c.ljust(widths[c]) for c in _COLUMNS))
         for r in rows:
             lines.append("  ".join(r[c].ljust(widths[c]) for c in _COLUMNS))
-        jt = res.joint_test
+        jt = res.tests.joint
         lines.append(
             f"joint: statistic={_fmt(jt.statistic)} critical={_fmt(jt.critical_value)} "
             f"p_formal={_fmt(jt.p_value_formal)} reject={str(jt.reject).lower()}"
@@ -700,8 +698,8 @@ def _results_dict(config: AnalysisConfig, load_report: LoadReport, results: list
     for res in results:
         entry = {
             "labels": list(res.labels),
-            "baseline": res.baseline.tolist(),
-            "adjusted": res.adjusted.tolist(),
+            "baseline": res.tests.baseline.tolist(),
+            "adjusted": res.tests.adjusted.tolist(),
             "bootstrap_cov": {
                 "matrix": res.bootstrap.cov.tolist(),
                 "provenance": "bootstrap",
@@ -709,9 +707,9 @@ def _results_dict(config: AnalysisConfig, load_report: LoadReport, results: list
                 "seed": res.bootstrap.seed,
                 "failed_draws": res.bootstrap.n_failed,
             },
-            "difference_cov": res.diff_cov.tolist(),
-            "tests": dict(zip(res.labels, map(asdict, res.coefficient_tests))),
-            "joint_test": asdict(res.joint_test),
+            "difference_cov": res.tests.diff_cov.tolist(),
+            "tests": dict(zip(res.labels, map(asdict, res.tests.coefficient_tests))),
+            "joint_test": asdict(res.tests.joint),
             "table_rows": _table_rows(res),
             "flags": dict(res.flags),
         }
@@ -823,7 +821,11 @@ def _regenerated_tests(directory: str) -> dict:
                 raise DataError(
                     f"{draws_path}: {draws.shape[1]} columns, not 2 x {len(labels)} for comparisons.{name}.labels"
                 )
+            try:
+                cov = bootstrap_cov(draws)
+            except ValueError as exc:
+                raise DataError(f"{draws_path}: {exc}") from None
             point = np.array(entry["baseline"] + entry["adjusted"])
-            tests = comparison_tests(labels, point, bootstrap_cov(draws), stored["test"])
+            tests = comparison_tests(labels, point, cov, stored["test"])
             out[name] = dict(zip(labels, map(asdict, tests.coefficient_tests)), joint=asdict(tests.joint))
         return out

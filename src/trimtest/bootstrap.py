@@ -17,12 +17,13 @@ are rescaled to sum to the row count n, so an estimator's fixed 1/n equals
 the 1/n_b of the resample the counts describe.  A count draw whose counts
 are all zero is an empty resample and fails.
 
-Draws run in blocks: a block of K draws is one K x n matrix of row weights,
-K = BLOCK_ENTRIES // n, so the layout depends on (n, B) alone.  One call
-can run several estimators (one per comparison of an analysis) on the same
-draws: each block is built once and every estimator evaluates it before
-the next block is drawn, so no draw's weights are built twice and no more
-than one block is held at a time.  Each estimator keeps its own point
+Draws run in blocks: a block of K draws is one C-ordered K x n matrix of
+row weights (each draw's weights one contiguous row, as a one-draw call
+sees them), K = BLOCK_ENTRIES // n, so the layout depends on (n, B) alone.
+One call can run several estimators (one per comparison of an analysis) on
+the same draws: each block is built once and every estimator evaluates it
+before the next block is drawn, so no draw's weights are built twice and no
+more than one block is held at a time.  Each estimator keeps its own point
 estimate, draws, failed draws, failure limit and covariance; a draw that
 fails one estimator is still a draw of the others.
 
@@ -166,7 +167,7 @@ def _draw_block(
             units[i] = multinomial_counts(n_units, rng)
         else:
             units[i] = 1.0 + multiplier_weights(n_units, plan.multiplier_distribution, rng)
-    rho = units[:, data.row_cluster_index] if by_cluster else units
+    rho = units.take(data.row_cluster_index, axis=1) if by_cluster else units
     empty = np.zeros(len(draws), dtype=bool)
     if plan.engine == "multinomial" or plan.multiplier_distribution == "poisson":
         total = rho.sum(axis=1)

@@ -1,6 +1,8 @@
 """Simulation harness: data generators, ground-truth covariances, size studies.
 
-Everything here is deterministic given the DGP description and the seed;
+DGP_SETTINGS lists the settings each DGP kind takes: the `DGPSpec`
+constructors and the `mc.dgp` config schema both read it.  Everything here
+is deterministic given the DGP description and the seed;
 replication r uses a generator derived from (seed, r) so results do not
 depend on execution order, and `size_study` runs them in forked worker
 processes (its `analysis_fn` may run in a child, whose side effects the
@@ -32,6 +34,12 @@ from .robustness import TestSpec
 from .weights import WeightScheme
 
 _LAWS = {"normal", "uniform", "lognormal", "student_t"}
+# The DGPSpec fields each kind reads; the others keep their defaults.
+DGP_SETTINGS = {
+    "univariate": ("law", "n", "loc", "scale", "df"),
+    "linear_regression": ("n", "intercept", "slope", "error_scale", "instrument_strength"),
+    "panel": ("n_clusters", "t_min", "t_max", "intercept", "slope", "error_scale"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class DGPSpec:
     t_max: int = 1
 
     def __post_init__(self):
-        if self.kind not in {"univariate", "linear_regression", "panel"}:
+        if self.kind not in DGP_SETTINGS:
             raise ValueError(f"unknown DGP kind {self.kind!r}")
         for name, value in (("scale", self.scale), ("error_scale", self.error_scale)):
             if value < 0:
@@ -92,46 +100,24 @@ class DGPSpec:
         return ("z", "x", "y") if self.instrument_strength > 0.0 else ("x", "y")
 
     @classmethod
-    def univariate(cls, law: str, n: int, loc: float = 0.0, scale: float = 1.0, df: float = 5.0):
-        return cls("univariate", n=n, law=law, loc=loc, scale=scale, df=df)
+    def _of(cls, kind: str, **settings):
+        """A DGP of this kind; a setting that is not among the kind's is a TypeError naming it."""
+        unknown = sorted(set(settings) - set(DGP_SETTINGS[kind]))
+        if unknown:
+            raise TypeError(f"a {kind!r} DGP takes no setting {', '.join(unknown)}")
+        return cls(kind, **settings)
 
     @classmethod
-    def linear_regression(
-        cls,
-        n: int,
-        intercept: float = 0.0,
-        slope: float = 1.0,
-        error_scale: float = 1.0,
-        instrument_strength: float = 0.0,
-    ):
-        return cls(
-            "linear_regression",
-            n=n,
-            intercept=intercept,
-            slope=slope,
-            error_scale=error_scale,
-            instrument_strength=instrument_strength,
-        )
+    def univariate(cls, law: str, n: int, **settings):
+        return cls._of("univariate", law=law, n=n, **settings)
 
     @classmethod
-    def panel(
-        cls,
-        n_clusters: int,
-        t_min: int,
-        t_max: int,
-        intercept: float = 0.0,
-        slope: float = 1.0,
-        error_scale: float = 1.0,
-    ):
-        return cls(
-            "panel",
-            n_clusters=n_clusters,
-            t_min=t_min,
-            t_max=t_max,
-            intercept=intercept,
-            slope=slope,
-            error_scale=error_scale,
-        )
+    def linear_regression(cls, n: int, **settings):
+        return cls._of("linear_regression", n=n, **settings)
+
+    @classmethod
+    def panel(cls, n_clusters: int, t_min: int, t_max: int, **settings):
+        return cls._of("panel", n_clusters=n_clusters, t_min=t_min, t_max=t_max, **settings)
 
 
 @dataclass(frozen=True)

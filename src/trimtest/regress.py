@@ -63,6 +63,8 @@ class RegressionModel:
                 raise ValueError("model needs regressors or an intercept")
             if self.fixed_effects:
                 raise ValueError("a model with fixed effects needs regressors")
+        if self.outcome in (*self.regressors, *self.instruments):
+            raise ValueError(f"the outcome {self.outcome!r} cannot also be a regressor or an instrument")
         unknown = set(self.endogenous) - set(self.regressors)
         if unknown:
             raise ValueError(f"endogenous columns {sorted(unknown)} are not regressors")

@@ -519,7 +519,7 @@ class TestRunAnalysis:
         report, data = bundle
         res = report.results[0]
         fit = weighted_ols(RegressionModel("y", ("x",)), data)
-        assert res.baseline[0] == pytest.approx(fit.coef("x"), abs=1e-13)
+        assert res.tests.baseline[0] == pytest.approx(fit.coef("x"), abs=1e-13)
 
     def test_table_and_dict_agree_verbatim(self, bundle):
         report, _ = bundle
@@ -552,10 +552,10 @@ class TestRunAnalysis:
         }
         report = run_analysis(AnalysisConfig.from_dict(raw), data=data)
         res = report.results[0]
-        np.testing.assert_array_equal(res.baseline, res.adjusted)
-        assert res.joint_test.p_value_formal == 1.0
-        assert not res.joint_test.reject
-        for t in res.coefficient_tests:
+        np.testing.assert_array_equal(res.tests.baseline, res.tests.adjusted)
+        assert res.tests.joint.p_value_formal == 1.0
+        assert not res.tests.joint.reject
+        for t in res.tests.coefficient_tests:
             assert t.p_value_formal == 1.0
 
     def test_lstat_mode_with_analytic_covariance(self):
@@ -578,7 +578,7 @@ class TestRunAnalysis:
         report = run_analysis(AnalysisConfig.from_dict(raw), data=data)
         res = report.results[0]
         assert res.labels == ("x",)
-        assert res.baseline[0] == pytest.approx(data.column("x").mean())
+        assert res.tests.baseline[0] == pytest.approx(data.column("x").mean())
         assert res.analytic is not None
         assert res.analytic.shape == (2, 2)
         assert res.flags["analytic_cov_degenerate_all_ones"] is False
@@ -649,8 +649,8 @@ class TestSharedDrawPass:
             assert res.name == alone.name
             np.testing.assert_array_equal(res.bootstrap.draws, alone.bootstrap.draws)
             np.testing.assert_array_equal(res.bootstrap.cov, alone.bootstrap.cov)
-            np.testing.assert_array_equal(res.baseline, alone.baseline)
-            np.testing.assert_array_equal(res.adjusted, alone.adjusted)
+            np.testing.assert_array_equal(res.tests.baseline, alone.tests.baseline)
+            np.testing.assert_array_equal(res.tests.adjusted, alone.tests.adjusted)
             assert report.results_dict["comparisons"][res.name] == (
                 alone_report.results_dict["comparisons"][res.name]
             )
@@ -777,16 +777,16 @@ class TestOutputsAndReport:
         raw["output"] = {"directory": str(tmp_path / "out")}
         bundle = run_analysis(AnalysisConfig.from_dict(raw), data=data)
         res = bundle.results[0]
-        diff = res.baseline - res.adjusted
+        diff = res.tests.baseline - res.tests.adjusted
         # Statistic j alone is tested in the norm [[A[j, j]]].
-        for j, t in enumerate(res.coefficient_tests):
+        for j, t in enumerate(res.tests.coefficient_tests):
             assert t.path == "chi2"
             assert t.statistic == pytest.approx(abs(diff[j]) / np.sqrt(norm[j][j]), rel=1e-12)
             assert 0.0 <= t.p_value_formal <= 1.0
             assert 0.0 <= t.p_value_heuristic <= 1.0
-        assert res.joint_test.path == "mc"
+        assert res.tests.joint.path == "mc"
         expected = np.sqrt(diff @ np.linalg.solve(np.array(norm), diff))
-        assert res.joint_test.statistic == pytest.approx(expected, rel=1e-12)
+        assert res.tests.joint.statistic == pytest.approx(expected, rel=1e-12)
         write_outputs(bundle)
         with open(tmp_path / "out" / "results.json", encoding="utf-8") as fh:
             stored = json.load(fh)

@@ -242,6 +242,20 @@ class TestPipeline:
                 for rows in unequal.cluster_rows:
                     assert len(np.unique(rho[rows])) == 1
 
+    @pytest.mark.parametrize("unit", ["cluster", "row"])
+    @pytest.mark.parametrize(
+        "engine, distribution",
+        [("multinomial", "normal"), ("multiplier", "normal"), ("multiplier", "poisson")],
+    )
+    def test_draw_blocks_are_c_ordered(self, unequal, unit, engine, distribution):
+        # Each draw's row weights are one contiguous row, so a row reduction
+        # over the block needs no copy to run as the one-draw reduction does.
+        plan = BootstrapPlan(
+            iterations=8, seed=5, resample_unit=unit, engine=engine, multiplier_distribution=distribution
+        )
+        rho, _ = _draw_block(unequal, plan, range(8))
+        assert rho.shape == (8, unequal.n_rows) and rho.flags.c_contiguous
+
     def test_all_zero_poisson_draw_is_empty(self):
         data = PanelDataset({"v": np.array([1.0, 2.0])}, np.array([0, 0]))
         plan = BootstrapPlan(

@@ -295,7 +295,8 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "data error: [report] need at least two non-missing draws for a covariance\n"
+            f"data error: [report] {tmp_path / 'out' / 'draws_main.csv'}: "
+            "need at least two non-missing draws for a covariance\n"
         )
 
     def test_records_every_bootstrap_setting(self, workdir, capsys):
@@ -471,6 +472,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         message = message.format(results=out / "results.json", draws=out / "draws_main.csv")
         assert err.startswith("data error: [report] " + message) and err.count("\n") == 1
+
+    def test_draws_file_with_one_row_is_exit_2(self, workdir, capsys):
+        # One draw has no covariance; the message names the draws file.
+        tmp_path, config = workdir
+        assert main(["test", "--config", config]) == 0
+        draws = tmp_path / "out" / "draws_main.csv"
+        draws.write_text("draw_index,stat_1,stat_2\n0,1.0,2.0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: [report] {draws}: need at least two non-missing draws for a covariance\n"
+        )
 
     def test_mc_missing_config_is_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -892,6 +905,31 @@ class TestExitCodes:
             "weights.adjusted.values",
         ),
         "coefficient-outcome": ("mc", lambda r: _put(r, "mc.coefficient", "y"), "mc.coefficient"),
+        "bootstrap.iterations-one": (
+            "test",
+            lambda r: _put(r, "bootstrap.iterations", 1),
+            "[config] bootstrap.iterations must be at least 2, got 1",
+        ),
+        "mc.inner_iterations-one": (
+            "mc",
+            lambda r: _put(r, "mc.inner_iterations", 1),
+            "[config] mc.inner_iterations must be at least 2, got 1",
+        ),
+        "model.outcome-regressor": (
+            "test",
+            lambda r: _put(r, "model.regressors", ["x", "y"]),
+            "[config] model: the outcome 'y' cannot also be a regressor or an instrument",
+        ),
+        "model.outcome-regressor-estimate": (
+            "estimate",
+            lambda r: _put(r, "model.regressors", ["x", "y"]),
+            "[config] model: the outcome 'y' cannot also be a regressor or an instrument",
+        ),
+        "model.outcome-instrument": (
+            "test",
+            lambda r: r["model"].update(type="iv", endogenous=["x"], instruments=["y"]),
+            "[config] model: the outcome 'y' cannot also be a regressor or an instrument",
+        ),
         "bootstrap.seed-negative": ("test", lambda r: _put(r, "bootstrap.seed", -1), "bootstrap.seed"),
         "test.seed-negative": ("test", lambda r: _put(r, "test.seed", -1), "test.seed"),
         "mc.seed-negative": ("mc", lambda r: _put(r, "mc.seed", -3), "mc.seed"),
@@ -1165,10 +1203,18 @@ class TestExitCodes:
         [
             ("test", "--iterations", "0", "[config] bootstrap: iterations must be >= 1"),
             ("mc", "--iterations", "0", "[config] mc: iterations must be >= 1"),
+            (
+                "test", "--iterations", "1",
+                "[config] bootstrap.iterations must be at least 2, got 1: one bootstrap draw has no covariance",
+            ),
+            (
+                "mc", "--iterations", "1",
+                "[config] mc.inner_iterations must be at least 2, got 1: one bootstrap draw has no covariance",
+            ),
             ("test", "--seed", "-1", "[config] bootstrap.seed must be a non-negative integer, got -1"),
             ("mc", "--seed", "-1", "[config] mc.seed must be a non-negative integer, got -1"),
         ],
-        ids=["test-iterations", "mc-iterations", "test-seed", "mc-seed"],
+        ids=["test-iterations", "mc-iterations", "test-one-draw", "mc-one-draw", "test-seed", "mc-seed"],
     )
     def test_flag_is_checked_like_its_setting(self, workdir, capsys, command, flag, value, message):
         tmp_path, config = workdir
@@ -1331,13 +1377,19 @@ class TestExitCodes:
         )
 
     def test_numerical_failure_is_exit_3(self, workdir, capsys):
-        # One bootstrap draw gives a zero covariance matrix while the
-        # baseline and adjusted estimates differ, which the robustness test
-        # rejects as inconsistent.
-        _, config = workdir
-        code = main(["test", "--config", config, "--iterations", "1"])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        # A regressor that is twice another makes every design matrix rank
+        # deficient, starting with the point estimate's.
+        tmp_path, config = workdir
+        header, *lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
+        rows = [f"{line},{2 * float(line.split(',')[1])!r}" for line in lines]
+        (tmp_path / "collinear.csv").write_text("\n".join([header + ",x2", *rows]) + "\n", encoding="utf-8")
+        raw = _read_config(config)
+        raw["input"] = str(tmp_path / "collinear.csv")
+        raw["model"]["regressors"] = ["x", "x2"]
+        p = tmp_path / "collinear.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["test", "--config", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: [bootstrap:main] design matrix is rank deficient")
 
 
 class TestModuleEntryPoint:

@@ -17,7 +17,9 @@ from trimtest.cli import main
 from trimtest.errors import RankDeficiencyError
 from trimtest.lstat import LStatSpec
 from trimtest.estimators import lstat_pair_estimator
+from trimtest.analysis import _DGP
 from trimtest.mc_oracle import (
+    DGP_SETTINGS,
     CoverageReport,
     DGPSpec,
     _child_seed,
@@ -52,6 +54,17 @@ class TestDGPSpecValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
             DGPSpec("linear_regression", n=10, **{name: -1.0})
         assert getattr(DGPSpec("linear_regression", n=10, **{name: 0.0}), name) == 0.0
+
+    def test_constructor_refuses_a_setting_of_another_kind(self):
+        with pytest.raises(TypeError, match="^a 'univariate' DGP takes no setting slope$"):
+            DGPSpec.univariate("normal", 5, slope=2.0)
+        with pytest.raises(TypeError, match="^a 'panel' DGP takes no setting df, n$"):
+            DGPSpec.panel(3, 1, 2, n=10, df=3.0)
+        assert DGPSpec.linear_regression(n=10, slope=2.0) == DGPSpec("linear_regression", n=10, slope=2.0)
+
+    @pytest.mark.parametrize("kind", list(DGP_SETTINGS))
+    def test_config_schema_takes_the_settings_of_each_kind(self, kind):
+        assert set(_DGP.sections[kind].keys) == {"kind", *DGP_SETTINGS[kind]}
 
     def test_panel_bounds(self):
         with pytest.raises(ValueError, match="t_min"):
@@ -448,6 +461,6 @@ class TestResidualTrimSizeAnalysis:
                 "test": {"alpha": 0.3, "h": 0.02, "seed": rep_seed},
             })
             (result,) = run_analysis(config, data=simulate(dgp, rep_seed)).results
-            rejections += result.joint_test.reject
+            rejections += result.tests.joint.reject
         assert 0 < rejections < 8
         assert report.rejections == rejections
