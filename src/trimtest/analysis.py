@@ -72,10 +72,10 @@ def _seed(value, path: str) -> int:
 
 
 def _draw_count(value, path: str) -> int:
-    """A bootstrap draw count: one draw has no covariance, so 1 is refused (below 1, by the plan)."""
+    """A bootstrap draw count: a covariance needs two draws, so every count below 2 is refused."""
     count = _int(value, path)
-    if count == 1:
-        raise DataError(f"{path} must be at least 2, got 1: one bootstrap draw has no covariance")
+    if count < 2:
+        raise DataError(f"{path} must be at least 2, got {count}: a bootstrap covariance needs two draws")
     return count
 
 
@@ -338,6 +338,10 @@ def _model(statistics=(), report_coefficients=None, derived=None, **model):
         raise DataError(
             'an "iv" model requires endogenous and instruments lists; "ols" takes neither'
         )
+    # The library keeps such a model (its 2SLS fit is the OLS fit); a config naming one is a slip.
+    for name in model.get("endogenous", ()):
+        if name in model.get("instruments", ()):
+            raise ValueError(f"the endogenous regressor {name!r} cannot also be its own instrument")
     model = RegressionModel(**model)
     report = model.regressors if report_coefficients is None else report_coefficients
     comparison = RegressionComparison(model, report_coefficients=report, **(derived or {}))

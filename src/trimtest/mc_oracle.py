@@ -4,8 +4,8 @@ DGP_SETTINGS lists the settings each DGP kind takes: the `DGPSpec`
 constructors and the `mc.dgp` config schema both read it.  Everything here
 is deterministic given the DGP description and the seed;
 replication r uses a generator derived from (seed, r) so results do not
-depend on execution order, and `size_study` runs them in forked worker
-processes (its `analysis_fn` may run in a child, whose side effects the
+depend on execution order, and `size_study` runs them on the bootstrap's
+fork map (its `analysis_fn` may run in a child, whose side effects the
 caller does not see).  The Monte Carlo covariance across fresh datasets is
 the ground truth that bootstrap and analytic covariance estimators are
 checked against.  The canonical size study decides each replication by the
@@ -14,14 +14,11 @@ joint test of `comparison_tests`, the step that `trimtest test` runs.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures
+from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures, fork_map
 from .dataset import PanelDataset
 from .errors import NumericalError, stage
 from .estimators import (
@@ -211,67 +208,6 @@ def _child_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0])
 
 
-def _map_reps(fn, reps: int) -> list:
-    """[fn(0), ..., fn(reps - 1)]; worker r % workers runs rep r, worker 0 in this process.
-
-    The other workers are forked, not spawned, so fn may be a closure.  Each
-    worker stops at its first exception, so the lowest failing rep, raised
-    here, is the one a serial loop raises.  A child's exception that cannot
-    be pickled comes back as a NumericalError naming its type and message.
-    """
-
-    def run(w: int) -> list:  # [(rep, ok, value or exception)] of worker w
-        out = []
-        for r in range(w, reps, workers):
-            try:
-                out.append((r, True, fn(r)))
-            except Exception as exc:
-                return out + [(r, False, exc)]
-        return out
-
-    workers = min(len(os.sched_getaffinity(0)), reps) if hasattr(os, "sched_getaffinity") else 1
-    children = []
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    outcomes = run(w)
-                    try:
-                        payload = pickle.dumps(outcomes)
-                    except Exception:  # only a worker's last outcome can be an exception
-                        rep, _, exc = outcomes[-1]
-                        error = NumericalError(f"{type(exc).__name__}: {exc}")
-                        payload = pickle.dumps(outcomes[:-1] + [(rep, False, error)])
-                    with open(write, "wb") as pipe:
-                        pipe.write(payload)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        outcomes = run(0)
-        payloads = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for payload, status in zip(payloads, statuses):
-        code = os.waitstatus_to_exitcode(status)  # 0 only once the whole payload is written
-        if code:
-            raise NumericalError(f"a replication worker exited with status {code} and no results")
-        outcomes += pickle.loads(payload)
-    outcomes.sort(key=lambda outcome: outcome[0])
-    for _, ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, _, value in outcomes]
-
-
 def size_study(
     dgp: DGPSpec, analysis_fn, reps: int = 100, seed: int = 0, alpha: float = 0.05, h: float = 0.0
 ) -> CoverageReport:
@@ -279,10 +215,10 @@ def size_study(
 
     The per-rep seed feeds the inner bootstrap so replications are
     independent and the whole study is reproducible.  Replications run in
-    up to one forked process per CPU (see `_map_reps`), so analysis_fn's
-    side effects may not reach the caller, and a caller with threads running
-    must not call this.  The first failing replication is reported in the
-    `mc` stage.
+    up to one process per CPU (`bootstrap.fork_map`; one, in a caller with
+    other threads running), so analysis_fn's side effects may not reach the
+    caller, and the bootstraps inside a replication run on one worker.  The
+    first failing replication is reported in the `mc` stage.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -292,7 +228,7 @@ def size_study(
         return bool(analysis_fn(simulate(dgp, rep_seed), rep_seed))
 
     with stage("mc"):
-        rejections = sum(_map_reps(replicate, reps))
+        rejections = sum(fork_map(replicate, reps))
     rate = rejections / reps
     se = float(np.sqrt(rate * (1.0 - rate) / reps)) if 0 < rate < 1 else float(
         np.sqrt(alpha * (1.0 - alpha) / reps)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,29 @@ def make_panel(
     x = rng.normal(size=n)
     y = intercept + slope * x + effects[cluster_ids] + rng.normal(size=n)
     return PanelDataset({"y": y, "x": x}, cluster_ids)
+
+
+def _pin_cpus(monkeypatch, count):
+    # A fork map runs one worker per CPU it may use, this process being the first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _count_forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork call made in this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid} behind" if pid else "the test left a child process running")
 
 
 @pytest.fixture

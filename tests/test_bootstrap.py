@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,10 +32,11 @@ from trimtest.estimators import (
     regression_comparison_estimator,
 )
 from trimtest.lstat import LStatSpec
+from trimtest.mc_oracle import DGPSpec, size_study
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme, weighted_quantile_threshold
 
-from conftest import make_panel
+from conftest import _count_forks, _pin_cpus, make_panel
 
 
 def weighted_mean_estimator(data, row_weights):
@@ -846,3 +851,108 @@ class TestSharedDrawPass:
         # One estimator, no stage: today's messages, unprefixed.
         with pytest.raises(NumericalError, match=r"^30 of 30 bootstrap draws failed"):
             bootstrap_pipeline(clustered, self.PLAN, draws_fail)
+
+
+def _refusing(data, plan, draws, returns=None):
+    """A weighted-mean estimator that raises on the given draws' weights, or returns `returns` when given."""
+    bad = _draw_block(data, plan, sorted(draws))[0]
+
+    def fn(data, row_weights):
+        if any(np.array_equal(row_weights, w) for w in bad):
+            if returns is None:
+                raise ValueError("refused draw")
+            return returns
+        return weighted_mean_estimator(data, row_weights)
+
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+class TestWorkers:
+    """Draw blocks run on forked workers and give the one-worker result, failures included."""
+
+    PLAN = BootstrapPlan(iterations=300, seed=11)
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_15(self, clustered, monkeypatch):
+        # 20 blocks: enough for three workers.
+        monkeypatch.setattr(bootstrap, "BLOCK_ENTRIES", 15 * clustered.n_rows)
+
+    def test_draws_and_failures_match_one_worker(self, clustered, monkeypatch, cpus):
+        # Draws 20, 64 and 275 are in blocks 1, 4 and 18.
+        estimators = {
+            "a": _refusing(clustered, self.PLAN, {20, 275}),
+            "b": _refusing(clustered, self.PLAN, {64}),
+            "c": trimmed_mean_estimator,
+        }
+        _pin_cpus(monkeypatch, 1)
+        serial = bootstrap_pipeline(clustered, self.PLAN, estimators)
+        _pin_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        boot = bootstrap_pipeline(clustered, self.PLAN, estimators)
+        assert len(forks) == cpus - 1
+        assert [p.failed_indices for p in boot.parts] == [(20, 275), (64,), ()]
+        assert boot.failed_indices == serial.failed_indices == (20, 64, 275)
+        np.testing.assert_array_equal(boot.draws, serial.draws)
+        np.testing.assert_array_equal(boot.cov, serial.cov)
+
+    def test_first_wrong_length_is_raised(self, clustered, monkeypatch, cpus):
+        # Draw 17 (block 1) runs in a child from two workers on; draw 33
+        # (block 2) in this process with two workers, in another child with three.
+        _pin_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        estimators = {"first": weighted_mean_estimator, "second": _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2))}
+        with pytest.raises(ValueError, match=r"^\[second\] estimator returned length \(2,\) on draw 17, expected 1$"):
+            bootstrap_pipeline(clustered, self.PLAN, estimators)
+        assert len(forks) == cpus - 1
+
+    def test_interrupt_kills_the_workers(self, clustered, monkeypatch, cpus):
+        # This process is interrupted on its first block while the children
+        # sleep: they are killed and reaped rather than waited for.
+        _pin_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+
+        def estimator(data, row_weights):
+            if np.all(row_weights == 1.0):
+                return np.zeros(1)
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            bootstrap_pipeline(clustered, self.PLAN, estimator)
+        assert time.monotonic() - start < 30
+
+
+def test_a_caller_with_threads_running_does_not_fork(clustered, monkeypatch):
+    # A fork copies the calling thread alone, so with another thread alive
+    # both fork maps run on one worker, here, and give the serial result.
+    monkeypatch.setattr(bootstrap, "BLOCK_ENTRIES", 15 * clustered.n_rows)
+    plan = BootstrapPlan(iterations=300, seed=11)
+    dgp = DGPSpec.univariate("normal", 5)
+
+    def analysis(data, rep_seed):
+        return rep_seed % 2 == 0
+
+    _pin_cpus(monkeypatch, 1)
+    serial = bootstrap_pipeline(clustered, plan, weighted_mean_estimator)
+    serial_study = size_study(dgp, analysis, reps=12, seed=4)
+    _pin_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked with a thread running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    parked = threading.Thread(target=stop.wait)
+    parked.start()
+    try:
+        boot = bootstrap_pipeline(clustered, plan, weighted_mean_estimator)
+        study = size_study(dgp, analysis, reps=12, seed=4)
+    finally:
+        stop.set()
+        parked.join(timeout=10)
+    assert not parked.is_alive()
+    np.testing.assert_array_equal(boot.draws, serial.draws)
+    assert study == serial_study

@@ -6,6 +6,7 @@ through a subprocess, importing the package from this checkout's src.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,10 +15,11 @@ import sys
 import numpy as np
 import pytest
 
+from trimtest import bootstrap
 from trimtest.analysis import _regenerated_tests
 from trimtest.cli import main
 
-from conftest import make_panel
+from conftest import _count_forks, _pin_cpus, make_panel
 
 
 @pytest.fixture
@@ -119,9 +121,9 @@ class TestBootstrapAndTest:
         capsys.readouterr()
         assert contents[0] == contents[1] == contents[2]
 
-    def test_lstat_outputs_identical_across_threads(self, tmp_path, capsys):
-        # Both order-statistic schemes in two comparisons share each column's
-        # sort order across draws and threads; the files must not notice.
+    @staticmethod
+    def _lstat_config(tmp_path, iterations: int) -> str:
+        """Two columns of 300 rows, each trimmed and Winsorized in its own comparison."""
         rng = np.random.default_rng(5)
         x = np.round(rng.standard_t(3, size=300), 2)
         x[x == 0.0] = 0.5
@@ -143,20 +145,44 @@ class TestBootstrapAndTest:
                                  "lower_q": 0.05, "upper_q": 0.95},
                 }},
             ],
-            "bootstrap": {"iterations": 200, "seed": 3, "resample_unit": "row"},
+            "bootstrap": {"iterations": iterations, "seed": 3, "resample_unit": "row"},
             "test": {"alpha": 0.05, "h": 0.0, "norm": "diff_cov", "seed": 4},
             "output": {"plot_pairs": ["x"], "analytic_cov": True},
         }
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        return str(tmp_path / "config.json")
+
+    def test_lstat_outputs_identical_across_threads(self, tmp_path, capsys):
+        # Both order-statistic schemes in two comparisons share each column's
+        # sort order across draws and threads; the files must not notice.
+        config = self._lstat_config(tmp_path, 200)
         contents = []
         for threads in ("1", "2"):
             out = tmp_path / f"t{threads}"
-            argv = ["test", "--config", str(tmp_path / "config.json"), "--threads", threads]
+            argv = ["test", "--config", config, "--threads", threads]
             assert main(argv + ["--output", str(out)]) == 0
             contents.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         capsys.readouterr()
         assert {"draws_trim.csv", "draws_winsor.csv", "results.json"} <= set(contents[0])
         assert contents[0] == contents[1]
+
+    def test_lstat_outputs_identical_across_worker_counts(self, tmp_path, capsys, monkeypatch):
+        # 12 blocks of draws: enough for three workers.
+        config = self._lstat_config(tmp_path, 12 * (bootstrap.BLOCK_ENTRIES // 300))
+        forks = _count_forks(monkeypatch)
+        digests = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["test", "--config", config, "--output", str(out)]) == 0
+            assert len(forks) == cpus - 1
+            digest = hashlib.sha256()
+            for path in sorted(out.iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests.append(digest.hexdigest())
+        capsys.readouterr()
+        assert digests[0] == digests[1] == digests[2]
 
     def test_seed_override_changes_draws(self, workdir, capsys):
         tmp_path, config = workdir
@@ -930,6 +956,11 @@ class TestExitCodes:
             lambda r: r["model"].update(type="iv", endogenous=["x"], instruments=["y"]),
             "[config] model: the outcome 'y' cannot also be a regressor or an instrument",
         ),
+        "model.endogenous-own-instrument": (
+            "estimate",
+            lambda r: r["model"].update(type="iv", endogenous=["x"], instruments=["x"]),
+            "[config] model: the endogenous regressor 'x' cannot also be its own instrument",
+        ),
         "bootstrap.seed-negative": ("test", lambda r: _put(r, "bootstrap.seed", -1), "bootstrap.seed"),
         "test.seed-negative": ("test", lambda r: _put(r, "test.seed", -1), "test.seed"),
         "mc.seed-negative": ("mc", lambda r: _put(r, "mc.seed", -3), "mc.seed"),
@@ -1201,15 +1232,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command,flag,value,message",
         [
-            ("test", "--iterations", "0", "[config] bootstrap: iterations must be >= 1"),
-            ("mc", "--iterations", "0", "[config] mc: iterations must be >= 1"),
+            (
+                "test", "--iterations", "0",
+                "[config] bootstrap.iterations must be at least 2, got 0: a bootstrap covariance needs two draws",
+            ),
+            (
+                "mc", "--iterations", "0",
+                "[config] mc.inner_iterations must be at least 2, got 0: a bootstrap covariance needs two draws",
+            ),
             (
                 "test", "--iterations", "1",
-                "[config] bootstrap.iterations must be at least 2, got 1: one bootstrap draw has no covariance",
+                "[config] bootstrap.iterations must be at least 2, got 1: a bootstrap covariance needs two draws",
             ),
             (
                 "mc", "--iterations", "1",
-                "[config] mc.inner_iterations must be at least 2, got 1: one bootstrap draw has no covariance",
+                "[config] mc.inner_iterations must be at least 2, got 1: a bootstrap covariance needs two draws",
             ),
             ("test", "--seed", "-1", "[config] bootstrap.seed must be a non-negative integer, got -1"),
             ("mc", "--seed", "-1", "[config] mc.seed must be a non-negative integer, got -1"),
@@ -1230,9 +1267,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("alpha", 1.5, "alpha must lie in (0, 1)"),
-            ("h", -0.1, "tolerance h must be >= 0"),
-            ("inner_iterations", 0, "iterations must be >= 1"),
+            ("alpha", 1.5, "mc: alpha must lie in (0, 1)"),
+            ("h", -0.1, "mc: tolerance h must be >= 0"),
+            (
+                "inner_iterations", 0,
+                "mc.inner_iterations must be at least 2, got 0: a bootstrap covariance needs two draws",
+            ),
         ],
         ids=["alpha", "h", "inner_iterations"],
     )
@@ -1244,7 +1284,7 @@ class TestExitCodes:
         raw = _read_config(config)
         raw["mc"] = {"dgp": {"kind": "linear_regression", "n": 50}, "reps": 2, key: value}
         err = self._exit_2(tmp_path, capsys, raw, command)
-        assert err == f"data error: [config] mc: {message}\n"
+        assert err == f"data error: [config] {message}\n"
 
     def test_failing_size_study_names_its_stage(self, tmp_path, capsys):
         # Without noise y is exactly linear in x: every residual is zero, so

@@ -31,6 +31,8 @@ from trimtest.mc_oracle import (
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme
 
+from conftest import _pin_cpus
+
 
 class TestDGPSpecValidation:
     def test_unknown_kind(self):
@@ -250,11 +252,6 @@ class TestMcCovariance:
             mc_covariance(DGPSpec.univariate("normal", 20), fails_first, reps=2, seed=1)
 
 
-def _pin_cpus(monkeypatch, count):
-    # size_study runs one worker per CPU it may use, this process being the first.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 class TestSizeStudy:
     def test_counts_rejections_exactly(self, monkeypatch):
         # Deterministic analysis: reject iff the rep seed is even.  One
@@ -312,11 +309,6 @@ class TestSizeStudy:
         assert captured == [_child_seed(77, r) for r in range(6)]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _failing_at(seed, failures):
     """analysis_fn raising failures[r] at rep r and rejecting at odd reps."""
     rep_of = {_child_seed(seed, r): r for r in range(64)}
@@ -349,7 +341,6 @@ class TestSizeStudyWorkers:
         assert size_study(
             DGPSpec.univariate("normal", 5), _failing_at(9, {}), reps=10, seed=9
         ).rejections == 5
-        _assert_no_child_left()
 
     def test_first_failing_rep_is_raised(self, monkeypatch, cpus):
         # With 2 workers rep 1 fails in the child and rep 4 here; with 3 both
@@ -358,7 +349,6 @@ class TestSizeStudyWorkers:
         analysis = _failing_at(3, {1: ValueError("rep 1 failed"), 4: ValueError("rep 4 failed")})
         with pytest.raises(ValueError, match=r"^\[mc\] rep 1 failed$"):
             size_study(DGPSpec.univariate("normal", 5), analysis, reps=6, seed=3)
-        _assert_no_child_left()
 
     def test_rank_deficiency_keeps_its_type_and_fields(self, monkeypatch, cpus):
         _pin_cpus(monkeypatch, cpus)
@@ -368,7 +358,29 @@ class TestSizeStudyWorkers:
         exc = info.value
         assert str(exc) == "[mc] adjusted design matrix is rank deficient: rank 2 < 3 columns"
         assert (exc.rank, exc.ncols, exc.stage) == (2, 3, "adjusted design")
-        _assert_no_child_left()
+
+    def test_bootstraps_inside_a_replication_run_on_one_worker(self, monkeypatch, cpus):
+        # One draw per block gives each inner bootstrap 19 blocks, enough to
+        # fork anywhere but inside a replication.
+        dgp = DGPSpec.linear_regression(80, slope=0.5)
+        analysis = residual_trim_size_analysis(inner_iterations=19, alpha=0.3)
+        monkeypatch.setattr(trimtest.bootstrap, "BLOCK_ENTRIES", 1)
+        _pin_cpus(monkeypatch, 1)
+        serial = size_study(dgp, analysis, reps=5, seed=4, alpha=0.3)
+        inside, fork = [], os.fork
+
+        def fork_outside(*args):
+            if inside:
+                raise AssertionError("a bootstrap inside a replication forked")
+            return fork(*args)
+
+        def watched(data, rep_seed):  # every fork of the study comes before a replication
+            inside.append(rep_seed)
+            return analysis(data, rep_seed)
+
+        monkeypatch.setattr(os, "fork", fork_outside)
+        _pin_cpus(monkeypatch, cpus)
+        assert size_study(dgp, watched, reps=5, seed=4, alpha=0.3) == serial
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -392,10 +404,9 @@ class TestWorkerFailures:
         out = tmp_path / "out"
         assert main(["mc", "--config", str(config), "--output", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: [mc] a replication worker exited with status -9 and no results\n"
+            "numerical failure: [mc] a worker process exited with status -9 and no results\n"
         )
         assert not out.exists()
-        _assert_no_child_left()
 
     def test_unpicklable_exception_keeps_its_message(self, monkeypatch, cpus):
         # Rep 1 runs in a child.  A lambda in its args stops the exception
@@ -406,7 +417,6 @@ class TestWorkerFailures:
         with pytest.raises(NumericalError) as info:
             size_study(DGPSpec.univariate("normal", 5), analysis, reps=4, seed=3)
         assert str(info.value).startswith("[mc] ValueError: ('broken', <function ")
-        _assert_no_child_left()
 
     def test_interrupt_kills_the_workers(self, monkeypatch, cpus):
         # Rep 0 runs here and is interrupted while rep 1 sleeps in a child:
@@ -423,7 +433,6 @@ class TestWorkerFailures:
         with pytest.raises(KeyboardInterrupt):
             size_study(DGPSpec.univariate("normal", 5), analysis, reps=4, seed=0)
         assert time.monotonic() - start < 30
-        _assert_no_child_left()
 
 
 class TestResidualTrimSizeAnalysis:
