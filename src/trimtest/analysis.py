@@ -79,6 +79,14 @@ def _draw_count(value, path: str) -> int:
     return count
 
 
+def _horizon(value, path: str) -> int:
+    """The derived summaries' horizon, a number of periods after the impulse: at least 1."""
+    horizon = _int(value, path)
+    if horizon < 1:
+        raise DataError(f"{path} must be at least 1, got {horizon}")
+    return horizon
+
+
 def _finite(value: int | float, path: str) -> float:
     """A number as a float; NaN, Infinity and integers past the float range refused."""
     if not abs(value) <= sys.float_info.max:
@@ -316,7 +324,7 @@ _STATISTIC = _Section(
 _DERIVED = _Section(
     {
         "effect": (_str, "derived_effect"), "lags": (_names, "derived_lags"),
-        "horizon": (_int, "derived_horizon"),
+        "horizon": (_horizon, "derived_horizon"),
     },
     ("effect", "lags"),
 )

@@ -2,9 +2,8 @@
 
 Every draw is a random weight on each observation of the original dataset:
 the bootstrap statistic is the same estimator integrated against a randomly
-reweighted empirical measure, so no resampled dataset is ever built.  Draw b
-uses a generator derived from the master seed and the draw index alone, so
-draw b's weights do not depend on the order in which the draws are run.
+reweighted empirical measure, so no resampled dataset is ever built.  Draw
+b's weights come from its own stream (STREAMS), whatever order draws run in.
 
 Unit weights (one per cluster or per row, by resample unit):
   - "multinomial": counts ~ Multinomial(U; 1/U, ..., 1/U) over the U units.
@@ -41,9 +40,8 @@ dataset, must honour row_weights in every data-dependent quantity
 (thresholds, scales, fits), and returns a fixed-length float vector.  A row
 with weight 0 is absent from the draw.  A BlockEstimator also evaluates a
 whole block, block(data, W) -> K x d, row k the estimate under W[k]; a
-plain callable is called once per draw.  Draw b's weights depend on
-(seed, b) alone.  A block estimate may differ from the one-draw estimate in
-the last bits; the layout depends on (n, B) alone, so outputs are
+plain callable is called once per draw.  A block estimate may differ from
+the one-draw estimate in the last bits; the layout depends on (n, B) alone, so outputs are
 byte-identical from run to run.  Because every call sees the same dataset object, work that
 depends on the data alone is memoized on it (the sort order of a column,
 the cluster row blocks) and shared by all draws.
@@ -115,16 +113,23 @@ class BootstrapResult:
     parts: tuple["BootstrapResult", ...] = ()
 
 
-def draw_rng(master_seed: int, draw_index: int) -> np.random.Generator:
-    """Generator for one draw, derived from (master seed, draw index) only.
+# Each random stream's spawn-key prefix: stream `name` of a seed draws from
+# SeedSequence(seed, spawn_key=(*STREAMS[name], index)).  Draw b has key (1, b),
+# a test's Monte Carlo normals (2, 0), simulated data (0,) and replication r's
+# seed (r,).  No two streams share keys but one, which only re-seeding could
+# change: data is replication 0 of the same seed, and no seed is used as both.
+STREAMS = {"draw": (1,), "test": (2,), "data": (), "replication": ()}
 
-    The leading 1 in the spawn key is a stream domain tag: data simulation
-    uses bare one-element keys and the test's Monte Carlo uses domain 2, so
-    reusing one seed value across components never aliases their streams
-    (resample counts must not be built from the same bits as the data).
-    """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(1, draw_index))
-    return np.random.default_rng(ss)
+
+def random_stream(seed: int, name: str, index: int = 0) -> np.random.Generator | int:
+    """Stream `name`'s generator for (seed, index); for "replication", the seed it derives."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(*STREAMS[name], index))
+    return int(ss.generate_state(1)[0]) if name == "replication" else np.random.default_rng(ss)
+
+
+def draw_rng(master_seed: int, draw_index: int) -> np.random.Generator:
+    """Generator for one draw, derived from (master seed, draw index) only."""
+    return random_stream(master_seed, "draw", draw_index)
 
 
 def multinomial_counts(n: int, rng: np.random.Generator) -> np.ndarray:

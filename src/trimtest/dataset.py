@@ -98,8 +98,7 @@ class PanelDataset:
     def cluster_rows(self) -> tuple:
         """Each cluster's row indices, in order.
 
-        The package no longer calls this; it stays for library use and as
-        the tests' reference, as take_rows does.
+        For library use and as the tests' reference, as take_rows is.
         """
         if self.n_clusters == 0:
             return ()
@@ -185,8 +184,7 @@ class PanelDataset:
     def subset_rows(self, mask: np.ndarray) -> "PanelDataset":
         """Keep rows where mask is True; cluster labels are preserved.
 
-        The package no longer calls this; it stays for library use and as
-        the tests' reference, as take_rows does.
+        For library use and as the tests' reference, as take_rows is.
         """
         mask = np.asarray(mask, dtype=bool)
         cols = {k: v[mask] for k, v in self.columns.items()}
@@ -195,8 +193,7 @@ class PanelDataset:
     def with_columns(self, extra: dict[str, np.ndarray]) -> "PanelDataset":
         """Add columns, replacing any of the same name.
 
-        The package no longer calls this; it stays for library use and as
-        the tests' reference, as take_rows does.
+        For library use and as the tests' reference, as take_rows is.
         """
         cols = dict(self.columns)
         cols.update(extra)

@@ -39,10 +39,17 @@ class RankDeficiencyError(NumericalError):
 
 @contextmanager
 def stage(name: str):
-    """Re-raise a failure of the enclosed pipeline stage with `[name] ` before its message."""
+    """Re-raise a failure of the enclosed pipeline stage with `[name] ` before its message.
+
+    An allocation that fails (a setting too large for memory) is a
+    NumericalError: numpy words its message from the array's shape, not
+    from args, so it is raised anew with the prefix.
+    """
     try:
         yield
     except (TrimtestError, ValueError, KeyError) as exc:
         first = str(exc.args[0]) if exc.args else type(exc).__name__
         exc.args = (f"[{name}] {first}",) + tuple(exc.args[1:])
         raise
+    except MemoryError as exc:
+        raise NumericalError(f"[{name}] {exc}") from exc

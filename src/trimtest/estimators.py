@@ -157,8 +157,9 @@ def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec)
     point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
     d x d difference block feeds each formal test and the baseline block
     each heuristic p-value: each statistic is tested alone, then all d
-    jointly.  Under the default norm a singular difference covariance is
-    reported with the statistics that make it singular.
+    jointly (one statistic's joint test is its own).  Under the default
+    norm a singular difference covariance is reported with the statistics
+    that make it singular.
     """
     d = len(labels)
     b1, b2 = point[:d], point[d:]
@@ -174,6 +175,8 @@ def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec)
         )
         for j in range(d)
     )
+    if d == 1:
+        return ComparisonTests(b1, b2, diff_cov, coef_tests, coef_tests[0])
     try:
         joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
     except NumericalError as exc:

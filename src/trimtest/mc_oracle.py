@@ -2,11 +2,10 @@
 
 DGP_SETTINGS lists the settings each DGP kind takes: the `DGPSpec`
 constructors and the `mc.dgp` config schema both read it.  Everything here
-is deterministic given the DGP description and the seed;
-replication r uses a generator derived from (seed, r) so results do not
-depend on execution order, and `size_study` runs them on the bootstrap's
-fork map (its `analysis_fn` may run in a child, whose side effects the
-caller does not see).  The Monte Carlo covariance across fresh datasets is
+is deterministic given the DGP description and the seed (its random streams
+are in `bootstrap.STREAMS`), and `size_study` runs replications on the
+bootstrap's fork map (its `analysis_fn` may run in a child, whose side
+effects the caller does not see).  The Monte Carlo covariance across fresh datasets is
 the ground truth that bootstrap and analytic covariance estimators are
 checked against.  The canonical size study decides each replication by the
 joint test of `comparison_tests`, the step that `trimtest test` runs.
@@ -18,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures, fork_map
+from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures, fork_map, random_stream
 from .dataset import PanelDataset
 from .errors import NumericalError, stage
 from .estimators import (
@@ -130,10 +129,6 @@ class CoverageReport:
     seed: int
 
 
-def _rng_for_rep(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
 def _draw_law(rng: np.random.Generator, dgp: DGPSpec, size: int) -> np.ndarray:
     if dgp.law == "normal":
         return rng.normal(dgp.loc, dgp.scale, size)
@@ -146,7 +141,7 @@ def _draw_law(rng: np.random.Generator, dgp: DGPSpec, size: int) -> np.ndarray:
 
 def simulate(dgp: DGPSpec, seed: int) -> PanelDataset:
     """One dataset from the DGP, deterministic given (dgp, seed)."""
-    rng = _rng_for_rep(seed, 0)
+    rng = random_stream(seed, "data")
     if dgp.kind == "univariate":
         x = _draw_law(rng, dgp, dgp.n)
         return PanelDataset({"x": x}, np.arange(dgp.n))
@@ -204,8 +199,7 @@ def mc_covariance(
 
 
 def _child_seed(seed: int, rep: int) -> int:
-    # distinct deterministic per-rep entropy; simulate() itself spawns key 0
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0])
+    return random_stream(seed, "replication", rep)
 
 
 def size_study(

@@ -40,6 +40,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.special import ndtri
 
+from .bootstrap import random_stream
 from .errors import NumericalError
 
 N_DIRECTIONS = 256
@@ -279,9 +280,7 @@ def _mc_test(
     full grid.
     """
     dim, h, mc_draws = len(sigma), spec.h, spec.mc_draws
-    # Domain tag 2 keeps this stream disjoint from data simulation (bare
-    # one-element spawn keys) and bootstrap draws (domain 1) under seed reuse.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, 0)))
+    rng = random_stream(spec.seed, "test")
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
     root = solve_triangular(cholesky(norm, lower=True), root, lower=True)

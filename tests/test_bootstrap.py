@@ -24,6 +24,7 @@ from trimtest.bootstrap import (
     draw_rng,
     multinomial_counts,
     multiplier_weights,
+    random_stream,
 )
 from trimtest.errors import NumericalError, RankDeficiencyError
 from trimtest.estimators import (
@@ -32,7 +33,7 @@ from trimtest.estimators import (
     regression_comparison_estimator,
 )
 from trimtest.lstat import LStatSpec
-from trimtest.mc_oracle import DGPSpec, size_study
+from trimtest.mc_oracle import DGPSpec, _child_seed, simulate, size_study
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme, weighted_quantile_threshold
 
@@ -91,6 +92,48 @@ class TestDrawRng:
             ).standard_normal(8)
             boot_stream = draw_rng(42, b).standard_normal(8)
             assert not np.array_equal(sim_stream, boot_stream)
+
+
+class TestStreams:
+    """Every stream's spawn key, pinned: changing one moves every output drawn from it."""
+
+    SEEDS = (0, 7, 2**40)
+
+    @staticmethod
+    def _state(seed, key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draw_b_has_key_1_b(self, seed):
+        # The rule perfbench/oracle.py reimplements to check the bootstrap's counts.
+        for b in (0, 1, 1999):
+            assert draw_rng(seed, b).bit_generator.state == self._state(seed, (1, b))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_the_test_stream_has_key_2_0(self, seed, monkeypatch):
+        from trimtest import robustness
+
+        asked = []
+
+        def recorded(*args):
+            asked.append(args)
+            return random_stream(*args)
+
+        monkeypatch.setattr(robustness, "random_stream", recorded)
+        robustness.critical_value(0.5, np.eye(2), mc_draws=1000, seed=seed, method="mc")
+        assert asked == [(seed, "test")]
+        assert random_stream(seed, "test").bit_generator.state == self._state(seed, (2, 0))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_simulated_data_has_key_0(self, seed):
+        data = simulate(DGPSpec.univariate("normal", 6), seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        np.testing.assert_array_equal(data.column("x"), rng.normal(0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replication_r_seed_has_key_r(self, seed):
+        for r in (0, 1, 63):
+            assert _child_seed(seed, r) == int(np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(1)[0])
 
 
 class TestEngines:

@@ -974,6 +974,11 @@ class TestExitCodes:
             lambda r: r["mc"]["dgp"].update(kind="univariate", scale=-1),
             "[config] mc.dgp: scale must be >= 0",
         ),
+        "model.derived.horizon-zero": (
+            "test",
+            lambda r: _put(r, "model.derived.horizon", 0),
+            "[config] model.derived.horizon must be at least 1, got 0",
+        ),
         "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
         "mc.reps-zero-test": (
             "test",
@@ -1296,6 +1301,25 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: [mc] ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["test", "mc"])
+    def test_array_too_large_for_memory_is_exit_3_naming_its_stage(self, workdir, capsys, command):
+        # 1e15 float64 values are 7.1 PiB, past the 128 TiB user address
+        # space of x86-64, so no machine can map them under any overcommit setting.
+        tmp_path, config = workdir
+        if command == "mc":
+            raw, where = {"mc": {"dgp": {"kind": "linear_regression", "n": 1e15}, "reps": 2}}, "mc"
+        else:
+            raw, where = _read_config(config), "test:main"
+            raw["test"] = {"mc_draws": 1e15, "method": "mc"}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "huge-out"
+        assert main([command, "--config", str(p), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: [{where}] Unable to allocate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_residual_scale_is_a_numerical_failure(self, tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Size-study replications that run in worker processes send their
 exceptions back pickled, so a failure there must arrive as the same
-exception it would be in the calling process.
+exception it would be in the calling process.  A stage also turns a
+failed allocation into a NumericalError that names it.
 """
 
 from __future__ import annotations
@@ -48,3 +49,15 @@ def test_rank_deficiency_keeps_its_fields():
     exc = pickle.loads(pickle.dumps(errors.RankDeficiencyError(2, 3, "adjusted design")))
     assert (exc.rank, exc.ncols, exc.stage) == (2, 3, "adjusted design")
     assert str(exc) == "adjusted design matrix is rank deficient: rank 2 < 3 columns"
+
+
+def test_a_failed_allocation_is_a_numerical_error_naming_its_stage():
+    # numpy words the message from the array's shape, not from args, so the
+    # stage raises a NumericalError of its own rather than rewriting args.
+    import numpy as np
+
+    with pytest.raises(errors.NumericalError) as info:
+        with errors.stage("test:main"):
+            np.empty(10**15)
+    assert str(info.value).startswith("[test:main] Unable to allocate ")
+    assert isinstance(info.value.__cause__, MemoryError)

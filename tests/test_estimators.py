@@ -194,7 +194,8 @@ class TestComparisonTests:
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_one_statistic_joint_test_is_its_test(self, norm, method):
         # One statistic: the joint test has the statistic's settings and
-        # 1 x 1 blocks, so it is the test the statistic gets on its own.
+        # 1 x 1 blocks, so it is the test the statistic gets on its own,
+        # and that test's report, not a second run of it.
         point = np.array([1.0, 0.2])
         cov = np.array([[0.5, 0.3], [0.3, 0.4]])
         spec = TestSpec(norm_matrix=norm, method=method, mc_draws=2000, seed=3)
@@ -207,7 +208,7 @@ class TestComparisonTests:
             baseline_cov=np.array([[float(cov[0, 0])]]),
         )
         assert tests.joint.path == ("mc" if method == "mc" else "chi2")
-        assert tests.coefficient_tests == (tests.joint,)
+        assert len(tests.coefficient_tests) == 1 and tests.joint is tests.coefficient_tests[0]
         assert tests.joint == alone
 
     def test_each_of_two_statistics_is_tested_in_its_own_block(self):

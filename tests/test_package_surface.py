@@ -7,8 +7,8 @@ attribute of an imported module, or imports it with `from ... import`.  An
 attribute read on any other object does not count: `report.critical_value`
 is a field, not a call of the function `critical_value`.  Re-exports in
 __init__.py do not count, and neither do references inside the name's own
-definition.  The last test pins the engine entry point that the benchmark's
-tracer wraps.
+definition.  One test pins the engine entry point that the benchmark's
+tracer wraps, and the last one that random streams are built in one place.
 """
 
 from __future__ import annotations
@@ -123,3 +123,20 @@ def test_pipeline_stage_calls_the_bootstrap_engine(monkeypatch):
     assert returned
     for result in returned:
         assert (result.iterations, result.n_failed) == (25, 0)
+
+
+def test_random_streams_are_built_only_by_the_stream_table():
+    # Every generator and seed comes from bootstrap.random_stream, whose
+    # table gives each stream keys no other stream uses; a SeedSequence or
+    # default_rng built anywhere else could reuse another stream's bits.
+    constructors = {"SeedSequence", "default_rng"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(stmt, "name", None)) == ("bootstrap.py", "random_stream"):
+                continue
+            for sub in ast.walk(stmt):
+                name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+                if name in constructors:
+                    found.append(f"{path.name}:{sub.lineno} {name}")
+    assert found == [], f"random streams built outside bootstrap.random_stream: {found}"
