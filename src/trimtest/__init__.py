@@ -7,14 +7,7 @@ of full-sample and adjusted estimators by cluster bootstrap (and an analytic
 diagnostic), and tests whether adjusting for outliers moved the estimand.
 """
 
-from .analysis import (
-    AnalysisConfig,
-    ReportBundle,
-    point_estimates,
-    regenerate_report,
-    run_analysis,
-    write_outputs,
-)
+from .analysis import point_estimates, run_analysis
 from .bootstrap import (
     BootstrapPlan,
     BootstrapResult,
@@ -23,6 +16,7 @@ from .bootstrap import (
     multinomial_counts,
     multiplier_weights,
 )
+from .config import AnalysisConfig
 from .dataset import PanelDataset, add_within_cluster_lags
 from .errors import DataError, NumericalError, RankDeficiencyError, TrimtestError
 from .estimators import (
@@ -51,6 +45,7 @@ from .regress import (
     weighted_2sls,
     weighted_ols,
 )
+from .report import ReportBundle, regenerate_report, write_outputs
 from .robustness import (
     TestReport,
     TestSpec,

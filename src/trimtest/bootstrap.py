@@ -241,10 +241,12 @@ def fork_map(fn, count: int, per_worker: int = 1) -> list:
     a process with other threads running (a fork copies the calling thread
     alone) or inside another map's item.  The other workers are forked, not
     spawned, so fn may be a closure, and its side effects in a worker do
-    not reach the caller.  Each worker stops at its first exception, so the
-    lowest failing item, raised here, is the one a serial loop raises.  A
-    child's exception that cannot be pickled comes back as a NumericalError
-    naming its type and message.
+    not reach the caller.  A worker that cannot be started (an OSError
+    from os.pipe or os.fork: a process or file limit) starts no further
+    one, and this process runs the unstarted workers' items.  Each worker
+    stops at its first exception, so the lowest failing item, raised here,
+    is the one a serial loop raises.  A child's exception that cannot be
+    pickled comes back as a NumericalError naming its type and message.
     """
     global _in_map
 
@@ -264,8 +266,15 @@ def fork_map(fn, count: int, per_worker: int = 1) -> list:
     children = []
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError:  # out of file descriptors or processes: this process runs the rest
+                for fd in fds:
+                    os.close(fd)
+                break
+            if pid == 0:
                 try:
                     outcomes = run(w)
                     try:
@@ -281,7 +290,7 @@ def fork_map(fn, count: int, per_worker: int = 1) -> list:
                     os._exit(1)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        outcomes = run(0)
+        outcomes = [o for w in (0, *range(len(children) + 1, workers)) for o in run(w)]
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:

@@ -11,32 +11,24 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import (
-    AnalysisConfig,
-    mc_settings,
-    point_estimates,
-    read_json,
-    regenerate_report,
-    run_analysis,
-    write_outputs,
-)
-from .csvio import (
-    atomic_write_text,
-    check_writable_directory,
-    format_float,
-    grid_csv_text,
-    read_draws_csv,
-)
+from .analysis import point_estimates, run_analysis
+from .config import AnalysisConfig, mc_settings, read_json
+from .csvio import check_writable_directory
 from .errors import DataError, NumericalError, stage
 from .mc_oracle import size_study
-from .plotgrid import emit_plot_grid
+from .report import (
+    RESULTS_FILE,
+    json_text,
+    regenerate_report,
+    write_estimates,
+    write_mc_results,
+    write_outputs,
+    write_plot_data,
+)
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -80,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "mc.seed", "mc.inner_iterations")
 
     p = sub.add_parser("report", help="regenerate the report from stored draws")
-    p.add_argument("--output", required=True, help="directory holding results.json and draws")
+    p.add_argument("--output", required=True, help=f"directory holding {RESULTS_FILE} and draws")
 
     p = sub.add_parser("plot-data", help="write a density grid CSV from a draws file")
     p.add_argument("--draws", required=True, help="path to a draws CSV")
@@ -109,10 +101,9 @@ def _check_output(directory: str) -> None:
 def _cmd_estimate(args) -> int:
     config = AnalysisConfig.from_dict(_config(args))
     _check_output(config.output_dir)
-    doc = point_estimates(config)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    estimates = point_estimates(config)
     with stage("write"):
-        atomic_write_text(os.path.join(config.output_dir, "estimates.json"), text)
+        text = write_estimates(config.output_dir, estimates)
     sys.stdout.write(text)
     return 0
 
@@ -131,16 +122,15 @@ def _cmd_test(args) -> int:
 def _cmd_mc(args) -> int:
     study, out_dir = mc_settings(_config(args))
     _check_output(out_dir)
-    text = json.dumps(asdict(size_study(**study)), sort_keys=True, indent=2) + "\n"
+    report = size_study(**study)
     with stage("write"):
-        atomic_write_text(os.path.join(out_dir, "mc_results.json"), text)
+        text = write_mc_results(out_dir, report)
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_report(args) -> int:
-    pvals = regenerate_report(args.output)
-    sys.stdout.write(json.dumps(pvals, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(regenerate_report(args.output)))
     return 0
 
 
@@ -149,20 +139,7 @@ def _cmd_plot_data(args) -> int:
         i, j = (int(v) for v in args.columns.split(","))
     except ValueError:
         raise DataError("--columns must be two comma-separated integers") from None
-    draws = read_draws_csv(args.draws)
-    # 1-based, matching the stat_1..stat_d draw file header.
-    if not (1 <= i <= draws.shape[1] and 1 <= j <= draws.shape[1]):
-        raise DataError(f"columns {i},{j} out of range for {draws.shape[1]} statistics")
-    grid = emit_plot_grid(draws[:, i - 1], draws[:, j - 1])
-    atomic_write_text(args.output, grid_csv_text(grid.x, grid.y, grid.density))
-    meta = {
-        "bandwidth_x": format_float(grid.bandwidth_x),
-        "bandwidth_y": format_float(grid.bandwidth_y),
-        "diagonal_start": list(grid.diagonal_start),
-        "diagonal_end": list(grid.diagonal_end),
-        "point": list(grid.point),
-    }
-    sys.stdout.write(json.dumps(meta, sort_keys=True) + "\n")
+    sys.stdout.write(write_plot_data(args.draws, i, j, args.output))
     return 0
 
 

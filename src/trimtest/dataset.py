@@ -206,8 +206,10 @@ def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> Panel
     Lag k of row t inside a cluster is the value at row t-k of the same
     cluster; the first k rows of each cluster have no lag-k value, so the
     rows missing any requested lag, or holding a non-finite one, are
-    removed.  New columns are named `{column}_lag{k}`; a DataError refuses
-    one that is already a column, rather than replacing it.
+    removed.  New columns are named `{column}_lag{k}`.  A DataError refuses
+    one that is already a column, rather than replacing it, and refuses
+    lags that leave no row; when no row has a full window, that is before
+    any column is built.
     """
     if lags < 1:
         raise ValueError("lags must be >= 1")
@@ -217,11 +219,16 @@ def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> Panel
     place[grouped] = np.arange(data.n_rows)
     # place minus the cluster's offset is the row's position inside its cluster
     rows = np.flatnonzero(place - data._offsets[data.row_cluster_index] >= lags)
+    no_rows = DataError(f"{lags} lag(s) of {column!r} leave no rows: a cluster needs more than {lags} rows")
+    if not rows.size:
+        raise no_rows
     lagged = {f"{column}_lag{k}": base[grouped[place[rows] - k]] for k in range(1, lags + 1)}
     if clash := sorted(lagged.keys() & data.columns.keys()):
         raise DataError(f"{lags} lag(s) of {column!r} would replace the column {clash[0]!r}")
     finite = np.isfinite(list(lagged.values())).all(axis=0)
     rows = rows[finite]
+    if not rows.size:
+        raise no_rows
     columns = {name: v[rows] for name, v in data.columns.items()}
     columns.update((name, v[finite]) for name, v in lagged.items())
     return PanelDataset(columns, data.cluster_ids[rows])

@@ -11,9 +11,11 @@ row per draw, L-statistics are row means, and regression comparisons fit
 the block with batched linear algebra, trim on one stack of the baseline's
 outcome and first-stage residuals and derive their dynamic summaries from
 whole coefficient columns.  Models with two or more fixed effects are the
-exception; they fit one draw at a time.  `comparison_tests` tests the
-stacked [baseline | adjusted] vector an estimator returns against its
-bootstrap covariance, for `test`, `report` and `mc` alike.
+exception; they fit one draw at a time.  `comparison_estimator` builds the
+estimator a model runs under a baseline/adjusted scheme pair, with its
+statistic labels.  `comparison_tests` tests the stacked [baseline |
+adjusted] vector an estimator returns against its bootstrap covariance,
+for `test`, `report` and `mc` alike.
 """
 
 from __future__ import annotations
@@ -119,6 +121,22 @@ def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEs
         return np.hstack([_side_matrix(comparison, base_fit), _side_matrix(comparison, adj_fit)])
 
     return BlockEstimator(block)
+
+
+def comparison_estimator(model, baseline_scheme: WeightScheme, adjusted_scheme: WeightScheme):
+    """(estimator, statistic labels, LStatSpecs) of a model under a baseline/adjusted scheme pair.
+
+    The model is a RegressionComparison or a tuple of LStatSpecs.  The specs
+    returned are the 2d [baseline | adjusted] L-statistics the estimator
+    evaluates, or None for a regression model.
+    """
+    if isinstance(model, RegressionComparison):
+        rcomp = replace(model, baseline_scheme=baseline_scheme, adjusted_scheme=adjusted_scheme)
+        return regression_comparison_estimator(rcomp), rcomp.stat_labels(), None
+    base_specs = [replace(s, scheme=baseline_scheme) for s in model]
+    adj_specs = [replace(s, scheme=adjusted_scheme) for s in model]
+    labels = tuple(s.label() for s in base_specs)
+    return lstat_pair_estimator(base_specs, adj_specs), labels, base_specs + adj_specs
 
 
 def difference_covariance(cov: np.ndarray, dim: int) -> np.ndarray:

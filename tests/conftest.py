@@ -40,6 +40,20 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
+def _raising(call: str, code: int, after: int = 0):
+    """os.<call> that succeeds `after` times, then raises the OSError of errno `code` (EAGAIN: BlockingIOError)."""
+    real, calls = getattr(os, call), []
+
+    def call_or_raise():
+        calls.append(None)
+        if len(calls) > after:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    call_or_raise.calls = calls
+    return call_or_raise
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process behind, running or unreaped."""

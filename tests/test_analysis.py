@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from trimtest import DataError, NumericalError, PanelDataset, analysis
-from trimtest.analysis import (
-    AnalysisConfig,
-    point_estimates,
-    regenerate_report,
-    run_analysis,
-    write_outputs,
-)
+from trimtest import config as schema
+from trimtest.analysis import point_estimates, run_analysis
+from trimtest.config import AnalysisConfig
 from trimtest.csvio import (
     atomic_write_text,
     draws_csv_text,
@@ -30,6 +26,7 @@ from trimtest.estimators import RegressionComparison
 from trimtest.lstat import LStatSpec
 from trimtest.plotgrid import GRID_POINTS, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
+from trimtest.report import regenerate_report, write_outputs
 
 from conftest import make_panel
 
@@ -413,14 +410,14 @@ class TestAnalysisConfig:
     )
     def test_number_readers_refuse_non_finite_values(self, value):
         with pytest.raises(DataError, match=rf"^test\.h must be finite, got {re.escape(repr(value))}$"):
-            analysis._real(value, "test.h")
+            schema._real(value, "test.h")
         with pytest.raises(DataError, match=rf"^x\[2\] must be finite, got {re.escape(repr(value))}$"):
-            analysis._numbers([0.0, 1, value], "x")
+            schema._numbers([0.0, 1, value], "x")
         # A wrong type keeps its own message.
         with pytest.raises(DataError, match=r"^test\.h must be a number, got 'nan'$"):
-            analysis._real("nan", "test.h")
-        assert analysis._real(10**300, "test.h") == 1e300
-        assert analysis._numbers([0, 2.5], "x") == (0.0, 2.5)
+            schema._real("nan", "test.h")
+        assert schema._real(10**300, "test.h") == 1e300
+        assert schema._numbers([0, 2.5], "x") == (0.0, 2.5)
 
     def test_stage_prefix_on_errors(self):
         with pytest.raises(DataError, match=r"^\[config\]"):
@@ -431,40 +428,40 @@ class TestReadmeConfigKeys:
     """README's "Config file" lists, under each heading, exactly the keys the schema reads."""
 
     SECTIONS = {
-        "Top level": analysis._ROOT,
+        "Top level": schema._ROOT,
         '`model` of type `"ols"` or `"iv"`': (
-            analysis._MODEL.sections["ols"],
-            analysis._MODEL.sections["iv"],
+            schema._MODEL.sections["ols"],
+            schema._MODEL.sections["iv"],
         ),
-        '`model` of type `"lstat"`': analysis._MODEL.sections["lstat"],
-        "`model.derived`": analysis._DERIVED,
-        "`statistics` entry": analysis._STATISTIC,
-        "Transform": analysis._TRANSFORM,
-        "Comparison pair": analysis._PAIR,
-        "Weight scheme": analysis._SCHEME,
-        "`lags` entry": analysis._LAG,
-        "`bootstrap`": analysis._ROOT.keys["bootstrap"][0],
-        "`test`": analysis._TEST,
-        "`output`": analysis._OUTPUT,
-        "`mc`": analysis._MC,
-        "`mc.dgp`": analysis._DGP,
+        '`model` of type `"lstat"`': schema._MODEL.sections["lstat"],
+        "`model.derived`": schema._DERIVED,
+        "`statistics` entry": schema._STATISTIC,
+        "Transform": schema._TRANSFORM,
+        "Comparison pair": schema._PAIR,
+        "Weight scheme": schema._SCHEME,
+        "`lags` entry": schema._LAG,
+        "`bootstrap`": schema._ROOT.keys["bootstrap"][0],
+        "`test`": schema._TEST,
+        "`output`": schema._OUTPUT,
+        "`mc`": schema._MC,
+        "`mc.dgp`": schema._DGP,
     }
 
     @staticmethod
     def _sections(unit) -> list:
         """The object sections under one heading: a section, some, or every one of a kind."""
-        if isinstance(unit, analysis._Kinds):
+        if isinstance(unit, schema._Kinds):
             return list(unit.sections.values())
         return list(unit) if isinstance(unit, tuple) else [unit]
 
     @classmethod
     def _reachable(cls, reader, seen: dict) -> dict:
         """{id: section} of every object section the reader reads, nested ones included."""
-        if reader is analysis._comparison:
-            reader = analysis._PAIR
-        if isinstance(reader, analysis._Entries):
+        if reader is schema._comparison:
+            reader = schema._PAIR
+        if isinstance(reader, schema._Entries):
             return cls._reachable(reader.item, seen)
-        if isinstance(reader, (analysis._Section, analysis._Kinds)):
+        if isinstance(reader, (schema._Section, schema._Kinds)):
             for section in cls._sections(reader):
                 if id(section) not in seen:
                     seen[id(section)] = section
@@ -486,7 +483,7 @@ class TestReadmeConfigKeys:
 
     def test_every_schema_section_has_a_readme_list(self):
         listed = {id(s): s for unit in self.SECTIONS.values() for s in self._sections(unit)}
-        assert set(self._reachable(analysis._ROOT, {})) == set(listed)
+        assert set(self._reachable(schema._ROOT, {})) == set(listed)
         assert set(self._readme()) == set(self.SECTIONS)
 
     @pytest.mark.parametrize("heading", list(SECTIONS))
@@ -659,12 +656,13 @@ class TestSharedDrawPass:
         raw, data = _three_comparisons(iterations=30)
         raw["comparisons"] = raw["comparisons"][:2]
         config = AnalysisConfig.from_dict(raw)
-        build = analysis._build_estimator
+        build = analysis.comparison_estimator
+        names = iter(c.name for c in config.comparisons)  # built in config order
         counter = {"calls": 0}
 
-        def build_failing_on_draw_7(config, comparison):
-            estimator, labels, specs = build(config, comparison)
-            if comparison.name != "trim":
+        def build_failing_on_draw_7(*model_and_schemes):
+            estimator, labels, specs = build(*model_and_schemes)
+            if next(names) != "trim":
                 return estimator, labels, specs
 
             def one_draw_at_a_time(data, row_weights):
@@ -677,7 +675,7 @@ class TestSharedDrawPass:
 
             return one_draw_at_a_time, labels, specs
 
-        monkeypatch.setattr(analysis, "_build_estimator", build_failing_on_draw_7)
+        monkeypatch.setattr(analysis, "comparison_estimator", build_failing_on_draw_7)
         trim, wins = run_analysis(config, data=data).results
         assert trim.bootstrap.failed_indices == (7,)
         assert np.isnan(trim.bootstrap.draws[7]).all()
@@ -689,11 +687,12 @@ class TestSharedDrawPass:
         # The shared pass ends before the first comparison's test runs.
         raw, data = _three_comparisons(iterations=20)
         config = AnalysisConfig.from_dict(raw)
-        build = analysis._build_estimator
+        build = analysis.comparison_estimator
+        names = iter(c.name for c in config.comparisons)  # built in config order
 
-        def build_failing_last(config, comparison):
-            estimator, labels, specs = build(config, comparison)
-            if comparison.name != "upper":
+        def build_failing_last(*model_and_schemes):
+            estimator, labels, specs = build(*model_and_schemes)
+            if next(names) != "upper":
                 return estimator, labels, specs
 
             def fails(data, row_weights):
@@ -704,7 +703,7 @@ class TestSharedDrawPass:
         def refuse_tests(*args):
             raise NumericalError("test refused")
 
-        monkeypatch.setattr(analysis, "_build_estimator", build_failing_last)
+        monkeypatch.setattr(analysis, "comparison_estimator", build_failing_last)
         monkeypatch.setattr(analysis, "comparison_tests", refuse_tests)
         with pytest.raises(ValueError, match=r"^\[bootstrap:upper\] point refused$"):
             run_analysis(config, data=data)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 import time
@@ -37,7 +38,7 @@ from trimtest.mc_oracle import DGPSpec, _child_seed, simulate, size_study
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme, weighted_quantile_threshold
 
-from conftest import _count_forks, _pin_cpus, make_panel
+from conftest import _count_forks, _pin_cpus, _raising, make_panel
 
 
 def weighted_mean_estimator(data, row_weights):
@@ -966,6 +967,50 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             bootstrap_pipeline(clustered, self.PLAN, estimator)
         assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("call, error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork-EAGAIN", "pipe-EMFILE"])
+@pytest.mark.parametrize("cpus", [2, 3])
+class TestWorkersThatCannotStart:
+    """Out of processes or file descriptors, this process runs the unstarted workers' blocks."""
+
+    PLAN = TestWorkers.PLAN
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_15(self, clustered, monkeypatch):
+        monkeypatch.setattr(bootstrap, "BLOCK_ENTRIES", 15 * clustered.n_rows)
+
+    def test_draws_and_failures_match_one_worker(self, clustered, monkeypatch, cpus, call, error):
+        estimators = {
+            "a": _refusing(clustered, self.PLAN, {20, 275}),
+            "b": _refusing(clustered, self.PLAN, {64}),
+            "c": trimmed_mean_estimator,
+        }
+        _pin_cpus(monkeypatch, 1)
+        serial = bootstrap_pipeline(clustered, self.PLAN, estimators)
+        _pin_cpus(monkeypatch, cpus)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        for started in range(cpus - 1):  # the first worker fails, or the second
+            with monkeypatch.context() as patch:
+                failing = _raising(call, error, after=started)
+                patch.setattr(os, call, failing)
+                boot = bootstrap_pipeline(clustered, self.PLAN, estimators)
+            assert len(failing.calls) == started + 1  # no worker is tried after the failure
+            assert [p.failed_indices for p in boot.parts] == [(20, 275), (64,), ()]
+            assert boot.failed_indices == serial.failed_indices
+            np.testing.assert_array_equal(boot.draws, serial.draws)
+            np.testing.assert_array_equal(boot.cov, serial.cov)
+        assert len(os.listdir("/proc/self/fd")) == descriptors  # a pipe whose fork failed is closed
+
+    def test_first_wrong_length_is_raised(self, clustered, monkeypatch, cpus, call, error):
+        # Draw 17 (block 1) is a block of the first worker, run here when it cannot start.
+        _pin_cpus(monkeypatch, cpus)
+        estimators = {"first": weighted_mean_estimator, "second": _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2))}
+        message = r"^\[second\] estimator returned length \(2,\) on draw 17, expected 1$"
+        for started in range(cpus - 1):
+            with monkeypatch.context() as patch, pytest.raises(ValueError, match=message):
+                patch.setattr(os, call, _raising(call, error, after=started))
+                bootstrap_pipeline(clustered, self.PLAN, estimators)
 
 
 def test_a_caller_with_threads_running_does_not_fork(clustered, monkeypatch):

@@ -6,6 +6,7 @@ through a subprocess, importing the package from this checkout's src.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 from trimtest import bootstrap
-from trimtest.analysis import _regenerated_tests
 from trimtest.cli import main
+from trimtest.report import _regenerated_tests
 
-from conftest import _count_forks, _pin_cpus, make_panel
+from conftest import _count_forks, _pin_cpus, _raising, make_panel
 
 
 @pytest.fixture
@@ -182,6 +183,24 @@ class TestBootstrapAndTest:
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
             digests.append(digest.hexdigest())
         capsys.readouterr()
+        assert digests[0] == digests[1] == digests[2]
+
+    @pytest.mark.parametrize("call, error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork-EAGAIN", "pipe-EMFILE"])
+    def test_a_worker_that_cannot_start_leaves_the_outputs_unchanged(self, tmp_path, capsys, monkeypatch, call, error):
+        # Out of processes or file descriptors: this process runs the blocks instead.
+        config = self._lstat_config(tmp_path, 12 * (bootstrap.BLOCK_ENTRIES // 300))
+        digests = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            if cpus > 1:
+                monkeypatch.setattr(os, call, _raising(call, error))
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["test", "--config", config, "--output", str(out)]) == 0
+            digest = hashlib.sha256()
+            for path in sorted(out.iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests.append(digest.hexdigest())
+        assert "Traceback" not in capsys.readouterr().err
         assert digests[0] == digests[1] == digests[2]
 
     def test_seed_override_changes_draws(self, workdir, capsys):
@@ -979,6 +998,11 @@ class TestExitCodes:
             lambda r: _put(r, "model.derived.horizon", 0),
             "[config] model.derived.horizon must be at least 1, got 0",
         ),
+        "lags.count-zero": (
+            "test",
+            lambda r: r["lags"][0].update(count=0),
+            "[config] lags[0].count must be at least 1, got 0",
+        ),
         "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
         "mc.reps-zero-test": (
             "test",
@@ -1165,11 +1189,12 @@ class TestExitCodes:
             {"name": "first", "weights": raw["weights"]},
             {"name": "second", "weights": raw.pop("weights")},
         ]
-        build = analysis._build_estimator
+        build = analysis.comparison_estimator
+        names = iter(("first", "second"))  # built in config order
 
-        def build_refusing_second(config, comparison):
-            estimator, labels, specs = build(config, comparison)
-            if comparison.name != "second":
+        def build_refusing_second(*model_and_schemes):
+            estimator, labels, specs = build(*model_and_schemes)
+            if next(names) != "second":
                 return estimator, labels, specs
 
             def refuses_draws(data, row_weights):
@@ -1179,7 +1204,7 @@ class TestExitCodes:
 
             return refuses_draws, labels, specs
 
-        monkeypatch.setattr(analysis, "_build_estimator", build_refusing_second)
+        monkeypatch.setattr(analysis, "comparison_estimator", build_refusing_second)
         p = tmp_path / "two.json"
         p.write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "two-out"

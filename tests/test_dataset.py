@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimtest import PanelDataset, add_within_cluster_lags
+from trimtest import DataError, PanelDataset, add_within_cluster_lags
 from trimtest.csvio import load_csv
 from trimtest.dataset import factorize_first_appearance
 
@@ -227,6 +228,23 @@ class TestWithinClusterLags:
         out = add_within_cluster_lags(data, "y", 1)
         np.testing.assert_array_equal(out.column("y_lag1"), [1.0])
 
+    def test_a_count_longer_than_every_cluster_fails_before_building_columns(self):
+        # No row has a full window, so no lag column is built: building 10**9
+        # empty ones would take about an hour and a half.
+        data = PanelDataset({"y": np.arange(60.0)}, np.repeat(np.arange(12), 5))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("add_within_cluster_lags ran for 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            with pytest.raises(DataError, match=r"^1000000000 lag\(s\) of 'y' leave no rows: a cluster needs more than 1000000000 rows$"):
+                add_within_cluster_lags(data, "y", 10**9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_rejects_nonpositive_lags(self):
         data = PanelDataset({"y": np.array([1.0])}, np.array([0]))
         with pytest.raises(ValueError, match=">= 1"):
@@ -284,8 +302,12 @@ class TestWithinClusterLags:
         ids = np.array([f"c{c}" if string_ids else c for c, _ in rows])
         y = np.array([v for _, v in rows])
         data = PanelDataset({"y": y, "x": np.arange(len(rows), dtype=float)}, ids)
-        got = add_within_cluster_lags(data, "y", lags)
         want = self._lags_by_cluster_loop(data, "y", lags)
+        if want.n_rows == 0:
+            with pytest.raises(DataError, match=rf"^{lags} lag\(s\) of 'y' leave no rows"):
+                add_within_cluster_lags(data, "y", lags)
+            return
+        got = add_within_cluster_lags(data, "y", lags)
         assert tuple(got.columns) == tuple(want.columns)
         for name in want.columns:
             np.testing.assert_array_equal(got.column(name), want.column(name))

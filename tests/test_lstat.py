@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
-from trimtest.analysis import _TRANSFORM
+from trimtest.config import _TRANSFORM
 from trimtest.errors import DataError, NumericalError
 from trimtest.lstat import (
     LStatSpec,

@@ -17,7 +17,7 @@ from trimtest.cli import main
 from trimtest.errors import RankDeficiencyError
 from trimtest.lstat import LStatSpec
 from trimtest.estimators import lstat_pair_estimator
-from trimtest.analysis import _DGP
+from trimtest.config import _DGP
 from trimtest.mc_oracle import (
     DGP_SETTINGS,
     CoverageReport,

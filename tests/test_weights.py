@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
-from trimtest.analysis import _SCHEME
+from trimtest.config import _SCHEME
 from trimtest.errors import DataError, NumericalError
 from trimtest.weights import (
     ResidualContext,
