@@ -74,7 +74,7 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
     estimators = {
         f"bootstrap:{c.name}": estimator for c, (estimator, _, _) in zip(config.comparisons, built)
     }
-    parts = bootstrap_pipeline(data, config.plan, estimators).parts if estimators else ()
+    parts = bootstrap_pipeline(data, config.plan, estimators).parts
     results = []
     for comparison, (_, labels, lstat_specs), part in zip(config.comparisons, built, parts):
         flags = {}

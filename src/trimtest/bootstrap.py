@@ -88,7 +88,7 @@ class BootstrapPlan:
             raise ValueError(f"unknown resample unit {self.resample_unit!r}")
         if self.engine not in {"multinomial", "multiplier"}:
             raise ValueError(f"unknown bootstrap engine {self.engine!r}")
-        if self.engine == "multiplier" and self.multiplier_distribution not in {"normal", "poisson"}:
+        if self.multiplier_distribution not in {"normal", "poisson"}:
             raise ValueError(f"unknown multiplier distribution {self.multiplier_distribution!r}")
 
 
@@ -156,8 +156,9 @@ class BlockEstimator:
 
     block(data, W) maps a K x n_rows matrix of row weights to a K x d
     matrix whose row k is the estimate under row weights W[k], and raises
-    when any draw of the block cannot be evaluated.  Calling the estimator
-    on one weight vector is the block of that one draw.
+    when any draw of the block cannot be evaluated or the draws cannot be
+    evaluated together; the engine then evaluates each draw alone.  Calling
+    the estimator on one weight vector is the block of that one draw.
     """
 
     block: Callable[[PanelDataset, np.ndarray], np.ndarray]

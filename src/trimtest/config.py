@@ -333,6 +333,11 @@ def _model(statistics=(), report_coefficients=None, derived=None, **model):
     model = RegressionModel(**model)
     report = model.regressors if report_coefficients is None else report_coefficients
     comparison = RegressionComparison(model, report_coefficients=report, **(derived or {}))
+    if not comparison.stat_labels():
+        raise DataError(
+            "model.report_coefficients is empty and the model has no regressors, so it reports "
+            'no statistic; set it to ["intercept"] to compare the intercepts'
+        )
     effect = comparison.derived_effect
     # Under fixed effects no name depends on the data.
     for key, names in (
@@ -458,6 +463,8 @@ class AnalysisConfig:
                 if pair is None:
                     raise DataError("config needs a weights object or a comparisons list")
                 c["comparisons"] = (pair,)
+            if not c["comparisons"]:
+                raise DataError("comparisons must hold at least one pair")
             names = [comparison.name for comparison in c["comparisons"]]
             if len(set(names)) != len(names):
                 raise DataError("comparison names must be unique")

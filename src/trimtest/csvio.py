@@ -42,7 +42,7 @@ def load_csv(path: str, cluster_column: str | None = None) -> tuple[PanelDataset
     NUL character, raise DataError with the location.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -159,7 +159,7 @@ def read_draws_csv(path: str) -> np.ndarray:
     A ragged row or a cell that is not a number is a DataError naming the line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

@@ -10,12 +10,13 @@ evaluated without a loop over its draws: weight schemes return one weight
 row per draw, L-statistics are row means, and regression comparisons fit
 the block with batched linear algebra, trim on one stack of the baseline's
 outcome and first-stage residuals and derive their dynamic summaries from
-whole coefficient columns.  Models with two or more fixed effects are the
-exception; they fit one draw at a time.  `comparison_estimator` builds the
-estimator a model runs under a baseline/adjusted scheme pair, with its
-statistic labels.  `comparison_tests` tests the stacked [baseline |
-adjusted] vector an estimator returns against its bootstrap covariance,
-for `test`, `report` and `mc` alike.
+whole coefficient columns.  A block that cannot be evaluated at once
+raises (under two or more fixed effects `fit_block` takes one draw), and
+the engine then evaluates each of its draws alone.  `comparison_estimator`
+is the one builder of the estimator a model runs under a baseline/adjusted
+scheme pair, with its statistic labels.  `comparison_tests` tests the
+stacked [baseline | adjusted] vector an estimator returns against its
+bootstrap covariance, for `test`, `report` and `mc` alike.
 """
 
 from __future__ import annotations
@@ -103,14 +104,12 @@ def regression_comparison_estimator(comparison: RegressionComparison) -> BlockEs
     from that fit, then the adjusted fit with the adjusted scheme's weights.
     All under the row weights passed in, so a bootstrap draw recomputes
     thresholds and scales on its reweighted sample.  A block of draws is
-    fitted at once, except under two or more fixed effects, where each
-    draw's present categories pick its indicator columns.
+    fitted at once; under two or more fixed effects `fit_block` refuses a
+    block of several draws, whose present categories differ.
     """
     model = comparison.model
 
     def block(data: PanelDataset, row_weights: np.ndarray) -> np.ndarray:
-        if len(model.fixed_effects) > 1 and len(row_weights) > 1:
-            return np.vstack([block(data, w[None]) for w in row_weights])
         w_base = compute_weights(comparison.baseline_scheme, data, row_weights=row_weights)
         base_fit = fit_block(model, data, w_base, row_weights)
         ctx = None

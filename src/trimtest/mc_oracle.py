@@ -20,11 +20,7 @@ import numpy as np
 from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures, fork_map, random_stream
 from .dataset import PanelDataset
 from .errors import NumericalError, stage
-from .estimators import (
-    RegressionComparison,
-    comparison_tests,
-    regression_comparison_estimator,
-)
+from .estimators import RegressionComparison, comparison_estimator, comparison_tests
 from .regress import RegressionModel
 from .robustness import TestSpec
 from .weights import WeightScheme
@@ -246,14 +242,11 @@ def residual_trim_size_analysis(
     test of `comparison_tests`.  The settings are checked here, once; each
     replication's seed feeds both its bootstrap and its test.
     """
-    comparison = RegressionComparison(
-        model=RegressionModel(outcome="y", regressors=(coefficient,)),
-        baseline_scheme=WeightScheme.all_ones(),
-        adjusted_scheme=WeightScheme.residual_trim(multiplier),
-        report_coefficients=(coefficient,),
+    estimator, labels, _ = comparison_estimator(
+        RegressionComparison(RegressionModel("y", (coefficient,)), report_coefficients=(coefficient,)),
+        WeightScheme.all_ones(),
+        WeightScheme.residual_trim(multiplier),
     )
-    estimator = regression_comparison_estimator(comparison)
-    labels = comparison.stat_labels()
     plan = BootstrapPlan(iterations=inner_iterations, resample_unit="cluster")
     spec = TestSpec(h=h, alpha=alpha)
 

@@ -305,10 +305,11 @@ def fit_block(
     """fit_model for a block of K draws at once; every array of the fit gains a leading draw axis.
 
     weights is K x n, one n-vector shared by the draws, or None for all
-    ones; row_multipliers
-    is K x n (None: all ones, one draw).  With two or more fixed effects the
-    block must hold one draw, whose present rows pick the indicator columns.
-    The first draw that cannot be fitted raises, as fit_model would on it.
+    ones; row_multipliers is K x n (None: all ones, one draw).  With two or
+    more fixed effects the block must hold one draw, whose present rows
+    pick the indicator columns; a larger block is a ValueError, and the
+    bootstrap engine then fits its draws one at a time.  The first draw
+    that cannot be fitted raises, as fit_model would on it.
     """
     present = None
     if row_multipliers is not None and model.fixed_effects:

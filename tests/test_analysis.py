@@ -115,6 +115,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no usable data rows"):
             load_csv(path)
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading EF BB BF.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,firm\n1.5,a\n2.5,b\n")
+        data, _ = load_csv(str(path), cluster_column="firm")
+        assert tuple(data.columns) == ("x",)
+        np.testing.assert_array_equal(data.column("x"), [1.5, 2.5])
+
     def test_empty_cluster_label_keeps_the_row(self, tmp_path):
         # Only numeric columns are required; the label column is not.
         path = write_csv(tmp_path, "y,firm\n1,a\n2,\n")
@@ -198,6 +206,11 @@ class TestAtomicOutput:
         p = write_csv(tmp_path, "y,x\n1,2\n")
         with pytest.raises(DataError, match="draw_index"):
             read_draws_csv(p)
+
+    def test_read_draws_skips_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "draws.csv"
+        p.write_bytes(b"\xef\xbb\xbfdraw_index,stat_1\n0,1.5\n1,nan\n")
+        np.testing.assert_array_equal(read_draws_csv(str(p)), [[1.5], [np.nan]])
 
     def test_read_draws_keeps_the_width_of_an_empty_file(self, tmp_path):
         p = write_csv(tmp_path, "draw_index,stat_1,stat_2\n", name="draws.csv")

@@ -184,6 +184,9 @@ class TestPlanValidation:
             BootstrapPlan(engine="jackknife")
         with pytest.raises(ValueError, match="multiplier distribution"):
             BootstrapPlan(engine="multiplier", multiplier_distribution="gamma")
+        # The default engine ignores the setting, and still refuses a name no engine knows.
+        with pytest.raises(ValueError, match="multiplier distribution 'bogus'"):
+            BootstrapPlan(multiplier_distribution="bogus")
 
 
 class TestPipeline:

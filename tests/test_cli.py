@@ -78,6 +78,22 @@ class TestEstimate:
         assert not os.path.exists(tmp_path / "out" / "draws_main.csv")
 
 
+    def test_an_input_with_a_byte_order_mark_reads_as_without_one(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["estimate", "--config", config]) == 0
+        plain = capsys.readouterr().out
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "panel.csv").read_bytes())
+        raw = _read_config(config)
+        raw["input"] = str(bom)
+        (tmp_path / "bom.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["estimate", "--config", str(tmp_path / "bom.json"), "--output", str(tmp_path / "bom-out")]) == 0
+        assert capsys.readouterr().out == plain
+        written = (tmp_path / "bom-out" / "estimates.json").read_bytes()
+        assert written == (tmp_path / "out" / "estimates.json").read_bytes()
+        assert not written.startswith(b"\xef\xbb\xbf")
+
+
 class TestBootstrapAndTest:
     def test_test_subcommand_writes_everything(self, workdir, capsys):
         tmp_path, config = workdir
@@ -400,6 +416,22 @@ class TestPlotData:
         with open(grid_out, encoding="utf-8") as fh:
             header = fh.readline().strip()
         assert header == "x,y,density"
+
+    def test_draws_file_with_a_byte_order_mark_gives_the_same_grid(self, workdir, capsys):
+        tmp_path, config = workdir
+        assert main(["test", "--config", config]) == 0
+        draws = tmp_path / "out" / "draws_main.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + draws.read_bytes())
+        printed = {}
+        for name, path in (("plain", draws), ("bom", bom)):
+            capsys.readouterr()
+            grid = tmp_path / f"grid-{name}.csv"
+            assert main(["plot-data", "--draws", str(path), "--columns", "1,2", "--output", str(grid)]) == 0
+            printed[name] = capsys.readouterr().out
+        assert printed["bom"] == printed["plain"]
+        assert (tmp_path / "grid-bom.csv").read_bytes() == (tmp_path / "grid-plain.csv").read_bytes()
+        assert (tmp_path / "grid-bom.csv").read_bytes().startswith(b"x,y,density")
 
     def test_zero_based_columns_rejected(self, workdir, capsys):
         tmp_path, config = workdir
@@ -1004,6 +1036,26 @@ class TestExitCodes:
             "[config] lags[0].count must be at least 1, got 0",
         ),
         "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
+        "comparisons-empty": (
+            "test",
+            lambda r: r.update(comparisons=[]),
+            "[config] comparisons must hold at least one pair",
+        ),
+        "comparisons-empty-estimate": (
+            "estimate",
+            lambda r: r.update(comparisons=[]),
+            "[config] comparisons must hold at least one pair",
+        ),
+        "model.report_coefficients-none": (
+            "test",
+            lambda r: r.update(model={"type": "ols", "outcome": "y"}),
+            "[config] model.report_coefficients is empty",
+        ),
+        "bootstrap.multiplier_distribution-multinomial": (
+            "test",
+            lambda r: _put(r, "bootstrap.multiplier_distribution", "bogus"),
+            "[config] bootstrap: unknown multiplier distribution 'bogus'",
+        ),
         "mc.reps-zero-test": (
             "test",
             lambda r: r.update(mc={"dgp": {"kind": "linear_regression"}, "reps": 0}),

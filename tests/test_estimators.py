@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trimtest import PanelDataset
+from trimtest.bootstrap import BootstrapPlan, _draw_block, attempt, bootstrap_pipeline
 from trimtest.estimators import (
     RegressionComparison,
     _residual_context,
@@ -227,3 +228,32 @@ class TestComparisonTests:
             )
             assert test == alone
         assert tests.joint == robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:2, :2])
+
+
+class TestTwoFactorDraws:
+    def test_a_block_is_refused_and_the_engine_gives_each_draw_its_one_draw_value(self):
+        # Two fixed effects: each draw's present categories pick its
+        # indicator columns, so a block of several draws cannot be fitted
+        # at once.  The engine then evaluates every draw alone.
+        rng = np.random.default_rng(1)
+        ids = np.repeat(np.arange(20), 3)
+        period = np.tile(np.arange(3), 20).astype(float)
+        x = rng.normal(size=60)
+        y = 2.0 * x + rng.normal(size=20)[ids] + 0.3 * period + rng.standard_t(3, size=60)
+        data = PanelDataset({"y": y, "x": x, "period": period}, ids)
+        model = RegressionModel("y", ("x",), fixed_effects=("cluster", "period"))
+        est = regression_comparison_estimator(
+            RegressionComparison(model, adjusted_scheme=WeightScheme.residual_trim(2.0), report_coefficients=("x",))
+        )
+        plan = BootstrapPlan(iterations=100, seed=0)
+        rho, empty = _draw_block(data, plan, range(100))  # one block: 100 draws of 60 rows
+        assert not empty.any()
+        with pytest.raises(ValueError, match="one draw at a time"):
+            est.block(data, rho[:2])
+        alone = [attempt(est, data, w) for w in rho]
+        failed = tuple(b for b, value in enumerate(alone) if value is None)
+        assert len(failed) == 1  # that draw's trimmed fit is rank deficient
+        result = bootstrap_pipeline(data, plan, est)
+        assert result.failed_indices == failed
+        expected = np.array([np.full(2, np.nan) if value is None else value for value in alone])
+        np.testing.assert_array_equal(result.draws, expected)
