@@ -27,8 +27,9 @@ estimate, draws, failed draws, failure limit and covariance; a draw that
 fails one estimator is still a draw of the others.
 
 Blocks run on up to one process per CPU (fork_map, which `size_study` also
-runs its replications on): this process and forked workers, a worker only
-for every BLOCKS_PER_WORKER blocks.  A block depends on (seed, its draws)
+runs its replications on and `report.write_outputs` each comparison's
+files): this process and forked workers, a worker only for every
+BLOCKS_PER_WORKER blocks.  A block depends on (seed, its draws)
 alone, so results are byte-identical for any worker count, and the first
 error raised is the one a serial loop raises.  A process with other threads
 running, or a bootstrap run inside another map's item (a `size_study`
@@ -44,7 +45,11 @@ plain callable is called once per draw.  A block estimate may differ from
 the one-draw estimate in the last bits; the layout depends on (n, B) alone, so outputs are
 byte-identical from run to run.  Because every call sees the same dataset object, work that
 depends on the data alone is memoized on it (the sort order of a column,
-the cluster row blocks) and shared by all draws.
+the cluster row blocks) and shared by all draws.  A block's row weights
+are read-only and every estimator gets the same block object, so work that
+depends on the data and one block (a column's quantile thresholds) is
+memoized for that block (`PanelDataset.block_memo`) and shared by all
+estimators.
 
 Failures: a draw fails when its estimate raises a numerical or value
 error.  A block call that raises is evaluated again one draw at a time, so
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PanelDataset
-from .errors import NumericalError, stage
+from .errors import NumericalError, setting_error, stage
 
 _CATCHABLE = (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError)
 
@@ -83,13 +88,15 @@ class BootstrapPlan:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise setting_error("iterations", "iterations must be >= 1")
         if self.resample_unit not in {"cluster", "row"}:
-            raise ValueError(f"unknown resample unit {self.resample_unit!r}")
+            raise setting_error("resample_unit", f"unknown resample unit {self.resample_unit!r}")
         if self.engine not in {"multinomial", "multiplier"}:
-            raise ValueError(f"unknown bootstrap engine {self.engine!r}")
+            raise setting_error("engine", f"unknown bootstrap engine {self.engine!r}")
         if self.multiplier_distribution not in {"normal", "poisson"}:
-            raise ValueError(f"unknown multiplier distribution {self.multiplier_distribution!r}")
+            raise setting_error(
+                "multiplier_distribution", f"unknown multiplier distribution {self.multiplier_distribution!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -350,6 +357,8 @@ def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) ->
     an error building the draws, under the first name.
     """
     named = estimator_fn if isinstance(estimator_fn, dict) else {None: estimator_fn}
+    if not named:
+        raise ValueError("bootstrap_pipeline needs at least one estimator, got an empty dict")
 
     def within(name):
         return nullcontext() if name is None else stage(name)
@@ -369,6 +378,7 @@ def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) ->
             rho, empty = _draw_block(data, plan, block)
         if empty.any():
             rho = rho[~empty]
+        rho.setflags(write=False)  # one unchanging block for every estimator: see PanelDataset.block_memo
         out = {}
         for name, fn in named.items():
             values = iter(_block_values(data, fn, rho))

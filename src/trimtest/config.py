@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bootstrap import BootstrapPlan
-from .errors import DataError, stage
+from .errors import DataError, setting_error, stage
 from .estimators import RegressionComparison, coefficient_specs, comparison_estimator
 from .lstat import LStatSpec, Transform
 from .mc_oracle import DGP_SETTINGS, DGPSpec, residual_trim_size_analysis, size_study
@@ -187,11 +187,13 @@ class _Section:
 
     Reading refuses unknown keys and missing required ones, reads every
     key present and passes the values by field name to `build`; a
-    ValueError from `build` is reported with the section's path.
+    ValueError from `build` is reported with the path of the key whose
+    field it names (`errors.setting_error`), else with the section's path.
     """
 
     def __init__(self, keys: dict, required=(), build=dict):
         self.keys = {k: r if isinstance(r, tuple) else (r, k) for k, r in keys.items()}
+        self.fields = {name: key for key, (_, name) in self.keys.items()}
         self.required, self.build = required, build
 
     def __call__(self, raw, path: str):
@@ -209,7 +211,8 @@ class _Section:
         try:
             return self.build(**values)
         except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+            key = self.fields.get(getattr(exc, "field", None))
+            raise DataError(f"{_join(path, key) if key else path}: {exc}") from exc
 
 
 class _Kinds:
@@ -386,7 +389,7 @@ def _size_study(**study) -> dict:
     simulate both and the coefficient cannot be y itself.
     """
     if study.get("reps", 1) < 1:
-        raise ValueError("reps must be >= 1")
+        raise setting_error("reps", "reps must be >= 1")
     dgp = study["dgp"]
     coefficient = study.get("coefficient", _ANALYSIS_PARAMETERS["coefficient"].default)
     for key, column in (("mc.dgp.kind", "y"), ("mc.coefficient", coefficient)):
@@ -437,7 +440,11 @@ def mc_settings(raw: dict) -> tuple[dict, str]:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Validated analysis description; build from a dict with from_dict."""
+    """Validated analysis description; build from a dict with from_dict.
+
+    Built directly, it checks only that comparisons is not empty; from_dict
+    checks every setting.
+    """
 
     input_path: str
     model: RegressionComparison | tuple[LStatSpec, ...]
@@ -449,6 +456,10 @@ class AnalysisConfig:
     plot_pairs: tuple = ()
     lags: tuple = ()  # add_within_cluster_lags keyword arguments
     include_analytic_cov: bool = False
+
+    def __post_init__(self):
+        if not self.comparisons:
+            raise DataError("comparisons must hold at least one pair")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -463,8 +474,6 @@ class AnalysisConfig:
                 if pair is None:
                     raise DataError("config needs a weights object or a comparisons list")
                 c["comparisons"] = (pair,)
-            if not c["comparisons"]:
-                raise DataError("comparisons must hold at least one pair")
             names = [comparison.name for comparison in c["comparisons"]]
             if len(set(names)) != len(names):
                 raise DataError("comparison names must be unique")

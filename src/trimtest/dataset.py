@@ -10,6 +10,7 @@ independently.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +43,11 @@ def factorize_first_appearance(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
 class PanelDataset:
     """Immutable table of float columns with a cluster structure.
 
+    Work that depends on the data alone is memoized on the dataset (column
+    sort orders, factor codes), and work that depends on the data and one
+    read-only block of bootstrap row weights is memoized for the last such
+    block (`block_memo`), so every estimator that evaluates the block shares it.
+
     Parameters
     ----------
     columns : dict of str -> ndarray
@@ -60,6 +66,8 @@ class PanelDataset:
     _sort_orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Factor name -> (labels, codes), computed once per dataset.
     _factor_codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # (weakref to the last block of row weights seen, {key: value computed for it}).
+    _block_memo: tuple = field(init=False, repr=False, compare=False, default=(None, None))
 
     def __post_init__(self):
         ids = np.asarray(self.cluster_ids)
@@ -135,6 +143,28 @@ class PanelDataset:
                 name, _readonly(np.argsort(self.column(name), kind="stable"))
             )
         return order
+
+    def block_memo(self, block: np.ndarray, key, compute):
+        """compute() for this block of row weights and key, computed once per block.
+
+        The memo holds one block, the last one seen: a different block object
+        empties it.  The block is held through a weakref, so the memo never
+        keeps it alive and a new array at a freed one's address is a new block.
+        Only a read-only block is memoized, and it must not be changed (through
+        a writable base) while it is evaluated.  The bootstrap engine hands
+        every estimator the same read-only block, so what depends on the data
+        and the block alone (a column's quantile thresholds) is computed once
+        for all of them.
+        """
+        if block.flags.writeable:
+            return compute()
+        ref, table = self._block_memo
+        if ref is None or ref() is not block:
+            table = {}
+            object.__setattr__(self, "_block_memo", (weakref.ref(block), table))
+        if key not in table:
+            table[key] = compute()
+        return table[key]
 
     def factor_codes(self, name: str) -> tuple[tuple, np.ndarray]:
         """Categories of a fixed-effect factor, computed once: (labels, codes).

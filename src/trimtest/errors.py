@@ -37,6 +37,17 @@ class RankDeficiencyError(NumericalError):
         return (type(self).__new__, (type(self), *self.args), self.__dict__)
 
 
+def setting_error(field: str, message: str) -> ValueError:
+    """A ValueError about one setting, naming its field in a `field` attribute.
+
+    Raised by a settings dataclass, it lets the config reader name the key
+    that filled the field.  The attribute survives pickling.
+    """
+    exc = ValueError(message)
+    exc.field = field
+    return exc
+
+
 @contextmanager
 def stage(name: str):
     """Re-raise a failure of the enclosed pipeline stage with `[name] ` before its message.

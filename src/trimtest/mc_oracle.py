@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import BootstrapPlan, attempt, bootstrap_pipeline, check_failures, fork_map, random_stream
 from .dataset import PanelDataset
-from .errors import NumericalError, stage
+from .errors import NumericalError, setting_error, stage
 from .estimators import RegressionComparison, comparison_estimator, comparison_tests
 from .regress import RegressionModel
 from .robustness import TestSpec
@@ -68,11 +68,12 @@ class DGPSpec:
             raise ValueError(f"unknown DGP kind {self.kind!r}")
         for name, value in (("scale", self.scale), ("error_scale", self.error_scale)):
             if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+                raise setting_error(name, f"{name} must be >= 0, got {value!r}")
         if self.law not in _LAWS:
-            raise ValueError(f"unknown law {self.law!r}")
+            raise setting_error("law", f"unknown law {self.law!r}")
         if self.law == "student_t" and self.df <= 2.0:
-            raise ValueError(
+            raise setting_error(
+                "df",
                 "student_t needs df > 2: trimmed-column theory requires slightly "
                 "more than two finite moments"
             )
@@ -80,7 +81,7 @@ class DGPSpec:
             if self.n_clusters < 1 or self.t_min < 1 or self.t_max < self.t_min:
                 raise ValueError("panel needs n_clusters >= 1 and 1 <= t_min <= t_max")
         elif self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise setting_error("n", "n must be >= 1")
 
     @property
     def columns(self) -> tuple[str, ...]:

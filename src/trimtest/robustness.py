@@ -41,7 +41,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.special import ndtri
 
 from .bootstrap import random_stream
-from .errors import NumericalError
+from .errors import NumericalError, setting_error
 
 N_DIRECTIONS = 256
 MC_CHUNK = 16  # directions per block of the streamed Monte Carlo path
@@ -70,19 +70,19 @@ class TestSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.h):
-            raise ValueError(f"tolerance h must be finite, got {self.h!r}")
+            raise setting_error("h", f"tolerance h must be finite, got {self.h!r}")
         if self.h < 0:
-            raise ValueError("tolerance h must be >= 0")
+            raise setting_error("h", "tolerance h must be >= 0")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise setting_error("alpha", "alpha must lie in (0, 1)")
         if self.mc_draws < 1000:
-            raise ValueError("mc_draws must be >= 1000")
+            raise setting_error("mc_draws", "mc_draws must be >= 1000")
         if self.method not in {"auto", "exact", "mc"}:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise setting_error("method", f"unknown method {self.method!r}")
         if not isinstance(self.norm_matrix, str):
             object.__setattr__(self, "norm_matrix", tuple(map(tuple, explicit_norm(self.norm_matrix).tolist())))
         elif self.norm_matrix not in {"diff_cov", "identity"}:
-            raise ValueError(f"unknown norm matrix choice {self.norm_matrix!r}")
+            raise setting_error("norm_matrix", f"unknown norm matrix choice {self.norm_matrix!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ along a column's ascending sort order.  Reweighting the rows never changes
 that order, so `compute_weights` takes it from the dataset's memo
 (`PanelDataset.sort_order`) and a bootstrap draw pays for a cumulative sum,
 not a sort.  A block of K draws, K x n row weights, takes one cumulative
-sum along the rows and one argmax for their first crossings.
+sum along the rows and one argmax for their first crossings.  A column's
+thresholds at given levels depend on the block alone, not on the scheme,
+so `compute_weights` computes them once per block (`PanelDataset.block_memo`)
+for every scheme and estimator that reads them.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def weights_quantile_trim(
     lower_q: float,
     upper_q: float,
     row_weights: np.ndarray | None = None,
-    orders: list[np.ndarray] | None = None,
+    bounds: list | None = None,
 ) -> np.ndarray:
     """0/1 weights keeping rows inside every column's quantile band.
 
@@ -161,8 +164,9 @@ def weights_quantile_trim(
     count-weighted data reproduces the materialized multiset thresholds).
     lower_q = 0 means no lower bound.  Invariant under strictly increasing
     transformations of the columns.  K x n row weights give K x n weights.
-    orders, when given, holds each column's stable ascending argsort (see
-    `weighted_quantile_threshold`).
+    bounds, when given, holds each column's thresholds as
+    `weighted_quantile_threshold` returns them for (lower_q, upper_q) and
+    the row weights as a K x n block; `compute_weights` passes shared ones.
     """
     if not columns:
         raise ValueError("quantile_trim requires at least one column")
@@ -171,9 +175,8 @@ def weights_quantile_trim(
     keep = np.ones(block.shape, dtype=bool)
     for j, v in enumerate(columns):
         v = np.asarray(v, dtype=float)
-        order = None if orders is None else orders[j]
-        bounds = weighted_quantile_threshold(v, block, (lower_q, upper_q), order)
-        for bound, inside in zip(bounds, (np.greater_equal, np.less_equal)):
+        column_bounds = weighted_quantile_threshold(v, block, (lower_q, upper_q)) if bounds is None else bounds[j]
+        for bound, inside in zip(column_bounds, (np.greater_equal, np.less_equal)):
             keep &= inside(v, bound[:, None]) | np.isnan(bound[:, None])  # NaN: no constraint
     return keep.astype(float).reshape(rw.shape)
 
@@ -198,7 +201,7 @@ def weights_winsorize(
     lower_q: float,
     upper_q: float,
     row_weights: np.ndarray | None = None,
-    order: np.ndarray | None = None,
+    bounds: list | None = None,
 ) -> np.ndarray:
     """Ratio weights w_i = clamp(v_i, L, U) / v_i with quantile bounds.
 
@@ -206,13 +209,13 @@ def weights_winsorize(
     Winsorized values.  v_i = 0 with a clamp that moves the value has no
     ratio representation and raises, unless the row has row weight 0 and
     so is absent from the sample.  K x n row weights give K x n weights.
-    order, when given, is the stable ascending argsort of values (see
-    `weighted_quantile_threshold`).
+    bounds, when given, are the thresholds [L, U] as
+    `weighted_quantile_threshold` returns them (see `weights_quantile_trim`).
     """
     v = np.asarray(values, dtype=float)
     rw = np.ones(len(v)) if row_weights is None else np.asarray(row_weights, dtype=float)
     block = np.atleast_2d(rw)
-    lower, upper = weighted_quantile_threshold(v, block, (lower_q, upper_q), order)
+    lower, upper = weighted_quantile_threshold(v, block, (lower_q, upper_q)) if bounds is None else bounds
     # fmax and fmin ignore a NaN bound: no constraint.
     out = np.fmax(v, lower[:, None])
     np.fmin(out, upper[:, None], out=out)
@@ -236,24 +239,31 @@ def compute_weights(
 
     K x n row weights give K x n weights, except that all_ones and custom
     give the n-vector every draw shares.  Order-statistic schemes reuse the
-    dataset's memoized column sort orders.
+    dataset's memoized column sort orders, and take each column's
+    thresholds at their levels from the dataset's block memo
+    (`PanelDataset.block_memo`): a quantile trim and a Winsorization of one
+    column at the same levels, evaluated on the same read-only block, share
+    one threshold computation.
     """
     n = data.n_rows
     if scheme.kind == "all_ones":
         return np.ones(n)
-    if scheme.kind == "quantile_trim":
-        cols = [data.column(c) for c in scheme.columns]
-        orders = [data.sort_order(c) for c in scheme.columns]
-        return weights_quantile_trim(cols, scheme.lower_q, scheme.upper_q, row_weights, orders)
+    if scheme.kind in ("quantile_trim", "winsorize"):
+        rw = np.ones(n) if row_weights is None else np.asarray(row_weights, dtype=float)
+        block, levels = np.atleast_2d(rw), (scheme.lower_q, scheme.upper_q)
+
+        def thresholds(column: str):
+            return weighted_quantile_threshold(data.column(column), block, levels, data.sort_order(column))
+
+        bounds = [data.block_memo(rw, (c, levels), lambda c=c: thresholds(c)) for c in scheme.columns]
+        columns = [data.column(c) for c in scheme.columns]
+        if scheme.kind == "winsorize":
+            return weights_winsorize(columns[0], *levels, rw, bounds[0])
+        return weights_quantile_trim(columns, *levels, rw, bounds)
     if scheme.kind == "residual_trim":
         if residual_context is None:
             raise ValueError("residual_trim requires a ResidualContext")
         return weights_residual_trim(residual_context, scheme.multiplier)
-    if scheme.kind == "winsorize":
-        col = scheme.columns[0]
-        return weights_winsorize(
-            data.column(col), scheme.lower_q, scheme.upper_q, row_weights, data.sort_order(col)
-        )
     if scheme.kind == "custom":
         vals = np.asarray(scheme.values, dtype=float)
         if len(vals) != n:

@@ -15,6 +15,7 @@ from trimtest import config as schema
 from trimtest.analysis import point_estimates, run_analysis
 from trimtest.config import AnalysisConfig
 from trimtest.csvio import (
+    LoadReport,
     atomic_write_text,
     draws_csv_text,
     format_float,
@@ -26,7 +27,7 @@ from trimtest.estimators import RegressionComparison
 from trimtest.lstat import LStatSpec
 from trimtest.plotgrid import GRID_POINTS, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
-from trimtest.report import regenerate_report, write_outputs
+from trimtest.report import regenerate_report, report_bundle, write_outputs
 
 from conftest import make_panel
 
@@ -313,6 +314,18 @@ class TestPlotGrid:
         assert len(g.x) == len(g.y) == GRID_POINTS
         assert np.all(g.density >= 0.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_density_has_the_bits_of_the_plain_kernel_expression(self, seed):
+        # The kernels are built in place; the grid file must not notice.
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_t(3, size=700), rng.normal(2.0, 0.3, size=700)
+        g = emit_plot_grid(x, y)
+        ux = (g.x[:, None] - x[None, :]) / g.bandwidth_x
+        uy = (g.y[:, None] - y[None, :]) / g.bandwidth_y
+        kx = np.exp(-0.5 * ux * ux) / (g.bandwidth_x * np.sqrt(2.0 * np.pi))
+        ky = np.exp(-0.5 * uy * uy) / (g.bandwidth_y * np.sqrt(2.0 * np.pi))
+        assert grid_csv_text(g.x, g.y, g.density) == grid_csv_text(g.x, g.y, kx @ ky.T / len(x))
+
     def test_density_matches_direct_kernel_sum(self, rng):
         x, y = rng.normal(size=30), rng.normal(size=30)
         g = emit_plot_grid(x, y)
@@ -349,6 +362,11 @@ class TestAnalysisConfig:
         assert len(config.comparisons) == 1
         assert config.comparisons[0].name == "main"
         assert config.plan.iterations == 80
+
+    def test_direct_construction_refuses_no_comparisons(self):
+        # The rule from_dict states, in the same words.
+        with pytest.raises(DataError, match=r"^comparisons must hold at least one pair$"):
+            AnalysisConfig(input_path="unused", model=(LStatSpec("x"),), comparisons=())
 
     def test_lstat_config_model_is_its_statistics(self):
         raw = regression_config()
@@ -815,6 +833,15 @@ class TestOutputsAndReport:
         raw["test"] = {"norm": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(DataError, match=r"\[config\] test.norm must be a 1 x 1 matrix"):
             AnalysisConfig.from_dict(raw)
+
+    def test_a_bundle_with_no_comparison_writes_results_and_report(self, tmp_path):
+        raw = regression_config()
+        raw["output"] = {"directory": str(tmp_path), "plot_pairs": ["x"]}
+        config = AnalysisConfig.from_dict(raw)
+        paths = write_outputs(report_bundle(config, LoadReport(10, 0, {}), []))
+        assert paths == {"results": str(tmp_path / "results.json"), "report": str(tmp_path / "report.txt")}
+        assert sorted(os.listdir(tmp_path)) == ["report.txt", "results.json"]
+        assert json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))["comparisons"] == {}
 
     def test_regenerate_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="results.json"):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import errno
+import gc
 import os
 import threading
 import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimtest import PanelDataset
-from trimtest import bootstrap
+from trimtest import bootstrap, weights
 from trimtest.bootstrap import (
     BlockEstimator,
     BootstrapPlan,
@@ -420,6 +423,64 @@ class TestSortsAreSharedAcrossDraws:
         many = self._argsort_calls(monkeypatch, 50)
         assert many == few
         assert few <= 1  # one column, sorted at most once per dataset
+
+
+class TestThresholdsAreSharedAcrossEstimators:
+    """Estimators that read a column's thresholds at the same levels compute them once per block."""
+
+    PLAN = BootstrapPlan(iterations=250, seed=6, resample_unit="row")
+
+    @staticmethod
+    def _data() -> PanelDataset:
+        rng = np.random.default_rng(12)
+        x = np.round(rng.standard_t(3, size=300), 2)
+        x[x == 0.0] = 0.5
+        return PanelDataset({"x": x, "z": rng.normal(size=300)}, np.arange(300))
+
+    @staticmethod
+    def _estimators() -> dict:
+        statistics = [LStatSpec("x"), LStatSpec("z")]
+
+        def against_all_ones(scheme):
+            return lstat_pair_estimator(statistics, [replace(s, scheme=scheme) for s in statistics])
+
+        return {
+            "trim": against_all_ones(WeightScheme.quantile_trim(["x", "z"], 0.05, 0.95)),
+            "winsor": against_all_ones(WeightScheme.winsorize("x", 0.05, 0.95)),
+            "wider": against_all_ones(WeightScheme.winsorize("x", 0.1, 0.9)),
+        }
+
+    def test_one_computation_per_column_and_levels_per_block(self, monkeypatch):
+        data = self._data()
+        names = {id(v): c for c, v in data.columns.items()}
+        calls, blocks, threshold = [], [], weights.weighted_quantile_threshold
+
+        def counting(values, w, q, order=None):
+            if w.ndim == 2 and len(w) > 1:  # a block of draws, not a point estimate
+                calls.append((w.tobytes(), names[id(values)], q))
+                blocks.append(weakref.ref(w))
+            return threshold(values, w, q, order)
+
+        monkeypatch.setattr(weights, "weighted_quantile_threshold", counting)
+        _pin_cpus(monkeypatch, 1)
+        boot = bootstrap_pipeline(data, self.PLAN, self._estimators())
+        assert boot.n_failed == 0
+        per_block = {}
+        for block, column, levels in calls:
+            per_block.setdefault(block, []).append((column, levels))
+        assert len(per_block) == -(-250 // (bootstrap.BLOCK_ENTRIES // 300))
+        for keys in per_block.values():
+            assert sorted(keys) == [("x", (0.05, 0.95)), ("x", (0.1, 0.9)), ("z", (0.05, 0.95))]
+        gc.collect()
+        assert all(block() is None for block in blocks)  # the memo keeps no block alive
+
+    def test_each_estimator_draws_as_it_does_alone(self):
+        data = self._data()
+        boot = bootstrap_pipeline(data, self.PLAN, self._estimators())
+        for part, fn in zip(boot.parts, self._estimators().values()):
+            alone = bootstrap_pipeline(self._data(), self.PLAN, fn)
+            assert part.draws.tobytes() == alone.draws.tobytes()
+            assert part.point.tobytes() == alone.point.tobytes()
 
 
 class TestBootstrapCov:
@@ -870,6 +931,10 @@ class TestSharedDrawPass:
         )
         assert [p.failed_indices for p in boot.parts] == [(3,), (9,)]
         assert boot.failed_indices == (3, 9) and boot.n_failed == 2
+
+    def test_an_empty_dict_of_estimators_is_refused(self, clustered):
+        with pytest.raises(ValueError, match=r"^bootstrap_pipeline needs at least one estimator, got an empty dict$"):
+            bootstrap_pipeline(clustered, self.PLAN, {})
 
     def test_errors_are_raised_under_their_parts_name(self, clustered):
         def wrong_length(data, row_weights):

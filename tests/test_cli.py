@@ -184,16 +184,20 @@ class TestBootstrapAndTest:
         assert contents[0] == contents[1]
 
     def test_lstat_outputs_identical_across_worker_counts(self, tmp_path, capsys, monkeypatch):
-        # 12 blocks of draws: enough for three workers.
+        # 12 blocks of draws: enough for three workers.  Each of the two
+        # comparisons writes 1308 x 4 draw cells and a 101 x 101 grid, enough
+        # for a writer of its own.
         config = self._lstat_config(tmp_path, 12 * (bootstrap.BLOCK_ENTRIES // 300))
         forks = _count_forks(monkeypatch)
+        writer_forks = _writer_forks(monkeypatch, forks)
         digests = []
         for cpus in (1, 2, 3):
             _pin_cpus(monkeypatch, cpus)
             forks.clear()
             out = tmp_path / f"cpus{cpus}"
             assert main(["test", "--config", config, "--output", str(out)]) == 0
-            assert len(forks) == cpus - 1
+            assert writer_forks[-1] == min(cpus, 2) - 1
+            assert len(forks) - writer_forks[-1] == cpus - 1  # the bootstrap's
             digest = hashlib.sha256()
             for path in sorted(out.iterdir()):
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -237,6 +241,115 @@ class TestBootstrapAndTest:
         a = (tmp_path / "s9" / "draws_main.csv").read_bytes()
         b = (tmp_path / "s10" / "draws_main.csv").read_bytes()
         assert a != b
+
+
+def _writer_forks(monkeypatch, forks: list) -> list:
+    """One entry per write_outputs call of the CLI: how many of `forks` it made."""
+    from trimtest import cli
+
+    counts, write = [], cli.write_outputs
+
+    def counted(bundle):
+        before = len(forks)
+        try:
+            return write(bundle)
+        finally:
+            counts.append(len(forks) - before)
+
+    monkeypatch.setattr(cli, "write_outputs", counted)
+    return counts
+
+
+def _comparisons_config(tmp_path, count: int, iterations: int, plot_pairs: list) -> str:
+    """The first `count` of three L-statistic comparisons of x and z, 300 rows; the config's path."""
+    rng = np.random.default_rng(8)
+    x = np.round(rng.standard_t(3, size=300), 2)
+    x[x == 0.0] = 0.5
+    z = np.round(rng.normal(size=300), 1)
+    lines = ["x,z"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, z)]
+    (tmp_path / "sample.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    levels = {"lower_q": 0.05, "upper_q": 0.95}
+    comparisons = [
+        ("trim", {"kind": "quantile_trim", "columns": ["x", "z"], **levels}),
+        ("winsor", {"kind": "winsorize", "columns": ["x"], **levels}),
+        ("upper", {"kind": "quantile_trim", "columns": ["x"], "upper_q": 0.9}),
+    ]
+    config = {
+        "input": str(tmp_path / "sample.csv"),
+        "model": {"type": "lstat", "statistics": [{"column": "x"}, {"column": "z"}]},
+        "comparisons": [
+            {"name": name, "baseline": {"kind": "all_ones"}, "adjusted": adjusted}
+            for name, adjusted in comparisons[:count]
+        ],
+        "bootstrap": {"iterations": iterations, "seed": 5, "resample_unit": "row"},
+        "test": {"alpha": 0.05, "h": 0.0, "seed": 6},
+        "output": {"plot_pairs": plot_pairs},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return str(tmp_path / "config.json")
+
+
+class TestComparisonWriters:
+    """Each comparison's draws file and plot grids are written on the fork map."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_outputs_identical_for_any_cpu_count(self, tmp_path, capsys, monkeypatch, count):
+        # 200 x 4 draw cells and a 101 x 101 grid per comparison: a writer each.
+        config = _comparisons_config(tmp_path, count, 200, ["x"])
+        writer_forks = _writer_forks(monkeypatch, _count_forks(monkeypatch))
+        runs = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["test", "--config", config, "--output", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "<out>")
+            runs.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert writer_forks == [min(cpus, count) - 1 for cpus in (1, 2, 3)]
+        assert len(runs[0][1]) == 2 + 2 * count  # results, report, and a draws file and grid each
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_small_outputs_are_written_by_this_process(self, tmp_path, capsys, monkeypatch):
+        # 100 x 4 draw cells per comparison and no plot pair: not worth a fork.
+        config = _comparisons_config(tmp_path, 2, 100, [])
+        writer_forks = _writer_forks(monkeypatch, _count_forks(monkeypatch))
+        _pin_cpus(monkeypatch, 2)
+        assert main(["test", "--config", config, "--output", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert writer_forks == [0]
+        assert {"draws_trim.csv", "draws_winsor.csv"} <= {p.name for p in (tmp_path / "out").iterdir()}
+
+    def test_the_first_failing_comparison_is_the_error_raised(self, tmp_path, monkeypatch):
+        # Comparison 0's draws have zero spread and comparison 1's only one
+        # finite row, so both grids fail, each with its own message.
+        from trimtest.bootstrap import BootstrapResult
+        from trimtest.config import AnalysisConfig
+        from trimtest.csvio import LoadReport
+        from trimtest.errors import NumericalError, stage
+        from trimtest.report import ComparisonResult, ReportBundle, write_outputs
+
+        raw = _read_config(_comparisons_config(tmp_path, 3, 2000, ["x"]))
+        config = AnalysisConfig.from_dict({**raw, "output": {"plot_pairs": ["x"], "directory": str(tmp_path / "out")}})
+        one_row = np.full((2000, 4), np.nan)
+        one_row[0] = 1.0
+        draws = [np.ones((2000, 4)), one_row, np.random.default_rng(1).normal(size=(2000, 4))]
+        results = tuple(
+            ComparisonResult(c.name, ("x", "z"), BootstrapResult(d, np.zeros(4), np.eye(4), 5, 2000, 0), tests=None)
+            for c, d in zip(config.comparisons, draws)
+        )
+        bundle = ReportBundle(config, LoadReport(300, 0, {}), results, "", {})
+        forks = _count_forks(monkeypatch)
+        raised = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            with pytest.raises(NumericalError) as info:
+                with stage("write"):
+                    write_outputs(bundle)
+            raised.append(str(info.value))
+            assert len(forks) == cpus - 1
+        assert raised == ["[write] kernel density is degenerate: draws have zero spread"] * 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFlags:
@@ -584,7 +697,7 @@ class TestExitCodes:
         p.write_text(json.dumps({"mc": {"dgp": dgp, "reps": reps}}), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["mc", "--config", str(p), "--output", str(out)]) == 2
-        assert capsys.readouterr().err == "data error: [config] mc: reps must be >= 1\n"
+        assert capsys.readouterr().err == "data error: [config] mc.reps: reps must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["reps", "inner_iterations", "seed"])
@@ -1018,12 +1131,12 @@ class TestExitCodes:
         "dgp.error_scale-negative": (
             "mc",
             lambda r: _put(r, "mc.dgp.error_scale", -1),
-            "[config] mc.dgp: error_scale must be >= 0",
+            "[config] mc.dgp.error_scale: error_scale must be >= 0",
         ),
         "dgp.scale-negative": (
             "mc",
             lambda r: r["mc"]["dgp"].update(kind="univariate", scale=-1),
-            "[config] mc.dgp: scale must be >= 0",
+            "[config] mc.dgp.scale: scale must be >= 0",
         ),
         "model.derived.horizon-zero": (
             "test",
@@ -1035,7 +1148,7 @@ class TestExitCodes:
             lambda r: r["lags"][0].update(count=0),
             "[config] lags[0].count must be at least 1, got 0",
         ),
-        "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc: reps must be >= 1"),
+        "mc.reps-zero": ("mc", lambda r: _put(r, "mc.reps", 0), "[config] mc.reps: reps must be >= 1"),
         "comparisons-empty": (
             "test",
             lambda r: r.update(comparisons=[]),
@@ -1054,17 +1167,22 @@ class TestExitCodes:
         "bootstrap.multiplier_distribution-multinomial": (
             "test",
             lambda r: _put(r, "bootstrap.multiplier_distribution", "bogus"),
-            "[config] bootstrap: unknown multiplier distribution 'bogus'",
+            "[config] bootstrap.multiplier_distribution: unknown multiplier distribution 'bogus'",
+        ),
+        "test.alpha-out-of-range": (
+            "test",
+            lambda r: _put(r, "test.alpha", 1.5),
+            "[config] test.alpha: alpha must lie in (0, 1)",
         ),
         "mc.reps-zero-test": (
             "test",
             lambda r: r.update(mc={"dgp": {"kind": "linear_regression"}, "reps": 0}),
-            "[config] mc: reps must be >= 1",
+            "[config] mc.reps: reps must be >= 1",
         ),
         "mc.reps-zero-estimate": (
             "estimate",
             lambda r: r.update(mc={"dgp": {"kind": "linear_regression"}, "reps": 0}),
-            "[config] mc: reps must be >= 1",
+            "[config] mc.reps: reps must be >= 1",
         ),
     }
 
@@ -1349,8 +1467,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("alpha", 1.5, "mc: alpha must lie in (0, 1)"),
-            ("h", -0.1, "mc: tolerance h must be >= 0"),
+            ("alpha", 1.5, "mc.alpha: alpha must lie in (0, 1)"),
+            ("h", -0.1, "mc.h: tolerance h must be >= 0"),
             (
                 "inner_iterations", 0,
                 "mc.inner_iterations must be at least 2, got 0: a bootstrap covariance needs two draws",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import signal
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -73,6 +75,51 @@ class TestPanelDataset:
         assert named.factor_codes("cluster")[0] == (1.0, 2.0)
         with pytest.raises(KeyError, match="no column named 'missing' for fixed effect"):
             g.factor_codes("missing")
+
+    def test_block_memo_holds_the_last_read_only_block(self, tiny):
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return len(calls)
+
+        block = np.ones((2, 5))
+        assert [tiny.block_memo(block, "k", compute) for _ in range(2)] == [1, 2]  # writable: never kept
+        block.setflags(write=False)
+        assert [tiny.block_memo(block, "k", compute) for _ in range(2)] == [3, 3]
+        assert tiny.block_memo(block, "other", compute) == 4
+        other = np.ones((2, 5))
+        other.setflags(write=False)
+        assert tiny.block_memo(other, "k", compute) == 5  # a new block empties the memo
+        assert tiny.block_memo(block, "k", compute) == 6
+        held = weakref.ref(block)
+        del block
+        gc.collect()
+        assert held() is None
+
+    def test_threads_each_get_their_own_blocks_values(self):
+        # One memo slot shared by threads that each evaluate their own
+        # blocks: a thread must never read what another block computed.
+        data = PanelDataset({"v": np.arange(8.0)}, np.arange(8))
+        barrier = threading.Barrier(8)
+
+        def evaluate(t):
+            barrier.wait(timeout=10)
+            wrong = 0
+            for i in range(300):
+                block = np.full((2, 8), float(1000 * t + i))
+                block.setflags(write=False)
+                for key in ("a", "b", "a"):
+                    wrong += data.block_memo(block, key, lambda: (key, block[0, 0])) != (key, block[0, 0])
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(evaluate, range(8), timeout=60)) == [0] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_derived_datasets_sort_afresh(self, tiny):
         order = tiny.sort_order("v")
