@@ -71,9 +71,7 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
     """
     data, load_report = _prepared_data(config, data)
     built = [comparison_estimator(config.model, c.baseline_scheme, c.adjusted_scheme) for c in config.comparisons]
-    estimators = {
-        f"bootstrap:{c.name}": estimator for c, (estimator, _, _) in zip(config.comparisons, built)
-    }
+    estimators = [(f"bootstrap:{c.name}", estimator) for c, (estimator, _, _) in zip(config.comparisons, built)]
     parts = bootstrap_pipeline(data, config.plan, estimators).parts
     results = []
     for comparison, (_, labels, lstat_specs), part in zip(config.comparisons, built, parts):

@@ -27,9 +27,10 @@ estimate, draws, failed draws, failure limit and covariance; a draw that
 fails one estimator is still a draw of the others.
 
 Blocks run on up to one process per CPU (fork_map, which `size_study` also
-runs its replications on and `report.write_outputs` each comparison's
-files): this process and forked workers, a worker only for every
-BLOCKS_PER_WORKER blocks.  A block depends on (seed, its draws)
+runs its replications on, `report.write_outputs` each comparison's files
+and `robustness.robustness_test` a large Monte Carlo test's formal test and
+heuristic p-value): this process and forked workers, a worker only for
+every BLOCKS_PER_WORKER blocks.  A block depends on (seed, its draws)
 alone, so results are byte-identical for any worker count, and the first
 error raised is the one a serial loop raises.  A process with other threads
 running, or a bootstrap run inside another map's item (a `size_study`
@@ -349,69 +350,74 @@ def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) ->
     of draws per call.  Draws that raise a numerical or value error are
     recorded as missing (NaN rows), within the limit of check_failures.
 
-    estimator_fn may also be a dict {stage name: estimator}: every
-    estimator then runs on the same draws, each block built once, and the
-    result holds each one's own result in `parts`, in dict order.  An
-    error of one estimator (its point estimate, a draw of the wrong length,
-    its failure limit) is raised under `[its stage name]` (errors.stage);
-    an error building the draws, under the first name.
+    estimator_fn may also be a list of (stage name, estimator) pairs, or
+    a dict {stage name: estimator}: every estimator then runs on the same
+    draws, each block built once, and the result holds each one's own
+    result in `parts`, in that order.  Estimators are told apart by their
+    position, so two may share a stage name.  An error of one estimator
+    (its point estimate, a draw of the wrong length, its failure limit) is
+    raised under `[its stage name]` (errors.stage); an error building the
+    draws, under the first name.
     """
-    named = estimator_fn if isinstance(estimator_fn, dict) else {None: estimator_fn}
-    if not named:
-        raise ValueError("bootstrap_pipeline needs at least one estimator, got an empty dict")
+    several = not callable(estimator_fn)
+    if several and not estimator_fn:
+        kind = type(estimator_fn).__name__
+        raise ValueError(f"bootstrap_pipeline needs at least one estimator, got an empty {kind}")
+    if isinstance(estimator_fn, dict):
+        estimator_fn = list(estimator_fn.items())
+    named = list(estimator_fn) if several else [(None, estimator_fn)]
 
     def within(name):
         return nullcontext() if name is None else stage(name)
 
-    points = {}
-    for name, fn in named.items():
+    points = []
+    for name, fn in named:
         with within(name):
-            points[name] = np.atleast_1d(np.asarray(fn(data, np.ones(data.n_rows)), dtype=float))
+            points.append(np.atleast_1d(np.asarray(fn(data, np.ones(data.n_rows)), dtype=float)))
     B = plan.iterations
-    first = next(iter(named))
     size = max(1, BLOCK_ENTRIES // max(data.n_rows, 1))
 
-    def run_block(i: int) -> dict:
+    def run_block(i: int) -> list:
         """Per estimator, block i's draws (NaN rows where one failed) and its failed draws."""
         block = range(i * size, min(B, (i + 1) * size))
-        with within(first):
+        with within(named[0][0]):
             rho, empty = _draw_block(data, plan, block)
         if empty.any():
             rho = rho[~empty]
         rho.setflags(write=False)  # one unchanging block for every estimator: see PanelDataset.block_memo
-        out = {}
-        for name, fn in named.items():
+        out = []
+        for (name, fn), point in zip(named, points):
             values = iter(_block_values(data, fn, rho))
-            draws, failed = np.full((len(block), len(points[name])), np.nan), []
+            draws, failed = np.full((len(block), len(point)), np.nan), []
             for k, (b, is_empty) in enumerate(zip(block, empty)):
                 val = None if is_empty else next(values)
                 if val is None:
                     failed.append(b)
-                elif val.shape != points[name].shape:
+                elif val.shape != point.shape:
                     with within(name):
                         raise ValueError(
                             f"estimator returned length {val.shape} on draw {b}, "
-                            f"expected {len(points[name])}"
+                            f"expected {len(point)}"
                         )
                 else:
                     draws[k] = val
-            out[name] = draws, failed
+            out.append((draws, failed))
         return out
 
     blocks = fork_map(run_block, -(-B // size), BLOCKS_PER_WORKER)
-    draws = {name: np.vstack([block[name][0] for block in blocks]) for name in named}
-    failed = {name: [b for block in blocks for b in block[name][1]] for name in named}
-    for name in named:
+    draws = [np.vstack([block[j][0] for block in blocks]) for j in range(len(named))]
+    failed = [[b for block in blocks for b in block[j][1]] for j in range(len(named))]
+    for (name, _), lost in zip(named, failed):
         with within(name):
-            check_failures(len(failed[name]), B, "bootstrap draws", "draws")
-    parts = tuple(_result(draws[name], points[name], plan, failed[name]) for name in named)
-    if not isinstance(estimator_fn, dict):
+            check_failures(len(lost), B, "bootstrap draws", "draws")
+    parts = tuple(_result(d, point, plan, lost) for d, point, lost in zip(draws, points, failed))
+    if not several:
         return parts[0]
     return _result(
         np.hstack([part.draws for part in parts]),
         np.concatenate([part.point for part in parts]),
         plan,
-        sorted(set().union(*failed.values())),
+        sorted(set().union(*failed)),
         parts,
     )
 

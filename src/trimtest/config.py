@@ -442,8 +442,8 @@ def mc_settings(raw: dict) -> tuple[dict, str]:
 class AnalysisConfig:
     """Validated analysis description; build from a dict with from_dict.
 
-    Built directly, it checks only that comparisons is not empty; from_dict
-    checks every setting.
+    Built directly, it checks only that comparisons is not empty and that
+    their names are unique; from_dict checks every setting.
     """
 
     input_path: str
@@ -460,6 +460,9 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.comparisons:
             raise DataError("comparisons must hold at least one pair")
+        names = [comparison.name for comparison in self.comparisons]
+        if len(set(names)) != len(names):
+            raise DataError("comparison names must be unique")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -474,9 +477,6 @@ class AnalysisConfig:
                 if pair is None:
                     raise DataError("config needs a weights object or a comparisons list")
                 c["comparisons"] = (pair,)
-            names = [comparison.name for comparison in c["comparisons"]]
-            if len(set(names)) != len(names):
-                raise DataError("comparison names must be unique")
             config = cls(**c)
             regression = isinstance(config.model, RegressionComparison)
             for comparison in config.comparisons:

@@ -168,34 +168,37 @@ class ComparisonTests:
     joint: object
 
 
-def comparison_tests(labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec) -> ComparisonTests:
+def comparison_tests(
+    labels, point: np.ndarray, cov: np.ndarray, spec: TestSpec, heuristic: bool = True
+) -> ComparisonTests:
     """One comparison's tests, from its stacked point and bootstrap covariance.
 
     point is [baseline | adjusted] and cov its 2d x 2d covariance.  The
-    d x d difference block feeds each formal test and the baseline block
-    each heuristic p-value: each statistic is tested alone, then all d
-    jointly (one statistic's joint test is its own).  Under the default
-    norm a singular difference covariance is reported with the statistics
-    that make it singular.
+    d x d difference block feeds each formal test and, unless heuristic is
+    False, the baseline block each heuristic p-value (None otherwise): each
+    statistic is tested alone, then all d jointly (one statistic's joint
+    test is its own).  Under the default norm a singular difference
+    covariance is reported with the statistics that make it singular.
     """
     d = len(labels)
     b1, b2 = point[:d], point[d:]
     diff_cov = difference_covariance(cov, d)
     coef_specs = coefficient_specs(spec, d)
+    baseline_cov = cov[:d, :d] if heuristic else None
     coef_tests = tuple(
         robustness_test(
             b1[j : j + 1],
             b2[j : j + 1],
             np.array([[float(diff_cov[j, j])]]),
             coef_specs[j],
-            baseline_cov=np.array([[float(cov[j, j])]]),
+            baseline_cov=None if baseline_cov is None else np.array([[float(cov[j, j])]]),
         )
         for j in range(d)
     )
     if d == 1:
         return ComparisonTests(b1, b2, diff_cov, coef_tests, coef_tests[0])
     try:
-        joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:d, :d])
+        joint = robustness_test(b1, b2, diff_cov, spec, baseline_cov=baseline_cov)
     except NumericalError as exc:
         if spec.norm_matrix != "diff_cov":
             raise

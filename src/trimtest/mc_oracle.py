@@ -240,8 +240,9 @@ def residual_trim_size_analysis(
 
     Fits outcome on the regressor with an intercept, trims at multiplier *
     residual scale, bootstraps the pair by cluster and decides by the joint
-    test of `comparison_tests`.  The settings are checked here, once; each
-    replication's seed feeds both its bootstrap and its test.
+    test of `comparison_tests`, which skips the heuristic p-value it would
+    not read.  The settings are checked here, once; each replication's seed
+    feeds both its bootstrap and its test.
     """
     estimator, labels, _ = comparison_estimator(
         RegressionComparison(RegressionModel("y", (coefficient,)), report_coefficients=(coefficient,)),
@@ -253,6 +254,7 @@ def residual_trim_size_analysis(
 
     def analyze(data: PanelDataset, rep_seed: int) -> bool:
         result = bootstrap_pipeline(data, replace(plan, seed=rep_seed), estimator)
-        return comparison_tests(labels, result.point, result.cov, replace(spec, seed=rep_seed)).joint.reject
+        tests = comparison_tests(labels, result.point, result.cov, replace(spec, seed=rep_seed), heuristic=False)
+        return tests.joint.reject
 
     return analyze

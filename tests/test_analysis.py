@@ -368,6 +368,19 @@ class TestAnalysisConfig:
         with pytest.raises(DataError, match=r"^comparisons must hold at least one pair$"):
             AnalysisConfig(input_path="unused", model=(LStatSpec("x"),), comparisons=())
 
+    def test_direct_construction_refuses_repeated_names(self):
+        # Two comparisons named alike would share one estimator in the
+        # bootstrap pass and one set of output files.
+        from trimtest.config import Comparison
+        from trimtest.weights import WeightScheme
+
+        pairs = (
+            Comparison(WeightScheme.all_ones(), WeightScheme.quantile_trim(["x"], 0.02, 0.98), name="main"),
+            Comparison(WeightScheme.all_ones(), WeightScheme.winsorize("x", 0.02, 0.98), name="main"),
+        )
+        with pytest.raises(DataError, match=r"^comparison names must be unique$"):
+            AnalysisConfig(input_path="unused", model=(LStatSpec("x", name="x"),), comparisons=pairs)
+
     def test_lstat_config_model_is_its_statistics(self):
         raw = regression_config()
         raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y", "name": "m"}]}

@@ -935,6 +935,15 @@ class TestSharedDrawPass:
     def test_an_empty_dict_of_estimators_is_refused(self, clustered):
         with pytest.raises(ValueError, match=r"^bootstrap_pipeline needs at least one estimator, got an empty dict$"):
             bootstrap_pipeline(clustered, self.PLAN, {})
+        with pytest.raises(ValueError, match=r"^bootstrap_pipeline needs at least one estimator, got an empty list$"):
+            bootstrap_pipeline(clustered, self.PLAN, [])
+
+    def test_parts_sharing_a_stage_name_are_kept_apart(self, clustered):
+        # Estimators are told apart by position, not by their stage names.
+        pairs = [("same", trimmed_mean_estimator), ("same", weighted_mean_estimator)]
+        boot = bootstrap_pipeline(clustered, self.PLAN, pairs)
+        for part, (_, fn) in zip(boot.parts, pairs, strict=True):
+            np.testing.assert_array_equal(part.draws, bootstrap_pipeline(clustered, self.PLAN, fn).draws)
 
     def test_errors_are_raised_under_their_parts_name(self, clustered):
         def wrong_length(data, row_weights):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,17 @@ class TestComparisonTests:
             )
             assert test == alone
         assert tests.joint == robustness_test(b1, b2, diff_cov, spec, baseline_cov=cov[:2, :2])
+
+    def test_without_the_heuristic_every_other_field_is_unchanged(self):
+        point = np.array([1.0, 2.0, 0.2, 1.9])
+        cov = np.diag([0.5, 0.4, 0.3, 0.2]) + 0.05
+        spec = TestSpec(h=0.1, norm_matrix="identity", mc_draws=2000, seed=3)
+        full = comparison_tests(("x", "w"), point, cov, spec)
+        lean = comparison_tests(("x", "w"), point, cov, spec, heuristic=False)
+        for with_p, without_p in zip((*full.coefficient_tests, full.joint), (*lean.coefficient_tests, lean.joint)):
+            assert with_p.p_value_heuristic is not None and without_p.p_value_heuristic is None
+            assert replace(with_p, p_value_heuristic=None) == without_p
+        assert lean.joint.path == "mc"
 
 
 class TestTwoFactorDraws:

@@ -322,6 +322,26 @@ def _failing_at(seed, failures):
     return analysis
 
 
+def test_size_analysis_skips_the_heuristic_it_does_not_read(monkeypatch):
+    # Each replication decides by the joint test's reject flag alone.
+    real, seen = trimtest.mc_oracle.comparison_tests, []
+
+    def spy(*args, **kwargs):
+        seen.append((real(*args, **kwargs), real(*args[:4])))
+        return seen[-1][0]
+
+    monkeypatch.setattr(trimtest.mc_oracle, "comparison_tests", spy)
+    analysis = residual_trim_size_analysis(inner_iterations=19, alpha=0.3)
+    dgp = DGPSpec.linear_regression(80, slope=0.5)
+    for r in range(3):
+        analysis(simulate(dgp, _child_seed(4, r)), _child_seed(4, r))
+    assert len(seen) == 3
+    for lean, full in seen:
+        assert lean.joint.p_value_heuristic is None and full.joint.p_value_heuristic is not None
+        assert lean.joint.reject == full.joint.reject
+        assert lean.joint.p_value_formal == full.joint.p_value_formal
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 class TestSizeStudyWorkers:
     def test_report_is_the_same_for_any_worker_count(self, monkeypatch, cpus):

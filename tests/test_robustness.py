@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
-from trimtest import robustness
+from trimtest import bootstrap, robustness
 from trimtest.errors import NumericalError
 from trimtest.robustness import (
     TestSpec,
@@ -23,6 +24,8 @@ from trimtest.robustness import (
     unit_directions,
 )
 from trimtest.robustness import MC_CHUNK, _empirical_upper_quantile
+
+from conftest import _count_forks, _pin_cpus
 
 
 def _formal_p_value(statistic_sq, h, sigma, norm_matrix="diff_cov", **settings):
@@ -601,6 +604,132 @@ class TestAnnulusScreen:
         assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
         walked = self._walked_draws(monkeypatch, lambda: critical_value(h, sigma, alpha, **kwargs))
         assert 0 < max(walked) < draws
+
+
+class TestPrunedDirections:
+    """Once a chunk has set the critical value, only the directions that can
+    still raise it are partitioned; the critical value is unchanged, bit for bit."""
+
+    @staticmethod
+    def _partitioned_rows(monkeypatch, run) -> list[int]:
+        """The number of directions each two-dimensional np.partition call receives during run()."""
+        seen, partition = [], np.partition
+
+        def counting(values, kth, *args, **kwargs):
+            if np.ndim(values) == 2:
+                seen.append(len(values))
+            return partition(values, kth, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counting)
+        run()
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.05])
+    @pytest.mark.parametrize("h_scale, log10_cond", [(0.02, None), (0.3, None), (1.5, 2.0)])
+    def test_bit_identical_to_unscreened(self, monkeypatch, dim, alpha, h_scale, log10_cond):
+        # At alpha = 0.3 and 0.5 the quantiles of neighbouring directions
+        # are close, so most directions are pruned after the first chunk.
+        rng = np.random.default_rng(60 + dim)
+        m = rng.normal(size=(dim, dim))
+        sigma = m @ m.T + 0.05 * np.eye(dim)
+        h = h_scale * float(np.sqrt(np.abs(sigma).max()))
+        if log10_cond is None:
+            norm, norm_matrix, reference = np.eye(dim), "identity", _unchunked_mc
+        else:
+            norm = norm_matrix = _spd_with_condition(rng, dim, log10_cond)
+            reference = _streamed_mc
+        draws, seed = 3001, 9
+        kwargs = dict(mc_draws=draws, seed=seed, norm_matrix=norm_matrix, method="mc")
+        crit_ref, _ = reference(h, sigma, norm, draws, seed, alpha, 0.0)
+        crit = []
+        rows = self._partitioned_rows(monkeypatch, lambda: crit.append(critical_value(h, sigma, alpha, **kwargs)))
+        assert crit == [crit_ref]
+        assert rows[0] == MC_CHUNK and sum(rows) < len(unit_directions(dim))
+        if alpha >= 0.3:
+            assert sum(rows) < len(unit_directions(dim)) // 2
+
+    def test_panel_fe_covariance_partitions_few_directions(self, monkeypatch):
+        # The benchmark's joint test: 264 directions walked in 17 chunks.
+        sigma = floor_spd(PANEL_FE_DIFF_COV)
+        kwargs = dict(mc_draws=100_000, seed=3, norm_matrix="identity")
+        rows = self._partitioned_rows(monkeypatch, lambda: critical_value(0.02, sigma, **kwargs))
+        assert 0 < sum(rows) < len(unit_directions(4)) // 4
+
+
+class TestTestsSideBySide:
+    """The formal test and the heuristic p-value of a large Monte Carlo test
+    run as two items of fork_map; every other test runs them in turn."""
+
+    SPEC = TestSpec(h=0.02, norm_matrix="identity", mc_draws=100_000, seed=3)
+
+    @staticmethod
+    def _inputs():
+        diff = np.array([0.05, -0.02, 0.08, 0.01])
+        return diff, np.zeros(4), floor_spd(PANEL_FE_DIFF_COV), 3.0 * floor_spd(PANEL_FE_DIFF_COV)
+
+    def test_a_large_joint_test_forks_once(self, monkeypatch):
+        diff, zero, diff_cov, baseline_cov = self._inputs()
+        assert robustness.MC_FORK_DRAWS <= self.SPEC.mc_draws
+        forks = _count_forks(monkeypatch)
+        reports = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            reports.append(robustness_test(diff, zero, diff_cov, self.SPEC, baseline_cov=baseline_cov))
+            assert len(forks) == min(cpus, 2) - 1
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].path == "mc" and reports[0].p_value_heuristic is not None
+        formal = robustness._quadratic(diff, diff_cov, self.SPEC, self.SPEC.alpha)
+        assert (reports[0].statistic, reports[0].path, reports[0].critical_value, reports[0].p_value_formal) == formal
+        assert reports[0].p_value_heuristic == robustness.formal_p_value(diff, baseline_cov, self.SPEC)
+
+    @pytest.mark.parametrize("case", ["scalar", "below-gate", "exact-path", "no-heuristic", "inside-a-map-item"])
+    def test_other_tests_do_not_fork(self, monkeypatch, case):
+        diff, zero, diff_cov, baseline_cov = self._inputs()
+        spec = self.SPEC
+        if case == "scalar":
+            # On the Monte Carlo path, but with a grid of two directions.
+            diff, zero, diff_cov, baseline_cov = diff[:1], zero[:1], diff_cov[:1, :1], baseline_cov[:1, :1]
+            spec = TestSpec(h=0.02, mc_draws=100_000, seed=3, method="mc")
+        elif case == "below-gate":
+            spec = TestSpec(h=0.02, norm_matrix="identity", mc_draws=robustness.MC_FORK_DRAWS - 1, seed=3)
+        elif case == "exact-path":
+            spec = TestSpec(h=0.02, mc_draws=100_000, seed=3)
+        elif case == "no-heuristic":
+            baseline_cov = None
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+
+        def run(_):
+            return robustness_test(diff, zero, diff_cov, spec, baseline_cov=baseline_cov)
+
+        report = bootstrap.fork_map(run, 1)[0] if case == "inside-a-map-item" else run(0)
+        assert forks == []
+        assert report.path == ("ncx2" if case == "exact-path" else "mc")
+        assert report == robustness_test(diff, zero, diff_cov, spec, baseline_cov=baseline_cov)
+
+    def test_a_failing_heuristic_raises_the_serial_error(self, monkeypatch):
+        # Under the default norm a singular baseline covariance is no norm:
+        # the heuristic fails in the forked worker after the formal test passed.
+        diff, zero, diff_cov, _ = self._inputs()
+        singular = np.diag([1e-3, 1e-3, 1e-3, 0.0])
+        spec = TestSpec(h=0.0, mc_draws=100_000, seed=3, method="mc")
+        assert robustness._quadratic(diff, diff_cov, spec, spec.alpha)[1] == "mc"
+        forks = _count_forks(monkeypatch)
+        raised = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            with pytest.raises(NumericalError) as info:
+                robustness_test(diff, zero, diff_cov, spec, baseline_cov=singular)
+            raised.append((type(info.value), str(info.value)))
+            assert len(forks) == min(cpus, 2) - 1
+        assert len(set(raised)) == 1 and raised[0][0] is NumericalError
+        assert raised[0][1].startswith("norm matrix is not positive definite")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFormalPValue:
