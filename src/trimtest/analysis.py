@@ -79,7 +79,7 @@ def run_analysis(config: AnalysisConfig, data: PanelDataset | None = None) -> Re
         with stage(f"test:{comparison.name}"):
             tests = comparison_tests(labels, part.point, part.cov, config.test)
         analytic = None
-        if config.include_analytic_cov and lstat_specs is not None:
+        if config.include_analytic_cov:
             with stage(f"analytic:{comparison.name}"):
                 weights = [compute_weights(s.scheme, data) for s in lstat_specs]
                 analytic = analytic_cov(lstat_specs, data, weights)

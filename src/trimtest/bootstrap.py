@@ -350,21 +350,19 @@ def bootstrap_pipeline(data: PanelDataset, plan: BootstrapPlan, estimator_fn) ->
     of draws per call.  Draws that raise a numerical or value error are
     recorded as missing (NaN rows), within the limit of check_failures.
 
-    estimator_fn may also be a list of (stage name, estimator) pairs, or
-    a dict {stage name: estimator}: every estimator then runs on the same
-    draws, each block built once, and the result holds each one's own
-    result in `parts`, in that order.  Estimators are told apart by their
-    position, so two may share a stage name.  An error of one estimator
-    (its point estimate, a draw of the wrong length, its failure limit) is
-    raised under `[its stage name]` (errors.stage); an error building the
-    draws, under the first name.
+    estimator_fn may also be a list of (stage name, estimator) pairs:
+    every estimator then runs on the same draws, each block built once,
+    and the result holds each one's own result in `parts`, in list order.
+    Estimators are told apart by their position, so two may share a stage
+    name.  An error of one estimator (its point estimate, a draw of the
+    wrong length, its failure limit) is raised under `[its stage name]`
+    (errors.stage); an error building the draws, under the first name.
+    An empty list is refused.
     """
     several = not callable(estimator_fn)
     if several and not estimator_fn:
         kind = type(estimator_fn).__name__
         raise ValueError(f"bootstrap_pipeline needs at least one estimator, got an empty {kind}")
-    if isinstance(estimator_fn, dict):
-        estimator_fn = list(estimator_fn.items())
     named = list(estimator_fn) if several else [(None, estimator_fn)]
 
     def within(name):

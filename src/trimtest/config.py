@@ -4,9 +4,11 @@ This module owns every config key.  Its readers take the parsed document
 (objects, arrays, scalars), refuse a value that does not fit with a
 DataError naming the key's dotted path under the `[config]` stage, and
 build the settings the pipeline runs on: `AnalysisConfig` for `estimate`
-and `test`, `mc_settings` for `mc`.  The `mc.dgp` schema takes the
-settings `mc_oracle.DGP_SETTINGS` lists per kind.  `report` reads the
-stored test settings back with the same readers.
+and `test`, `mc_settings` for `mc`.  A rule that ties several fields of
+an analysis together is checked by `AnalysisConfig` itself, so a config
+built in code meets it too.  The `mc.dgp` schema takes the settings
+`mc_oracle.DGP_SETTINGS` lists per kind.  `report` reads the stored test
+settings back with the same readers.
 """
 
 from __future__ import annotations
@@ -440,10 +442,35 @@ def mc_settings(raw: dict) -> tuple[dict, str]:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Validated analysis description; build from a dict with from_dict.
+    """A validated analysis: a model, the comparisons to run on it, and their settings.
 
-    Built directly, it checks only that comparisons is not empty and that
-    their names are unique; from_dict checks every setting.
+    Every rule that ties fields together is checked when the config is
+    built, whether by `from_dict` or directly, and a breach is a DataError
+    (under `[config]` from `from_dict`).  In this order, so that a config
+    with several defects reports the same one either way:
+    - `include_analytic_cov` needs an L-statistic model;
+    - `comparisons` holds at least one pair, and their names are unique
+      (they key the bootstrap stages and the output files);
+    - then, comparison by comparison: residual_trim is only the adjusted
+      scheme of a regression model, whose baseline residuals it trims on;
+      the statistic labels (from `comparison_estimator`) are unique and
+      none is "joint", since each keys one test next to the joint test;
+      an explicit `test.norm` is d x d for d statistics; and every plot
+      pair names a reported statistic or two of the 2d draw columns.
+
+    Rules that stay in the readers, so a library caller does not meet them:
+    - a comparison name or plot-pair label holds no path separator or NUL:
+      the message names the key path (`weights.name`, `comparisons[i].name`);
+    - an explicit norm is positive definite with condition number at most
+      MAX_NORM_CONDITION: a TestSpec built in code may take kappa up to
+      1e13, as the Monte Carlo screen's tests do;
+    - an IV regressor is not its own instrument: the library fits such a
+      model, as acceptance criterion 10 does;
+    - the model's coefficient names (`report_coefficients`, `derived`) name
+      its coefficients, and it reports at least one statistic: these
+      concern the model alone and their messages name its keys; in code an
+      unknown name fails the point estimate under `[bootstrap:<name>]`;
+    - the `mc` settings, which build no AnalysisConfig.
     """
 
     input_path: str
@@ -458,48 +485,53 @@ class AnalysisConfig:
     include_analytic_cov: bool = False
 
     def __post_init__(self):
+        regression = isinstance(self.model, RegressionComparison)
+        if self.include_analytic_cov and regression:
+            raise DataError('output.analytic_cov is for lstat models only, not "ols" or "iv"')
         if not self.comparisons:
             raise DataError("comparisons must hold at least one pair")
         names = [comparison.name for comparison in self.comparisons]
         if len(set(names)) != len(names):
             raise DataError("comparison names must be unique")
+        for comparison in self.comparisons:
+            if comparison.baseline_scheme.kind == "residual_trim" or (
+                comparison.adjusted_scheme.kind == "residual_trim" and not regression
+            ):
+                raise DataError(
+                    f"comparison {comparison.name!r}: residual_trim needs a regression "
+                    "model's baseline residuals, so it must be the adjusted scheme of an "
+                    '"ols" or "iv" model'
+                )
+            labels = comparison_estimator(self.model, comparison.baseline_scheme, comparison.adjusted_scheme)[1]
+            taken = [label for label in labels if labels.count(label) > 1 or label == "joint"]
+            if taken:
+                raise DataError(f"statistic label {taken[0]!r} is taken; 'joint' and each label name one test")
+            coefficient_specs(self.test, len(labels))  # refuses a norm of the wrong size
+            for i, pair in enumerate(self.plot_pairs):
+                try:
+                    _plot_pair_columns(labels, pair)
+                except DataError as exc:
+                    raise DataError(f"output.plot_pairs[{i}]: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
+        """The config a parsed JSON document describes.
+
+        This only parses: the schema's readers check each key, `output`'s
+        keys become fields, and a `weights` pair becomes the one comparison
+        when there is no `comparisons` list.  Building the config checks the
+        rest.  Every refusal is a DataError under `[config]`.
+        """
         with stage("config"):
             c = _ROOT(raw, "")
             c.pop("mc", None)
             c.update(c.pop("output", {}))
-            if c.get("include_analytic_cov") and isinstance(c["model"], RegressionComparison):
-                raise DataError('output.analytic_cov is for lstat models only, not "ols" or "iv"')
             pair = c.pop("weights", None)
             if "comparisons" not in c:
                 if pair is None:
                     raise DataError("config needs a weights object or a comparisons list")
                 c["comparisons"] = (pair,)
-            config = cls(**c)
-            regression = isinstance(config.model, RegressionComparison)
-            for comparison in config.comparisons:
-                if comparison.baseline_scheme.kind == "residual_trim" or (
-                    comparison.adjusted_scheme.kind == "residual_trim" and not regression
-                ):
-                    raise DataError(
-                        f"comparison {comparison.name!r}: residual_trim needs a regression "
-                        "model's baseline residuals, so it must be the adjusted scheme of an "
-                        '"ols" or "iv" model'
-                    )
-                labels = comparison_estimator(config.model, comparison.baseline_scheme, comparison.adjusted_scheme)[1]
-                # Tests are stored by label, next to the joint test's "joint".
-                taken = [label for label in labels if labels.count(label) > 1 or label == "joint"]
-                if taken:
-                    raise DataError(f"statistic label {taken[0]!r} is taken; 'joint' and each label name one test")
-                coefficient_specs(config.test, len(labels))  # refuses a norm of the wrong size
-                for i, pair in enumerate(config.plot_pairs):
-                    try:
-                        _plot_pair_columns(labels, pair)
-                    except DataError as exc:
-                        raise DataError(f"output.plot_pairs[{i}]: {exc}") from None
-            return config
+            return cls(**c)
 
 
 def read_json(path: str, what: str) -> dict:

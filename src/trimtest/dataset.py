@@ -3,9 +3,13 @@
 A PanelDataset is a set of named numeric columns plus a cluster label per
 row.  A cluster's rows may be interleaved with other clusters' rows; they
 keep their input order, and clusters are ordered by first appearance.
-Resampling a cluster twice yields two distinct clusters in the resampled
-dataset, so per-cluster statistics (sizes, normalizations) treat the copies
-independently.
+The bootstrap reweights rows and never builds a resampled dataset; the
+one derived dataset the pipeline builds is `add_within_cluster_lags`'s.
+`take_rows` and `take_clusters` materialize a resample.  Nothing in the
+package calls them; they stay while the benchmark's tracer (perfbench)
+wraps them.  Resampling a cluster twice yields two distinct clusters in
+the resampled dataset, so per-cluster statistics (sizes, normalizations)
+treat the copies independently.
 """
 
 from __future__ import annotations
@@ -102,23 +106,6 @@ class PanelDataset:
         """Start of each cluster's block inside _rows_by_cluster."""
         return _readonly(np.cumsum(self._sizes) - self._sizes)
 
-    @cached_property
-    def cluster_rows(self) -> tuple:
-        """Each cluster's row indices, in order.
-
-        For library use and as the tests' reference, as take_rows is.
-        """
-        if self.n_clusters == 0:
-            return ()
-        bounds = np.cumsum(self._sizes[:-1])
-        return tuple(
-            _readonly(part) for part in np.split(self._rows_by_cluster, bounds)
-        )
-
-    @property
-    def cluster_sizes(self) -> np.ndarray:
-        return self._sizes
-
     @property
     def row_cluster_sizes(self) -> np.ndarray:
         """Size of the cluster each row belongs to, per row."""
@@ -186,7 +173,11 @@ class PanelDataset:
         return factor
 
     def take_rows(self, indices: np.ndarray) -> "PanelDataset":
-        """Materialized resample of row indices, each its own cluster (the tests' reference)."""
+        """Materialized resample of row indices, each its own cluster.
+
+        The bootstrap never calls it.  perfbench/tracer.py wraps it, and
+        perfbench/selftest.py deletes it to probe the tracer.
+        """
         indices = np.asarray(indices, dtype=np.intp)
         cols = {k: v[indices] for k, v in self.columns.items()}
         return PanelDataset(cols, np.arange(len(indices)))
@@ -197,7 +188,8 @@ class PanelDataset:
         Each drawn cluster (including repeated draws of the same source
         cluster) gets a fresh id, so the resample has len(ordinals) clusters.
         Row blocks are exact copies of the source cluster rows.  The bootstrap
-        never materializes a resample; this and take_rows are the tests' reference.
+        never calls it.  perfbench/tracer.py wraps it, and perfbench/selftest.py
+        deletes it to probe the tracer.
         """
         ordinals = np.asarray(ordinals, dtype=np.intp)
         if len(ordinals) and (ordinals.min() < 0 or ordinals.max() >= self.n_clusters):
@@ -210,24 +202,6 @@ class PanelDataset:
         rows = self._rows_by_cluster[np.repeat(self._offsets[ordinals], sizes) + within]
         cols = {k: v[rows] for k, v in self.columns.items()}
         return PanelDataset(cols, new_ids)
-
-    def subset_rows(self, mask: np.ndarray) -> "PanelDataset":
-        """Keep rows where mask is True; cluster labels are preserved.
-
-        For library use and as the tests' reference, as take_rows is.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        cols = {k: v[mask] for k, v in self.columns.items()}
-        return PanelDataset(cols, np.asarray(self.cluster_ids)[mask])
-
-    def with_columns(self, extra: dict[str, np.ndarray]) -> "PanelDataset":
-        """Add columns, replacing any of the same name.
-
-        For library use and as the tests' reference, as take_rows is.
-        """
-        cols = dict(self.columns)
-        cols.update(extra)
-        return PanelDataset(cols, self.cluster_ids)
 
 
 def add_within_cluster_lags(data: PanelDataset, column: str, lags: int) -> PanelDataset:

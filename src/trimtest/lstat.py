@@ -55,10 +55,6 @@ class Transform:
     def power(cls, exponent: float) -> "Transform":
         return cls("power", exponent=float(exponent))
 
-    @classmethod
-    def from_table(cls, x, y) -> "Transform":
-        return cls("table", table_x=tuple(map(float, x)), table_y=tuple(map(float, y)))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "identity":

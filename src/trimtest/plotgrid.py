@@ -32,10 +32,6 @@ class PlotGrid:
     diagonal_end: tuple[float, float]
     point: tuple[float, float]
 
-    def integral(self) -> float:
-        """Trapezoid integral of the density over the grid."""
-        return float(np.trapezoid(np.trapezoid(self.density, self.y, axis=1), self.x))
-
 
 def silverman_bandwidth(values: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * B^(-1/5); errors on degenerate input."""

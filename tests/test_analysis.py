@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trimtest import DataError, NumericalError, PanelDataset, analysis
+from trimtest import BootstrapPlan, DataError, NumericalError, PanelDataset, WeightScheme, analysis
 from trimtest import config as schema
 from trimtest.analysis import point_estimates, run_analysis
-from trimtest.config import AnalysisConfig
+from trimtest.config import AnalysisConfig, Comparison
 from trimtest.csvio import (
     LoadReport,
     atomic_write_text,
@@ -30,6 +31,7 @@ from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.report import regenerate_report, report_bundle, write_outputs
 
 from conftest import make_panel
+from reference import cluster_sizes, grid_integral
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -109,7 +111,7 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "y,firm\n1,01\n2,1\n3,01\n")
         data, _ = load_csv(path, cluster_column="firm")
         assert data.cluster_labels == ("01", "1")
-        np.testing.assert_array_equal(data.cluster_sizes, [2, 1])
+        np.testing.assert_array_equal(cluster_sizes(data), [2, 1])
 
     def test_every_row_dropped_is_an_error(self, tmp_path):
         path = write_csv(tmp_path, "y,x\n,1\n2,\n")
@@ -264,7 +266,7 @@ class TestPlotGrid:
     def test_density_integrates_to_one(self, rng):
         g = emit_plot_grid(rng.normal(size=800), rng.normal(2.0, 0.5, size=800))
         assert g.density.shape == (GRID_POINTS, GRID_POINTS)
-        assert g.integral() == pytest.approx(1.0, abs=0.02)
+        assert grid_integral(g) == pytest.approx(1.0, abs=0.02)
 
     def test_nan_rows_removed_pairwise(self, rng):
         x = rng.normal(size=100)
@@ -364,7 +366,7 @@ class TestAnalysisConfig:
         assert config.plan.iterations == 80
 
     def test_direct_construction_refuses_no_comparisons(self):
-        # The rule from_dict states, in the same words.
+        # The message the CLI prints under [config].
         with pytest.raises(DataError, match=r"^comparisons must hold at least one pair$"):
             AnalysisConfig(input_path="unused", model=(LStatSpec("x"),), comparisons=())
 
@@ -380,6 +382,123 @@ class TestAnalysisConfig:
         )
         with pytest.raises(DataError, match=r"^comparison names must be unique$"):
             AnalysisConfig(input_path="unused", model=(LStatSpec("x", name="x"),), comparisons=pairs)
+
+    # Each cross-field rule: (edit of an lstat or OLS config document, the
+    # same defect as fields of a config built in code, the message).
+    _RESIDUAL_TRIM = (
+        "comparison 'main': residual_trim needs a regression model's baseline residuals, "
+        'so it must be the adjusted scheme of an "ols" or "iv" model'
+    )
+    _CROSS_FIELD = {
+        "analytic_cov-ols": (
+            "ols",
+            lambda r: r["output"].update(analytic_cov=True),
+            lambda c: dict(include_analytic_cov=True),
+            'output.analytic_cov is for lstat models only, not "ols" or "iv"',
+        ),
+        "residual_trim-baseline": (
+            "ols",
+            lambda r: r.update(weights={"baseline": {"kind": "residual_trim"}, "adjusted": {"kind": "all_ones"}}),
+            lambda c: dict(comparisons=(Comparison(WeightScheme.residual_trim(), WeightScheme.all_ones()),)),
+            _RESIDUAL_TRIM,
+        ),
+        "residual_trim-lstat": (
+            "lstat",
+            lambda r: r["weights"].update(adjusted={"kind": "residual_trim"}),
+            lambda c: dict(comparisons=(Comparison(WeightScheme.all_ones(), WeightScheme.residual_trim()),)),
+            _RESIDUAL_TRIM,
+        ),
+        "label-repeated": (
+            "lstat",
+            lambda r: r["model"].update(statistics=[{"column": "x", "name": "a"}, {"column": "y", "name": "a"}]),
+            lambda c: dict(model=(LStatSpec("x", name="a"), LStatSpec("y", name="a"))),
+            "statistic label 'a' is taken; 'joint' and each label name one test",
+        ),
+        "label-joint": (
+            "lstat",
+            lambda r: r["model"]["statistics"][1].update(name="joint"),
+            lambda c: dict(model=(LStatSpec("x", name="x"), LStatSpec("y", name="joint"))),
+            "statistic label 'joint' is taken; 'joint' and each label name one test",
+        ),
+        "label-repeated-coefficient": (
+            "ols",
+            lambda r: r["model"].update(report_coefficients=["x", "x"]),
+            lambda c: dict(model=replace(c.model, report_coefficients=("x", "x"))),
+            "statistic label 'x' is taken; 'joint' and each label name one test",
+        ),
+        "norm-size": (
+            "lstat",
+            lambda r: r["test"].update(norm=[[1.0]]),
+            lambda c: dict(test=replace(c.test, norm_matrix=[[1.0]])),
+            "test.norm must be a 2 x 2 matrix, got shape (1, 1)",
+        ),
+        "plot_pairs-label": (
+            "lstat",
+            lambda r: r["output"].update(plot_pairs=["x", "nope"]),
+            lambda c: dict(plot_pairs=("x", "nope")),
+            "output.plot_pairs[1]: plot pair 'nope' is not a reported statistic",
+        ),
+        "plot_pairs-range": (
+            "lstat",
+            lambda r: r["output"].update(plot_pairs=[[0, 4]]),
+            lambda c: dict(plot_pairs=((0, 4),)),
+            "output.plot_pairs[0]: plot pair (0, 4) out of range for 4 draw columns",
+        ),
+        # Several defects: the analytic rule is checked before the names,
+        # and the names before any comparison's own rules.
+        "analytic_cov-before-names": (
+            "ols",
+            lambda r: (r["output"].update(analytic_cov=True), r.pop("weights"), r.update(comparisons=[])),
+            lambda c: dict(include_analytic_cov=True, comparisons=()),
+            'output.analytic_cov is for lstat models only, not "ols" or "iv"',
+        ),
+        "names-before-comparisons": (
+            "lstat",
+            lambda r: (
+                r["model"]["statistics"][1].update(name="x"),
+                r.update(comparisons=[{"name": "c", "weights": r.pop("weights")}] * 2),
+            ),
+            lambda c: dict(model=(LStatSpec("x"), LStatSpec("y", name="x")), comparisons=c.comparisons * 2),
+            "comparison names must be unique",
+        ),
+    }
+
+    @staticmethod
+    def _document(model: str) -> dict:
+        raw = regression_config()
+        if model == "lstat":
+            raw["model"] = {"type": "lstat", "statistics": [{"column": "x"}, {"column": "y"}]}
+            raw["weights"]["adjusted"] = {"kind": "quantile_trim", "columns": ["x", "y"], "upper_q": 0.9}
+        return raw
+
+    @pytest.mark.parametrize("case", list(_CROSS_FIELD))
+    def test_direct_construction_meets_every_cross_field_rule(self, case):
+        model, edit, fields, message = self._CROSS_FIELD[case]
+        raw = self._document(model)
+        valid = AnalysisConfig.from_dict(raw)
+        edit(raw)
+        with pytest.raises(DataError, match=rf"^\[config\] {re.escape(message)}$"):
+            AnalysisConfig.from_dict(raw)
+        # Built in code, with no stage around it: the same text, unprefixed.
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            replace(valid, **fields(valid))
+
+    def test_repeated_statistic_labels_are_refused_before_the_run(self):
+        # Tests are stored by label, so a second statistic named "a" would
+        # replace the first one's test in results.json.
+        rng = np.random.default_rng(3)
+        data = PanelDataset({"x": rng.standard_t(3, size=300), "z": rng.standard_t(3, size=300)}, np.arange(300))
+        trim = Comparison(WeightScheme.all_ones(), WeightScheme.quantile_trim(["x", "z"], 0.02, 0.98))
+        with pytest.raises(DataError, match=r"^statistic label 'a' is taken; 'joint' and each label name one test$"):
+            run_analysis(
+                AnalysisConfig(
+                    input_path="unused",
+                    model=(LStatSpec("x", name="a"), LStatSpec("z", name="a")),
+                    comparisons=(trim,),
+                    plan=BootstrapPlan(iterations=50, seed=1),
+                ),
+                data=data,
+            )
 
     def test_lstat_config_model_is_its_statistics(self):
         raw = regression_config()

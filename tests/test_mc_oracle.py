@@ -32,6 +32,7 @@ from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.weights import WeightScheme
 
 from conftest import _pin_cpus
+from reference import cluster_sizes
 
 
 class TestDGPSpecValidation:
@@ -145,7 +146,7 @@ class TestSimulate:
         dgp = DGPSpec.panel(n_clusters=40, t_min=3, t_max=8)
         data = simulate(dgp, seed=21)
         assert data.n_clusters == 40
-        sizes = data.cluster_sizes
+        sizes = cluster_sizes(data)
         assert sizes.min() >= 3 and sizes.max() <= 8
         assert "period" in data.columns
         # Periods restart from zero inside every cluster.

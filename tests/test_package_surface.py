@@ -1,14 +1,19 @@
-"""Every top-level package name is reached from the package itself.
+"""Every top-level package name and public method is reached from the package itself.
 
-A function or class that only tests call is dead weight in the library.
-The scan parses src/trimtest/*.py and counts a name as used when another
-top-level statement of the package reads it as a bare name, reads it as an
-attribute of an imported module, or imports it with `from ... import`.  An
-attribute read on any other object does not count: `report.critical_value`
-is a field, not a call of the function `critical_value`.  Re-exports in
-__init__.py do not count, and neither do references inside the name's own
-definition.  One test pins the engine entry point that the benchmark's
-tracer wraps, and the last one that random streams are built in one place.
+A function, class or method that only tests call is dead weight in the
+library.  The scan parses src/trimtest/*.py and counts a top-level name as
+used when another top-level statement of the package reads it as a bare
+name, reads it as an attribute of an imported module, or imports it with
+`from ... import`.  An attribute read on any other object does not count:
+`report.critical_value` is a field, not a call of the function
+`critical_value`.  A public method or property of a public class counts as
+used when the package reads an attribute of its name on any object outside
+its own definition.  Re-exports in __init__.py do not count, and neither do
+references inside the name's own definition.  KEEP lists, with its reason,
+each name the package keeps for callers outside it.  One test pins the
+engine entry point that the benchmark's tracer wraps, one runs README's
+"Library use" example, and the last one checks that random streams are
+built in one place.
 """
 
 from __future__ import annotations
@@ -18,13 +23,22 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trimtest"
 
-# Independent reference routes that the acceptance criteria check the
-# pipeline against; nothing in the package calls them.
+# Name, or Class.method, -> why the package keeps it though nothing in it calls it.
+_REFERENCE_ROUTE = "an independent reference route the acceptance criteria check the pipeline against"
 KEEP = {
-    "lstat_eval_via_integral",
-    "quantile_process_cov_kernel",
-    "mc_covariance",
-    "critical_value",  # acceptance criterion 6 calls it
+    "lstat_eval_via_integral": _REFERENCE_ROUTE,
+    "quantile_process_cov_kernel": _REFERENCE_ROUTE,
+    "mc_covariance": _REFERENCE_ROUTE,
+    "critical_value": "acceptance criterion 6 calls it",
+    "DGPSpec.univariate": "the acceptance criteria build their designs with it",
+    "DGPSpec.linear_regression": "the acceptance criteria build their designs with it",
+    "DGPSpec.panel": "the constructor of the third DGP kind, beside the two the acceptance criteria call",
+    "RegressionFit.coef": "acceptance criterion 10 reads coefficients by name with it",
+    "WeightScheme.quantile_trim": "the acceptance criteria build their schemes with it",
+    "WeightScheme.winsorize": "the acceptance criteria build their schemes with it",
+    "WeightScheme.custom": "the acceptance criteria build their schemes with it",
+    "PanelDataset.take_rows": "the benchmark's tracer wraps it",
+    "PanelDataset.take_clusters": "the benchmark's tracer wraps it",
 }
 
 
@@ -82,9 +96,52 @@ def test_every_top_level_name_is_used_inside_the_package():
     assert unused == [], f"defined but reached only from outside the package: {unused}"
 
 
+def _methods():
+    """(definitions, reads): ("Class.method", node) for each public method or
+    property of a public class, and every attribute read outside __init__.py."""
+    definitions, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                definitions.extend(
+                    (f"{stmt.name}.{sub.name}", sub)
+                    for sub in stmt.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("_")
+                )
+        if path.name != "__init__.py":
+            reads.extend(
+                sub for sub in ast.walk(tree) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            )
+    return definitions, reads
+
+
+def test_every_public_method_is_used_inside_the_package():
+    definitions, reads = _methods()
+    unused = []
+    for qualified, node in definitions:
+        name, own = qualified.split(".")[1], set(map(id, ast.walk(node)))
+        if qualified not in KEEP and not any(read.attr == name and id(read) not in own for read in reads):
+            unused.append(qualified)
+    assert unused == [], f"methods reached only from outside the package: {unused}"
+
+
 def test_keep_list_names_still_exist():
     definitions, _ = _scan()
-    assert KEEP <= {name for name, _ in definitions}
+    methods, _ = _methods()
+    assert set(KEEP) <= {name for name, _ in definitions} | {name for name, _ in methods}
+    assert all(KEEP.values())
+
+
+def test_readme_library_use_runs(capsys):
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Library use)", "exec"), {})
+    printed = capsys.readouterr().out.split("\n")
+    # The robustness report's three numbers, then the analysis's joint p-value.
+    assert [len(line.split()) for line in printed] == [3, 1, 0]
+    assert all(0.0 <= float(p) <= 1.0 for p in (printed[0].split()[2], printed[1]))
 
 
 def test_pipeline_stage_calls_the_bootstrap_engine(monkeypatch):

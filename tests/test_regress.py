@@ -24,6 +24,7 @@ from trimtest.regress import (
 )
 
 from conftest import make_panel
+from reference import cluster_rows, cluster_sizes, subset_rows, with_columns
 
 
 def _per_cluster_sigma(eps, data, rho, normalization):
@@ -35,7 +36,7 @@ def _per_cluster_sigma(eps, data, rho, normalization):
     if normalization == "pooled":
         mass = float(rho.sum())
         return mass, float(np.sum(rho * eps**2) / mass) if mass > 0 else 0.0
-    ci, m, sizes = data.row_cluster_index, data.n_clusters, data.cluster_sizes
+    ci, m, sizes = data.row_cluster_index, data.n_clusters, cluster_sizes(data)
     per_cluster = np.bincount(ci, weights=rho * eps**2, minlength=m) / sizes
     mass = float(np.sum(np.bincount(ci, weights=rho, minlength=m) / sizes))
     return mass, float(per_cluster.sum() / mass) if mass > 0 else 0.0
@@ -138,7 +139,7 @@ class TestWeightedOls:
         data = iid_dataset(rng, n=80)
         keep = rng.uniform(size=80) > 0.3
         fit_w = weighted_ols(RegressionModel("y", ("x",)), data, weights=keep.astype(float))
-        sub = data.subset_rows(keep)
+        sub = subset_rows(data, keep)
         fit_s = weighted_ols(RegressionModel("y", ("x",)), sub)
         np.testing.assert_allclose(fit_w.coefficients, fit_s.coefficients, atol=1e-10)
 
@@ -179,7 +180,7 @@ class TestWeightedOls:
         # on the remaining rows.
         rho = (h != h[0]).astype(float)
         fit_c = weighted_ols(model, data, row_multipliers=rho)
-        fit_s = weighted_ols(model, data.subset_rows(rho > 0))
+        fit_s = weighted_ols(model, subset_rows(data, rho > 0))
         assert fit_c.coefficient_names == fit_s.coefficient_names
         np.testing.assert_allclose(fit_c.coefficients, fit_s.coefficients, atol=1e-10)
 
@@ -190,18 +191,18 @@ class TestWeightedOls:
         data = make_panel(6, 4, seed=3)
         model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
         w = np.ones(data.n_rows)
-        w[data.cluster_rows[2]] = 0.0
+        w[cluster_rows(data)[2]] = 0.0
         with pytest.raises(RankDeficiencyError, match="rank 6 < 7 columns"):
             weighted_ols(model, data, weights=w)
         rho = np.ones(data.n_rows)
-        rho[data.cluster_rows[2]] = 0.0
+        rho[cluster_rows(data)[2]] = 0.0
         fit = weighted_ols(model, data, row_multipliers=rho)
         assert fit.coefficient_names == ("x",)
         # The absent cluster drops out: its rows are demeaned by 0.
-        rows = data.cluster_rows[2]
+        rows = cluster_rows(data)[2]
         expected = data.column("y")[rows] - fit.coef("x") * data.column("x")[rows]
         np.testing.assert_allclose(fit.residuals[rows], expected, atol=1e-12)
-        fit_s = weighted_ols(model, data.subset_rows(rho > 0))
+        fit_s = weighted_ols(model, subset_rows(data, rho > 0))
         assert fit.coef("x") == pytest.approx(fit_s.coef("x"), rel=1e-12)
 
     def test_rank_deficiency_reports_rank_and_stage(self, rng):
@@ -377,7 +378,7 @@ class TestWeighted2sls:
         )
 
     def test_collinear_instruments_flag_first_stage(self, iv_data):
-        data = iv_data.with_columns({"z2": 3.0 * iv_data.column("z")})
+        data = with_columns(iv_data, {"z2": 3.0 * iv_data.column("z")})
         model = RegressionModel("y", ("x",), endogenous=("x",), instruments=("z", "z2"))
         with pytest.raises(RankDeficiencyError, match="first-stage"):
             weighted_2sls(model, data)
@@ -501,7 +502,7 @@ class TestFixedEffects:
     def test_absorbs_the_factor_with_most_categories(self):
         data = make_panel(8, 3, seed=5)
         h = np.tile([0.0, 1.0, 2.0], 8)
-        data = data.with_columns({"h": h, "y": data.column("y") + h})
+        data = with_columns(data, {"h": h, "y": data.column("y") + h})
         for effects in (("h", "cluster"), ("cluster", "h")):
             fit = weighted_ols(RegressionModel("y", ("x",), fixed_effects=effects), data)
             assert fit.coefficient_names == ("x", "h=1.0", "h=2.0")
@@ -513,7 +514,7 @@ class TestFixedEffects:
         # no other column cannot pass it as full rank.
         data = make_panel(7, 3, seed=2)
         between = constant(data.row_cluster_index)
-        data = data.with_columns({"b": between})
+        data = with_columns(data, {"b": between})
         rho = np.random.default_rng(4).uniform(0.5, 1.5, size=data.n_rows)
         for regressors, rank in ((("b",), 0), (("x", "b"), 1)):
             model = RegressionModel("y", regressors, fixed_effects=("cluster",))
@@ -526,9 +527,9 @@ class TestFixedEffects:
         data = make_panel(5, 4, seed=8)
         model = RegressionModel("y", ("x",), fixed_effects=("cluster",))
         rho = np.ones(data.n_rows)
-        rho[data.cluster_rows[0]] = 0.0  # absent: drops out
+        rho[cluster_rows(data)[0]] = 0.0  # absent: drops out
         w = np.ones(data.n_rows)
-        w[data.cluster_rows[3]] = 0.0  # present, zero mass: unidentified
+        w[cluster_rows(data)[3]] = 0.0  # present, zero mass: unidentified
         weighted_ols(model, data, row_multipliers=rho)
         with pytest.raises(RankDeficiencyError, match="rank 4 < 5 columns"):
             weighted_ols(model, data, weights=w, row_multipliers=rho)
