@@ -35,10 +35,11 @@ from .config import (
 )
 from .csvio import (
     LoadReport,
+    atomic_write_chunks,
     atomic_write_text,
-    draws_csv_text,
+    draws_csv_chunks,
     format_float,
-    grid_csv_text,
+    grid_csv_chunks,
     read_draws_csv,
 )
 from .errors import DataError, stage
@@ -199,7 +200,7 @@ def _write_json(path: str, doc) -> str:
 def _write_grid(path: str, draws_x: np.ndarray, draws_y: np.ndarray, point=None) -> PlotGrid:
     """Write the density grid of two draw columns to path as CSV; returns the grid."""
     grid = emit_plot_grid(draws_x, draws_y, point=point)
-    atomic_write_text(path, grid_csv_text(grid.x, grid.y, grid.density))
+    atomic_write_chunks(path, grid_csv_chunks(grid.x, grid.y, grid.density))
     return grid
 
 
@@ -219,18 +220,20 @@ def write_mc_results(directory: str, report: CoverageReport) -> str:
 
 # A writer process is forked for at least this many values of comparison
 # files: 2d cells per draw in a draws file, GRID_POINTS^2 densities per plot
-# grid.  On a 2-core Xeon VM, computing, formatting and writing one value
-# took 1.1-2.0 us (a 40 000-cell draws file, a 101 x 101 grid of 2000 draws)
-# and a fork_map fork 3.2-3.9 ms, so a writer's fork costs a fifth to a third
-# of the work it takes off the caller.  The 800 cells of 100 draws of four
-# statistics are written in this process.
+# grid.  On a 2-core Xeon VM (one BLAS thread, a 117 MB process), computing,
+# formatting and writing one value took 0.9-1.4 us in a 40 000-cell draws
+# file and 3.2-3.3 us in a 101 x 101 grid of 2000 draws, and a fork_map fork
+# 4.2-5.5 ms.  So at the threshold a writer's fork costs about half the work
+# it takes off the caller, and for one `lstat_iid` comparison (4000 cells and
+# one grid) about a seventh.  The 800 cells of 100 draws of four statistics
+# are written in this process.
 WRITE_VALUES_PER_WORKER = 10_000
 
 
 def _write_comparison(directory: str, res: ComparisonResult, plot_pairs: tuple) -> dict[str, str]:
     """Write one comparison's draws file and plot grids; returns their paths."""
     paths = {f"draws_{res.name}": _draws_path(directory, res.name)}
-    atomic_write_text(paths[f"draws_{res.name}"], draws_csv_text(res.bootstrap.draws))
+    atomic_write_chunks(paths[f"draws_{res.name}"], draws_csv_chunks(res.bootstrap.draws))
     for pair in plot_pairs:
         i, j, tag = _plot_pair_columns(res.labels, pair)
         gp = os.path.join(directory, f"plotgrid_{res.name}_{tag}.csv")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,21 +15,24 @@ import pytest
 from trimtest import BootstrapPlan, DataError, NumericalError, PanelDataset, WeightScheme, analysis
 from trimtest import config as schema
 from trimtest.analysis import point_estimates, run_analysis
+from trimtest.bootstrap import BootstrapResult
 from trimtest.config import AnalysisConfig, Comparison
 from trimtest.csvio import (
+    ROWS_PER_CHUNK,
     LoadReport,
+    atomic_write_chunks,
     atomic_write_text,
-    draws_csv_text,
+    draws_csv_chunks,
     format_float,
-    grid_csv_text,
+    grid_csv_chunks,
     load_csv,
     read_draws_csv,
 )
 from trimtest.estimators import RegressionComparison
 from trimtest.lstat import LStatSpec
-from trimtest.plotgrid import GRID_POINTS, emit_plot_grid, silverman_bandwidth
+from trimtest.plotgrid import GRID_POINTS, KERNEL_CHUNK, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
-from trimtest.report import regenerate_report, report_bundle, write_outputs
+from trimtest.report import ComparisonResult, _write_comparison, regenerate_report, report_bundle, write_outputs
 
 from conftest import make_panel
 from reference import cluster_sizes, grid_integral
@@ -179,6 +183,43 @@ class TestAtomicOutput:
         atomic_write_text(str(p), "a\nb\n")
         assert p.read_bytes() == b"a\nb\n"
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        p = tmp_path / "f.txt"
+        atomic_write_chunks(str(p), iter(["a\n", "", "b", "c\n"]))
+        assert p.read_bytes() == b"a\nbc\n"
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+    def test_failing_chunk_iterator_leaves_no_trace(self, tmp_path, old):
+        target = tmp_path / "out.csv"
+        if old is not None:
+            target.write_bytes(old)
+        part_sizes = []
+
+        def chunks():
+            yield "x" * 100_000
+            # Chunks reach the temp file as they come, not at the end.
+            part_sizes.extend(os.path.getsize(tmp_path / f) for f in os.listdir(tmp_path) if f.endswith(".part"))
+            yield "more\n"
+            raise NumericalError("formatting failed")
+
+        with pytest.raises(NumericalError, match="formatting failed"):
+            atomic_write_chunks(str(target), chunks())
+        assert len(part_sizes) == 1 and part_sizes[0] > 0
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".part")]
+        if old is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == old
+
+    def test_draws_file_spans_row_chunks(self, rng):
+        draws = rng.normal(size=(2 * ROWS_PER_CHUNK + 3, 2))
+        chunks = list(draws_csv_chunks(draws))
+        assert len(chunks) == 1 + 3
+        lines = ["draw_index,stat_1,stat_2"] + [
+            f"{b}," + ",".join(format_float(v) for v in row) for b, row in enumerate(draws)
+        ]
+        assert "".join(chunks) == "\n".join(lines) + "\n"
+
     def test_format_float_round_trips(self):
         for x in (0.1, -3.0, 1e-17, 12345.6789, float(np.pi)):
             assert float(format_float(x)) == x
@@ -193,7 +234,7 @@ class TestAtomicOutput:
         draws[5] = self.EDGE_VALUES[1:4]
         draws[6] = self.EDGE_VALUES[4:] + [np.nan]
         p = str(tmp_path / "draws.csv")
-        text = draws_csv_text(draws)
+        text = "".join(draws_csv_chunks(draws))
         lines = text.splitlines()
         assert lines[0] == "draw_index,stat_1,stat_2,stat_3"
         assert lines[1:] == [
@@ -229,7 +270,7 @@ class TestAtomicOutput:
         x = np.array([0.0, 1.0])
         y = np.array([10.0, 20.0, 30.0])
         dens = np.arange(6, dtype=float).reshape(2, 3)
-        lines = grid_csv_text(x, y, dens).splitlines()
+        lines = "".join(grid_csv_chunks(x, y, dens)).splitlines()
         assert lines[0] == "x,y,density"
         assert len(lines) == 1 + 6
         # x is the outer loop: first three rows share x=0.
@@ -239,7 +280,7 @@ class TestAtomicOutput:
         x = np.array(self.EDGE_VALUES[:3])
         y = np.array(self.EDGE_VALUES[3:] + [2.5])
         dens = np.array(self.EDGE_VALUES * 2).reshape(3, 4)
-        lines = grid_csv_text(x, y, dens).splitlines()
+        lines = "".join(grid_csv_chunks(x, y, dens)).splitlines()
         assert lines[1:] == [
             f"{format_float(x[i])},{format_float(y[j])},{format_float(dens[i, j])}"
             for i in range(3)
@@ -318,15 +359,26 @@ class TestPlotGrid:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_density_has_the_bits_of_the_plain_kernel_expression(self, seed):
-        # The kernels are built in place; the grid file must not notice.
+        # The kernels are built in place and summed over chunks of draws: the grid
+        # has the bits of the plain expression summed over the same chunks in the
+        # same order, and matches the whole product up to rounding.
         rng = np.random.default_rng(seed)
-        x, y = rng.standard_t(3, size=700), rng.normal(2.0, 0.3, size=700)
+        n = (700, KERNEL_CHUNK, 2 * KERNEL_CHUNK + 1, 30, 1500)[seed]
+        x, y = rng.standard_t(3, size=n), rng.normal(2.0, 0.3, size=n)
         g = emit_plot_grid(x, y)
-        ux = (g.x[:, None] - x[None, :]) / g.bandwidth_x
-        uy = (g.y[:, None] - y[None, :]) / g.bandwidth_y
-        kx = np.exp(-0.5 * ux * ux) / (g.bandwidth_x * np.sqrt(2.0 * np.pi))
-        ky = np.exp(-0.5 * uy * uy) / (g.bandwidth_y * np.sqrt(2.0 * np.pi))
-        assert grid_csv_text(g.x, g.y, g.density) == grid_csv_text(g.x, g.y, kx @ ky.T / len(x))
+
+        def kernel(grid, draws, h):
+            u = (grid[:, None] - draws[None, :]) / h
+            return np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
+
+        chunked = np.zeros((GRID_POINTS, GRID_POINTS))
+        for start in range(0, n, KERNEL_CHUNK):
+            c = slice(start, start + KERNEL_CHUNK)
+            chunked += kernel(g.x, x[c], g.bandwidth_x) @ kernel(g.y, y[c], g.bandwidth_y).T
+        chunked /= n
+        assert g.density.tobytes() == chunked.tobytes()
+        whole = kernel(g.x, x, g.bandwidth_x) @ kernel(g.y, y, g.bandwidth_y).T / n
+        assert np.max(np.abs(g.density - whole)) <= 1e-14 * whole.max()
 
     def test_density_matches_direct_kernel_sum(self, rng):
         x, y = rng.normal(size=30), rng.normal(size=30)
@@ -336,6 +388,43 @@ class TestPlotGrid:
         uy = (g.y[j] - y) / g.bandwidth_y
         direct = np.mean(np.exp(-0.5 * (ux**2 + uy**2))) / (2.0 * np.pi * g.bandwidth_x * g.bandwidth_y)
         assert g.density[i, j] == pytest.approx(direct, rel=1e-12)
+
+
+def _tracemalloc_peak(fn) -> int:
+    """Peak bytes traced while fn runs, above what was held before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    # With whole 101 x B kernels and whole-file texts, a grid of 10 000 draws
+    # peaked at 23.3 MB, and so did one comparison's files (10 000 draws of
+    # four statistics, one plot pair); its draws file alone at 2.9 MB.
+    BOUND = 2 * 2**20
+    B = 10_000
+
+    def test_plot_grid_memory_does_not_grow_with_the_draw_count(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_t(3, size=self.B), rng.normal(size=self.B)
+        assert _tracemalloc_peak(lambda: emit_plot_grid(x, y)) < self.BOUND
+
+    @pytest.mark.parametrize("plot_pairs", [(), ("a",)], ids=["draws", "draws_and_grid"])
+    def test_comparison_files_are_written_in_bounded_memory(self, tmp_path, plot_pairs):
+        rng = np.random.default_rng(6)
+        draws = rng.standard_t(3, size=(self.B, 4))
+        boot = BootstrapResult(
+            draws=draws, point=draws.mean(axis=0), cov=np.cov(draws.T), seed=0, iterations=self.B, n_failed=0
+        )
+        res = ComparisonResult(name="main", labels=("a", "b"), bootstrap=boot, tests=None)
+        paths = {}
+        peak = _tracemalloc_peak(lambda: paths.update(_write_comparison(str(tmp_path), res, plot_pairs)))
+        assert peak < self.BOUND
+        assert sorted(paths) == ["draws_main"] + ["plotgrid_main_a"] * len(plot_pairs)
+        np.testing.assert_array_equal(read_draws_csv(paths["draws_main"]), draws)
 
 
 def regression_config(**overrides) -> dict:
