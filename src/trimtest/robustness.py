@@ -27,6 +27,20 @@ the same floating-point number as on the full grid, so the result is exact,
 not an approximation, and the critical value and the formal p-value of a
 test come from one pass over the same draws.
 
+The draws are made, whitened and screened MC_ROWS rows at a time (`_screen`),
+and a block is dropped before the next is drawn.  It keeps only candidates:
+the draws whose interval straddles the statistic, those whose interval
+reaches a running bound on the critical value's order statistic of the
+interval ends, and the last B % 64 draws.  The bound is taken over the draws
+seen so far, so it never exceeds the order statistic of all B draws, and a
+dropped draw lies below the quantile in every direction: the candidates
+give the order statistic exactly, as in selection from a stream with limited
+storage (Munro and Paterson, 1980).  The grid walk then holds one chunk of
+directions' values at a time and partitions them in place.  Memory is
+O(candidates), not O(B d): on the panel_fe benchmark's joint test (d = 4,
+100 000 draws) a formal test peaked at 2.7 MB of tracemalloc, against 7.4 MB
+with the draws held whole.
+
 A test's settings are checked once, when its TestSpec is built.  The formal
 test and the heuristic p-value each make one call of `_quadratic`; the
 heuristic is `formal_p_value`, the same test against the baseline
@@ -37,7 +51,9 @@ more statistics on at least MC_FORK_DRAWS draws, they run side by side on
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -49,6 +65,7 @@ from .errors import NumericalError, setting_error
 N_DIRECTIONS = 256
 MC_CHUNK = 16  # directions per block of the streamed Monte Carlo path
 _SCREEN_ALIGN = 64  # row-group size the screened draws keep (see _screened_grid)
+MC_ROWS = 8192  # draws per block of the Monte Carlo path, a multiple of _SCREEN_ALIGN
 # scipy's noncentral chi-square fails from about 1e10.5 (NaN quantiles, wrong
 # tails); tests with a larger noncentrality r h^2 take the Monte Carlo path.
 _NCX2_MAX_NC = 1e9
@@ -268,9 +285,11 @@ def _mc_test(
     Cholesky factor A = L L', eta = L^{-1} xi has ||eta|| = ||xi||_A, and the
     unit-A-norm directions are v = L u for unit vectors u, so the squared
     norm ||h v + xi||_A^2 is ||h u + eta||^2 = h^2 + 2h u'eta + base with
-    base = ||eta||^2 (base alone when h = 0).  eta is drawn once, as standard
+    base = ||eta||^2 (base alone when h = 0).  eta is drawn as standard
     normals times the whitened root L^{-1} sigma^{1/2}; nothing is solved per
-    draw.
+    draw.  The normals come from the one "test" stream in blocks of MC_ROWS
+    rows (_row_blocks), and each block is screened and dropped before the
+    next is drawn.
 
     Returns (c, tail): c is the max over directions of the per-direction
     empirical upper alpha-quantile, the k-th smallest value with k =
@@ -292,45 +311,68 @@ def _mc_test(
       it in every direction and those with lo > Hk above it, so each
       direction's quantile is the (k - n_below)-th smallest of the draws in
       between.
-    Only the kept draws go through _squared_norm_rows, MC_CHUNK directions at
-    a time, with the same operations as the full product (_screened_grid),
+    Lk and Hk are found from a candidate set, as an order statistic of a
+    stream can be (Munro and Paterson, Selection and sorting with limited
+    storage, 1980; _screen).  Each block drops the draws with hi below a
+    bound, the m-th largest lo among the draws seen so far with m = B - k +
+    1, unless they straddle s^2.  A bound taken over a subset never exceeds
+    Lk, the m-th largest lo of all draws, so a dropped draw is in n_below
+    and in no band, every draw with lo >= Lk or hi >= Hk is kept, and Lk and
+    Hk are the m-th largest lo and hi of the draws kept.  Memory is
+    O(kept draws): apart from the h = 0 path's base, nothing of length B or
+    B x d is held.
+    Only the walked draws go through _squared_norm_rows, MC_CHUNK directions
+    at a time, with the same operations as the full product (_screened_grid),
     so every value the counts and the selection read is the same
-    floating-point number as without the screen and the result is exact,
-    not an approximation.  When h is large against the covariance every
-    interval straddles, every draw is walked and the cost is that of the
-    full grid.
+    floating-point number as without the screen or the blocks, and the
+    result is exact, not an approximation.  When h is large against the
+    covariance every interval straddles, every draw is kept and walked, and
+    the cost is that of the full grid.
     """
     dim, h, mc_draws = len(sigma), spec.h, spec.mc_draws
     rng = random_stream(spec.seed, "test")
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
     root = solve_triangular(cholesky(norm, lower=True), root, lower=True)
-    # eta is passed unbound, so the grid walk holds the only reference to it.
-    crit, count = _screened_grid(
-        h,
-        unit_directions(dim).T,
-        rng.standard_normal((mc_draws, dim)) @ root.T,
-        alpha,
-        statistic_sq,
-    )
+    blocks = (rng.standard_normal((r1 - r0, dim)) @ root.T for r0, r1 in _row_blocks(mc_draws))
+    crit, count = _screened_grid(h, unit_directions(dim).T, blocks, mc_draws, alpha, statistic_sq)
     return crit, None if count is None else count / mc_draws
+
+
+def _row_blocks(b: int) -> Iterator[tuple[int, int]]:
+    """The [start, stop) rows of the MC_ROWS-row blocks of b draws, made as they are read.
+
+    A last block of fewer than _SCREEN_ALIGN rows joins the one before it.
+    Every block then starts at a multiple of _SCREEN_ALIGN and holds at least
+    that many rows (or all b), so each row of a block's product normals @
+    root' takes the same place in the kernel's row groups as in the product
+    of all b rows, and gets its bits (the argument of _screened_grid), and
+    no block is a matrix-vector product.
+    """
+    starts = range(0, b, MC_ROWS)
+    if len(starts) > 1 and b - starts[-1] < _SCREEN_ALIGN:
+        starts = starts[:-1]
+    return zip(starts, chain(starts[1:], [b]))
 
 
 def _screened_grid(
     h: float,
     directions: np.ndarray,
-    eta: np.ndarray,
+    blocks: Iterable[np.ndarray],
+    b: int,
     alpha: float | None,
     statistic_sq: float | None,
 ) -> tuple[float | None, int | None]:
     """(critical value, tail count) of the direction grid on the screened rows of eta.
 
-    With h = 0 every direction's value is base = ||eta||^2 and no grid is
-    walked.  directions holds the unit vectors u as columns.  The bounds repeat
-    _squared_norm_rows's operations in its order with the cross term u'eta
-    replaced by -D and +D, D = (1 + slack) sqrt(base).  Each of those
-    floating-point steps is monotone, so a computed cross term of magnitude
-    at most D gives lo <= computed value <= hi in every direction.
+    blocks yields the rows of eta, b in all, in blocks that start at
+    multiples of _SCREEN_ALIGN (_row_blocks).  With h = 0 every direction's
+    value is base = ||eta||^2 and no grid is walked.  directions holds the
+    unit vectors u as columns.  The bounds repeat _squared_norm_rows's
+    operations in its order with the cross term u'eta replaced by -D and +D,
+    D = (1 + slack) sqrt(base).  Each of those floating-point steps is
+    monotone, so a computed cross term of magnitude at most D gives lo <=
+    computed value <= hi in every direction.
 
     The slack is 32 d^2 u, u the unit roundoff, whatever the norm.
     Cauchy-Schwarz holds for the stored eta itself, |u'eta| <= ||u|| ||eta||,
@@ -346,34 +388,38 @@ def _screened_grid(
     The walked columns are laid out [padding, statistic band, critical-value
     band, tail]; the statistic and critical-value bands overlap in the middle
     so that each is one contiguous slice.  The tail is the last
-    len(base) % _SCREEN_ALIGN draws in their order, walked for both
-    purposes, and the padding repeats draw 0 until the columns before the
-    tail fill whole groups of _SCREEN_ALIGN (at least one group when a tail
-    follows, as one column would be a matrix-vector product).  Every kept
-    draw then takes the same place in the product's row groups as in the
-    full product: a whole group, or the same offset of the final partial
-    group.  BLAS kernels compute whole groups and the final partial group
-    with different instruction sequences, so without this the last bits of
-    a value could depend on which draws were kept; with it they cannot for
-    any kernel whose unroll divides _SCREEN_ALIGN.
+    b % _SCREEN_ALIGN draws in their order, walked for both purposes, and
+    the padding repeats draw 0 until the columns before the tail fill whole
+    groups of _SCREEN_ALIGN (at least one group when a tail follows, as one
+    column would be a matrix-vector product).  Every walked draw then takes
+    the same place in the product's row groups as in the full product: a
+    whole group, or the same offset of the final partial group.  BLAS
+    kernels compute whole groups and the final partial group with different
+    instruction sequences, so without this the last bits of a value could
+    depend on which draws were kept; with it they cannot for any kernel
+    whose unroll divides _SCREEN_ALIGN.
 
     Once a chunk has set crit, a direction with at least rank values <= crit
     has its rank-th smallest value <= crit, so it cannot raise the maximum;
     one count per direction finds those, and only the others are
-    partitioned.  The maximum is the same floating-point number.
+    partitioned.  The maximum is the same floating-point number.  A chunk's
+    values are dropped before the next chunk's are made and are partitioned
+    in place, so the walk holds MC_CHUNK rows of the walked draws at a time.
     """
-    base = np.einsum("bi,bi->b", eta, eta)
     if h == 0.0:
+        base, r0 = np.empty(b), 0
+        for eta in blocks:
+            np.einsum("bi,bi->b", eta, eta, out=base[r0 : r0 + len(eta)])
+            r0 += len(eta)
         crit = None if alpha is None else float(_empirical_upper_quantile(base, alpha))
         return crit, None if statistic_sq is None else int(np.count_nonzero(base >= statistic_sq))
-    k = None if alpha is None else _upper_rank(len(base), alpha)
-    rows, sure, rank, (s0, s1, c0, t0) = _screen(h, eta.shape[1], base, k, statistic_sq)
-    if rows is not None:
-        eta, base = eta[rows], base[rows]
+    k = None if alpha is None else _upper_rank(b, alpha)
+    eta, base, sure, rank, (s0, s1, c0, t0) = _screen(h, blocks, b, k, statistic_sq)
     crit, count = None, None if statistic_sq is None else sure
     if len(base) == 0:
         return crit, count
     for lo_dir in range(0, directions.shape[1], MC_CHUNK):
+        quad = open_rows = None  # one chunk's values at a time
         quad = _squared_norm_rows(h, directions[:, lo_dir : lo_dir + MC_CHUNK], eta, base)
         if statistic_sq is not None:
             per_dir = np.count_nonzero(quad[:, s0:s1] >= statistic_sq, axis=1)
@@ -384,56 +430,103 @@ def _screened_grid(
             if crit is not None:
                 open_rows = open_rows[np.count_nonzero(open_rows <= crit, axis=1) < rank]
             if len(open_rows):
-                q = float(np.partition(open_rows, rank - 1, axis=-1)[:, rank - 1].max())
+                q = float(_kth_smallest_rows(open_rows, rank - 1).max())
                 crit = q if crit is None else max(crit, q)
     return crit, count
 
 
-def _screen(
-    h: float, dim: int, base: np.ndarray, k: int | None, statistic_sq: float | None
-) -> tuple[np.ndarray | None, int, int | None, tuple[int, int, int, int]]:
-    """The annulus screen of _screened_grid: (rows, sure count, rank, slice bounds).
+def _kth_smallest_rows(values: np.ndarray, kth: int) -> np.ndarray:
+    """The kth smallest (0-based) of each row, partitioning the rows in place."""
+    values.partition(kth, axis=-1)
+    return values[:, kth]
 
-    rows lists the draws to walk in the column layout _screened_grid
-    describes, or is None when the screen saves nothing and every draw is
-    walked.  The bounds are the statistic slice, the critical-value start
-    and the tail start.  The full-length bounds and masks live only here, so
-    they are freed before the grid walk.
+
+def _screen(
+    h: float, blocks: Iterable[np.ndarray], b: int, k: int | None, statistic_sq: float | None
+) -> tuple[np.ndarray, np.ndarray, int, int | None, tuple[int, int, int, int]]:
+    """The annulus screen of _screened_grid, one block at a time: (eta, base, sure count, rank, slice bounds).
+
+    eta and base hold the draws to walk in the column layout _screened_grid
+    describes.  The bounds are the statistic slice, the critical-value start
+    and the tail start.
+
+    Each block keeps its tail rows, draw 0, the draws whose interval
+    straddles s^2, and, when k is given, the draws with hi >= bound; all
+    others are counted in n_below and dropped.  A kept draw is sorted into
+    its bands, or none, once Lk and Hk are known.  top holds every lo >=
+    bound seen so far, and bound becomes its m-th largest, m = B - k + 1,
+    once top holds m values and again whenever it holds 3m/2.  An update
+    partitions top and follows at least len(top) / 3 new values, so each lo
+    enters O(1) partitions.  The bound is the m-th largest lo of the draws
+    seen, never above Lk, the m-th largest of all, so a dropped draw has
+    hi < Lk <= Hk, and every draw with lo >= Lk or hi >= Hk is kept
+    (_mc_test).
     """
-    b = len(base)
     body = b - b % _SCREEN_ALIGN
-    cross = np.sqrt(base)
-    cross *= 1.0 + 16.0 * dim * dim * np.finfo(float).eps  # the slack: u = eps / 2
-    cross *= 2.0 * h
-    lo = h * h - cross
-    lo += base
-    hi = cross + h * h
-    hi += base
-    lo_body, hi_body = lo[:body], hi[:body]
-    # Sure count, critical-value rank and the draws each purpose must walk.
-    sure, rank = 0, k
-    in_stat = np.zeros(body, dtype=bool)
+    sure = n_below = 0
+    m = None if k is None else b - k + 1
+    bound, top = -np.inf, np.empty(0)
+    etas, bases = [], []  # each block's kept draws, in draw order
+    r0 = 0
+    for eta in blocks:
+        base = np.einsum("bi,bi->b", eta, eta)
+        lo, hi = _annulus(h, base, eta.shape[1])
+        n_body = min(len(eta), body - r0)
+        keep = np.zeros(len(eta), dtype=bool)
+        if statistic_sq is not None:
+            sure += int(np.count_nonzero(lo[:n_body] >= statistic_sq))
+            keep = (lo < statistic_sq) & (hi >= statistic_sq)
+        if k is not None:
+            top = np.concatenate([top, lo[lo >= bound]])
+            if len(top) >= (m + m // 2 if np.isfinite(bound) else m):
+                top = np.partition(top, len(top) - m)[len(top) - m :]
+                bound = top[0]
+            keep |= hi >= bound
+        keep[n_body:] = True
+        keep[0] |= r0 == 0  # draw 0, which the padding repeats
+        n_below += n_body - int(np.count_nonzero(keep[:n_body]))
+        etas.append(eta[keep])
+        bases.append(base[keep])
+        r0 += len(eta)
+    del eta, base, lo, hi, keep, top  # the last block, before the kept draws are joined
+    eta, base = np.concatenate(etas), np.concatenate(bases)
+    del etas, bases
+    lo, hi = _annulus(h, base, eta.shape[1])
+    n_body = len(base) - (b - body)  # the tail is kept whole, last
+    lo_body, hi_body = lo[:n_body], hi[:n_body]
+    # Critical-value rank and the draws each purpose must walk.
+    rank = k
+    in_stat = np.zeros(n_body, dtype=bool)
     if statistic_sq is not None:
-        sure = int(np.count_nonzero(lo_body >= statistic_sq))
         in_stat = (lo_body < statistic_sq) & (hi_body >= statistic_sq)
-    in_crit = np.zeros(body, dtype=bool)
+    in_crit = np.zeros(n_body, dtype=bool)
     if k is not None:
-        lk = np.partition(lo, k - 1)[k - 1]
-        hk = np.partition(hi, k - 1)[k - 1]
-        rank = k - int(np.count_nonzero(hi_body < lk))
+        lk = np.partition(lo, len(lo) - m)[len(lo) - m]
+        hk = np.partition(hi, len(hi) - m)[len(hi) - m]
+        rank = k - n_below - int(np.count_nonzero(hi_body < lk))
         in_crit = (hi_body >= lk) & (lo_body <= hk)
     groups = [
         np.flatnonzero(in_stat & ~in_crit),
         np.flatnonzero(in_stat & in_crit),
         np.flatnonzero(in_crit & ~in_stat),
     ]
-    kept = sum(map(len, groups))
-    pad = -kept % _SCREEN_ALIGN if kept else _SCREEN_ALIGN * (body < b)
-    if pad + kept + b - body >= b:
-        return None, 0, k, (0, b, 0, b)
-    rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(body, b)])
+    n_kept = sum(map(len, groups))
+    pad = -n_kept % _SCREEN_ALIGN if n_kept else _SCREEN_ALIGN * (body < b)
+    rows = np.concatenate([np.zeros(pad, dtype=np.intp), *groups, np.arange(n_body, len(base))])
     c0 = pad + len(groups[0])
-    return rows, sure, rank, (pad, c0 + len(groups[1]), c0, pad + kept)
+    return eta[rows], base[rows], sure, rank, (pad, c0 + len(groups[1]), c0, pad + n_kept)
+
+
+def _annulus(h: float, base: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's interval [lo, hi] of each draw's squared norms, widened by the slack of _screened_grid."""
+    cross = np.sqrt(base)
+    cross *= 1.0 + 16.0 * dim * dim * np.finfo(float).eps  # the slack: u = eps / 2
+    cross *= 2.0 * h
+    lo = h * h - cross
+    lo += base
+    cross += h * h
+    cross += base
+    return lo, cross
 
 
 def _squared_norm_rows(h: float, directions: np.ndarray, eta: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def make_panel(
     x = rng.normal(size=n)
     y = intercept + slope * x + effects[cluster_ids] + rng.normal(size=n)
     return PanelDataset({"y": y, "x": x}, cluster_ids)
+
+
+def _tracemalloc_peak(fn) -> int:
+    """Peak bytes traced while fn runs, above what was held before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _pin_cpus(monkeypatch, count):

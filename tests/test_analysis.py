@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,11 +29,11 @@ from trimtest.csvio import (
 )
 from trimtest.estimators import RegressionComparison
 from trimtest.lstat import LStatSpec
-from trimtest.plotgrid import GRID_POINTS, KERNEL_CHUNK, emit_plot_grid, silverman_bandwidth
+from trimtest.plotgrid import GRID_POINTS, KERNEL_CHUNK, KERNEL_FLOOR, _kernel, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.report import ComparisonResult, _write_comparison, regenerate_report, report_bundle, write_outputs
 
-from conftest import make_panel
+from conftest import _tracemalloc_peak, make_panel
 from reference import cluster_sizes, grid_integral
 
 
@@ -369,7 +368,8 @@ class TestPlotGrid:
 
         def kernel(grid, draws, h):
             u = (grid[:, None] - draws[None, :]) / h
-            return np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
+            k = np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
+            return np.where(k < KERNEL_FLOOR, 0.0, k)
 
         chunked = np.zeros((GRID_POINTS, GRID_POINTS))
         for start in range(0, n, KERNEL_CHUNK):
@@ -380,6 +380,21 @@ class TestPlotGrid:
         whole = kernel(g.x, x, g.bandwidth_x) @ kernel(g.y, y, g.bandwidth_y).T / n
         assert np.max(np.abs(g.density - whole)) <= 1e-14 * whole.max()
 
+    def test_kernel_holds_no_value_below_the_floor(self):
+        # t(3) draws far out in the tails: the plain kernel expression gives
+        # subnormal and small normal entries here.
+        rng = np.random.default_rng(3)
+        x = rng.standard_t(3, size=2000)
+        g = emit_plot_grid(x, 0.9 * x + rng.normal(0.0, 0.1, size=2000))
+        for grid, h in ((g.x, g.bandwidth_x), (g.y, g.bandwidth_y)):
+            u = (grid[:, None] - x[None, :]) / h
+            plain = np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
+            assert np.any((plain > 0.0) & (plain < np.finfo(float).tiny))
+            k = _kernel(grid, x, h)
+            assert not np.any((k > 0.0) & (k < KERNEL_FLOOR))
+            np.testing.assert_array_equal(k, np.where(plain < KERNEL_FLOOR, 0.0, plain))
+        assert KERNEL_FLOOR * KERNEL_FLOOR >= np.finfo(float).tiny
+
     def test_density_matches_direct_kernel_sum(self, rng):
         x, y = rng.normal(size=30), rng.normal(size=30)
         g = emit_plot_grid(x, y)
@@ -388,16 +403,6 @@ class TestPlotGrid:
         uy = (g.y[j] - y) / g.bandwidth_y
         direct = np.mean(np.exp(-0.5 * (ux**2 + uy**2))) / (2.0 * np.pi * g.bandwidth_x * g.bandwidth_y)
         assert g.density[i, j] == pytest.approx(direct, rel=1e-12)
-
-
-def _tracemalloc_peak(fn) -> int:
-    """Peak bytes traced while fn runs, above what was held before it."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestWriterMemory:

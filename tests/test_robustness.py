@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -25,7 +27,7 @@ from trimtest.robustness import (
 )
 from trimtest.robustness import MC_CHUNK, _empirical_upper_quantile
 
-from conftest import _count_forks, _pin_cpus
+from conftest import _count_forks, _pin_cpus, _tracemalloc_peak
 
 
 def _formal_p_value(statistic_sq, h, sigma, norm_matrix="diff_cov", **settings):
@@ -365,7 +367,19 @@ def _streamed_mc(h, sigma, norm, mc_draws, seed, alpha, statistic_sq):
     return crit, int(np.count_nonzero(quad >= statistic_sq, axis=1).max()) / mc_draws
 
 
+@pytest.fixture(params=[robustness.MC_ROWS, 128], ids=lambda rows: f"{rows}-rows")
+def mc_rows(request, monkeypatch):
+    """The package's row blocks, and 128-row blocks.
+
+    A test of a few thousand draws fits in one block of MC_ROWS; in blocks
+    of 128 rows the screen's bound updates, the count of dropped draws, the
+    tail and the merged last block cross block edges.
+    """
+    monkeypatch.setattr(robustness, "MC_ROWS", request.param)
+
+
 class TestStreamedMonteCarlo:
+    @pytest.mark.usefixtures("mc_rows")
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("h", [0.0, 0.35])
     def test_bit_identical_to_unchunked(self, dim, h):
@@ -395,6 +409,7 @@ class TestStreamedMonteCarlo:
         assert (report.critical_value, report.p_value_formal) == ref
         assert report.p_value_heuristic == heur[1]
 
+    @pytest.mark.usefixtures("mc_rows")
     def test_trailing_axis_directions_are_searched(self):
         # Variance on one axis only: the worst directions are +-e1, which the
         # grid holds only among the coordinate axes of the final, partial
@@ -404,6 +419,7 @@ class TestStreamedMonteCarlo:
         c = critical_value(0.5, sigma, 0.05, 20_000, 3, "identity", "mc")
         assert c == crit_ref
 
+    @pytest.mark.usefixtures("mc_rows")
     def test_reject_iff_p_below_alpha_on_mc_path(self):
         rng = np.random.default_rng(8)
         spec = TestSpec(h=0.2, alpha=0.1, norm_matrix="identity", mc_draws=5_000, seed=4)
@@ -451,7 +467,15 @@ class TestAnnulusScreen:
     annulus interval leaves the answer open, and must still reproduce the
     unscreened grid bit for bit."""
 
-    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @pytest.mark.usefixtures("mc_rows")
+    @settings(
+        derandomize=True,
+        max_examples=30,
+        deadline=None,
+        database=None,
+        # mc_rows is set once per test, the same for every example.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
         dim=st.integers(2, 6),
         log10_h=st.floats(-3.0, 1.0),
@@ -495,6 +519,7 @@ class TestAnnulusScreen:
         assert (report.critical_value, report.p_value_formal) == formal
         assert report.p_value_heuristic == heuristic[1]
 
+    @pytest.mark.usefixtures("mc_rows")
     @pytest.mark.parametrize("dim,log10_cond", [(2, 0.0), (2, 4.0), (3, 4.0), (4, 4.0), (3, 8.0)])
     def test_draws_on_a_grid_direction_reach_the_bounds(self, dim, log10_cond):
         # Every draw lies on the line of the first axis direction in the
@@ -523,6 +548,7 @@ class TestAnnulusScreen:
             crit_ref = float(_empirical_upper_quantile(quad, alpha).max())
             assert critical_value(h, sigma, alpha, **kwargs) == crit_ref
 
+    @pytest.mark.usefixtures("mc_rows")
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
     def test_draws_on_an_oblique_grid_direction_reach_the_bounds(self, dim):
         # In whitened coordinates an axis direction's cross term is exact, so
@@ -546,11 +572,15 @@ class TestAnnulusScreen:
         bound += base
         reached = top[top > bound]
         assert len(reached) > 0
+
+        def screened(alpha, s2):
+            blocks = (eta[r0:r1] for r0, r1 in robustness._row_blocks(len(eta)))
+            return robustness._screened_grid(h, directions, blocks, len(eta), alpha, s2)
+
         for s2 in reached[:20]:
-            count = robustness._screened_grid(h, directions, eta, None, s2)[1]
-            assert count == np.count_nonzero(quad >= s2, axis=1).max()
+            assert screened(None, s2)[1] == np.count_nonzero(quad >= s2, axis=1).max()
         for alpha in (0.05, 0.5, 1e-9):
-            crit = robustness._screened_grid(h, directions, eta, alpha, None)[0]
+            crit = screened(alpha, None)[0]
             assert crit == float(_empirical_upper_quantile(quad, alpha).max())
 
     @staticmethod
@@ -606,21 +636,97 @@ class TestAnnulusScreen:
         assert 0 < max(walked) < draws
 
 
+class TestRowBlocks:
+    """The Monte Carlo path draws, screens and drops its normals one block of
+    rows at a time, so it never holds the B x d draw matrix."""
+
+    SPEC = TestSpec(h=0.02, norm_matrix="identity", mc_draws=100_000, seed=3)
+    # The panel_fe benchmark's difference at the seed of PANEL_FE_DIFF_COV,
+    # rounded: far in the tail.
+    DIFF = np.array([-0.039, -0.156, -0.125, -0.042])
+    # A difference in the body (p = 0.34), where the grid walks a third of the draws.
+    BODY = np.array([0.05, -0.02, 0.08, 0.01])
+
+    @pytest.mark.parametrize(
+        "b, blocks",
+        [
+            (1000, [(0, 1000)]),
+            (8192, [(0, 8192)]),
+            (8255, [(0, 8255)]),
+            (8256, [(0, 8192), (8192, 8256)]),
+            (100_000, [(r, r + 8192) for r in range(0, 98_304, 8192)] + [(98_304, 100_000)]),
+        ],
+    )
+    def test_blocks_start_on_row_groups_and_none_is_short(self, b, blocks):
+        assert robustness.MC_ROWS == 8192 and robustness.MC_ROWS % robustness._SCREEN_ALIGN == 0
+        assert list(robustness._row_blocks(b)) == blocks
+
+    # Peak tracemalloc bytes of one formal test and of one p-value alone.
+    # Holding the 100 000 x 4 draw matrix (3.2 MB) and two chunks of the grid
+    # at once, they peaked at 7.42 and 6.84 MB (tail) and 10.32 and 6.99 MB
+    # (body); in blocks, one chunk at a time, at 2.63, 1.13, 5.89 and 4.08 MB.
+    # tracemalloc sees numpy's arrays, not BLAS's own buffers, so the peaks do
+    # not depend on the BLAS thread count; they were measured with one.
+    @pytest.mark.parametrize("diff, bound", [(DIFF, 5.5e6), (BODY, 8e6)], ids=["tail", "body"])
+    def test_formal_test_memory(self, diff, bound):
+        sigma = floor_spd(PANEL_FE_DIFF_COV)
+        test = []
+        peak = _tracemalloc_peak(lambda: test.append(robustness._quadratic(diff, sigma, self.SPEC, 0.05)))
+        assert test[0][1] == "mc"
+        assert peak < bound
+
+    @pytest.mark.parametrize("diff, bound", [(DIFF, 3e6), (BODY, 5.5e6)], ids=["tail", "body"])
+    def test_p_value_memory(self, diff, bound):
+        sigma = floor_spd(PANEL_FE_DIFF_COV)
+        assert _tracemalloc_peak(lambda: robustness.formal_p_value(diff, sigma, self.SPEC)) < bound
+
+    def test_walking_every_draw_partitions_in_place(self):
+        # h far beyond the covariance scale: all 100 000 draws are walked, and
+        # one chunk's 16 x 100 000 values are 12.8 MB.  With a partitioned
+        # copy beside them the test peaked at 29.6 MB (31.3 MB with the draws
+        # held whole); partitioned in place, at 18.5 MB.
+        sigma = floor_spd(PANEL_FE_DIFF_COV)
+        spec = TestSpec(h=10.0, norm_matrix="identity", mc_draws=100_000, seed=3)
+        assert _tracemalloc_peak(lambda: robustness._quadratic(self.DIFF, sigma, spec, 0.05)) < 24e6
+
+    def test_blas_thread_count_does_not_move_the_test(self):
+        # The formal test and the heuristic p-value of the panel_fe shape,
+        # in fresh processes under one and two BLAS threads.
+        script = (
+            "import numpy as np\n"
+            "from trimtest.robustness import TestSpec, _quadratic, floor_spd, formal_p_value\n"
+            f"sigma = floor_spd(np.array({PANEL_FE_DIFF_COV.tolist()!r}))\n"
+            f"diff = np.array({self.DIFF.tolist()!r})\n"
+            f"spec = {self.SPEC!r}\n"
+            "print(repr(_quadratic(diff, sigma, spec, spec.alpha)))\n"
+            "print(repr(formal_p_value(diff, 3.0 * sigma, spec)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "'mc'" in outputs[0]
+
+
 class TestPrunedDirections:
     """Once a chunk has set the critical value, only the directions that can
     still raise it are partitioned; the critical value is unchanged, bit for bit."""
 
     @staticmethod
     def _partitioned_rows(monkeypatch, run) -> list[int]:
-        """The number of directions each two-dimensional np.partition call receives during run()."""
-        seen, partition = [], np.partition
+        """The number of directions each _kth_smallest_rows call receives during run()."""
+        seen, partition = [], robustness._kth_smallest_rows
 
-        def counting(values, kth, *args, **kwargs):
-            if np.ndim(values) == 2:
-                seen.append(len(values))
-            return partition(values, kth, *args, **kwargs)
+        def counting(values, kth):
+            seen.append(len(values))
+            return partition(values, kth)
 
-        monkeypatch.setattr(np, "partition", counting)
+        monkeypatch.setattr(robustness, "_kth_smallest_rows", counting)
         run()
         monkeypatch.undo()
         return seen
