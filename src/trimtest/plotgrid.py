@@ -27,13 +27,6 @@ GRID_POINTS = 101
 # went from 48.5 to 43.3 ms; at B = 2000, from 4.7 MB and 13.7 ms to 0.6 MB
 # and 10.7 ms.
 KERNEL_CHUNK = 256
-# Kernel entries below this are set to 0, so that no product of two entries is
-# subnormal.  Subnormal operands slow a matrix product many times over: on the
-# same VM, for x ~ t(3) and y = 0.9 x + N(0, 0.1^2) at n = 2000 (seed 3), the
-# 101 x 2000 x 101 product of the kernels took 7.3 ms with them and 1.4 ms
-# without.  Zeroing them moves a density by less than KERNEL_FLOOR (1.5e-154)
-# times the other axis's largest kernel entry.
-KERNEL_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ def _kernel(grid: np.ndarray, draws: np.ndarray, h: float) -> np.ndarray:
 
     The same bits as exp(-0.5 * u * u) / (h * sqrt(2 pi)) with
     u = (grid - draw) / h: scaling u * u by -0.5 is exact, so its place in
-    the product does not matter.  Entries below KERNEL_FLOOR are 0.
+    the product does not matter.
     """
     k = np.subtract.outer(grid, draws)
     k /= h
@@ -78,7 +71,6 @@ def _kernel(grid: np.ndarray, draws: np.ndarray, h: float) -> np.ndarray:
     k *= -0.5
     np.exp(k, out=k)
     k /= h * np.sqrt(2.0 * np.pi)
-    k[k < KERNEL_FLOOR] = 0.0
     return k
 
 

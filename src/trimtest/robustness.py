@@ -38,7 +38,7 @@ give the order statistic exactly, as in selection from a stream with limited
 storage (Munro and Paterson, 1980).  The grid walk then holds one chunk of
 directions' values at a time and partitions them in place.  Memory is
 O(candidates), not O(B d): on the panel_fe benchmark's joint test (d = 4,
-100 000 draws) a formal test peaked at 2.7 MB of tracemalloc, against 7.4 MB
+100 000 draws) a formal test peaked at 2.4 MB of tracemalloc, against 7.4 MB
 with the draws held whole.
 
 A test's settings are checked once, when its TestSpec is built.  The formal
@@ -320,7 +320,8 @@ def _mc_test(
     and in no band, every draw with lo >= Lk or hi >= Hk is kept, and Lk and
     Hk are the m-th largest lo and hi of the draws kept.  Memory is
     O(kept draws): apart from the h = 0 path's base, nothing of length B or
-    B x d is held.
+    B x d is held.  Since the kept draws can be all B, a draw count whose
+    B x d matrix the system would refuse fails at once (_reserve_draws).
     Only the walked draws go through _squared_norm_rows, MC_CHUNK directions
     at a time, with the same operations as the full product (_screened_grid),
     so every value the counts and the selection read is the same
@@ -330,6 +331,7 @@ def _mc_test(
     the cost is that of the full grid.
     """
     dim, h, mc_draws = len(sigma), spec.h, spec.mc_draws
+    _reserve_draws(mc_draws, dim)
     rng = random_stream(spec.seed, "test")
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))  # PSD square root, singular ok
@@ -337,6 +339,27 @@ def _mc_test(
     blocks = (rng.standard_normal((r1 - r0, dim)) @ root.T for r0, r1 in _row_blocks(mc_draws))
     crit, count = _screened_grid(h, unit_directions(dim).T, blocks, mc_draws, alpha, statistic_sq)
     return crit, None if count is None else count / mc_draws
+
+
+def _reserve_draws(b: int, dim: int) -> None:
+    """Raise MemoryError at once when b x dim float64 values could not be mapped.
+
+    When every draw straddles, the screen keeps them all, so a test may need
+    room for the whole draw matrix.  The matrix is mapped as one anonymous
+    private mapping, as a large numpy array is, and unmapped untouched: it
+    costs no resident memory and no tracemalloc trace, and fails when the
+    system would refuse that array, before any block is drawn.
+    """
+    # Imported here, as numpy.memmap does: loading mmap adds about 40 KB of
+    # resident memory to every process that imports this module, and only
+    # the Monte Carlo path needs it.
+    import mmap
+
+    nbytes = b * dim * 8
+    try:
+        mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"Unable to allocate {nbytes / 2**30:.3g} GiB for the {b} x {dim} Monte Carlo draws") from exc
 
 
 def _row_blocks(b: int) -> Iterator[tuple[int, int]]:
@@ -454,10 +477,9 @@ def _screen(
     straddles s^2, and, when k is given, the draws with hi >= bound; all
     others are counted in n_below and dropped.  A kept draw is sorted into
     its bands, or none, once Lk and Hk are known.  top holds every lo >=
-    bound seen so far, and bound becomes its m-th largest, m = B - k + 1,
-    once top holds m values and again whenever it holds 3m/2.  An update
-    partitions top and follows at least len(top) / 3 new values, so each lo
-    enters O(1) partitions.  The bound is the m-th largest lo of the draws
+    bound seen so far, and after each block that leaves it m = B - k + 1
+    values or more, bound becomes its m-th largest and top keeps only the
+    values at or above it.  The bound is the m-th largest lo of the draws
     seen, never above Lk, the m-th largest of all, so a dropped draw has
     hi < Lk <= Hk, and every draw with lo >= Lk or hi >= Hk is kept
     (_mc_test).
@@ -478,7 +500,7 @@ def _screen(
             keep = (lo < statistic_sq) & (hi >= statistic_sq)
         if k is not None:
             top = np.concatenate([top, lo[lo >= bound]])
-            if len(top) >= (m + m // 2 if np.isfinite(bound) else m):
+            if len(top) >= m:
                 top = np.partition(top, len(top) - m)[len(top) - m :]
                 bound = top[0]
             keep |= hi >= bound

@@ -29,7 +29,7 @@ from trimtest.csvio import (
 )
 from trimtest.estimators import RegressionComparison
 from trimtest.lstat import LStatSpec
-from trimtest.plotgrid import GRID_POINTS, KERNEL_CHUNK, KERNEL_FLOOR, _kernel, emit_plot_grid, silverman_bandwidth
+from trimtest.plotgrid import GRID_POINTS, KERNEL_CHUNK, emit_plot_grid, silverman_bandwidth
 from trimtest.regress import RegressionModel, weighted_ols
 from trimtest.report import ComparisonResult, _write_comparison, regenerate_report, report_bundle, write_outputs
 
@@ -368,8 +368,7 @@ class TestPlotGrid:
 
         def kernel(grid, draws, h):
             u = (grid[:, None] - draws[None, :]) / h
-            k = np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
-            return np.where(k < KERNEL_FLOOR, 0.0, k)
+            return np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
 
         chunked = np.zeros((GRID_POINTS, GRID_POINTS))
         for start in range(0, n, KERNEL_CHUNK):
@@ -379,21 +378,6 @@ class TestPlotGrid:
         assert g.density.tobytes() == chunked.tobytes()
         whole = kernel(g.x, x, g.bandwidth_x) @ kernel(g.y, y, g.bandwidth_y).T / n
         assert np.max(np.abs(g.density - whole)) <= 1e-14 * whole.max()
-
-    def test_kernel_holds_no_value_below_the_floor(self):
-        # t(3) draws far out in the tails: the plain kernel expression gives
-        # subnormal and small normal entries here.
-        rng = np.random.default_rng(3)
-        x = rng.standard_t(3, size=2000)
-        g = emit_plot_grid(x, 0.9 * x + rng.normal(0.0, 0.1, size=2000))
-        for grid, h in ((g.x, g.bandwidth_x), (g.y, g.bandwidth_y)):
-            u = (grid[:, None] - x[None, :]) / h
-            plain = np.exp(-0.5 * u * u) / (h * np.sqrt(2.0 * np.pi))
-            assert np.any((plain > 0.0) & (plain < np.finfo(float).tiny))
-            k = _kernel(grid, x, h)
-            assert not np.any((k > 0.0) & (k < KERNEL_FLOOR))
-            np.testing.assert_array_equal(k, np.where(plain < KERNEL_FLOOR, 0.0, plain))
-        assert KERNEL_FLOOR * KERNEL_FLOOR >= np.finfo(float).tiny
 
     def test_density_matches_direct_kernel_sum(self, rng):
         x, y = rng.normal(size=30), rng.normal(size=30)

@@ -1498,16 +1498,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("numerical failure: [mc] ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["test", "mc"])
-    def test_array_too_large_for_memory_is_exit_3_naming_its_stage(self, workdir, capsys, command):
+    @pytest.mark.parametrize(
+        "command, h", [("test", None), ("test", 0.02), ("mc", None)], ids=["test", "test-h", "mc"]
+    )
+    def test_array_too_large_for_memory_is_exit_3_naming_its_stage(self, workdir, capsys, command, h):
         # 1e15 float64 values are 7.1 PiB, past the 128 TiB user address
-        # space of x86-64, so no machine can map them under any overcommit setting.
+        # space of x86-64, so no machine can map them under any overcommit
+        # setting.  With h > 0 the test draws in blocks and keeps few of them,
+        # but it still fails before the first block.
         tmp_path, config = workdir
         if command == "mc":
             raw, where = {"mc": {"dgp": {"kind": "linear_regression", "n": 1e15}, "reps": 2}}, "mc"
         else:
             raw, where = _read_config(config), "test:main"
             raw["test"] = {"mc_draws": 1e15, "method": "mc"}
+            if h is not None:
+                raw["test"]["h"] = h
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "huge-out"

@@ -664,7 +664,7 @@ class TestRowBlocks:
     # Peak tracemalloc bytes of one formal test and of one p-value alone.
     # Holding the 100 000 x 4 draw matrix (3.2 MB) and two chunks of the grid
     # at once, they peaked at 7.42 and 6.84 MB (tail) and 10.32 and 6.99 MB
-    # (body); in blocks, one chunk at a time, at 2.63, 1.13, 5.89 and 4.08 MB.
+    # (body); in blocks, one chunk at a time, at 2.42, 1.13, 5.89 and 4.08 MB.
     # tracemalloc sees numpy's arrays, not BLAS's own buffers, so the peaks do
     # not depend on the BLAS thread count; they were measured with one.
     @pytest.mark.parametrize("diff, bound", [(DIFF, 5.5e6), (BODY, 8e6)], ids=["tail", "body"])
