@@ -4,6 +4,11 @@ Every draw is a random weight on each observation of the original dataset:
 the bootstrap statistic is the same estimator integrated against a randomly
 reweighted empirical measure, so no resampled dataset is ever built.  Draw
 b's weights come from its own stream (STREAMS), whatever order draws run in.
+A block's generators are derived in one pass (_draw_rngs): the seed is mixed
+once, the block's draw indices are hashed together, and one PCG64 is
+reseeded per draw to the state random_stream(seed, "draw", b) has, bit for
+bit.  A draw index is one 32-bit spawn-key word, so a run has at most
+MAX_DRAWS = 2**32 draws.
 
 Unit weights (one per cluster or per row, by resample unit):
   - "multinomial": counts ~ Multinomial(U; 1/U, ..., 1/U) over the U units.
@@ -61,11 +66,12 @@ index.  More than max(1, 1%) failed draws of one estimator abort
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -75,6 +81,8 @@ from .dataset import PanelDataset
 from .errors import NumericalError, setting_error, stage
 
 _CATCHABLE = (ValueError, ArithmeticError, np.linalg.LinAlgError, NumericalError)
+# Most draws in one run: each draw index is one 32-bit spawn-key word (_draw_rngs).
+MAX_DRAWS = 2**32
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,8 @@ class BootstrapPlan:
     def __post_init__(self):
         if self.iterations < 1:
             raise setting_error("iterations", "iterations must be >= 1")
+        if self.iterations > MAX_DRAWS:
+            raise setting_error("iterations", f"iterations must be at most 2**32 = {MAX_DRAWS}, got {self.iterations}")
         if self.resample_unit not in {"cluster", "row"}:
             raise setting_error("resample_unit", f"unknown resample unit {self.resample_unit!r}")
         if self.engine not in {"multinomial", "multiplier"}:
@@ -135,9 +145,59 @@ def random_stream(seed: int, name: str, index: int = 0) -> np.random.Generator |
     return int(ss.generate_state(1)[0]) if name == "replication" else np.random.default_rng(ss)
 
 
-def draw_rng(master_seed: int, draw_index: int) -> np.random.Generator:
-    """Generator for one draw, derived from (master seed, draw index) only."""
-    return random_stream(master_seed, "draw", draw_index)
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): the entropy and state
+# hashes' first constants and multipliers, and the mix's multipliers.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_run(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """Hash constants number start, ..., start + count - 1 of a SeedSequence hash."""
+    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(start, start + count)], np.uint32)
+
+
+# generate_state's hash: its word i is xor-ed with [i] and multiplied by [i + 1].
+_STATE_HASH = _hash_run(_INIT_B, _MULT_B, 0, 9)
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """What SeedSequence(seed, spawn_key=(*STREAMS["draw"], b)) has mixed before b.
+
+    Its pool is that of the key without b, and b's hash constants follow
+    the 4 + 12 hashes of the pool's fill and mix and 4 per word after the
+    pool's 4 (the seed's words past 4, then the prefix).  Returns the pool
+    times the mix's left multiplier and b's five hash constants, as columns.
+    """
+    pool = np.random.SeedSequence(seed, spawn_key=STREAMS["draw"]).pool
+    extra = max(4, -(-int(seed).bit_length() // 32)) - 4 + len(STREAMS["draw"])
+    scaled, hashes = (pool * _MIX_L)[:, None], _hash_run(_INIT_A, _MULT_A, 16 + 4 * extra, 5)[:, None]
+    scaled.flags.writeable = hashes.flags.writeable = False  # cached: every block of this seed shares them
+    return scaled, hashes
+
+
+def _draw_rngs(seed: int, draws: range) -> Iterator[np.random.Generator]:
+    """For each draw b, in order, random_stream(seed, "draw", b)'s generator, bit for bit.
+
+    One generator is reseeded for each draw in turn, so use each before
+    asking for the next.  Every b is hashed into the pool at once, and
+    PCG64 is seeded (two steps of its 128-bit LCG) in Python ints.
+    """
+    scaled, hashes = _draw_pool(seed)
+    t = (np.array(draws, dtype=np.uint32) ^ hashes[:4]) * hashes[1:]  # b hashed once per pool word
+    t ^= t >> np.uint32(16)
+    t = scaled - t * _MIX_R  # and mixed into it
+    t ^= t >> np.uint32(16)
+    words = (t ^ _STATE_HASH[:8].reshape(2, 4, 1)) * _STATE_HASH[1:].reshape(2, 4, 1)
+    words ^= words >> np.uint32(16)  # generate_state(4, np.uint64), one draw per column
+    bitgen = np.random.PCG64(0)  # its state is replaced before every draw
+    rng = np.random.Generator(bitgen)
+    mask = (1 << 128) - 1
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(words.reshape(8, -1).T, "<u4").view("<u8").tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & mask
+        state = ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & mask  # PCG64's multiplier
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def multinomial_counts(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,8 +248,7 @@ def _draw_block(
     by_cluster = plan.resample_unit == "cluster"
     n_units = data.n_clusters if by_cluster else data.n_rows
     units = np.empty((len(draws), n_units))
-    for i, b in enumerate(draws):
-        rng = draw_rng(plan.seed, b)
+    for i, rng in enumerate(_draw_rngs(plan.seed, draws)):
         if plan.engine == "multinomial":
             units[i] = multinomial_counts(n_units, rng)
         else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan
+from .bootstrap import MAX_DRAWS, BootstrapPlan
 from .errors import DataError, setting_error, stage
 from .estimators import RegressionComparison, coefficient_specs, comparison_estimator
 from .lstat import LStatSpec, Transform
@@ -54,10 +54,12 @@ def _seed(value, path: str) -> int:
 
 
 def _draw_count(value, path: str) -> int:
-    """A bootstrap draw count: a covariance needs two draws, so every count below 2 is refused."""
+    """A bootstrap draw count from 2 (a covariance needs two draws) to bootstrap.MAX_DRAWS."""
     count = _int(value, path)
     if count < 2:
         raise DataError(f"{path} must be at least 2, got {count}: a bootstrap covariance needs two draws")
+    if count > MAX_DRAWS:
+        raise DataError(f"{path} must be at most 2**32 = {MAX_DRAWS}, got {count}: a draw's index is one 32-bit word")
     return count
 
 

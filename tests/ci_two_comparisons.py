@@ -11,6 +11,10 @@ column z, and two configs on it:
   draws, tested jointly under the identity norm with h = 0.05 on the
   default 100 000 Monte Carlo draws.  The joint test takes the Monte Carlo
   path, and its formal test and heuristic p-value run in two processes.
+- DIR/config_mc_study.json: a `trimtest mc` size study of OLS against
+  residual-trimmed OLS on the linear-regression design, n = 200, 6
+  replications of 99 bootstrap draws.  The replications run in forked
+  processes, each deriving its draws' generators block by block.
 CI runs each pinned to one CPU and unpinned and requires the same output
 files.
 """
@@ -55,6 +59,9 @@ def main(directory: str) -> None:
     for name, config in configs.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump({"input": os.path.join(directory, "sample.csv"), **config}, fh, indent=2)
+    study = {"dgp": {"kind": "linear_regression", "n": 200}, "reps": 6, "inner_iterations": 99, "seed": 11}
+    with open(os.path.join(directory, "config_mc_study.json"), "w", encoding="utf-8") as fh:
+        json.dump({"mc": study}, fh, indent=2)
 
 
 if __name__ == "__main__":

@@ -864,18 +864,18 @@ class TestSharedDrawPass:
     def test_draws_are_built_once_per_analysis(self, monkeypatch):
         from trimtest import bootstrap
 
-        calls = []
-        original = bootstrap.draw_rng
+        asked = []
+        derive = bootstrap._draw_rngs
 
-        def counted(seed, b):
-            calls.append(b)
-            return original(seed, b)
+        def recorded(seed, draws):
+            asked.append(draws)
+            return derive(seed, draws)
 
-        monkeypatch.setattr(bootstrap, "draw_rng", counted)
+        monkeypatch.setattr(bootstrap, "_draw_rngs", recorded)
         raw, data = _three_comparisons(iterations=40)
         report = run_analysis(AnalysisConfig.from_dict(raw), data=data)
         assert len(report.results) == 3
-        assert calls == list(range(40))
+        assert [b for draws in asked for b in draws] == list(range(40))
 
     def test_each_comparison_equals_its_own_run(self):
         raw, data = _three_comparisons()

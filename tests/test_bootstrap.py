@@ -25,7 +25,6 @@ from trimtest.bootstrap import (
     attempt,
     bootstrap_cov,
     bootstrap_pipeline,
-    draw_rng,
     multinomial_counts,
     multiplier_weights,
     random_stream,
@@ -72,20 +71,20 @@ def unequal():
 
 class TestDrawRng:
     def test_same_inputs_same_stream(self):
-        a = draw_rng(99, 7).standard_normal(5)
-        b = draw_rng(99, 7).standard_normal(5)
+        a = random_stream(99, "draw", 7).standard_normal(5)
+        b = random_stream(99, "draw", 7).standard_normal(5)
         np.testing.assert_array_equal(a, b)
 
     def test_different_draws_differ(self):
-        a = draw_rng(99, 7).standard_normal(5)
-        b = draw_rng(99, 8).standard_normal(5)
+        a = random_stream(99, "draw", 7).standard_normal(5)
+        b = random_stream(99, "draw", 8).standard_normal(5)
         assert not np.array_equal(a, b)
 
     def test_independent_of_master_stream_usage(self):
         # Draw 5's generator does not depend on draws 0..4 having been made.
-        _ = [draw_rng(1, b).standard_normal(100) for b in range(5)]
-        fresh = draw_rng(1, 5).standard_normal(3)
-        np.testing.assert_array_equal(fresh, draw_rng(1, 5).standard_normal(3))
+        _ = [random_stream(1, "draw", b).standard_normal(100) for b in range(5)]
+        fresh = random_stream(1, "draw", 5).standard_normal(3)
+        np.testing.assert_array_equal(fresh, random_stream(1, "draw", 5).standard_normal(3))
 
     def test_disjoint_from_simulation_streams_under_seed_reuse(self):
         # A dataset simulated with seed s and a bootstrap plan with the same
@@ -95,7 +94,7 @@ class TestDrawRng:
             sim_stream = np.random.default_rng(
                 np.random.SeedSequence(entropy=42, spawn_key=(b,))
             ).standard_normal(8)
-            boot_stream = draw_rng(42, b).standard_normal(8)
+            boot_stream = random_stream(42, "draw", b).standard_normal(8)
             assert not np.array_equal(sim_stream, boot_stream)
 
 
@@ -108,11 +107,43 @@ class TestStreams:
     def _state(seed, key):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).bit_generator.state
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    # Seeds of one to four spawn-key words, and draw indices up to the last that fits one word.
+    DERIVATION_SEEDS = (0, 7, 2**32 - 1, 2**40, 2**100 + 17)
+    DRAW_RANGES = (range(16), range(1984, 2000), range(2**31, 2**31 + 5), range(2**32 - 3, 2**32))
+
+    @pytest.mark.parametrize("seed", DERIVATION_SEEDS)
     def test_draw_b_has_key_1_b(self, seed):
-        # The rule perfbench/oracle.py reimplements to check the bootstrap's counts.
-        for b in (0, 1, 1999):
-            assert draw_rng(seed, b).bit_generator.state == self._state(seed, (1, b))
+        # The rule perfbench/oracle.py reimplements to check the bootstrap's counts;
+        # the block derivation must give numpy's own generator state for every draw.
+        for draws in self.DRAW_RANGES:
+            states = [rng.bit_generator.state for rng in bootstrap._draw_rngs(seed, draws)]
+            assert states == [self._state(seed, (1, b)) for b in draws]
+        assert random_stream(seed, "draw", 1999).bit_generator.state == self._state(seed, (1, 1999))
+
+    @pytest.mark.parametrize(
+        "engine,distribution",
+        [("multinomial", "normal"), ("multiplier", "normal"), ("multiplier", "poisson")],
+        ids=["multinomial", "normal", "poisson"],
+    )
+    @pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+    def test_draw_blocks_equal_per_draw_rows(self, seed, engine, distribution):
+        n = 40
+        data = PanelDataset({"v": np.zeros(n)}, np.arange(n))
+        plan = BootstrapPlan(
+            iterations=2**32, seed=seed, resample_unit="row", engine=engine, multiplier_distribution=distribution
+        )
+        for draws in self.DRAW_RANGES:
+            rho, empty = _draw_block(data, plan, draws)
+            assert not empty.any()
+            for row, b in zip(rho, draws):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, b)))
+                if engine == "multinomial":
+                    expected = multinomial_counts(n, rng) * 1.0
+                else:
+                    expected = 1.0 + multiplier_weights(n, distribution, rng)
+                if distribution == "poisson":
+                    expected *= n / expected.sum()
+                np.testing.assert_array_equal(row, expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_the_test_stream_has_key_2_0(self, seed, monkeypatch):
@@ -179,6 +210,11 @@ class TestEngines:
 
 
 class TestPlanValidation:
+    def test_draw_count_is_bounded_by_one_spawn_key_word(self):
+        assert BootstrapPlan(iterations=bootstrap.MAX_DRAWS).iterations == 2**32
+        with pytest.raises(ValueError, match=r"iterations must be at most 2\*\*32 = 4294967296, got 4294967297"):
+            BootstrapPlan(iterations=2**32 + 1)
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="iterations"):
             BootstrapPlan(iterations=0)
@@ -200,7 +236,7 @@ class TestPipeline:
         plan = BootstrapPlan(iterations=8, seed=21)
         boot = bootstrap_pipeline(unequal, plan, trimmed_mean_estimator)
         for b in range(8):
-            counts = multinomial_counts(unequal.n_clusters, draw_rng(21, b))
+            counts = multinomial_counts(unequal.n_clusters, random_stream(21, "draw", b))
             resample = unequal.take_clusters(np.repeat(np.arange(unequal.n_clusters), counts))
             expected = trimmed_mean_estimator(resample, np.ones(resample.n_rows))
             np.testing.assert_allclose(boot.draws[b], expected, rtol=1e-12)
@@ -213,7 +249,7 @@ class TestPipeline:
         plan = BootstrapPlan(iterations=20, seed=77, resample_unit="row")
         boot = bootstrap_pipeline(data, plan, weighted_mean_estimator)
         for b in range(20):
-            counts = multinomial_counts(30, draw_rng(77, b))
+            counts = multinomial_counts(30, random_stream(77, "draw", b))
             by_counts = np.sum(v * counts) / counts.sum()
             assert boot.draws[b, 0] == pytest.approx(by_counts, rel=1e-14)
 
@@ -244,7 +280,7 @@ class TestPipeline:
         for b in range(5):
             data_b, rho_b = seen[b + 1]
             assert data_b is clustered  # original data, not a resample
-            xi = multiplier_weights(clustered.n_clusters, "normal", draw_rng(31, b))
+            xi = multiplier_weights(clustered.n_clusters, "normal", random_stream(31, "draw", b))
             np.testing.assert_array_equal(rho_b, (1.0 + xi)[clustered.row_cluster_index])
             # All rows of one cluster share a multiplier.
             for rows in cluster_rows(clustered):
@@ -262,7 +298,7 @@ class TestPipeline:
 
         boot = bootstrap_pipeline(unequal, plan, spy)
         for b in range(6):
-            counts = multiplier_weights(unequal.n_clusters, "poisson", draw_rng(41, b)) + 1.0
+            counts = multiplier_weights(unequal.n_clusters, "poisson", random_stream(41, "draw", b)) + 1.0
             resample = unequal.take_clusters(
                 np.repeat(np.arange(unequal.n_clusters), counts.astype(np.intp))
             )
@@ -318,7 +354,7 @@ class TestPipeline:
             iterations=1, seed=9, engine="multiplier", multiplier_distribution="poisson"
         )
         b = next(
-            b for b in range(100) if multiplier_weights(1, "poisson", draw_rng(9, b))[0] == -1.0
+            b for b in range(100) if multiplier_weights(1, "poisson", random_stream(9, "draw", b))[0] == -1.0
         )
         rho, empty = _draw_block(data, plan, range(b, b + 1))
         assert empty.tolist() == [True]
@@ -531,7 +567,7 @@ class TestWeightsStayWithTheirRows:
         )
         boot = bootstrap_pipeline(data, BootstrapPlan(10, seed=3, resample_unit="row"), est)
         for b in range(10):
-            counts = multinomial_counts(n, draw_rng(3, b))
+            counts = multinomial_counts(n, random_stream(3, "draw", b))
             assert boot.draws[b, 1] == pytest.approx(np.sum(v * w * counts) / n, rel=1e-12)
 
     def test_custom_weights_under_unequal_cluster_draws(self, unequal):
@@ -543,7 +579,7 @@ class TestWeightsStayWithTheirRows:
         boot = bootstrap_pipeline(unequal, BootstrapPlan(50, seed=8), est)
         assert boot.n_failed == 0
         for b in range(50):
-            counts = multinomial_counts(unequal.n_clusters, draw_rng(8, b))
+            counts = multinomial_counts(unequal.n_clusters, random_stream(8, "draw", b))
             rho = counts[unequal.row_cluster_index]
             expected = np.sum(v * w * rho) / rho.sum()
             assert boot.draws[b, 1] == pytest.approx(expected, rel=1e-12)
@@ -559,7 +595,7 @@ class TestWeightsStayWithTheirRows:
         est = regression_comparison_estimator(RegressionComparison(model))
         boot = bootstrap_pipeline(data, BootstrapPlan(5, seed=12, resample_unit="row"), est)
         for b in range(5):
-            counts = multinomial_counts(data.n_rows, draw_rng(12, b)).astype(float)
+            counts = multinomial_counts(data.n_rows, random_stream(12, "draw", b)).astype(float)
             expected = weighted_ols(model, data, row_multipliers=counts).coef("x")
             assert boot.draws[b, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -640,7 +676,7 @@ def test_count_weighted_draws_equal_materialized_resamples(
     n_units = data.n_clusters if unit == "cluster" else n
     if engine == "multinomial":
         plan = BootstrapPlan(iterations=4, seed=seed, resample_unit=unit)
-        counts = [multinomial_counts(n_units, draw_rng(seed, b)) for b in range(4)]
+        counts = [multinomial_counts(n_units, random_stream(seed, "draw", b)) for b in range(4)]
     else:
         plan = BootstrapPlan(
             iterations=4,
@@ -649,7 +685,7 @@ def test_count_weighted_draws_equal_materialized_resamples(
             engine="multiplier",
             multiplier_distribution="poisson",
         )
-        counts = [multiplier_weights(n_units, "poisson", draw_rng(seed, b)) + 1 for b in range(4)]
+        counts = [multiplier_weights(n_units, "poisson", random_stream(seed, "draw", b)) + 1 for b in range(4)]
     # An all-zero Poisson draw fails by design (see test_all_zero_poisson_draw_is_empty).
     assume(all(c.sum() > 0 for c in counts))
     est = _property_estimator(estimator, scheme, custom, fe)
@@ -899,16 +935,17 @@ class TestSharedDrawPass:
         assert (boot.iterations, boot.n_failed, boot.seed) == (30, 0, 17)
 
     def test_draws_are_built_once_for_all_parts(self, clustered, monkeypatch):
-        calls = []
+        asked = []
+        derive = bootstrap._draw_rngs
 
-        def counted(seed, b):
-            calls.append(b)
-            return draw_rng(seed, b)
+        def recorded(seed, draws):
+            asked.append(draws)
+            return derive(seed, draws)
 
-        monkeypatch.setattr(bootstrap, "draw_rng", counted)
+        monkeypatch.setattr(bootstrap, "_draw_rngs", recorded)
         parts = [(name, weighted_mean_estimator) for name in ("a", "b", "c")]
         bootstrap_pipeline(clustered, self.PLAN, parts)
-        assert calls == list(range(30))
+        assert [b for draws in asked for b in draws] == list(range(30))
 
     def test_a_failed_draw_is_its_own_parts_failure(self, clustered):
         failing = self._failing_on(clustered, self.PLAN, 7)

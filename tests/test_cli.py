@@ -1105,6 +1105,17 @@ class TestExitCodes:
             lambda r: _put(r, "mc.inner_iterations", 1),
             "[config] mc.inner_iterations must be at least 2, got 1",
         ),
+        # Each draw's index is one 32-bit word of its spawn key: a larger count would also run for days.
+        "bootstrap.iterations-past-2**32": (
+            "test",
+            lambda r: _put(r, "bootstrap.iterations", 2**32 + 1),
+            "[config] bootstrap.iterations must be at most 2**32 = 4294967296, got 4294967297",
+        ),
+        "mc.inner_iterations-past-2**32": (
+            "mc",
+            lambda r: _put(r, "mc.inner_iterations", 2**32 + 1),
+            "[config] mc.inner_iterations must be at most 2**32 = 4294967296, got 4294967297",
+        ),
         "model.outcome-regressor": (
             "test",
             lambda r: _put(r, "model.regressors", ["x", "y"]),

@@ -184,16 +184,27 @@ def test_pipeline_stage_calls_the_bootstrap_engine(monkeypatch):
 
 def test_random_streams_are_built_only_by_the_stream_table():
     # Every generator and seed comes from bootstrap.random_stream, whose
-    # table gives each stream keys no other stream uses; a SeedSequence or
-    # default_rng built anywhere else could reuse another stream's bits.
-    constructors = {"SeedSequence", "default_rng"}
+    # table gives each stream keys no other stream uses, or from the draw
+    # stream's block derivation, which reproduces it bit for bit; a
+    # SeedSequence, bit generator or Generator built anywhere else could
+    # reuse another stream's bits.  Annotations build nothing.
+    constructors = {"SeedSequence", "default_rng", "PCG64", "Generator"}
+    allowed = {("bootstrap.py", name) for name in ("random_stream", "_draw_pool", "_draw_rngs")}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.name, getattr(stmt, "name", None)) == ("bootstrap.py", "random_stream"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotations = {
+            id(sub)
+            for node in ast.walk(tree)
+            for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if annotation is not None
+            for sub in ast.walk(annotation)
+        }
+        for stmt in tree.body:
+            if (path.name, getattr(stmt, "name", None)) in allowed:
                 continue
             for sub in ast.walk(stmt):
                 name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
-                if name in constructors:
+                if name in constructors and id(sub) not in annotations:
                     found.append(f"{path.name}:{sub.lineno} {name}")
-    assert found == [], f"random streams built outside bootstrap.random_stream: {found}"
+    assert found == [], f"random streams built outside bootstrap.random_stream and _draw_rngs: {found}"
