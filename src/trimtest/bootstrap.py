@@ -148,12 +148,12 @@ def random_stream(seed: int, name: str, index: int = 0) -> np.random.Generator |
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe): the entropy and state
 # hashes' first constants and multipliers, and the mix's multipliers.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
 def _hash_run(init: int, mult: int, start: int, count: int) -> np.ndarray:
     """Hash constants number start, ..., start + count - 1 of a SeedSequence hash."""
-    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(start, start + count)], np.uint32)
+    return np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(start, start + count)])
 
 
 # generate_state's hash: its word i is xor-ed with [i] and multiplied by [i + 1].
@@ -169,9 +169,10 @@ def _draw_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     pool's 4 (the seed's words past 4, then the prefix).  Returns the pool
     times the mix's left multiplier and b's five hash constants, as columns.
     """
-    pool = np.random.SeedSequence(seed, spawn_key=STREAMS["draw"]).pool
+    pool = np.random.SeedSequence(seed, spawn_key=STREAMS["draw"]).pool.tolist()
     extra = max(4, -(-int(seed).bit_length() // 32)) - 4 + len(STREAMS["draw"])
-    scaled, hashes = (pool * _MIX_L)[:, None], _hash_run(_INIT_A, _MULT_A, 16 + 4 * extra, 5)[:, None]
+    scaled = np.array([_MIX_L * p & _M32 for p in pool])[:, None]
+    hashes = _hash_run(_INIT_A, _MULT_A, 16 + 4 * extra, 5)[:, None]
     scaled.flags.writeable = hashes.flags.writeable = False  # cached: every block of this seed shares them
     return scaled, hashes
 
@@ -181,15 +182,18 @@ def _draw_rngs(seed: int, draws: range) -> Iterator[np.random.Generator]:
 
     One generator is reseeded for each draw in turn, so use each before
     asking for the next.  Every b is hashed into the pool at once, and
-    PCG64 is seeded (two steps of its 128-bit LCG) in Python ints.
+    PCG64 is seeded (two steps of its 128-bit LCG) in Python ints.  The
+    uint32 hash runs in int64 masked to 32 bits: the rest of the program
+    already uses numpy's int64 loops, and the first uint32 one faults in
+    about 64 KB of numpy's code, which raised the process's peak RSS.
     """
     scaled, hashes = _draw_pool(seed)
-    t = (np.array(draws, dtype=np.uint32) ^ hashes[:4]) * hashes[1:]  # b hashed once per pool word
-    t ^= t >> np.uint32(16)
-    t = scaled - t * _MIX_R  # and mixed into it
-    t ^= t >> np.uint32(16)
-    words = (t ^ _STATE_HASH[:8].reshape(2, 4, 1)) * _STATE_HASH[1:].reshape(2, 4, 1)
-    words ^= words >> np.uint32(16)  # generate_state(4, np.uint64), one draw per column
+    t = (np.array(draws, dtype=np.int64) ^ hashes[:4]) * hashes[1:] & _M32  # b hashed once per pool word
+    t ^= t >> 16
+    t = scaled - t * _MIX_R & _M32  # and mixed into it
+    t ^= t >> 16
+    words = (t ^ _STATE_HASH[:8].reshape(2, 4, 1)) * _STATE_HASH[1:].reshape(2, 4, 1) & _M32
+    words ^= words >> 16  # generate_state(4, np.uint64), one draw per column
     bitgen = np.random.PCG64(0)  # its state is replaced before every draw
     rng = np.random.Generator(bitgen)
     mask = (1 << 128) - 1
